@@ -18,9 +18,8 @@ from .dephasing import (
 )
 from .pulse_sim import (
     SimConfig, Trace, PulseSequence, Reset, MagneticPulse, FreeEvolution,
-    Readout, sample_environment, drive_hamiltonian, free_hamiltonian,
-    propagate, run_sequence, simulate_ramsey, simulate_spectrum,
-    fourier_magnitude, write_trace_csv, read_trace_csv, shot_rng,
+    Readout, simulate_ramsey, simulate_spectrum, fourier_magnitude,
+    write_trace_csv, read_trace_csv, shot_rng,
 )
 from .fitting import FitParam, FitOptions, FitOutcome, ModelFunction, \
     nlls_fit, format_fit_report

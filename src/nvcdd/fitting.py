@@ -34,7 +34,6 @@ class ModelFunction:
     name: str
     params: tuple  # of FitParam
     evaluator: object
-    jacobian: object = None  # optional analytic d(signal)/d(params)
 
     def param_names(self):
         return [p.name for p in self.params]

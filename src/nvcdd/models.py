@@ -82,20 +82,6 @@ def model_ramsey_mp(a_par_khz: float, p0_ud: float) -> ModelFunction:
         w = _K * math.hypot(omega, a_par)
         return c + 0.5 * amp * np.exp(-((tau / t2) ** 2)) * np.cos(w * tau + phi)
 
-    def jacobian(theta, tau):
-        c, t2, omega, phi, a_par, amp = theta
-        root = math.hypot(omega, a_par)
-        w = _K * root
-        env = np.exp(-((tau / t2) ** 2))
-        cosw = np.cos(w * tau + phi)
-        sinw = np.sin(w * tau + phi)
-        j = np.zeros((len(tau), 6))
-        j[:, 0] = 1.0
-        j[:, 1] = 0.5 * amp * env * cosw * 2.0 * tau ** 2 / t2 ** 3
-        j[:, 2] = -0.5 * amp * env * sinw * tau * _K * (omega / root if root else 0.0)
-        j[:, 3] = -0.5 * amp * env * sinw
-        return j
-
     return ModelFunction(
         name="ramsey_mp",
         params=(
@@ -107,7 +93,6 @@ def model_ramsey_mp(a_par_khz: float, p0_ud: float) -> ModelFunction:
             FitParam("p0_ud", p0_ud, frozen=True),
         ),
         evaluator=evaluate,
-        jacobian=jacobian,
     )
 
 

@@ -11,10 +11,6 @@ and is not used anywhere in the toolkit.
 
 from __future__ import annotations
 
-from .dephasing import sigma_b_from_t2
-from .units import khz_to_angular, mhz_to_angular
-
-OMEGA_MECH = mhz_to_angular(586.0)
 Q_FACTOR = 2700.0
 
 PRESETS = {
@@ -37,12 +33,3 @@ PRESETS = {
         "default_omega_khz": 581.0,
     },
 }
-
-
-def preset_sigma_b_mg(name: str, gamma: float) -> float:
-    """Field-noise sigma (mG) for a preset, from its pinned gamma*sigma_b
-    when given, otherwise from its undressed coherence time."""
-    p = PRESETS[name]
-    if p["gamma_sigma_b_khz"] is not None:
-        return khz_to_angular(p["gamma_sigma_b_khz"]) / gamma
-    return sigma_b_from_t2(p["t2_0m1_us"], gamma)

@@ -9,7 +9,8 @@ Spectral abscissae are detunings from the nominal undressed 0<->-1 line.
 One environment sample is drawn per shot and held constant across the
 whole sequence.  Shot RNG streams are counter-based (Philox keyed by
 (seed, shot), counter positioned by the abscissa index), so execution
-order never changes results.
+order never changes results.  The engine is batch-only: _simulate runs
+all shots of a grid point as one stack; a single shot is a batch of one.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from .dephasing import NoiseSpec
-from .spin_model import (EnvironmentSample, NonHermitianError, SystemParams,
-                         dressed_transition_offsets)
+from .spin_model import SystemParams, dressed_transition_offsets
 from .units import angular_to_khz
 
 NORM_TOL = 1e-9
@@ -61,12 +62,10 @@ class Reset:
 class MagneticPulse:
     """Magnetic drive segment.
 
-    coupling 'sq' is a pulse near the undressed 0<->-1 line; 'dq' is the
-    stronger single-tone pulse at the dressed-line midpoint that addresses
-    both the 0<->m and 0<->p transitions through their |-1> components.
-    Either way the drive couples |0> to |-1> only: the 0<->+1 matrix
-    element of a tone near the 0<->-1 splitting is detuned by the full
-    Zeeman splitting and is dropped, like every other counter-rotating
+    The drive couples |0> to |-1> only, so at the dressed-line midpoint it
+    addresses both 0<->m and 0<->p through their |-1> components.  The
+    0<->+1 element of a tone near the 0<->-1 splitting is detuned by the
+    full Zeeman splitting and is dropped, like every other counter-rotating
     term in this frame.
     """
 
@@ -74,15 +73,12 @@ class MagneticPulse:
     duration: float             # us
     phase: float = 0.0          # rad
     detuning_mag: float | None = None  # rad/us; None -> sequence frame value
-    coupling: str = "sq"        # 'sq' or 'dq'
 
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
         if not math.isfinite(self.phase):
             raise ValueError("phase must be finite")
-        if self.coupling not in ("sq", "dq"):
-            raise ValueError(f"unknown coupling {self.coupling!r}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +114,9 @@ class SimConfig:
     def __post_init__(self):
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
-        w = self.carbon_weights
-        if len(w) != 2 or min(w) < 0 or abs(w[0] + w[1] - 1.0) > 1e-12:
-            raise ValueError("carbon weights must be two non-negatives summing to 1")
+        if not 0 <= self.seed < 2 ** 64:   # Philox keys are uint64
+            raise ValueError("seed must lie in [0, 2**64)")
+        Reset(self.carbon_weights)
 
 
 @dataclass
@@ -137,10 +133,11 @@ class Trace:
         self.abscissa = np.asarray(self.abscissa, dtype=float)
         self.mean_p0 = np.asarray(self.mean_p0, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
-        if np.any(self.mean_p0 < -1e-9) or np.any(self.mean_p0 > 1 + 1e-9):
+        # Written so that NaN, which fails every comparison, is rejected.
+        if not np.all((self.mean_p0 >= -1e-9) & (self.mean_p0 <= 1 + 1e-9)):
             raise ValueError("mean_p0 must lie in [0, 1]")
-        if np.any(self.stderr < 0):
-            raise ValueError("stderr must be >= 0")
+        if not np.all((self.stderr >= 0) & (self.stderr < np.inf)):
+            raise ValueError("stderr must be finite and >= 0")
 
 
 def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generator:
@@ -151,20 +148,8 @@ def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generato
     return np.random.Generator(bitgen)
 
 
-def sample_environment(noise: NoiseSpec, rng: np.random.Generator,
-                       mean_omega: float = 0.0) -> EnvironmentSample:
-    """Draw one quasi-static environment sample (db, dOmega, dT)."""
-    draws = rng.standard_normal(3)
-    return EnvironmentSample(
-        delta_b=draws[0] * noise.sigma_b,
-        delta_omega=draws[1] * noise.sigma_omega(mean_omega),
-        delta_t=draws[2] * noise.sigma_t,
-    )
-
-
 def _frame_hamiltonians(params: SystemParams, db, dom, dt,
-                        detuning_mag, omega_mag=0.0, phase=0.0,
-                        coupling="sq") -> np.ndarray:
+                        detuning_mag, omega_mag=0.0, phase=0.0) -> np.ndarray:
     """Stacked doubly-rotating-frame Hamiltonians, shape (n, 6, 6).
 
     db, dom, dt are environment arrays of shape (n,).
@@ -172,8 +157,7 @@ def _frame_hamiltonians(params: SystemParams, db, dom, dt,
     db = np.atleast_1d(np.asarray(db, dtype=float))
     dom = np.broadcast_to(np.asarray(dom, dtype=float), db.shape)
     dt = np.broadcast_to(np.asarray(dt, dtype=float), db.shape)
-    n = db.shape[0]
-    h = np.zeros((n, 6, 6), dtype=complex)
+    h = np.zeros((db.shape[0], 6, 6), dtype=complex)
     gdb = params.gamma * db
     a = params.a_par
     h[:, 0, 0] = gdb + 0.5 * (params.delta + a)
@@ -185,32 +169,11 @@ def _frame_hamiltonians(params: SystemParams, db, dom, dt,
     om2 = 0.5 * (params.omega + dom)
     h[:, 0, 4] = h[:, 4, 0] = om2
     h[:, 1, 5] = h[:, 5, 1] = om2
-    if omega_mag:
-        # Both pulse flavours drive 0<->-1; the 0<->+1 element sits a full
-        # Zeeman splitting off resonance and is dropped with the other
-        # counter-rotating terms.
+    if omega_mag:  # 0<->-1 only, see MagneticPulse
         g = 0.5 * omega_mag * np.exp(1j * phase)
-        h[:, 2, 4] = g
-        h[:, 4, 2] = np.conj(g)
-        h[:, 3, 5] = g
-        h[:, 5, 3] = np.conj(g)
+        h[:, 2, 4] = h[:, 3, 5] = g
+        h[:, 4, 2] = h[:, 5, 3] = np.conj(g)
     return h
-
-
-def drive_hamiltonian(params: SystemParams, env: EnvironmentSample,
-                      pulse: MagneticPulse) -> np.ndarray:
-    """Rotating-frame Hamiltonian during a magnetic pulse (6x6)."""
-    det = pulse.detuning_mag if pulse.detuning_mag is not None else 0.0
-    return _frame_hamiltonians(params, [env.delta_b], env.delta_omega,
-                               env.delta_t, det, pulse.omega_mag,
-                               pulse.phase, pulse.coupling)[0]
-
-
-def free_hamiltonian(params: SystemParams, env: EnvironmentSample,
-                     frame_detuning: float = 0.0) -> np.ndarray:
-    """Rotating-frame Hamiltonian with the magnetic drive off (6x6)."""
-    return _frame_hamiltonians(params, [env.delta_b], env.delta_omega,
-                               env.delta_t, frame_detuning)[0]
 
 
 def _propagate_batch(states: np.ndarray, h: np.ndarray,
@@ -220,22 +183,6 @@ def _propagate_batch(states: np.ndarray, h: np.ndarray,
     coeff = np.einsum("nij,nj->ni", vecs.conj().transpose(0, 2, 1), states)
     coeff = coeff * np.exp(-1j * vals * duration)
     return np.einsum("nij,nj->ni", vecs, coeff)
-
-
-def propagate(state: np.ndarray, h: np.ndarray, duration: float) -> np.ndarray:
-    """Evolve a 6-component state under a constant Hermitian Hamiltonian."""
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    h = np.asarray(h, dtype=complex)
-    scale = max(np.abs(h).max(), 1.0)
-    if np.abs(h - h.conj().T).max() > 1e-10 * scale:
-        raise NonHermitianError("propagation Hamiltonian is not Hermitian")
-    out = _propagate_batch(np.asarray(state, dtype=complex)[None, :],
-                           h[None, :, :], duration)[0]
-    norm = np.linalg.norm(out)
-    if abs(norm - 1.0) > NORM_TOL and abs(np.linalg.norm(state) - 1.0) < NORM_TOL:
-        raise RuntimeError("propagation lost norm")
-    return out
 
 
 def _validate_sequence(seq: PulseSequence) -> None:
@@ -254,32 +201,21 @@ def _run_batch(seq: PulseSequence, params: SystemParams,
     """Run the sequence for stacked environment samples; returns P0 (n,)."""
     _validate_sequence(seq)
     db = np.atleast_1d(np.asarray(db, dtype=float))
-    n = db.shape[0]
-    states = np.zeros((n, 6), dtype=complex)
-    w = seq.segments[0].weights
-    states[:, 2] = math.sqrt(w[0])
-    states[:, 3] = math.sqrt(w[1])
+    states = np.zeros((db.shape[0], 6), dtype=complex)
+    states[:, 2:4] = np.sqrt(seq.segments[0].weights)
     for seg in seq.segments[1:-1]:
-        if isinstance(seg, FreeEvolution):
-            h = _frame_hamiltonians(params, db, dom, dt, seq.frame_detuning)
-            states = _propagate_batch(states, h, seg.duration)
-        else:
-            det = seg.detuning_mag if seg.detuning_mag is not None \
-                else seq.frame_detuning
+        if isinstance(seg, MagneticPulse):
+            det = seq.frame_detuning if seg.detuning_mag is None \
+                else seg.detuning_mag
             h = _frame_hamiltonians(params, db, dom, dt, det, seg.omega_mag,
-                                    seg.phase, seg.coupling)
-            states = _propagate_batch(states, h, seg.duration)
+                                    seg.phase)
+        else:
+            h = _frame_hamiltonians(params, db, dom, dt, seq.frame_detuning)
+        states = _propagate_batch(states, h, seg.duration)
         norms = np.linalg.norm(states, axis=1)
         if np.any(np.abs(norms - 1.0) > NORM_TOL):
             raise RuntimeError("propagation lost norm")
     return np.abs(states[:, 2]) ** 2 + np.abs(states[:, 3]) ** 2
-
-
-def run_sequence(seq: PulseSequence, params: SystemParams,
-                 env: EnvironmentSample) -> float:
-    """Population remaining in |0> after one shot of the sequence."""
-    return float(_run_batch(seq, params, [env.delta_b], env.delta_omega,
-                            env.delta_t)[0])
 
 
 def _sample_block(noise: NoiseSpec, mean_omega: float, seed: int,
@@ -304,34 +240,35 @@ def _mean_p_line(params: SystemParams) -> float:
     return 0.5 * (up + dn)
 
 
-def _ramsey_sequence(kind: str, tau: float, params: SystemParams,
-                     weights, omega_mag: float, omega_rot: float,
-                     closing_phase: float) -> PulseSequence:
-    if kind == "undressed_0m1":
-        frame = -0.5 * params.delta
-        t_half = 0.5 * math.pi / omega_mag
-        open_pulse = MagneticPulse(omega_mag, t_half, coupling="sq")
-        close_pulse = MagneticPulse(omega_mag, t_half,
-                                    phase=omega_rot * tau + closing_phase,
-                                    coupling="sq")
-    elif kind == "dressed_0p":
-        frame = _mean_p_line(params)
-        t_half = 0.5 * math.pi / omega_mag
-        open_pulse = MagneticPulse(omega_mag, t_half, coupling="sq")
-        close_pulse = MagneticPulse(omega_mag, t_half,
-                                    phase=omega_rot * tau + closing_phase,
-                                    coupling="sq")
-    else:  # dressed_mp, max_protection
-        frame = 0.0
-        t_pi = math.pi / omega_mag
-        open_pulse = MagneticPulse(omega_mag, t_pi, coupling="dq")
-        close_pulse = MagneticPulse(omega_mag, t_pi, phase=closing_phase,
-                                    coupling="dq")
-    return PulseSequence(
-        segments=(Reset(weights), open_pulse, FreeEvolution(tau),
-                  close_pulse, Readout()),
-        frame_detuning=frame,
-    )
+def _simulate(grid, sequence_at, params: SystemParams, config: SimConfig):
+    """Mean P0 (clipped to [0, 1]) and its standard error at each grid
+    point, running the sequence sequence_at(x) for config.n_shots shots."""
+    mean = np.empty(len(grid))
+    stderr = np.empty(len(grid))
+    for i, x in enumerate(grid):
+        db, dom, dt = _sample_block(config.noise, params.omega,
+                                    config.seed, i, config.n_shots)
+        p0 = _run_batch(sequence_at(x), params, db, dom, dt)
+        mean[i] = p0.mean()
+        stderr[i] = p0.std(ddof=1) / math.sqrt(config.n_shots) \
+            if config.n_shots > 1 else 0.0
+    return np.clip(mean, 0.0, 1.0), stderr
+
+
+def _metadata(kind: str, unit: str, params: SystemParams,
+              config: SimConfig, omega_mag: float, **extra) -> dict:
+    """Sidecar record of a simulated trace's run parameters."""
+    return {
+        "kind": kind,
+        "abscissa_unit": unit,
+        "seed": config.seed,
+        "n_shots": config.n_shots,
+        "omega_mag_khz": angular_to_khz(omega_mag),
+        "omega_khz": angular_to_khz(params.omega),
+        "delta_khz": angular_to_khz(params.delta),
+        "a_par_khz": angular_to_khz(params.a_par),
+        **extra,
+    }
 
 
 def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
@@ -350,34 +287,28 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
         raise ValueError(f"kind {kind!r} requires a nonzero mechanical drive")
     if kind == "max_protection":
         params = params.with_delta(-abs(params.a_par))
-    if omega_mag is None:
-        omega_mag = DEFAULT_OMEGA_MAG_DQ if kind in ("dressed_mp", "max_protection") \
-            else DEFAULT_OMEGA_MAG_SQ
+    if kind in ("dressed_mp", "max_protection"):
+        # DQ pi pulses at the dressed-line midpoint; fixed closing phase
+        omega_mag = DEFAULT_OMEGA_MAG_DQ if omega_mag is None else omega_mag
+        frame, t_pulse, phase_rate = 0.0, math.pi / omega_mag, 0.0
+    else:
+        # pi/2 pulses on one line; the closing phase advances with tau
+        omega_mag = DEFAULT_OMEGA_MAG_SQ if omega_mag is None else omega_mag
+        frame = -0.5 * params.delta if kind == "undressed_0m1" \
+            else _mean_p_line(params)
+        t_pulse, phase_rate = 0.5 * math.pi / omega_mag, omega_rot
+    opening = (Reset(config.carbon_weights), MagneticPulse(omega_mag, t_pulse))
 
-    mean = np.empty_like(tau_grid)
-    stderr = np.empty_like(tau_grid)
-    for i, tau in enumerate(tau_grid):
-        seq = _ramsey_sequence(kind, tau, params, config.carbon_weights,
-                               omega_mag, omega_rot, closing_phase)
-        db, dom, dt = _sample_block(config.noise, params.omega,
-                                    config.seed, i, config.n_shots)
-        p0 = _run_batch(seq, params, db, dom, dt)
-        mean[i] = p0.mean()
-        stderr[i] = p0.std(ddof=1) / math.sqrt(config.n_shots) \
-            if config.n_shots > 1 else 0.0
-    metadata = {
-        "kind": kind,
-        "abscissa_unit": "us",
-        "seed": config.seed,
-        "n_shots": config.n_shots,
-        "omega_mag_khz": angular_to_khz(omega_mag),
-        "omega_rot_khz": angular_to_khz(omega_rot),
-        "omega_khz": angular_to_khz(params.omega),
-        "delta_khz": angular_to_khz(params.delta),
-        "a_par_khz": angular_to_khz(params.a_par),
-    }
-    return Trace(tau_grid, np.clip(mean, 0.0, 1.0), stderr,
-                 config.n_shots, metadata)
+    def sequence_at(tau):
+        closing = MagneticPulse(omega_mag, t_pulse,
+                                phase=phase_rate * tau + closing_phase)
+        return PulseSequence(
+            opening + (FreeEvolution(tau), closing, Readout()), frame)
+
+    mean, stderr = _simulate(tau_grid, sequence_at, params, config)
+    metadata = _metadata(kind, "us", params, config, omega_mag,
+                         omega_rot_khz=angular_to_khz(omega_rot))
+    return Trace(tau_grid, mean, stderr, config.n_shots, metadata)
 
 
 def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
@@ -391,37 +322,18 @@ def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     if np.any(np.diff(detuning_grid) <= 0):
         raise ValueError("detuning grid must be strictly ascending")
-    duration = pulse_area / omega_mag
-    mean = np.empty_like(detuning_grid)
-    stderr = np.empty_like(detuning_grid)
-    for i, det_axis in enumerate(detuning_grid):
-        drive = det_axis - 0.5 * params.delta
-        seq = PulseSequence(
-            segments=(Reset(config.carbon_weights),
-                      MagneticPulse(omega_mag, duration, coupling="sq"),
-                      Readout()),
-            frame_detuning=drive,
-        )
-        db, dom, dt = _sample_block(config.noise, params.omega,
-                                    config.seed, i, config.n_shots)
-        p0 = _run_batch(seq, params, db, dom, dt)
-        mean[i] = p0.mean()
-        stderr[i] = p0.std(ddof=1) / math.sqrt(config.n_shots) \
-            if config.n_shots > 1 else 0.0
+    segments = (Reset(config.carbon_weights),
+                MagneticPulse(omega_mag, pulse_area / omega_mag), Readout())
+    mean, stderr = _simulate(
+        detuning_grid,
+        lambda det_axis: PulseSequence(
+            segments, frame_detuning=det_axis - 0.5 * params.delta),
+        params, config)
     offsets = dressed_transition_offsets(params.omega, params.delta)
-    metadata = {
-        "kind": "spectrum",
-        "abscissa_unit": "khz",
-        "seed": config.seed,
-        "n_shots": config.n_shots,
-        "omega_mag_khz": angular_to_khz(omega_mag),
-        "omega_khz": angular_to_khz(params.omega),
-        "delta_khz": angular_to_khz(params.delta),
-        "a_par_khz": angular_to_khz(params.a_par),
-        "expected_dips_khz": [angular_to_khz(o) for o in offsets],
-    }
-    return Trace(np.array([angular_to_khz(w) for w in detuning_grid]),
-                 np.clip(mean, 0.0, 1.0), stderr, config.n_shots, metadata)
+    metadata = _metadata("spectrum", "khz", params, config, omega_mag,
+                         expected_dips_khz=[angular_to_khz(o) for o in offsets])
+    return Trace(angular_to_khz(detuning_grid), mean, stderr,
+                 config.n_shots, metadata)
 
 
 def fourier_magnitude(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
@@ -458,12 +370,14 @@ def read_trace_csv(path) -> Trace:
     """Re-ingest a trace CSV (and its sidecar, if present)."""
     path = str(path)
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "abscissa,mean_p0,stderr,n_shots":
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != "abscissa,mean_p0,stderr,n_shots":
         raise ValueError(f"{path}:1: expected header "
                          "'abscissa,mean_p0,stderr,n_shots'")
+    if len(lines) == 1:
+        raise ValueError(f"{path}:{lines[0][0] + 1}: no data rows")
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
@@ -471,11 +385,9 @@ def read_trace_csv(path) -> Trace:
             rows.append(tuple(float(p) for p in parts))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    metadata = {}
-    try:
-        with open(path + ".meta.json") as fh:
-            metadata = json.load(fh)
-    except FileNotFoundError:
-        pass
+        if rows[-1][3] != rows[0][3]:
+            raise ValueError(f"{path}:{lineno}: n_shots differs from the first row")
+    sidecar = Path(path + ".meta.json")
+    metadata = json.loads(sidecar.read_text()) if sidecar.exists() else {}
     arr = np.array(rows)
     return Trace(arr[:, 0], arr[:, 1], arr[:, 2], int(arr[0, 3]), metadata)

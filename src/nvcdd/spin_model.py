@@ -22,16 +22,6 @@ HERMITICITY_RTOL = 1e-12
 # Sublevel sign: +1 for 13C up (m_I=+1/2), -1 for down.
 SUBLEVELS = {"u": +1.0, "d": -1.0}
 
-# Index of (spin, sublevel) in the 6-dim basis.
-BASIS_INDEX = {
-    ("+1", "u"): 0,
-    ("+1", "d"): 1,
-    ("0", "u"): 2,
-    ("0", "d"): 3,
-    ("-1", "u"): 4,
-    ("-1", "d"): 5,
-}
-
 
 class NonHermitianError(ValueError):
     """Raised when a matrix expected to be Hermitian is not."""

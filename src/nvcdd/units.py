@@ -25,10 +25,6 @@ def mhz_to_angular(f_mhz: float) -> float:
     return TWO_PI * f_mhz
 
 
-def angular_to_mhz(w: float) -> float:
-    return w / TWO_PI
-
-
 # NV gyromagnetic ratio, 2.8 MHz/G = 2.8e-3 MHz/mG, stored angular per mG.
 GAMMA = TWO_PI * 2.8e-3  # rad/us/mG
 

@@ -36,16 +36,9 @@ from nvcdd.models import (
     stack_spectra,
 )
 from nvcdd.pulse_sim import (
-    FreeEvolution,
-    MagneticPulse,
-    PulseSequence,
-    Readout,
-    Reset,
     SimConfig,
-    drive_hamiltonian,
-    free_hamiltonian,
-    propagate,
-    run_sequence,
+    _frame_hamiltonians,
+    _propagate_batch,
     simulate_ramsey,
     simulate_spectrum,
     write_trace_csv,
@@ -246,10 +239,9 @@ def test_property_suite(tmp_path):
     params = make_params(omega_khz=581.0)
     psi = rng.normal(size=6) + 1j * rng.normal(size=6)
     psi /= np.linalg.norm(psi)
-    h = drive_hamiltonian(params, EnvironmentSample(delta_b=5.0),
-                          MagneticPulse(2.0, 1.0, phase=0.7))
+    h = _frame_hamiltonians(params, [5.0], [0.0], [0.0], 0.0, 2.0, 0.7)[0]
     for _ in range(100):
-        psi = propagate(psi, h, 0.31)
+        psi = _propagate_batch(psi[None], h[None], 0.31)[0]
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
     # finite-difference vs analytic field-noise slope of the {m,p} Larmor

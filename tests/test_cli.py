@@ -193,6 +193,21 @@ class TestRamseyAndFit:
         result = invoke(runner, ["--out", str(tmp_path), "fit"])
         assert result.exit_code == 2
 
+    def test_fit_header_only_csv_is_config_error(self, runner, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n")
+        result = invoke(runner, ["--out", str(tmp_path), "fit",
+                                 "--model", "ramsey_mp", "--input", str(path)])
+        assert result.exit_code == 2
+        assert "header_only.csv:2:" in all_output(result)
+
+    def test_negative_seed_is_config_error(self, runner, tmp_path):
+        result = invoke(runner, ["--out", str(tmp_path), "--seed", "-1",
+                                 "--shots", "2", "ramsey",
+                                 "--tau-stop-us", "0.1"])
+        assert result.exit_code == 2
+        assert "seed" in all_output(result)
+
 
 class TestSpectraAndEnvelope:
     def test_spectra_one_file_per_drive(self, runner, tmp_path):

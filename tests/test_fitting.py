@@ -213,22 +213,6 @@ class TestUnitInvariance:
                                                          rel=1e-8)
 
 
-class TestJacobian:
-    def test_ramsey_mp_analytic_matches_finite_difference(self):
-        model = model_ramsey_mp(a_par_khz=150.0, p0_ud=0.9375)
-        theta = np.array([0.47, 7.0, 581.0, 0.1, 150.0, 0.9375])
-        tau = np.arange(0.05, 10.0, 0.05)
-        analytic = model.jacobian(theta, tau)
-        for col in range(4):  # free parameters only
-            h = 1e-6 * max(abs(theta[col]), 1.0)
-            up, dn = theta.copy(), theta.copy()
-            up[col] += h
-            dn[col] -= h
-            fd = (model.evaluate(up, tau) - model.evaluate(dn, tau)) / (2 * h)
-            np.testing.assert_allclose(analytic[:, col], fd,
-                                       atol=1e-4 * max(np.abs(fd).max(), 1.0))
-
-
 class TestWeights:
     def test_weighting_changes_solution(self):
         # points with tiny sigma dominate a weighted fit

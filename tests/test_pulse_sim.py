@@ -19,22 +19,19 @@ from nvcdd.pulse_sim import (
     SequenceError,
     SimConfig,
     Trace,
-    drive_hamiltonian,
+    _frame_hamiltonians,
+    _propagate_batch,
+    _run_batch,
+    _sample_block,
     fourier_magnitude,
-    free_hamiltonian,
-    propagate,
     read_trace_csv,
-    run_sequence,
-    sample_environment,
     shot_rng,
     simulate_ramsey,
     simulate_spectrum,
     write_trace_csv,
 )
 from nvcdd.spin_model import (
-    ZERO_ENV,
     EnvironmentSample,
-    NonHermitianError,
     build_rotating_hamiltonian,
     zeeman_frame_shift,
 )
@@ -76,32 +73,35 @@ def refined_peak_khz(freq, mag, lo=None, hi=None):
 
 class TestSampling:
     def test_zero_spec_gives_zero_sample(self):
-        env = sample_environment(NoiseSpec(), shot_rng(1, 2, 3))
-        assert (env.delta_b, env.delta_omega, env.delta_t) == (0.0, 0.0, 0.0)
+        for draws in _sample_block(NoiseSpec(), 0.0, 1, 3, 4):
+            assert np.array_equal(draws, np.zeros(4))
 
     def test_sample_variance(self):
         noise = NoiseSpec(sigma_b=15.0, sigma_t=0.25,
                           amplitude_noise=FixedAmplitudeNoise(0.1))
-        draws = np.array([
-            sample_environment(noise, shot_rng(9, shot, 0)).delta_b
-            for shot in range(100_000)])
-        assert draws.var() == pytest.approx(15.0 ** 2, rel=0.03)
+        db, _, _ = _sample_block(noise, 0.0, 9, 0, 100_000)
+        assert db.var() == pytest.approx(15.0 ** 2, rel=0.03)
 
     def test_replay_determinism(self):
         noise = NoiseSpec(sigma_b=15.0)
-        a = [sample_environment(noise, shot_rng(4, s, 7)).delta_b
-             for s in range(50)]
-        b = [sample_environment(noise, shot_rng(4, s, 7)).delta_b
-             for s in range(50)]
-        assert a == b
+        a = _sample_block(noise, 0.0, 4, 7, 50)
+        b = _sample_block(noise, 0.0, 4, 7, 50)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_streams_independent_of_order(self):
+        # shot s always draws from stream (seed, s, point), however many
+        # shots the block holds and in whichever order they are drawn
         noise = NoiseSpec(sigma_b=15.0)
-        forward = [sample_environment(noise, shot_rng(4, s, 0)).delta_b
-                   for s in range(10)]
-        backward = [sample_environment(noise, shot_rng(4, s, 0)).delta_b
+        db = _sample_block(noise, 0.0, 4, 0, 10)[0]
+        backward = [shot_rng(4, s, 0).standard_normal(3)[0] * 15.0
                     for s in reversed(range(10))]
-        assert forward == backward[::-1]
+        assert list(db) == backward[::-1]
+        assert np.array_equal(_sample_block(noise, 0.0, 4, 0, 20)[0][:10], db)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_philox_key_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=seed)
 
 
 class TestHamiltonians:
@@ -110,7 +110,7 @@ class TestHamiltonians:
         # static Zeeman offset and the absorbed carrier are put back
         env = EnvironmentSample(delta_b=7.0, delta_omega=0.3, delta_t=0.4)
         for det in (0.0, khz_to_angular(-75.0)):
-            h = free_hamiltonian(nv2_params, env, frame_detuning=det)
+            h = _frame_hamiltonians(nv2_params, [7.0], [0.3], [0.4], det)[0]
             href = build_rotating_hamiltonian(nv2_params, env)
             carrier = (nv2_params.d0 + det) * np.diag([0, 0, 1, 1, 0, 0])
             np.testing.assert_allclose(h, href - zeeman_frame_shift(nv2_params)
@@ -118,58 +118,48 @@ class TestHamiltonians:
 
     def test_single_quantum_matches_three_level_form(self, nv2_params):
         p = nv2_params
-        pulse = MagneticPulse(omega_mag=khz_to_angular(80.0), duration=1.0,
-                              phase=0.4, detuning_mag=khz_to_angular(-10.0))
-        h = drive_hamiltonian(p, ZERO_ENV, pulse)
+        omega_mag, phase = khz_to_angular(80.0), 0.4
+        detuning_mag = khz_to_angular(-10.0)
+        h = _frame_hamiltonians(p, [0.0], [0.0], [0.0], detuning_mag,
+                                omega_mag, phase)[0]
         assert_hermitian_blockdiag(h)
         # up-sublevel 3x3 block in {+1, 0, -1}
         idx = np.ix_([0, 2, 4], [0, 2, 4])
-        g = 0.5 * pulse.omega_mag * np.exp(1j * pulse.phase)
+        g = 0.5 * omega_mag * np.exp(1j * phase)
         expected = np.array([
             [0.5 * (p.delta + p.a_par), 0.0, 0.5 * p.omega],
-            [0.0, pulse.detuning_mag, g],
+            [0.0, detuning_mag, g],
             [0.5 * p.omega, np.conj(g), -0.5 * (p.delta + p.a_par)],
         ])
         np.testing.assert_allclose(h[idx], expected, atol=1e-12)
 
     def test_no_crosstalk_to_plus_one(self, nv2_params):
-        pulse = MagneticPulse(omega_mag=1.0, duration=1.0, coupling="dq")
-        h = drive_hamiltonian(nv2_params, ZERO_ENV, pulse)
+        h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0, 1.0)[0]
         assert h[0, 2] == 0.0 and h[1, 3] == 0.0
-
-    def test_unknown_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            MagneticPulse(omega_mag=1.0, duration=1.0, coupling="triple")
 
 
 class TestPropagate:
     def test_zero_duration_identity(self, nv2_params, rng):
-        h = free_hamiltonian(nv2_params, ZERO_ENV)
+        h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0)
         psi = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi /= np.linalg.norm(psi)
-        np.testing.assert_allclose(propagate(psi, h, 0.0), psi, atol=1e-14)
+        np.testing.assert_allclose(_propagate_batch(psi[None], h, 0.0)[0],
+                                   psi, atol=1e-14)
 
     def test_norm_preserved(self, nv2_params, rng):
         psi = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi /= np.linalg.norm(psi)
-        h = drive_hamiltonian(nv2_params, ZERO_ENV,
-                              MagneticPulse(2.0, 1.0, phase=0.3))
+        h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0, 2.0, 0.3)
         for _ in range(40):
-            psi = propagate(psi, h, 0.37)
+            psi = _propagate_batch(psi[None], h, 0.37)[0]
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
-
-    def test_non_hermitian_rejected(self):
-        h = np.eye(6, dtype=complex)
-        h[2, 4] = 0.5
-        with pytest.raises(NonHermitianError):
-            propagate(np.eye(6)[2].astype(complex), h, 1.0)
 
     def test_resonant_pi_pulse_empties_zero(self):
         p = make_params(omega_khz=0.0, a_par_khz=0.0)
         om = khz_to_angular(696.0)
         seq = PulseSequence((Reset(), MagneticPulse(om, math.pi / om),
                              Readout()))
-        assert run_sequence(seq, p, ZERO_ENV) < 1e-6
+        assert _run_batch(seq, p, 0.0, 0.0, 0.0)[0] < 1e-6
 
     def test_undressed_double_pi_is_identity(self):
         # back-to-back DQ pi pulses with the mechanical drive off are a
@@ -177,49 +167,58 @@ class TestPropagate:
         p = make_params(omega_khz=0.0, a_par_khz=0.0)
         t_pi = math.pi / DEFAULT_OMEGA_MAG_DQ
         seq = PulseSequence((Reset(),
-                             MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi,
-                                           coupling="dq"),
-                             MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi,
-                                           coupling="dq"),
+                             MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi),
+                             MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi),
                              Readout()))
-        assert run_sequence(seq, p, ZERO_ENV) == pytest.approx(1.0, abs=1e-9)
+        assert _run_batch(seq, p, 0.0, 0.0, 0.0)[0] == pytest.approx(
+            1.0, abs=1e-9)
         # hyperfine detuning degrades it only at the % level
         p2 = make_params(omega_khz=0.0, a_par_khz=150.0)
-        assert run_sequence(seq, p2, ZERO_ENV) > 0.99
+        assert _run_batch(seq, p2, 0.0, 0.0, 0.0)[0] > 0.99
 
 
 class TestRunSequence:
     def test_reset_readout(self, nv2_params):
         seq = PulseSequence((Reset(), Readout()))
-        assert run_sequence(seq, nv2_params, ZERO_ENV) == pytest.approx(
-            1.0, abs=1e-12)
+        assert _run_batch(seq, nv2_params, 0.0, 0.0, 0.0)[0] == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_malformed_sequences_carry_index(self, nv2_params):
         with pytest.raises(SequenceError) as err:
-            run_sequence(PulseSequence((Readout(), Reset())), nv2_params,
-                         ZERO_ENV)
+            _run_batch(PulseSequence((Readout(), Reset())), nv2_params,
+                       0.0, 0.0, 0.0)
         assert err.value.index == 0
         with pytest.raises(SequenceError) as err:
-            run_sequence(PulseSequence((Reset(), FreeEvolution(1.0))),
-                         nv2_params, ZERO_ENV)
+            _run_batch(PulseSequence((Reset(), FreeEvolution(1.0))),
+                       nv2_params, 0.0, 0.0, 0.0)
         assert err.value.index == 1
 
     def test_carbon_blocks_do_not_mix(self, nv2_params):
         seq = PulseSequence((Reset((0.7, 0.3)),
-                             MagneticPulse(2.0, 0.3, coupling="dq"),
+                             MagneticPulse(2.0, 0.3),
                              FreeEvolution(1.7),
-                             MagneticPulse(2.0, 0.3, coupling="dq"),
+                             MagneticPulse(2.0, 0.3),
                              Readout()))
         # weights enter linearly, so sublevel populations stay separable:
         # P0(w) = w_u * P0(up only) + w_d * P0(down only)
-        p_mixed = run_sequence(seq, nv2_params, ZERO_ENV)
-        up = run_sequence(PulseSequence((Reset((1.0, 0.0)),)
-                                        + seq.segments[1:]), nv2_params,
-                          ZERO_ENV)
-        dn = run_sequence(PulseSequence((Reset((0.0, 1.0)),)
-                                        + seq.segments[1:]), nv2_params,
-                          ZERO_ENV)
+        p_mixed, up, dn = (
+            _run_batch(PulseSequence((Reset(w),) + seq.segments[1:]),
+                       nv2_params, 0.0, 0.0, 0.0)[0]
+            for w in ((0.7, 0.3), (1.0, 0.0), (0.0, 1.0)))
         assert p_mixed == pytest.approx(0.7 * up + 0.3 * dn, abs=1e-12)
+
+    def test_pulse_without_detuning_uses_frame(self, nv2_params):
+        # detuning_mag=None puts |0> at the sequence's frame detuning
+        det = khz_to_angular(-40.0)
+        db, dom = np.array([-3.0, 0.0, 5.0]), np.array([0.1, 0.0, -0.2])
+        p0 = []
+        for pulse_det in (None, det):
+            seq = PulseSequence((Reset(),
+                                 MagneticPulse(2.0, 0.8, detuning_mag=pulse_det),
+                                 FreeEvolution(1.1), Readout()),
+                                frame_detuning=det)
+            p0.append(_run_batch(seq, nv2_params, db, dom, 0.3))
+        assert np.array_equal(p0[0], p0[1])
 
 
 class TestSimulateRamsey:
@@ -381,3 +380,27 @@ class TestTraceIO:
         tau = np.array([0.0, 1.0])
         with pytest.raises(ValueError):
             Trace(tau, np.array([0.5, 1.5]), np.zeros(2), 1, {})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        tau = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="mean_p0"):
+            Trace(tau, np.array([0.5, bad]), np.zeros(2), 1, {})
+        with pytest.raises(ValueError, match="stderr"):
+            Trace(tau, np.full(2, 0.5), np.array([0.01, bad]), 1, {})
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: no data rows"):
+            read_trace_csv(path)
+
+    def test_mixed_shot_counts_rejected(self, tmp_path):
+        # the blank line still counts towards the reported line number
+        path = tmp_path / "bad.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n"
+                        "0.0,0.5,0.01,100\n"
+                        "\n"
+                        "0.1,0.5,0.01,50\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:4: n_shots"):
+            read_trace_csv(path)
