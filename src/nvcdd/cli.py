@@ -50,6 +50,7 @@ from .models import (
 from .presets import PRESETS
 from .pulse_sim import (
     RAMSEY_KINDS,
+    NormLossError,
     SimConfig,
     Trace,
     fourier_magnitude,
@@ -314,7 +315,7 @@ def pipeline(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except (HorizonExceeded, ZeroRateError) as exc:
+        except (HorizonExceeded, ZeroRateError, NormLossError) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except ValueError as exc:

@@ -9,8 +9,17 @@ Spectral abscissae are detunings from the nominal undressed 0<->-1 line.
 One environment sample is drawn per shot and held constant across the
 whole sequence.  Shot RNG streams are counter-based (Philox keyed by
 (seed, shot), counter positioned by the abscissa index), so execution
-order never changes results.  The engine is batch-only: _simulate runs
-all shots of a grid point as one stack; a single shot is a batch of one.
+order never changes results; _sample_block re-keys one generator per shot
+instead of constructing one, with bit-identical draws.
+
+The engine is batch-only: _simulate runs all shots of a grid point as one
+stack; a single shot is a batch of one.  The Hamiltonian never couples
+the 13C index, so states are propagated as two 3-level blocks, {0,2,4}
+and {1,3,5}.  Free evolution is closed-form (|0> only picks up a phase,
+the +-1 pair rotates), and each distinct pulse is diagonalised once per
+point at phase 0: a pulse of phase phi is h(phi) = P h(0) P^dagger with
+P = exp(i phi) on |0>, so opening and closing pulses share one
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -36,6 +45,10 @@ DEFAULT_OMEGA_MAG_DQ = 2.0 * math.pi * 1.513   # {m,p} DQ pi pulses, 1513 kHz
 DEFAULT_OMEGA_ROT = 2.0 * math.pi * 0.250
 
 RAMSEY_KINDS = ("undressed_0m1", "dressed_0p", "dressed_mp", "max_protection")
+
+
+class NormLossError(RuntimeError):
+    """Propagation changed a state's norm by more than NORM_TOL."""
 
 
 class SequenceError(ValueError):
@@ -133,11 +146,20 @@ class Trace:
         self.abscissa = np.asarray(self.abscissa, dtype=float)
         self.mean_p0 = np.asarray(self.mean_p0, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
-        # Written so that NaN, which fails every comparison, is rejected.
-        if not np.all((self.mean_p0 >= -1e-9) & (self.mean_p0 <= 1 + 1e-9)):
+        if not np.all(_mean_p0_valid(self.mean_p0)):
             raise ValueError("mean_p0 must lie in [0, 1]")
-        if not np.all((self.stderr >= 0) & (self.stderr < np.inf)):
+        if not np.all(_stderr_valid(self.stderr)):
             raise ValueError("stderr must be finite and >= 0")
+
+
+# Row checks shared by Trace and read_trace_csv, written so that NaN,
+# which fails every comparison, is rejected.
+def _mean_p0_valid(mean_p0):
+    return (mean_p0 >= -1e-9) & (mean_p0 <= 1 + 1e-9)
+
+
+def _stderr_valid(stderr):
+    return (stderr >= 0) & (stderr < np.inf)
 
 
 def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generator:
@@ -176,13 +198,55 @@ def _frame_hamiltonians(params: SystemParams, db, dom, dt,
     return h
 
 
+# Basis indices of the two uncoupled 13C blocks, each ordered (+1, 0, -1).
+_BLOCKS = np.array([[0, 2, 4], [1, 3, 5]])
+
+
+def _eigen_blocks(h: np.ndarray):
+    """Eigendecomposition of the two 13C blocks of stacked (n, 6, 6)
+    Hamiltonians: values (n, 2, 3) and vectors (n, 2, 3, 3)."""
+    return np.linalg.eigh(h[:, _BLOCKS[:, :, None], _BLOCKS[:, None, :]])
+
+
+def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                 duration: float) -> np.ndarray:
+    """exp(-i h t) applied to block states (n, 2, 3), given h's block
+    eigendecomposition."""
+    coeff = (states[..., None, :] @ vecs.conj())[..., 0, :]
+    coeff *= np.exp(-1j * vals * duration)
+    return (vecs @ coeff[..., None])[..., 0]
+
+
+def _free_evolve(states: np.ndarray, h: np.ndarray,
+                 duration: float) -> np.ndarray:
+    """exp(-i h t) applied to block states (n, 2, 3) in closed form, for
+    drive-free Hamiltonians h (n, 6, 6).
+
+    |0> only picks up a phase.  In each block the +-1 pair rotates under
+    e*sigma_z + w*sigma_x, whose propagator is
+    cos(rt) - i sin(rt)/r (e*sigma_z + w*sigma_x) with r = hypot(e, w).
+    """
+    e = h[:, [0, 1], [0, 1]].real
+    w = h[:, [0, 1], [4, 5]].real
+    r = np.hypot(e, w)
+    cos = np.cos(r * duration)
+    sin_r = duration * np.sinc(r * duration / math.pi)   # sin(rt)/r
+    plus, minus = states[..., 0], states[..., 2]
+    out = np.empty_like(states)
+    out[..., 0] = (cos - 1j * sin_r * e) * plus - 1j * sin_r * w * minus
+    zero = h[:, [2, 3], [2, 3]].real
+    out[..., 1] = np.exp(-1j * zero * duration) * states[..., 1]
+    out[..., 2] = (cos + 1j * sin_r * e) * minus - 1j * sin_r * w * plus
+    return out
+
+
 def _propagate_batch(states: np.ndarray, h: np.ndarray,
                      duration: float) -> np.ndarray:
-    """exp(-i h t) applied to stacked states via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    coeff = np.einsum("nij,nj->ni", vecs.conj().transpose(0, 2, 1), states)
-    coeff = coeff * np.exp(-1j * vals * duration)
-    return np.einsum("nij,nj->ni", vecs, coeff)
+    """exp(-i h t) applied to stacked states (n, 6), block by block."""
+    out = np.empty(states.shape, dtype=complex)
+    out[:, _BLOCKS] = _apply_eigen(states[:, _BLOCKS], *_eigen_blocks(h),
+                                   duration)
+    return out
 
 
 def _validate_sequence(seq: PulseSequence) -> None:
@@ -198,39 +262,63 @@ def _validate_sequence(seq: PulseSequence) -> None:
 
 def _run_batch(seq: PulseSequence, params: SystemParams,
                db, dom, dt) -> np.ndarray:
-    """Run the sequence for stacked environment samples; returns P0 (n,)."""
+    """Run the sequence for stacked environment samples; returns P0 (n,).
+
+    Each distinct (detuning, strength) pulse is diagonalised once, at
+    phase 0, and a pulse of phase phi is applied as P h(0) P^dagger.
+    """
     _validate_sequence(seq)
     db = np.atleast_1d(np.asarray(db, dtype=float))
-    states = np.zeros((db.shape[0], 6), dtype=complex)
-    states[:, 2:4] = np.sqrt(seq.segments[0].weights)
+    states = np.zeros((db.shape[0], 2, 3), dtype=complex)
+    states[:, :, 1] = np.sqrt(seq.segments[0].weights)
+    eigen = {}
     for seg in seq.segments[1:-1]:
         if isinstance(seg, MagneticPulse):
             det = seq.frame_detuning if seg.detuning_mag is None \
                 else seg.detuning_mag
-            h = _frame_hamiltonians(params, db, dom, dt, det, seg.omega_mag,
-                                    seg.phase)
+            key = (det, seg.omega_mag)
+            if key not in eigen:
+                # At phase 0 the Hamiltonian is real.
+                eigen[key] = _eigen_blocks(_frame_hamiltonians(
+                    params, db, dom, dt, det, seg.omega_mag).real)
+            rot = np.exp(1j * seg.phase)
+            states[..., 1] *= rot.conjugate()
+            states = _apply_eigen(states, *eigen[key], seg.duration)
+            states[..., 1] *= rot
         else:
-            h = _frame_hamiltonians(params, db, dom, dt, seq.frame_detuning)
-        states = _propagate_batch(states, h, seg.duration)
-        norms = np.linalg.norm(states, axis=1)
+            states = _free_evolve(states, _frame_hamiltonians(
+                params, db, dom, dt, seq.frame_detuning), seg.duration)
+        norms = np.linalg.norm(states, axis=(1, 2))
         if np.any(np.abs(norms - 1.0) > NORM_TOL):
-            raise RuntimeError("propagation lost norm")
-    return np.abs(states[:, 2]) ** 2 + np.abs(states[:, 3]) ** 2
+            raise NormLossError("propagation lost norm")
+    return np.abs(states[:, 0, 1]) ** 2 + np.abs(states[:, 1, 1]) ** 2
 
 
 def _sample_block(noise: NoiseSpec, mean_omega: float, seed: int,
                   point_index: int, n_shots: int):
-    """Per-shot environment draws for one grid point, shape (n_shots,) each."""
-    db = np.empty(n_shots)
-    dom = np.empty(n_shots)
-    dt = np.empty(n_shots)
-    sigma_om = noise.sigma_omega(mean_omega)
+    """Per-shot environment draws for one grid point, shape (n_shots,) each.
+
+    The draws equal shot_rng(seed, shot, point_index).standard_normal(3)
+    bit for bit: one generator is re-keyed per shot by assigning its
+    state, which is much cheaper than constructing a generator per shot.
+    """
+    key = np.array([seed, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"key": key,
+                       "counter": np.array([0, point_index, 0, 0],
+                                           dtype=np.uint64)},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    draws = np.empty((n_shots, 3))
     for shot in range(n_shots):
-        draws = shot_rng(seed, shot, point_index).standard_normal(3)
-        db[shot] = draws[0] * noise.sigma_b
-        dom[shot] = draws[1] * sigma_om
-        dt[shot] = draws[2] * noise.sigma_t
-    return db, dom, dt
+        key[1] = shot
+        bitgen.state = state
+        gen.standard_normal(out=draws[shot])
+    return (draws[:, 0] * noise.sigma_b,
+            draws[:, 1] * noise.sigma_omega(mean_omega),
+            draws[:, 2] * noise.sigma_t)
 
 
 def _mean_p_line(params: SystemParams) -> float:
@@ -382,12 +470,25 @@ def read_trace_csv(path) -> Trace:
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
         try:
-            rows.append(tuple(float(p) for p in parts))
+            row = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if rows[-1][3] != rows[0][3]:
+        _, mean_p0, stderr, n_shots = row
+        if not _mean_p0_valid(mean_p0):
+            raise ValueError(f"{path}:{lineno}: mean_p0 must lie in [0, 1]")
+        if not _stderr_valid(stderr):
+            raise ValueError(f"{path}:{lineno}: stderr must be finite and >= 0")
+        if not (n_shots >= 1 and n_shots.is_integer()):
+            raise ValueError(f"{path}:{lineno}: n_shots must be an integer >= 1")
+        if rows and n_shots != rows[0][3]:
             raise ValueError(f"{path}:{lineno}: n_shots differs from the first row")
+        rows.append(row)
     sidecar = Path(path + ".meta.json")
-    metadata = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    metadata = {}
+    if sidecar.exists():
+        try:
+            metadata = json.loads(sidecar.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
     arr = np.array(rows)
     return Trace(arr[:, 0], arr[:, 1], arr[:, 2], int(arr[0, 3]), metadata)

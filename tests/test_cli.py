@@ -201,6 +201,34 @@ class TestRamseyAndFit:
         assert result.exit_code == 2
         assert "header_only.csv:2:" in all_output(result)
 
+    @pytest.mark.parametrize("row,sidecar,where", [
+        ("0.1,0.5,0.01,100.5", None, "trace.csv:3:"),
+        ("0.1,nan,0.01,100", None, "trace.csv:3:"),
+        ("0.1,0.5,inf,100", None, "trace.csv:3:"),
+        ("0.1,0.5,0.01,100", "{not json", "trace.csv.meta.json:1:")])
+    def test_fit_bad_trace_names_file(self, runner, tmp_path, row, sidecar,
+                                      where):
+        path = tmp_path / "trace.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n"
+                        f"0.0,0.5,0.01,100\n{row}\n")
+        if sidecar is not None:
+            (tmp_path / "trace.csv.meta.json").write_text(sidecar)
+        result = invoke(runner, ["--out", str(tmp_path), "fit",
+                                 "--model", "ramsey_mp", "--input", str(path)])
+        assert result.exit_code == 2
+        assert where in all_output(result)
+
+    def test_norm_loss_is_numerical_error(self, runner, tmp_path,
+                                          monkeypatch):
+        from nvcdd import pulse_sim
+        apply_eigen = pulse_sim._apply_eigen
+        monkeypatch.setattr(pulse_sim, "_apply_eigen",
+                            lambda *args: 1.01 * apply_eigen(*args))
+        result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
+                                 "ramsey", "--tau-stop-us", "0.1"])
+        assert result.exit_code == 3
+        assert "norm" in all_output(result)
+
     def test_negative_seed_is_config_error(self, runner, tmp_path):
         result = invoke(runner, ["--out", str(tmp_path), "--seed", "-1",
                                  "--shots", "2", "ramsey",

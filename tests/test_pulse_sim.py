@@ -404,3 +404,30 @@ class TestTraceIO:
                         "0.1,0.5,0.01,50\n")
         with pytest.raises(ValueError, match=r"bad\.csv:4: n_shots"):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize("n_shots", ["100.5", "0", "-2", "nan", "inf"])
+    def test_bad_shot_count_rejected(self, tmp_path, n_shots):
+        path = tmp_path / "bad.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n"
+                        f"0.0,0.5,0.01,{n_shots}\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: n_shots"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("row,column", [
+        ("nan,0.01", "mean_p0"), ("inf,0.01", "mean_p0"),
+        ("1.5,0.01", "mean_p0"), ("0.5,nan", "stderr"),
+        ("0.5,-inf", "stderr"), ("0.5,-0.1", "stderr")])
+    def test_bad_row_values_name_the_line(self, tmp_path, row, column):
+        path = tmp_path / "bad.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n"
+                        "0.0,0.5,0.01,100\n"
+                        f"0.1,{row},100\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv:3: {column}"):
+            read_trace_csv(path)
+
+    def test_malformed_sidecar_named(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n0.0,0.5,0.01,100\n")
+        (tmp_path / "trace.csv.meta.json").write_text('{\n  "kind": }\n')
+        with pytest.raises(ValueError, match=r"trace\.csv\.meta\.json:2: "):
+            read_trace_csv(path)
