@@ -36,7 +36,12 @@ from .dephasing import (
     rate_magnetic_mp,
     sigma_b_from_t2,
 )
-from .fitting import FitOptions, format_fit_report, nlls_fit
+from .fitting import (
+    FitOptions,
+    NonFiniteResidualsError,
+    format_fit_report,
+    nlls_fit,
+)
 from .models import (
     guess_envelope_t2_us,
     guess_ramsey_frequency_khz,
@@ -59,7 +64,7 @@ from .pulse_sim import (
     simulate_spectrum,
     write_trace_csv,
 )
-from .spin_model import SystemParams, mechanical_cutoff
+from .spin_model import NonHermitianError, SystemParams, mechanical_cutoff
 from .units import GAMMA, DD_DT, angular_to_khz, khz_to_angular, mhz_to_angular
 
 EXIT_CONFIG = 2
@@ -315,7 +320,8 @@ def pipeline(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except (HorizonExceeded, ZeroRateError, NormLossError) as exc:
+        except (HorizonExceeded, ZeroRateError, NormLossError,
+                NonHermitianError, NonFiniteResidualsError) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except ValueError as exc:

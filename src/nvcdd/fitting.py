@@ -5,7 +5,14 @@ trust-region iteration with a finite-difference Jacobian (relative step
 1e-6), convergence when the relative cost improvement or step norm drops
 below 1e-10, and 95% confidence intervals from the t-distribution on the
 linearized covariance.  Rank-deficient Jacobians are flagged, never a
-silent success.
+silent success; residuals that are not finite at the initial guess raise
+NonFiniteResidualsError.
+
+Importing this module does not import scipy: ``nlls_fit`` loads
+``scipy.optimize.least_squares`` and ``scipy.special.stdtrit`` (the
+t-quantile that ``scipy.stats.t.ppf`` computes, without loading
+``scipy.stats``) on a process's first fit.  Of the CLI commands only
+``fit`` and ``t2scan --mc`` pay for that import.
 """
 
 from __future__ import annotations
@@ -14,7 +21,10 @@ from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
-from scipy import optimize, stats
+
+
+class NonFiniteResidualsError(ValueError):
+    """The model gives NaN or infinite residuals at the initial guess."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +138,15 @@ def nlls_fit(model: ModelFunction, data, options: FitOptions | None = None,
         r = model.evaluate(theta, x) - y
         return r * weights if weights is not None else r
 
-    result = optimize.least_squares(
+    if not np.all(np.isfinite(residuals(theta0[free]))):
+        raise NonFiniteResidualsError(
+            f"{model.name}: residuals are not finite at the initial guess")
+
+    # imported here so that importing nvcdd loads no scipy
+    from scipy.optimize import least_squares
+    from scipy.special import stdtrit
+
+    result = least_squares(
         residuals, theta0[free], bounds=(lower, upper), method="trf",
         ftol=options.ftol, xtol=options.xtol, gtol=None,
         diff_step=options.diff_step, max_nfev=options.max_iter * (n_free + 1),
@@ -155,7 +173,7 @@ def nlls_fit(model: ModelFunction, data, options: FitOptions | None = None,
         cov = np.linalg.inv(jtj) * (rss / max(dof, 1))
     cov = 0.5 * (cov + cov.T)
 
-    tval = stats.t.ppf(0.5 + 0.5 * options.confidence, max(dof, 1))
+    tval = stdtrit(max(dof, 1), 0.5 + 0.5 * options.confidence)
     ci = {}
     for k, i in enumerate(free):
         half = tval * math.sqrt(max(cov[k, k], 0.0))

@@ -490,5 +490,7 @@ def read_trace_csv(path) -> Trace:
             metadata = json.loads(sidecar.read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
+        if not isinstance(metadata, dict):
+            raise ValueError(f"{sidecar}:1: metadata must be a JSON object")
     arr = np.array(rows)
     return Trace(arr[:, 0], arr[:, 1], arr[:, 2], int(arr[0, 3]), metadata)

@@ -205,7 +205,9 @@ class TestRamseyAndFit:
         ("0.1,0.5,0.01,100.5", None, "trace.csv:3:"),
         ("0.1,nan,0.01,100", None, "trace.csv:3:"),
         ("0.1,0.5,inf,100", None, "trace.csv:3:"),
-        ("0.1,0.5,0.01,100", "{not json", "trace.csv.meta.json:1:")])
+        ("0.1,0.5,0.01,100", "{not json", "trace.csv.meta.json:1:"),
+        ("0.1,0.5,0.01,100", "[1, 2]",
+         "trace.csv.meta.json:1: metadata must be a JSON object")])
     def test_fit_bad_trace_names_file(self, runner, tmp_path, row, sidecar,
                                       where):
         path = tmp_path / "trace.csv"
@@ -235,6 +237,29 @@ class TestRamseyAndFit:
                                  "--tau-stop-us", "0.1"])
         assert result.exit_code == 2
         assert "seed" in all_output(result)
+
+
+def _fit_nan_model():
+    from nvcdd.fitting import FitParam, ModelFunction, nlls_fit
+    model = ModelFunction(name="nan", params=(FitParam("a", 1.0),),
+                          evaluator=lambda theta, x: np.full_like(x, np.nan))
+    nlls_fit(model, (np.arange(10.0), np.zeros(10)))
+
+
+def _diagonalize_non_hermitian():
+    from nvcdd.spin_model import diagonalize
+    diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("fault,message", [
+        (_fit_nan_model, "residuals are not finite"),
+        (_diagonalize_non_hermitian, "not Hermitian")])
+    def test_numerical_faults_exit_3(self, fault, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.pipeline(fault)()
+        assert exit_info.value.code == 3
+        assert message in capsys.readouterr().err
 
 
 class TestSpectraAndEnvelope:

@@ -7,6 +7,7 @@ from nvcdd.fitting import (
     FitOptions,
     FitParam,
     ModelFunction,
+    NonFiniteResidualsError,
     format_fit_report,
     nlls_fit,
 )
@@ -142,6 +143,24 @@ class TestConfidenceIntervals:
         assert outcome.ci_halfwidth("omega_khz") == pytest.approx(
             0.5 * (hi - lo))
 
+    @pytest.mark.parametrize("n_points", [8, 9, 12, 43, 300])
+    @pytest.mark.parametrize("confidence", [0.68, 0.95, 0.99])
+    def test_t_quantile_matches_scipy_stats(self, n_points, confidence):
+        # nlls_fit takes the quantile from scipy.special.stdtrit; the CI
+        # must be bit-identical to one built on scipy.stats.t.ppf
+        from scipy import stats
+
+        model = _exp_decay_model(a=2.0, b=4.0)
+        x = np.linspace(0.0, 10.0, n_points)
+        y = 2.0 * np.exp(-x / 4.0) + 0.01 * np.cos(7.0 * x)
+        outcome = nlls_fit(model, (x, y), FitOptions(confidence=confidence))
+        dof = n_points - 2
+        tval = stats.t.ppf(0.5 + 0.5 * confidence, dof)
+        for k, name in enumerate(("a", "b")):
+            half = tval * math.sqrt(outcome.covariance[k, k])
+            value = outcome.params[name]
+            assert outcome.ci[name] == (value - half, value + half)
+
 
 class TestDegeneracy:
     def test_constant_data_flagged_not_crashed(self):
@@ -191,6 +210,17 @@ class TestValidation:
         x = np.linspace(0.0, 10.0, 50)
         with pytest.raises(ValueError, match="free"):
             nlls_fit(frozen, (x, np.exp(-x / 5.0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_residuals(self, bad):
+        model = _exp_decay_model()
+        model = ModelFunction(
+            name="broken", params=model.params,
+            evaluator=lambda theta, x: np.where(x > 5.0, bad, x))
+        x = np.linspace(0.0, 10.0, 50)
+        with pytest.raises(NonFiniteResidualsError,
+                           match="broken: residuals are not finite"):
+            nlls_fit(model, (x, np.exp(-x / 5.0)))
 
     def test_unknown_initial_name(self):
         with pytest.raises(KeyError):

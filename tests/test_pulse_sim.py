@@ -431,3 +431,12 @@ class TestTraceIO:
         (tmp_path / "trace.csv.meta.json").write_text('{\n  "kind": }\n')
         with pytest.raises(ValueError, match=r"trace\.csv\.meta\.json:2: "):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize("sidecar", ["[1, 2]", '"kind"', "3", "null"])
+    def test_non_object_sidecar_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "trace.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n0.0,0.5,0.01,100\n")
+        (tmp_path / "trace.csv.meta.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=r"trace\.csv\.meta\.json:1: "
+                           "metadata must be a JSON object"):
+            read_trace_csv(path)

@@ -1,0 +1,51 @@
+"""scipy stays off the CLI start-up path.
+
+Each check runs in a fresh interpreter, because the rest of the suite
+imports scipy into the test process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DEFERRED = ("scipy.optimize", "scipy.stats", "scipy.special")
+
+
+def _loaded_after(code: str) -> set:
+    """Names from DEFERRED in sys.modules after running code.
+
+    The names are printed on the last line, after anything code prints.
+    """
+    script = (f"{code}\nimport sys\nprint()\n"
+              f"print(' '.join(m for m in {DEFERRED!r} if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_scipy_fitting_modules():
+    assert _loaded_after("import nvcdd.cli") == set()
+
+
+def test_ramsey_run_loads_no_scipy_fitting_modules(tmp_path):
+    code = ("from nvcdd import cli\n"
+            f"cli.main(['--out', {str(tmp_path)!r}, '--shots', '2', 'ramsey',"
+            " '--tau-stop-us', '0.1'], standalone_mode=False)")
+    assert _loaded_after(code) == set()
+    assert (tmp_path / "ramsey_dressed_mp.csv").exists()
+
+
+def test_first_fit_loads_optimize_not_stats():
+    code = ("import numpy as np\n"
+            "from nvcdd.fitting import FitParam, ModelFunction, nlls_fit\n"
+            "model = ModelFunction('line', (FitParam('a', 1.0),),\n"
+            "                      lambda theta, x: theta[0] * x)\n"
+            "x = np.arange(10.0)\n"
+            "nlls_fit(model, (x, 2.0 * x + 0.01 * np.cos(x)))")
+    assert _loaded_after(code) == {"scipy.optimize", "scipy.special"}
