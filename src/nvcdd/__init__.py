@@ -10,7 +10,7 @@ from .spin_model import (
 )
 from .dephasing import (
     NoiseSpec, FixedAmplitudeNoise, ReflectometerNoise, RateBudget,
-    EnvelopeSpec, HorizonExceeded, ZeroRateError,
+    HorizonExceeded, ZeroRateError,
     gaussian_dephasing_rate, sigma_b_from_t2, kappa, rate_magnetic_mp,
     rate_amplitude_mp, combine_rates, sigma_omega_from_reflectometer,
     envelope_second_order, envelope_max_protection, gaussian_envelope,
@@ -37,7 +37,7 @@ __all__ = [
     "detuning_from_lines", "mechanical_cutoff",
     # dephasing
     "NoiseSpec", "FixedAmplitudeNoise", "ReflectometerNoise", "RateBudget",
-    "EnvelopeSpec", "HorizonExceeded", "ZeroRateError",
+    "HorizonExceeded", "ZeroRateError",
     "gaussian_dephasing_rate", "sigma_b_from_t2", "kappa", "rate_magnetic_mp",
     "rate_amplitude_mp", "combine_rates", "sigma_omega_from_reflectometer",
     "envelope_second_order", "envelope_max_protection", "gaussian_envelope",

@@ -28,6 +28,7 @@ from .dephasing import (
     RateBudget,
     ReflectometerNoise,
     ZeroRateError,
+    combine_rates,
     envelope_max_protection,
     envelope_second_order,
     gaussian_envelope,
@@ -42,22 +43,12 @@ from .fitting import (
     format_fit_report,
     nlls_fit,
 )
-from .models import (
-    guess_envelope_t2_us,
-    guess_ramsey_frequency_khz,
-    model_max_protection,
-    model_ramsey_0p,
-    model_ramsey_mp,
-    model_spectrum_joint,
-    model_undressed_ramsey,
-    stack_spectra,
-)
+from .models import FIT_MODELS
 from .presets import PRESETS
 from .pulse_sim import (
     RAMSEY_KINDS,
     NormLossError,
     SimConfig,
-    Trace,
     fourier_magnitude,
     read_trace_csv,
     simulate_ramsey,
@@ -172,15 +163,7 @@ SCHEMA = {
         "fit": {
             "type": "object",
             "properties": {
-                "model": {
-                    "enum": [
-                        "undressed_ramsey",
-                        "ramsey_0p",
-                        "ramsey_mp",
-                        "max_protection",
-                        "spectrum_joint",
-                    ]
-                },
+                "model": {"enum": list(FIT_MODELS)},
                 "input_csv": {"type": "string"},
                 "undressed_csv": {"type": "string"},
                 "p0_ud": {"type": "number", "exclusiveMinimum": 0},
@@ -220,18 +203,22 @@ def validate_config(cfg: dict) -> None:
 def resolve_config(cfg: dict) -> dict:
     """Fill preset defaults and convert units; returns plain runtime values.
 
-    Resulting dict holds a SystemParams factory input (angular units), a
-    NoiseSpec, shot/seed counts, and the raw per-command sections.
+    Resulting dict holds the SystemParams (angular units), a NoiseSpec,
+    shot/seed counts, and the raw per-command sections.
     """
     preset = PRESETS.get(cfg.get("preset", "nv2"))
     if preset is None:
         raise ConfigError(f"unknown preset {cfg.get('preset')!r}")
-    system = {**cfg.get("system", {})}
-    omega_khz = system.get("omega_khz", preset["default_omega_khz"])
-    delta_khz = system.get("delta_khz", 0.0)
-    a_par_khz = system.get("a_par_khz", preset["a_par_khz"])
-    omega_mech_mhz = system.get("omega_mech_mhz", preset["omega_mech_mhz"])
-    q_factor = system.get("q_factor", preset["q_factor"])
+    system = cfg.get("system", {})
+    params = SystemParams.create(
+        omega=khz_to_angular(system.get("omega_khz",
+                                        preset["default_omega_khz"])),
+        delta=khz_to_angular(system.get("delta_khz", 0.0)),
+        a_par=khz_to_angular(system.get("a_par_khz", preset["a_par_khz"])),
+        omega_mech=mhz_to_angular(system.get("omega_mech_mhz",
+                                             preset["omega_mech_mhz"])),
+        q_factor=system.get("q_factor", preset["q_factor"]),
+    )
 
     noise_cfg = cfg.get("noise", {})
     if "sigma_b_mg" in noise_cfg:
@@ -261,28 +248,13 @@ def resolve_config(cfg: dict) -> dict:
 
     sim = cfg.get("sim", {})
     return {
-        "omega": khz_to_angular(omega_khz),
-        "delta": khz_to_angular(delta_khz),
-        "a_par": khz_to_angular(a_par_khz),
-        "omega_mech": mhz_to_angular(omega_mech_mhz),
-        "q_factor": q_factor,
-        "t2_0m1_us": noise_cfg.get("t2_0m1_us", preset["t2_0m1_us"]),
+        "params": params,
         "noise": noise,
         "shots": sim.get("shots", 1000),
         "seed": sim.get("seed", 0),
         "out_dir": cfg.get("out_dir", "out"),
         "raw": cfg,
     }
-
-
-def build_params(res: dict, *, omega=None, delta=None) -> SystemParams:
-    return SystemParams.create(
-        omega=res["omega"] if omega is None else omega,
-        delta=res["delta"] if delta is None else delta,
-        a_par=res["a_par"],
-        omega_mech=res["omega_mech"],
-        q_factor=res["q_factor"],
-    )
 
 
 def _tau_grid(section: dict, stop_default: float, step_default: float):
@@ -292,15 +264,6 @@ def _tau_grid(section: dict, stop_default: float, step_default: float):
     if stop <= start:
         raise ConfigError("tau_stop_us must exceed tau_start_us")
     return np.arange(start, stop + 0.5 * step, step)
-
-
-def _mean_contrast(params: SystemParams) -> float:
-    """Sublevel-averaged fringe contrast of the {m,p} qubit."""
-    out = 0.0
-    for s in (+1.0, -1.0):
-        w = math.hypot(params.omega, params.delta + s * params.a_par)
-        out += (params.omega / w) ** 2 if w else 1.0
-    return 0.5 * out
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
@@ -371,7 +334,7 @@ def _sim_config(res: dict) -> SimConfig:
 @pipeline
 def rates(res):
     """Print the dephasing-rate budget and predicted coherence times."""
-    params = build_params(res)
+    params = res["params"]
     noise = res["noise"]
     sigma_omega = noise.sigma_omega(params.omega)
     gsb_khz = angular_to_khz(GAMMA * noise.sigma_b)
@@ -382,8 +345,7 @@ def rates(res):
         ("magnetic", rate_magnetic_mp(params.omega, params.a_par, noise.sigma_b)),
         ("amplitude", rate_amplitude_mp(params.omega, params.a_par, sigma_omega)),
     ))
-    t2_first = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
-                               sigma_omega, order="first")
+    t2_first = combine_rates(budget)
     t2_second = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
                                 sigma_omega, order="second")
     lines = [
@@ -425,20 +387,24 @@ def t2scan(res, omega_list, mc_flag):
     noise = res["noise"]
     if power_leveled:
         noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))
+    a_par = res["params"].a_par
+    gsb_khz = angular_to_khz(GAMMA * noise.sigma_b)
     rows = []
     for om_khz in omegas:
         omega = khz_to_angular(om_khz)
         sigma_omega = noise.sigma_omega(omega)
-        t2_first = predicted_t2_mp(omega, res["a_par"], noise.sigma_b,
+        t2_first = predicted_t2_mp(omega, a_par, noise.sigma_b,
                                    sigma_omega, order="first")
-        t2_second = predicted_t2_mp(omega, res["a_par"], noise.sigma_b,
+        t2_second = predicted_t2_mp(omega, a_par, noise.sigma_b,
                                     sigma_omega, order="second")
         t2_mc, mc_err = math.nan, math.nan
         if run_mc:
-            params = build_params(res, omega=omega)
+            params = res["params"].with_omega(omega)
             cfg = SimConfig(n_shots=res["shots"], seed=res["seed"], noise=noise)
             trace = simulate_ramsey("dressed_mp", tau, params, cfg)
-            outcome = _fit_ramsey_mp(trace, res, params)
+            model, data = FIT_MODELS["ramsey_mp"](trace, None, params,
+                                                  gsb_khz, None)
+            outcome = nlls_fit(model, data)
             t2_mc = outcome.params["t2_us"]
             mc_err = outcome.ci_halfwidth("t2_us")
         rows.append((om_khz, t2_first, t2_second, t2_mc, mc_err))
@@ -446,19 +412,6 @@ def t2scan(res, omega_list, mc_flag):
     _write_rows(path, "omega_khz,t2_first_us,t2_second_us,t2_mc_us,mc_err_us",
                 rows)
     click.echo(f"wrote {path}")
-
-
-def _fit_ramsey_mp(trace: Trace, res: dict, params: SystemParams):
-    model = model_ramsey_mp(angular_to_khz(res["a_par"]),
-                            p0_ud=_mean_contrast(params))
-    model = model.with_initials(
-        omega_khz=max(
-            math.sqrt(max(guess_ramsey_frequency_khz(trace) ** 2
-                          - angular_to_khz(res["a_par"]) ** 2, 1.0)), 1.0),
-        t2_us=guess_envelope_t2_us(trace),
-        c=float(trace.mean_p0.mean()),
-    )
-    return nlls_fit(model, trace)
 
 
 @main.command()
@@ -477,7 +430,7 @@ def ramsey(res, kind, tau_stop_us, tau_step_us, omega_mag_khz):
         section["tau_step_us"] = tau_step_us
     kind = kind or section.get("kind", "dressed_mp")
     tau = _tau_grid(section, stop_default=20.0, step_default=0.05)
-    params = build_params(res)
+    params = res["params"]
     cfg = _sim_config(res)
     kwargs = {}
     om_mag_khz = omega_mag_khz if omega_mag_khz is not None \
@@ -522,7 +475,7 @@ def spectra(res, omega_list):
     cfg = _sim_config(res)
     out = _out_dir(res)
     for om_khz in omegas:
-        params = build_params(res, omega=khz_to_angular(om_khz))
+        params = res["params"].with_omega(khz_to_angular(om_khz))
         trace = simulate_spectrum(grid, params, cfg, **kwargs)
         path = out / f"spectrum_omega{om_khz:g}khz.csv"
         write_trace_csv(trace, path)
@@ -540,9 +493,10 @@ def envelope(res, tau_stop_us):
         section["tau_stop_us"] = tau_stop_us
     tau = _tau_grid(section, stop_default=30.0, step_default=0.05)
     noise = res["noise"]
-    f = envelope_second_order(tau, res["omega"], noise.sigma_b, res["a_par"])
-    h = envelope_max_protection(tau, res["omega"], noise.sigma_b)
-    t2_first = predicted_t2_mp(res["omega"], res["a_par"], noise.sigma_b,
+    params = res["params"]
+    f = envelope_second_order(tau, params.omega, noise.sigma_b, params.a_par)
+    h = envelope_max_protection(tau, params.omega, noise.sigma_b)
+    t2_first = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
                                order="first")
     g = gaussian_envelope(tau, t2_first)
     path = _out_dir(res) / "envelope.csv"
@@ -553,8 +507,7 @@ def envelope(res, tau_stop_us):
 
 @main.command()
 @click.option("--model", "model_name", default=None,
-              type=click.Choice(["undressed_ramsey", "ramsey_0p", "ramsey_mp",
-                                 "max_protection", "spectrum_joint"]))
+              type=click.Choice(list(FIT_MODELS)))
 @click.option("--input", "input_csv", type=click.Path(), default=None,
               help="Trace CSV to fit (dressed spectrum for spectrum_joint).")
 @click.option("--undressed", "undressed_csv", type=click.Path(), default=None,
@@ -570,54 +523,16 @@ def fit(res, model_name, input_csv, undressed_csv):
     if not model_name or not input_csv:
         raise ConfigError("fit needs a model name and an input CSV")
     trace = read_trace_csv(input_csv)
-    a_par_khz = angular_to_khz(res["a_par"])
+    undressed = read_trace_csv(undressed_csv) if undressed_csv else None
+    gsb_khz = angular_to_khz(GAMMA * res["noise"].sigma_b)
+    try:
+        model, data = FIT_MODELS[model_name](trace, undressed, res["params"],
+                                             gsb_khz, section.get("p0_ud"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     options = FitOptions(
         use_stderr_weights=section.get("use_stderr_weights", False))
-    params = build_params(res)
-
-    if model_name == "spectrum_joint":
-        if not undressed_csv:
-            raise ConfigError("spectrum_joint needs an undressed CSV too")
-        undressed = read_trace_csv(undressed_csv)
-        x, y, n_dressed = stack_spectra(trace, undressed)
-        model = model_spectrum_joint(n_dressed)
-        from .models import guess_spectrum_dips_khz
-        lo, hi = guess_spectrum_dips_khz(trace)
-        model = model.with_initials(
-            omega_khz=max(hi - lo, 10.0),
-            delta_khz=0.0,
-            w01_khz=float(undressed.abscissa[np.argmin(undressed.mean_p0)]),
-            c_d=float(trace.mean_p0.max()),
-            c_ud=float(undressed.mean_p0.max()),
-            a_d1=float(trace.mean_p0.max() - trace.mean_p0.min()),
-            a_d2=float(trace.mean_p0.max() - trace.mean_p0.min()),
-            a_ud=float(undressed.mean_p0.max() - undressed.mean_p0.min()),
-        )
-        outcome = nlls_fit(model, (x, y), options)
-    else:
-        p0_ud = section.get("p0_ud", _mean_contrast(params))
-        if model_name == "undressed_ramsey":
-            model = model_undressed_ramsey().with_initials(
-                c=float(trace.mean_p0.mean()),
-                t2_us=guess_envelope_t2_us(trace))
-        elif model_name == "ramsey_0p":
-            model = model_ramsey_0p(a_par_khz).with_initials(
-                c=float(trace.mean_p0.mean()),
-                t2_us=guess_envelope_t2_us(trace))
-        elif model_name == "ramsey_mp":
-            model = model_ramsey_mp(a_par_khz, p0_ud).with_initials(
-                c=float(trace.mean_p0.mean()),
-                omega_khz=max(math.sqrt(max(
-                    guess_ramsey_frequency_khz(trace) ** 2 - a_par_khz ** 2,
-                    1.0)), 1.0),
-                t2_us=guess_envelope_t2_us(trace))
-        else:
-            gsb_khz = angular_to_khz(GAMMA * res["noise"].sigma_b)
-            model = model_max_protection(a_par_khz, gsb_khz, p0_ud) \
-                .with_initials(
-                    c=float(trace.mean_p0.mean()),
-                    omega_khz=max(guess_ramsey_frequency_khz(trace), 10.0))
-        outcome = nlls_fit(model, trace, options)
+    outcome = nlls_fit(model, data, options)
 
     report = format_fit_report(model, outcome)
     click.echo(report)

@@ -203,29 +203,6 @@ def gaussian_envelope(tau, t2: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class EnvelopeSpec:
-    """An evaluable decay envelope: kind plus its defining parameters."""
-
-    kind: str  # 'gaussian' | 'second_order' | 'max_protection'
-    t2: float = 0.0
-    omega: float = 0.0
-    sigma_b: float = 0.0
-    a_par: float = 0.0
-    gamma: float = GAMMA
-
-    def __call__(self, tau):
-        if self.kind == "gaussian":
-            return gaussian_envelope(tau, self.t2)
-        if self.kind == "second_order":
-            return envelope_second_order(tau, self.omega, self.sigma_b,
-                                         self.a_par, self.gamma)
-        if self.kind == "max_protection":
-            return envelope_max_protection(tau, self.omega, self.sigma_b,
-                                           self.gamma)
-        raise ValueError(f"unknown envelope kind {self.kind!r}")
-
-
 def one_over_e_time(envelope, horizon: float = 1e3,
                     tol: float = 1e-3) -> float:
     """Solve envelope(tau) = 1/e by doubling bracket + bisection.

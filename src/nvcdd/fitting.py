@@ -45,9 +45,6 @@ class ModelFunction:
     params: tuple  # of FitParam
     evaluator: object
 
-    def param_names(self):
-        return [p.name for p in self.params]
-
     def free_index(self):
         return [i for i, p in enumerate(self.params) if not p.frozen]
 

@@ -3,6 +3,11 @@
 Parameters are user-facing: frequencies in kHz, times in us, phases in
 rad, populations dimensionless.  Evaluators convert to angular units
 internally.
+
+``FIT_MODELS`` is the one place a fit model is registered: it maps each
+model name to its seed rule, which builds the model with data-driven
+initial values.  The CLI's config schema, its ``fit --model`` choices,
+``fit`` itself and ``t2scan --mc`` all read it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 from .dephasing import envelope_max_protection
 from .fitting import FitParam, ModelFunction
 from .pulse_sim import Trace, fourier_magnitude
-from .units import GAMMA, khz_to_angular
+from .units import GAMMA, angular_to_khz, khz_to_angular
 
 _K = 2.0 * math.pi * 1e-3  # kHz -> rad/us
 
@@ -209,3 +214,79 @@ def guess_spectrum_dips_khz(trace: Trace) -> tuple[float, float]:
     second = int(np.argmin(rest))
     lo, hi = sorted((float(x[first]), float(x[second])))
     return lo, hi
+
+
+def mean_contrast(params) -> float:
+    """Sublevel-averaged fringe contrast of the {m,p} qubit: the p0_ud
+    the {m,p} models pin when none is given."""
+    out = 0.0
+    for s in (+1.0, -1.0):
+        w = math.hypot(params.omega, params.delta + s * params.a_par)
+        out += (params.omega / w) ** 2 if w else 1.0
+    return 0.5 * out
+
+
+# Seed rules: (trace, undressed trace or None, resolved SystemParams,
+# gamma*sigma_b in kHz, p0_ud or None for mean_contrast) -> (model with
+# data-driven initial values, data to fit).  A rule raises ValueError when
+# its inputs cannot seed the model; the CLI reports that as a config error.
+
+def _seed_undressed_ramsey(trace, undressed, params, gsb_khz, p0_ud):
+    model = model_undressed_ramsey().with_initials(
+        c=float(trace.mean_p0.mean()), t2_us=guess_envelope_t2_us(trace))
+    return model, trace
+
+
+def _seed_ramsey_0p(trace, undressed, params, gsb_khz, p0_ud):
+    model = model_ramsey_0p(angular_to_khz(params.a_par)).with_initials(
+        c=float(trace.mean_p0.mean()), t2_us=guess_envelope_t2_us(trace))
+    return model, trace
+
+
+def _seed_ramsey_mp(trace, undressed, params, gsb_khz, p0_ud):
+    a_par_khz = angular_to_khz(params.a_par)
+    if p0_ud is None:
+        p0_ud = mean_contrast(params)
+    model = model_ramsey_mp(a_par_khz, p0_ud).with_initials(
+        c=float(trace.mean_p0.mean()),
+        omega_khz=max(math.sqrt(max(
+            guess_ramsey_frequency_khz(trace) ** 2 - a_par_khz ** 2, 1.0)), 1.0),
+        t2_us=guess_envelope_t2_us(trace))
+    return model, trace
+
+
+def _seed_max_protection(trace, undressed, params, gsb_khz, p0_ud):
+    if p0_ud is None:
+        p0_ud = mean_contrast(params)
+    model = model_max_protection(angular_to_khz(params.a_par), gsb_khz, p0_ud) \
+        .with_initials(c=float(trace.mean_p0.mean()),
+                       omega_khz=max(guess_ramsey_frequency_khz(trace), 10.0))
+    return model, trace
+
+
+def _seed_spectrum_joint(trace, undressed, params, gsb_khz, p0_ud):
+    if undressed is None:
+        raise ValueError("spectrum_joint needs an undressed CSV too")
+    x, y, n_dressed = stack_spectra(trace, undressed)
+    lo, hi = guess_spectrum_dips_khz(trace)
+    depth = float(trace.mean_p0.max() - trace.mean_p0.min())
+    model = model_spectrum_joint(n_dressed).with_initials(
+        omega_khz=max(hi - lo, 10.0),
+        delta_khz=0.0,
+        w01_khz=float(undressed.abscissa[np.argmin(undressed.mean_p0)]),
+        c_d=float(trace.mean_p0.max()),
+        c_ud=float(undressed.mean_p0.max()),
+        a_d1=depth,
+        a_d2=depth,
+        a_ud=float(undressed.mean_p0.max() - undressed.mean_p0.min()),
+    )
+    return model, (x, y)
+
+
+FIT_MODELS = {
+    "undressed_ramsey": _seed_undressed_ramsey,
+    "ramsey_0p": _seed_ramsey_0p,
+    "ramsey_mp": _seed_ramsey_mp,
+    "max_protection": _seed_max_protection,
+    "spectrum_joint": _seed_spectrum_joint,
+}

@@ -146,6 +146,8 @@ class Trace:
         self.abscissa = np.asarray(self.abscissa, dtype=float)
         self.mean_p0 = np.asarray(self.mean_p0, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
+        if not np.all(_abscissa_valid(self.abscissa)):
+            raise ValueError("abscissa must be finite")
         if not np.all(_mean_p0_valid(self.mean_p0)):
             raise ValueError("mean_p0 must lie in [0, 1]")
         if not np.all(_stderr_valid(self.stderr)):
@@ -154,6 +156,10 @@ class Trace:
 
 # Row checks shared by Trace and read_trace_csv, written so that NaN,
 # which fails every comparison, is rejected.
+def _abscissa_valid(abscissa):
+    return (abscissa > -np.inf) & (abscissa < np.inf)
+
+
 def _mean_p0_valid(mean_p0):
     return (mean_p0 >= -1e-9) & (mean_p0 <= 1 + 1e-9)
 
@@ -473,7 +479,9 @@ def read_trace_csv(path) -> Trace:
             row = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        _, mean_p0, stderr, n_shots = row
+        abscissa, mean_p0, stderr, n_shots = row
+        if not _abscissa_valid(abscissa):
+            raise ValueError(f"{path}:{lineno}: abscissa must be finite")
         if not _mean_p0_valid(mean_p0):
             raise ValueError(f"{path}:{lineno}: mean_p0 must lie in [0, 1]")
         if not _stderr_valid(stderr):

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from nvcdd import cli
 from nvcdd.cli import ConfigError, load_config, main, resolve_config
+from nvcdd.models import FIT_MODELS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -205,6 +206,8 @@ class TestRamseyAndFit:
         ("0.1,0.5,0.01,100.5", None, "trace.csv:3:"),
         ("0.1,nan,0.01,100", None, "trace.csv:3:"),
         ("0.1,0.5,inf,100", None, "trace.csv:3:"),
+        ("nan,0.5,0.01,100", None, "trace.csv:3: abscissa must be finite"),
+        ("inf,0.5,0.01,100", None, "trace.csv:3: abscissa must be finite"),
         ("0.1,0.5,0.01,100", "{not json", "trace.csv.meta.json:1:"),
         ("0.1,0.5,0.01,100", "[1, 2]",
          "trace.csv.meta.json:1: metadata must be a JSON object")])
@@ -237,6 +240,71 @@ class TestRamseyAndFit:
                                  "--tau-stop-us", "0.1"])
         assert result.exit_code == 2
         assert "seed" in all_output(result)
+
+
+# Committed input trace, undressed trace and fit report of the models
+# whose fit is part of the committed out/ tree.
+COMMITTED_FITS = {
+    "ramsey_mp": ("out/nv2/ramsey_dressed_mp.csv", None,
+                  "out/nv2/fit_ramsey_mp.txt"),
+    "spectrum_joint": ("out/spec_smoke/spectrum_omega470khz.csv",
+                       "out/spec_smoke/spectrum_omega0khz.csv",
+                       "out/spec_smoke/fit_spectrum_joint.txt"),
+}
+# Ramsey kind, tau stop and tau step (us) of the small simulated trace
+# each other model is fitted to.
+SIMULATED_FITS = {
+    "undressed_ramsey": ("undressed_0m1", "10", "0.05"),
+    "ramsey_0p": ("dressed_0p", "10", "0.02"),
+    "max_protection": ("max_protection", "20", "0.05"),
+}
+
+
+def spec_smoke_config(tmp_path):
+    """configs/nv2.json without hyperfine split, as out/spec_smoke used."""
+    cfg = load_config(CONFIG_DIR / "nv2.json")
+    cfg["system"]["a_par_khz"] = 0.0
+    return write_config(tmp_path, cfg, "spec_smoke.json")
+
+
+class TestFitModels:
+    @pytest.mark.parametrize("model_name", list(FIT_MODELS))
+    def test_fit_every_registered_model(self, runner, tmp_path, model_name):
+        if model_name in SIMULATED_FITS:
+            kind, stop, step = SIMULATED_FITS[model_name]
+            result = invoke(runner, ["--out", str(tmp_path), "--shots", "20",
+                                     "--seed", "3", "ramsey", "--kind", kind,
+                                     "--tau-stop-us", stop,
+                                     "--tau-step-us", step])
+            assert result.exit_code == 0, all_output(result)
+            result = invoke(runner, [
+                "--out", str(tmp_path), "fit", "--model", model_name,
+                "--input", str(tmp_path / f"ramsey_{kind}.csv")])
+            assert result.exit_code == 0, all_output(result)
+            report = (tmp_path / f"fit_{model_name}.txt").read_text()
+            assert "converged: True" in report
+            return
+        trace, undressed, reference = COMMITTED_FITS[model_name]
+        config = spec_smoke_config(tmp_path) if undressed \
+            else str(CONFIG_DIR / "nv2.json")
+        args = ["--config", config, "--out", str(tmp_path), "fit",
+                "--model", model_name, "--input", str(REPO_ROOT / trace)]
+        if undressed:
+            args += ["--undressed", str(REPO_ROOT / undressed)]
+        result = invoke(runner, args)
+        assert result.exit_code == 0, all_output(result)
+        assert (tmp_path / f"fit_{model_name}.txt").read_bytes() \
+            == (REPO_ROOT / reference).read_bytes()
+
+    def test_spectrum_joint_needs_undressed(self, runner, tmp_path):
+        trace, _, _ = COMMITTED_FITS["spectrum_joint"]
+        result = invoke(runner, ["--config", spec_smoke_config(tmp_path),
+                                 "--out", str(tmp_path), "fit",
+                                 "--model", "spectrum_joint",
+                                 "--input", str(REPO_ROOT / trace)])
+        assert result.exit_code == 2
+        assert "config error: spectrum_joint needs an undressed CSV too" \
+            in all_output(result).splitlines()
 
 
 def _fit_nan_model():

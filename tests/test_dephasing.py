@@ -1,10 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from nvcdd.dephasing import (
-    EnvelopeSpec,
     FixedAmplitudeNoise,
     HorizonExceeded,
     NoiseSpec,
@@ -235,25 +235,30 @@ class TestEnvelopes:
 
 class TestOneOverETime:
     def test_gaussian_definition(self):
-        spec = EnvelopeSpec(kind="gaussian", t2=5.4)
-        assert one_over_e_time(spec) == pytest.approx(5.4, abs=1e-3)
+        env = functools.partial(gaussian_envelope, t2=5.4)
+        assert one_over_e_time(env) == pytest.approx(5.4, abs=1e-3)
 
     def test_second_order_anchor(self):
-        spec = EnvelopeSpec(kind="second_order", omega=khz_to_angular(581.0),
-                            sigma_b=SIGMA_B_NV2, a_par=khz_to_angular(150.0))
-        assert one_over_e_time(spec) == pytest.approx(13.5, abs=0.2)
+        env = functools.partial(envelope_second_order,
+                                omega=khz_to_angular(581.0),
+                                sigma_b=SIGMA_B_NV2,
+                                a_par=khz_to_angular(150.0))
+        assert one_over_e_time(env) == pytest.approx(13.5, abs=0.2)
 
     def test_horizon_exceeded(self):
-        spec = EnvelopeSpec(kind="max_protection",
-                            omega=khz_to_angular(455.7), sigma_b=SIGMA_B_NV2)
+        env = functools.partial(envelope_max_protection,
+                                omega=khz_to_angular(455.7),
+                                sigma_b=SIGMA_B_NV2)
         with pytest.raises(HorizonExceeded) as err:
-            one_over_e_time(spec, horizon=50.0)
+            one_over_e_time(env, horizon=50.0)
         assert err.value.horizon == 50.0
 
     def test_second_order_converges_to_gaussian_limit(self):
-        spec = EnvelopeSpec(kind="second_order", omega=khz_to_angular(0.5),
-                            sigma_b=SIGMA_B_NV2, a_par=khz_to_angular(150.0))
-        assert one_over_e_time(spec) == pytest.approx(2.7, rel=0.01)
+        env = functools.partial(envelope_second_order,
+                                omega=khz_to_angular(0.5),
+                                sigma_b=SIGMA_B_NV2,
+                                a_par=khz_to_angular(150.0))
+        assert one_over_e_time(env) == pytest.approx(2.7, rel=0.01)
 
 
 class TestPredictedT2:

@@ -12,6 +12,7 @@ from nvcdd.fitting import (
     nlls_fit,
 )
 from nvcdd.models import (
+    FIT_MODELS,
     model_max_protection,
     model_ramsey_0p,
     model_ramsey_mp,
@@ -98,6 +99,9 @@ def _perturbed(model, truth, rng):
 
 
 class TestRoundTrip:
+    def test_every_registered_model_has_a_round_trip(self):
+        assert sorted(ROUND_TRIPS) == sorted(FIT_MODELS)
+
     @pytest.mark.parametrize("case", sorted(ROUND_TRIPS))
     def test_noiseless_recovery(self, case):
         factory, truth, x = ROUND_TRIPS[case]

@@ -389,6 +389,11 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="stderr"):
             Trace(tau, np.full(2, 0.5), np.array([0.01, bad]), 1, {})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_abscissa_rejected(self, bad):
+        with pytest.raises(ValueError, match="abscissa must be finite"):
+            Trace(np.array([0.0, bad]), np.full(2, 0.5), np.zeros(2), 1, {})
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("abscissa,mean_p0,stderr,n_shots\n")
