@@ -16,6 +16,7 @@ from .dephasing import (
     envelope_second_order, envelope_max_protection, gaussian_envelope,
     one_over_e_time, predicted_t2_mp, mc_envelope_second_order,
 )
+from .errors import NumericalError
 from .pulse_sim import (
     SimConfig, Trace, PulseSequence, Reset, MagneticPulse, FreeEvolution,
     Readout, simulate_ramsey, simulate_spectrum, fourier_magnitude,
@@ -42,6 +43,8 @@ __all__ = [
     "rate_amplitude_mp", "combine_rates", "sigma_omega_from_reflectometer",
     "envelope_second_order", "envelope_max_protection", "gaussian_envelope",
     "one_over_e_time", "predicted_t2_mp", "mc_envelope_second_order",
+    # errors
+    "NumericalError",
     # pulse_sim
     "SimConfig", "Trace", "PulseSequence", "Reset", "MagneticPulse",
     "FreeEvolution", "Readout", "simulate_ramsey", "simulate_spectrum",

@@ -23,11 +23,9 @@ import numpy as np
 
 from .dephasing import (
     FixedAmplitudeNoise,
-    HorizonExceeded,
     NoiseSpec,
     RateBudget,
     ReflectometerNoise,
-    ZeroRateError,
     combine_rates,
     envelope_max_protection,
     envelope_second_order,
@@ -39,15 +37,14 @@ from .dephasing import (
 )
 from .fitting import (
     FitOptions,
-    NonFiniteResidualsError,
     format_fit_report,
     nlls_fit,
 )
+from .errors import NumericalError
 from .models import FIT_MODELS
 from .presets import PRESETS
 from .pulse_sim import (
     RAMSEY_KINDS,
-    NormLossError,
     SimConfig,
     fourier_magnitude,
     read_trace_csv,
@@ -55,7 +52,7 @@ from .pulse_sim import (
     simulate_spectrum,
     write_trace_csv,
 )
-from .spin_model import NonHermitianError, SystemParams, mechanical_cutoff
+from .spin_model import SystemParams, mechanical_cutoff
 from .units import GAMMA, DD_DT, angular_to_khz, khz_to_angular, mhz_to_angular
 
 EXIT_CONFIG = 2
@@ -193,11 +190,19 @@ def load_config(path) -> dict:
     return cfg
 
 
+@functools.cache
+def _config_validator() -> jsonschema.Draft202012Validator:
+    """SCHEMA's validator, built once: jsonschema.validate would check
+    SCHEMA against the metaschema on every call (a test does that once)."""
+    return jsonschema.Draft202012Validator(SCHEMA)
+
+
 def validate_config(cfg: dict) -> None:
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config key {exc.json_path}: {exc.message}") from exc
+    errors = _config_validator().iter_errors(cfg)
+    error = jsonschema.exceptions.best_match(errors)
+    if error is not None:
+        raise ConfigError(f"config key {error.json_path}: {error.message}") \
+            from error
 
 
 def resolve_config(cfg: dict) -> dict:
@@ -283,8 +288,7 @@ def pipeline(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except (HorizonExceeded, ZeroRateError, NormLossError,
-                NonHermitianError, NonFiniteResidualsError) as exc:
+        except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except ValueError as exc:

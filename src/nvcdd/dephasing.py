@@ -11,16 +11,17 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
 from .units import GAMMA
 
 SQRT2 = math.sqrt(2.0)
 
 
-class ZeroRateError(ValueError):
+class ZeroRateError(NumericalError, ValueError):
     """All rates vanish: the coherence time is unbounded."""
 
 
-class HorizonExceeded(RuntimeError):
+class HorizonExceeded(NumericalError, RuntimeError):
     """The envelope never crosses 1/e within the search horizon."""
 
     def __init__(self, horizon: float):

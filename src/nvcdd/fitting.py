@@ -22,8 +22,10 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
 
-class NonFiniteResidualsError(ValueError):
+
+class NonFiniteResidualsError(NumericalError, ValueError):
     """The model gives NaN or infinite residuals at the initial guess."""
 
 

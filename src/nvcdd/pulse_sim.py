@@ -9,8 +9,11 @@ Spectral abscissae are detunings from the nominal undressed 0<->-1 line.
 One environment sample is drawn per shot and held constant across the
 whole sequence.  Shot RNG streams are counter-based (Philox keyed by
 (seed, shot), counter positioned by the abscissa index), so execution
-order never changes results; _sample_block re-keys one generator per shot
-instead of constructing one, with bit-identical draws.
+order never changes results.  _sample_block draws a block of whole grid
+points at once, bit-identical to shot_rng: Philox4x64-10 and numpy's
+ziggurat fast path run as numpy array operations, with numpy's tables
+(ziggurat_double.bin), and the few shots that miss the fast path are
+redrawn by numpy through one re-keyed generator.
 
 The engine is batch-only: _simulate runs all shots of a grid point as one
 stack; a single shot is a batch of one.  The Hamiltonian never couples
@@ -25,6 +28,7 @@ eigendecomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import json
 import math
 from pathlib import Path
@@ -32,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .dephasing import NoiseSpec
+from .errors import NumericalError
 from .spin_model import SystemParams, dressed_transition_offsets
 from .units import angular_to_khz
 
@@ -47,7 +52,7 @@ DEFAULT_OMEGA_ROT = 2.0 * math.pi * 0.250
 RAMSEY_KINDS = ("undressed_0m1", "dressed_0p", "dressed_mp", "max_protection")
 
 
-class NormLossError(RuntimeError):
+class NormLossError(NumericalError, RuntimeError):
     """Propagation changed a state's norm by more than NORM_TOL."""
 
 
@@ -300,31 +305,137 @@ def _run_batch(seq: PulseSequence, params: SystemParams,
     return np.abs(states[:, 0, 1]) ** 2 + np.abs(states[:, 1, 1]) ** 2
 
 
-def _sample_block(noise: NoiseSpec, mean_omega: float, seed: int,
-                  point_index: int, n_shots: int):
-    """Per-shot environment draws for one grid point, shape (n_shots,) each.
+# Philox4x64-10 round multipliers and key increments, as in numpy's philox.h.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64 = 2 ** 64 - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+# Shot-points _simulate samples per _sample_block call: enough to amortise
+# numpy's per-call overhead, few enough that each uint64 temporary (32 KiB)
+# stays small and peak memory does not grow with the grid.
+_BLOCK_SHOT_POINTS = 4096
+# Shots (seed 0, point 0) the first-use self-check compares with numpy;
+# between them they take every ziggurat layer with a fast path (all but
+# layer 1) on it.
+_CHECK_SHOTS = 640
 
-    The draws equal shot_rng(seed, shot, point_index).standard_normal(3)
-    bit for bit: one generator is re-keyed per shot by assigning its
-    state, which is much cheaper than constructing a generator per shot.
+
+def _mulhilo(m: int, b: np.ndarray):
+    """High and low words of the 128-bit products m * b, for a constant m
+    and a uint64 array b, built from 32-bit halves."""
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    b_hi, b_lo = b >> 32, b & _LO32
+    lo_lo, hi_lo, lo_hi = m_lo * b_lo, m_hi * b_lo, m_lo * b_hi
+    carry = ((lo_lo >> 32) + (hi_lo & _LO32) + (lo_hi & _LO32)) >> 32
+    return m_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + carry, \
+        b * np.uint64(m)
+
+
+def _philox_words(seed: int, shots: np.ndarray, points: np.ndarray):
+    """First three outputs of each shot_rng(seed, shot, point) stream.
+
+    numpy increments the Philox counter before each block, so they are the
+    first three words of the Philox4x64-10 block of counter [1, point, 0, 0]
+    under key [seed, shot].  Round 1 of that counter is written out:
+    its products are M0 * 1 and M1 * 0.
     """
+    c0, c1, c2, c3 = (points ^ np.uint64(seed), np.zeros_like(shots), shots,
+                      np.full_like(shots, _PHILOX_M[0]))
+    for r in range(1, 10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _U64)
+        k1 = shots + np.uint64(r * _PHILOX_W[1] & _U64)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2
+
+
+def _ziggurat_fast(words, wi: np.ndarray, ki: np.ndarray):
+    """numpy's ziggurat standard normals for raw words, fast path only.
+
+    Returns the draws (n, 3), one column per word array, and whether all
+    three words of a row were accepted on the first try: rabs < ki[idx].
+    Every word of layer 1 (ki[1] = 0), layer 0's tail and the wedges miss.
+    """
+    draws = np.empty((len(words[0]), 3))
+    fast = np.ones(len(words[0]), dtype=bool)
+    for j, r in enumerate(words):
+        idx = (r & 0xFF).astype(np.intp)
+        rabs = (r >> 9) & 0xFFFFFFFFFFFFF
+        x = rabs * wi[idx]
+        draws[:, j] = np.where(r & 0x100, -x, x)
+        fast &= rabs < ki[idx]
+    return draws, fast
+
+
+def _redraw(draws: np.ndarray, rows: np.ndarray, seed: int,
+            shots: np.ndarray, points: np.ndarray) -> None:
+    """Overwrite draws[rows] with shot_rng(seed, shot, point)
+    .standard_normal(3).  One generator is re-keyed per shot by assigning
+    its state, which is much cheaper than constructing a generator."""
     key = np.array([seed, 0], dtype=np.uint64)
+    counter = np.zeros(4, dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = {"bit_generator": "Philox",
-             "state": {"key": key,
-                       "counter": np.array([0, point_index, 0, 0],
-                                           dtype=np.uint64)},
+             "state": {"key": key, "counter": counter},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    draws = np.empty((n_shots, 3))
-    for shot in range(n_shots):
-        key[1] = shot
+    for row in np.flatnonzero(rows):
+        key[1], counter[1] = shots[row], points[row]
         bitgen.state = state
-        gen.standard_normal(out=draws[shot])
-    return (draws[:, 0] * noise.sigma_b,
-            draws[:, 1] * noise.sigma_omega(mean_omega),
-            draws[:, 2] * noise.sigma_t)
+        gen.standard_normal(out=draws[row])
+
+
+def _read_tables():
+    """numpy's ziggurat tables wi_double (float64) and ki_double (uint64),
+    256 entries each, from the package file ziggurat_double.bin."""
+    raw = Path(__file__).with_name("ziggurat_double.bin").read_bytes()
+    return (np.frombuffer(raw, "<f8", 256),
+            np.frombuffer(raw, "<u8", 256, offset=2048))
+
+
+@functools.cache
+def _ziggurat_tables():
+    """The ziggurat tables, checked once against numpy.
+
+    If the fast path disagrees with shot_rng on any of _CHECK_SHOTS shots
+    (say, after numpy changes its ziggurat), ki is zeroed, so that every
+    shot misses the fast path and is redrawn by numpy itself.
+    """
+    wi, ki = _read_tables()
+    shots = np.arange(_CHECK_SHOTS, dtype=np.uint64)
+    points = np.zeros_like(shots)
+    draws, fast = _ziggurat_fast(_philox_words(0, shots, points), wi, ki)
+    want = np.empty_like(draws)
+    _redraw(want, fast, 0, shots, points)
+    if not np.array_equal(draws[fast], want[fast]):
+        ki = np.zeros_like(ki)
+    return wi, ki
+
+
+def _sample_block(noise: NoiseSpec, mean_omega: float, seed: int,
+                  point_index, n_shots: int):
+    """Per-shot environment draws for one grid point (an int point_index;
+    arrays of shape (n_shots,)) or for a range of points (shape
+    (len(point_index), n_shots)).
+
+    The draws equal shot_rng(seed, shot, point).standard_normal(3) bit for
+    bit.  Philox and numpy's ziggurat fast path run vectorised over every
+    shot of the block; the shots where any of the three draws misses the
+    fast path (about 4%) are redrawn by numpy.
+    """
+    points = np.asarray(point_index, dtype=np.uint64)
+    shape = points.shape + (n_shots,)
+    shots = np.broadcast_to(np.arange(n_shots, dtype=np.uint64), shape).ravel()
+    points = np.broadcast_to(points[..., None], shape).ravel()
+    draws, fast = _ziggurat_fast(_philox_words(seed, shots, points),
+                                 *_ziggurat_tables())
+    _redraw(draws, ~fast, seed, shots, points)
+    draws = draws.reshape(shape + (3,))
+    return (draws[..., 0] * noise.sigma_b,
+            draws[..., 1] * noise.sigma_omega(mean_omega),
+            draws[..., 2] * noise.sigma_t)
 
 
 def _mean_p_line(params: SystemParams) -> float:
@@ -336,16 +447,22 @@ def _mean_p_line(params: SystemParams) -> float:
 
 def _simulate(grid, sequence_at, params: SystemParams, config: SimConfig):
     """Mean P0 (clipped to [0, 1]) and its standard error at each grid
-    point, running the sequence sequence_at(x) for config.n_shots shots."""
+    point, running the sequence sequence_at(x) for config.n_shots shots.
+
+    Environments are sampled for a block of whole points at a time, at
+    most _BLOCK_SHOT_POINTS shot-points (at least one point) per block.
+    """
+    n = config.n_shots
     mean = np.empty(len(grid))
     stderr = np.empty(len(grid))
-    for i, x in enumerate(grid):
-        db, dom, dt = _sample_block(config.noise, params.omega,
-                                    config.seed, i, config.n_shots)
-        p0 = _run_batch(sequence_at(x), params, db, dom, dt)
-        mean[i] = p0.mean()
-        stderr[i] = p0.std(ddof=1) / math.sqrt(config.n_shots) \
-            if config.n_shots > 1 else 0.0
+    per_block = max(1, _BLOCK_SHOT_POINTS // n)
+    for first in range(0, len(grid), per_block):
+        points = range(first, min(first + per_block, len(grid)))
+        env = _sample_block(config.noise, params.omega, config.seed, points, n)
+        for i, db, dom, dt in zip(points, *env):
+            p0 = _run_batch(sequence_at(grid[i]), params, db, dom, dt)
+            mean[i] = p0.mean()
+            stderr[i] = p0.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
     return np.clip(mean, 0.0, 1.0), stderr
 
 

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .errors import NumericalError
 from .units import GAMMA, D0, DD_DT
 
 HERMITICITY_RTOL = 1e-12
@@ -23,7 +24,7 @@ HERMITICITY_RTOL = 1e-12
 SUBLEVELS = {"u": +1.0, "d": -1.0}
 
 
-class NonHermitianError(ValueError):
+class NonHermitianError(NumericalError, ValueError):
     """Raised when a matrix expected to be Hermitian is not."""
 
 

@@ -27,9 +27,10 @@ from nvcdd.dephasing import (
 )
 from nvcdd.fitting import nlls_fit
 from nvcdd.models import (
-    guess_envelope_t2_us,
+    FIT_MODELS,
     guess_ramsey_frequency_khz,
     guess_spectrum_dips_khz,
+    mean_contrast,
     model_max_protection,
     model_ramsey_mp,
     model_spectrum_joint,
@@ -68,24 +69,6 @@ SIGMA_B_54 = sigma_b_from_t2(5.4)                  # from T2*(0,-1) = 5.4 us
 SIGMA_B_42 = khz_to_angular(42.0) / GAMMA          # pinned 42 kHz calibration
 A_PAR = khz_to_angular(150.0)
 OMEGA_581 = khz_to_angular(581.0)
-
-
-def _mean_contrast(params):
-    out = 0.0
-    for s in (+1.0, -1.0):
-        w = math.hypot(params.omega, params.delta + s * params.a_par)
-        out += (params.omega / w) ** 2 if w else 1.0
-    return 0.5 * out
-
-
-def _fit_mp_trace(trace, params, a_par_khz=150.0):
-    model = model_ramsey_mp(a_par_khz, p0_ud=_mean_contrast(params))
-    model = model.with_initials(
-        c=float(trace.mean_p0.mean()),
-        omega_khz=max(math.sqrt(max(guess_ramsey_frequency_khz(trace) ** 2
-                                    - a_par_khz ** 2, 1.0)), 1.0),
-        t2_us=guess_envelope_t2_us(trace))
-    return nlls_fit(model, trace)
 
 
 def test_calibration_identities():
@@ -137,7 +120,9 @@ def test_amplitude_noise_budget_and_mc_fit():
     cfg = SimConfig(n_shots=2000, seed=7, noise=noise)
     tau = np.arange(0.0, 20.0, 0.1)
     trace = simulate_ramsey("dressed_mp", tau, params, cfg)
-    outcome = _fit_mp_trace(trace, params)
+    # the CLI's fit rule: FIT_MODELS seeds the model, mean_contrast pins p0_ud
+    model, data = FIT_MODELS["ramsey_mp"](trace, None, params, None, None)
+    outcome = nlls_fit(model, data)
     assert outcome.converged
     predicted = predicted_t2_mp(OMEGA_581, A_PAR, SIGMA_B_42, sigma_omega,
                                 order="second")
@@ -165,7 +150,7 @@ def test_max_protection_point():
     trace = simulate_ramsey("max_protection", tau, params, cfg)
 
     fit_params = params.with_delta(-abs(params.a_par))
-    base = model_max_protection(150.0, 42.0, p0_ud=_mean_contrast(fit_params))
+    base = model_max_protection(150.0, 42.0, p0_ud=mean_contrast(fit_params))
     guess = max(guess_ramsey_frequency_khz(trace), 30.0)
     outcome = None
     for start in (guess - 20.0, guess, guess + 20.0, guess + 40.0):

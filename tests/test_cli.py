@@ -5,10 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+import jsonschema
 
 from nvcdd import cli
 from nvcdd.cli import ConfigError, load_config, main, resolve_config
+from nvcdd.dephasing import HorizonExceeded, ZeroRateError
+from nvcdd.errors import NumericalError
+from nvcdd.fitting import NonFiniteResidualsError
 from nvcdd.models import FIT_MODELS
+from nvcdd.pulse_sim import NormLossError
+from nvcdd.spin_model import NonHermitianError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -112,6 +118,23 @@ class TestConfigHandling:
         cfg = load_config(CONFIG_DIR / "nv2.json")
         again = json.loads(json.dumps(cfg))
         assert again == cfg
+
+    @pytest.mark.parametrize("payload,line", [
+        ({"system": {"omega_khz": "high"}},
+         "config error: config key $.system.omega_khz: 'high' is not of "
+         "type 'number'"),
+        # several errors: best_match picks the shallowest one
+        ({"turbo": True, "sim": {"shots": 0}},
+         "config error: config key $: Additional properties are not "
+         "allowed ('turbo' was unexpected)")], ids=["type", "best_match"])
+    def test_error_line_is_exact(self, runner, tmp_path, payload, line):
+        cfg = write_config(tmp_path, payload)
+        result = invoke(runner, ["--config", cfg, "rates"])
+        assert result.exit_code == 2
+        assert line in all_output(result).splitlines()
+
+    def test_schema_is_valid_draft_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)
 
     def test_committed_schema_matches_embedded(self):
         on_disk = (CONFIG_DIR / "schema.json").read_text(encoding="utf-8")
@@ -319,7 +342,30 @@ def _diagonalize_non_hermitian():
     diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+NUMERICAL_FAULTS = [
+    (HorizonExceeded, RuntimeError, (50.0,)),
+    (ZeroRateError, ValueError, ("all rates are zero",)),
+    (NormLossError, RuntimeError, ("propagation lost norm",)),
+    (NonHermitianError, ValueError, ("not Hermitian",)),
+    (NonFiniteResidualsError, ValueError, ("residuals are not finite",)),
+]
+
+
 class TestPipeline:
+    @pytest.mark.parametrize(
+        "error,base,args", NUMERICAL_FAULTS,
+        ids=[fault[0].__name__ for fault in NUMERICAL_FAULTS])
+    def test_every_numerical_fault_exits_3(self, error, base, args, capsys):
+        assert issubclass(error, NumericalError) and issubclass(error, base)
+
+        def fault():
+            raise error(*args)
+
+        with pytest.raises(SystemExit) as exit_info:
+            cli.pipeline(fault)()
+        assert exit_info.value.code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     @pytest.mark.parametrize("fault,message", [
         (_fit_nan_model, "residuals are not finite"),
         (_diagonalize_non_hermitian, "not Hermitian")])

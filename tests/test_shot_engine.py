@@ -3,11 +3,14 @@
 Every kernel of the engine -- the closed-form free evolution, the block
 eigendecomposition with phase conjugation, and the full _run_batch -- is
 compared with scipy.linalg.expm of the dense 6x6 _frame_hamiltonians over
-random environment draws.
+random environment draws.  The vectorised sampler is compared with
+shot_rng, numpy's own generator, draw for draw.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 import math
+from pathlib import Path
+import struct
 import sys
 
 import numpy as np
@@ -195,3 +198,183 @@ class TestSampler:
             sys.setswitchinterval(interval)
         for g, w in zip(got, want, strict=True):
             assert all(np.array_equal(x, y) for x, y in zip(g, w))
+
+
+UNIT_NOISE = NoiseSpec(sigma_b=1.0, sigma_t=1.0,
+                       amplitude_noise=FixedAmplitudeNoise(1.0))
+
+
+def sampled(seed, point_index, n_shots):
+    """Unscaled _sample_block draws, shape (..., n_shots, 3)."""
+    return np.stack(_sample_block(UNIT_NOISE, 0.0, seed, point_index,
+                                  n_shots), axis=-1)
+
+
+def reference(seed, points, n_shots):
+    """shot_rng draws, shape (len(points), n_shots, 3)."""
+    return np.array([[shot_rng(seed, shot, point).standard_normal(3)
+                      for shot in range(n_shots)] for point in points])
+
+
+def raw_words(seed, point, n_shots):
+    """The first three raw words of each shot's stream, (n_shots, 3)."""
+    return np.array([shot_rng(seed, shot, point).bit_generator.random_raw(3)
+                     for shot in range(n_shots)])
+
+
+class TestVectorisedSampler:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 2 ** 63, 2 ** 64 - 1])
+    @pytest.mark.parametrize("first", [0, 2 ** 32 - 2, 2 ** 40 + 7])
+    def test_block_bit_identical_to_shot_rng(self, seed, first):
+        points = range(first, first + 4)
+        assert np.array_equal(sampled(seed, points, 50),
+                              reference(seed, points, 50))
+
+    def test_slow_path_shots(self):
+        # A word misses the fast path when rabs >= ki[idx]: every word of
+        # layer 1 (ki[1] = 0), layer 0's tail and the wedges.  Shot 110 of
+        # (seed 5, point 3) has a layer-0 tail word.
+        seed, point, n_shots = 5, 3, 200
+        words = raw_words(seed, point, n_shots)
+        _, ki = pulse_sim._read_tables()
+        idx = (words & 0xFF).astype(np.intp)
+        miss = ((words >> 9) & 0xFFFFFFFFFFFFF) >= ki[idx]
+        slow = miss.any(axis=1)
+        assert (miss & (idx == 0))[110].any()
+        assert (miss & (idx == 1)).any() and (miss & (idx > 1)).any()
+        shots = np.arange(n_shots, dtype=np.uint64)
+        vector_words = pulse_sim._philox_words(
+            seed, shots, np.full_like(shots, point))
+        assert np.array_equal(np.stack(vector_words, axis=1), words)
+        _, fast = pulse_sim._ziggurat_fast(vector_words,
+                                           *pulse_sim._ziggurat_tables())
+        assert np.array_equal(fast, ~slow)
+        got = sampled(seed, point, n_shots)
+        want = reference(seed, [point], n_shots)[0]
+        assert np.array_equal(got[slow], want[slow])
+
+    @pytest.mark.parametrize("cap,n_shots,n_points", [
+        (100, 30, 7),       # three points per block, a last block of one
+        (100, 150, 3),      # n_shots over the cap: one point per block
+        (pulse_sim._BLOCK_SHOT_POINTS, pulse_sim._BLOCK_SHOT_POINTS + 1, 2),
+    ])
+    def test_simulate_samples_whole_points(self, monkeypatch, recorded_batches,
+                                           cap, n_shots, n_points):
+        monkeypatch.setattr(pulse_sim, "_BLOCK_SHOT_POINTS", cap)
+        blocks = []
+        sample = pulse_sim._sample_block
+
+        def spy(*args):
+            blocks.append(args[3])
+            return sample(*args)
+
+        monkeypatch.setattr(pulse_sim, "_sample_block", spy)
+        params = make_params(omega_khz=470.0)
+        simulate_spectrum(2.0 * math.pi * np.linspace(-0.3, 0.3, n_points),
+                          params, SimConfig(n_shots=n_shots, seed=5,
+                                            noise=NOISE))
+        per_block = max(1, cap // n_shots)
+        assert blocks == [range(first, min(first + per_block, n_points))
+                          for first in range(0, n_points, per_block)]
+        assert len(recorded_batches) == n_points
+        for point, (args, _) in enumerate(recorded_batches):
+            want = sample(NOISE, params.omega, 5, point, n_shots)
+            assert all(np.array_equal(g, w) for g, w in zip(args[2:], want))
+
+
+@pytest.fixture
+def fresh_tables():
+    """Runs the sampler's first-use self-check again inside the test."""
+    pulse_sim._ziggurat_tables.cache_clear()
+    yield
+    pulse_sim._ziggurat_tables.cache_clear()
+
+
+class TestSelfCheck:
+    def test_check_covers_every_layer(self):
+        # every layer that can take the fast path (all but ki[1] = 0) does
+        # so among the check shots, so a wrong wi entry cannot pass
+        shots = np.arange(pulse_sim._CHECK_SHOTS, dtype=np.uint64)
+        words = pulse_sim._philox_words(0, shots, np.zeros_like(shots))
+        wi, ki = pulse_sim._read_tables()
+        _, fast = pulse_sim._ziggurat_fast(words, wi, ki)
+        layers = np.unique(np.concatenate([w[fast] & 0xFF for w in words]))
+        assert np.array_equal(layers, np.flatnonzero(ki))
+
+    def test_shipped_tables_pass(self, fresh_tables):
+        wi, ki = pulse_sim._ziggurat_tables()
+        assert np.array_equal(ki, pulse_sim._read_tables()[1])
+
+    @pytest.mark.parametrize("table,entry,value", [
+        (0, 17, 1e-16),     # a wrong wi: fast-path values change
+        (1, 1, 2 ** 52),    # ki[1] > 0: layer 1 would take the fast path
+    ], ids=["wi", "ki"])
+    def test_corrupt_table_marks_every_shot_slow(
+            self, monkeypatch, fresh_tables, table, entry, value):
+        read = pulse_sim._read_tables
+
+        def corrupted():
+            tables = [t.copy() for t in read()]
+            tables[table][entry] = value
+            return tuple(tables)
+
+        monkeypatch.setattr(pulse_sim, "_read_tables", corrupted)
+        seed, point, n_shots = 5, 3, 400
+        # the corrupted layer occurs in this sample
+        assert np.any(raw_words(seed, point, n_shots) & 0xFF == entry)
+        assert np.array_equal(sampled(seed, point, n_shots),
+                              reference(seed, [point], n_shots)[0])
+        assert not pulse_sim._ziggurat_tables()[1].any()
+
+
+# numpy's static library, whose distributions object holds the ziggurat
+# tables that src/nvcdd/ziggurat_double.bin copies.
+LIBNPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+
+def archive_member(data, name):
+    """Body of the named member of a System V ar archive."""
+    pos, long_names = 8, b""
+    while pos < len(data):
+        ident = data[pos:pos + 16].decode().strip()
+        size = int(data[pos + 48:pos + 58])
+        body = data[pos + 60:pos + 60 + size]
+        if ident == "//":
+            long_names = body
+        elif ident[:1] == "/" and ident[1:].isdigit():
+            start = int(ident[1:])
+            ident = long_names[start:long_names.index(b"/\n", start)].decode()
+        if ident.rstrip("/") == name:
+            return body
+        pos += 60 + size + size % 2
+    raise LookupError(name)
+
+
+def elf_symbol(obj, name):
+    """Bytes of a defined symbol of a little-endian ELF64 object."""
+    shoff, = struct.unpack_from("<Q", obj, 0x28)
+    shentsize, shnum = struct.unpack_from("<HH", obj, 0x3A)
+    sections = [struct.unpack_from("<IIQQQQIIQQ", obj, shoff + i * shentsize)
+                for i in range(shnum)]
+    symtab = next(sec for sec in sections if sec[1] == 2)   # SHT_SYMTAB
+    strtab = sections[symtab[6]]
+    for k in range(symtab[5] // 24):
+        st_name, _, _, shndx, value, size = struct.unpack_from(
+            "<IBBHQQ", obj, symtab[4] + 24 * k)
+        start = strtab[4] + st_name
+        if obj[start:obj.index(b"\0", start)] == name.encode():
+            offset = sections[shndx][4] + value
+            return obj[offset:offset + size]
+    raise LookupError(name)
+
+
+def test_tables_are_numpys():
+    if not LIBNPYRANDOM.exists():
+        pytest.skip("numpy ships no libnpyrandom.a here")
+    obj = archive_member(LIBNPYRANDOM.read_bytes(),
+                         "src_distributions_distributions.c.o")
+    if obj[:6] != b"\x7fELF\x02\x01":
+        pytest.skip("numpy's library is not little-endian ELF64 here")
+    shipped = Path(pulse_sim.__file__).with_name("ziggurat_double.bin")
+    assert elf_symbol(obj, "wi_double") + elf_symbol(obj, "ki_double") \
+        == shipped.read_bytes()
