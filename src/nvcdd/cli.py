@@ -1,8 +1,11 @@
 """Command-line pipelines composing the simulator, analytics, and fitting.
 
-Every command is driven by a JSON config (see configs/schema.json and the
-nv1/nv2 examples) plus a few override flags; all frequencies in configs
-and reports are ordinary kHz, converted to angular units at the boundary.
+Every command is driven by a JSON config plus a few override flags. The
+config contract is ``SCHEMA`` below (JSON Schema draft 2020-12), the only
+copy of it: its preset, Ramsey-kind and fit-model enums come from the
+registries. ``configs/nv1.json`` and ``configs/nv2.json`` are examples.
+All frequencies in configs and reports are ordinary kHz, converted to
+angular units at the boundary.
 Outputs are plottable CSV artifacts plus text fit reports, deterministic
 for a given (config, seed).
 
@@ -18,7 +21,6 @@ import sys
 from pathlib import Path
 
 import click
-import jsonschema
 import numpy as np
 
 from .dephasing import (
@@ -178,10 +180,23 @@ class ConfigError(Exception):
 
 
 def load_config(path) -> dict:
-    """Read and schema-validate a JSON scenario config."""
+    """Read and schema-validate a JSON scenario config.
+
+    Every number must be finite as a float: NaN, +-Infinity and literals
+    that overflow a float (``1e400``, a 400-digit integer) are config errors.
+    """
+    def finite(parse):
+        def hook(text):
+            if not math.isfinite(float(text)):
+                shown = text if len(text) <= 20 else text[:17] + "..."
+                raise ConfigError(f"{path}: {shown} is not a finite number")
+            return parse(text)
+        return hook
+
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=finite(float),
+                            parse_float=finite(float), parse_int=finite(int))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -191,15 +206,17 @@ def load_config(path) -> dict:
 
 
 @functools.cache
-def _config_validator() -> jsonschema.Draft202012Validator:
+def _config_validator():
     """SCHEMA's validator, built once: jsonschema.validate would check
-    SCHEMA against the metaschema on every call (a test does that once)."""
+    SCHEMA against the metaschema on every call (a test does that once).
+    jsonschema is imported here, so runs without a config never load it."""
+    import jsonschema
     return jsonschema.Draft202012Validator(SCHEMA)
 
 
 def validate_config(cfg: dict) -> None:
-    errors = _config_validator().iter_errors(cfg)
-    error = jsonschema.exceptions.best_match(errors)
+    from jsonschema.exceptions import best_match
+    error = best_match(_config_validator().iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"config key {error.json_path}: {error.message}") \
             from error
@@ -252,11 +269,12 @@ def resolve_config(cfg: dict) -> dict:
     noise = NoiseSpec(sigma_b=sigma_b, sigma_t=sigma_t, amplitude_noise=amplitude)
 
     sim = cfg.get("sim", {})
+    # The schema's "integer" also admits integral floats such as 3.0.
     return {
         "params": params,
         "noise": noise,
-        "shots": sim.get("shots", 1000),
-        "seed": sim.get("seed", 0),
+        "shots": int(sim.get("shots", 1000)),
+        "seed": int(sim.get("seed", 0)),
         "out_dir": cfg.get("out_dir", "out"),
         "raw": cfg,
     }
@@ -288,7 +306,7 @@ def pipeline(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except NumericalError as exc:
+        except (NumericalError, ArithmeticError) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except ValueError as exc:

@@ -136,9 +136,34 @@ class TestConfigHandling:
     def test_schema_is_valid_draft_2020_12(self):
         jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)
 
-    def test_committed_schema_matches_embedded(self):
-        on_disk = (CONFIG_DIR / "schema.json").read_text(encoding="utf-8")
-        assert on_disk == json.dumps(cli.SCHEMA, indent=2) + "\n"
+    # Python's json reads NaN and +-Infinity, 1e400 as inf, and any integer.
+    @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400",
+                                        "1" + "0" * 400],
+                             ids=["NaN", "-Infinity", "1e400", "401_digits"])
+    def test_non_finite_number_is_config_error(self, runner, tmp_path,
+                                               number):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"system": {{"omega_khz": {number}}}}}',
+                        encoding="utf-8")
+        result = invoke(runner, ["--config", str(path), "--out",
+                                 str(tmp_path), "rates"])
+        assert result.exit_code == 2
+        assert f"config error: {path}: " in all_output(result)
+
+    def test_largest_seed_loads(self, tmp_path):
+        cfg = write_config(tmp_path, {"sim": {"seed": 2**64 - 1}})
+        assert resolve_config(load_config(cfg))["seed"] == 2**64 - 1
+
+    def test_integral_float_seed_and_shots_run(self, runner, tmp_path):
+        args = ["ramsey", "--tau-stop-us", "0.1"]
+        for name, sim in (("int", {"seed": 3, "shots": 2}),
+                          ("float", {"seed": 3.0, "shots": 2.0})):
+            cfg = write_config(tmp_path, {"sim": sim}, f"{name}.json")
+            result = invoke(runner, ["--config", cfg, "--out",
+                                     str(tmp_path / name), *args])
+            assert result.exit_code == 0, all_output(result)
+        assert (tmp_path / "float" / "ramsey_dressed_mp.csv").read_bytes() \
+            == (tmp_path / "int" / "ramsey_dressed_mp.csv").read_bytes()
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
@@ -374,6 +399,20 @@ class TestPipeline:
             cli.pipeline(fault)()
         assert exit_info.value.code == 3
         assert message in capsys.readouterr().err
+
+    # Finite but extreme values overflow a float power in dephasing.
+    @pytest.mark.parametrize("payload", [
+        {"system": {"omega_khz": 1e60}},
+        {"system": {"a_par_khz": 1e60}},
+        {"noise": {"gamma_sigma_b_khz": 1e100}},
+        {"noise": {"sigma_b_mg": 1e308}}],
+        ids=["omega_khz", "a_par_khz", "gamma_sigma_b_khz", "sigma_b_mg"])
+    def test_overflow_exits_3(self, runner, tmp_path, payload):
+        cfg = write_config(tmp_path, payload)
+        result = invoke(runner, ["--config", cfg, "--out", str(tmp_path),
+                                 "rates"])
+        assert result.exit_code == 3
+        assert all_output(result).startswith("numerical failure: ")
 
 
 class TestSpectraAndEnvelope:

@@ -1,7 +1,7 @@
-"""scipy stays off the CLI start-up path.
+"""scipy and jsonschema stay off the CLI start-up path.
 
 Each check runs in a fresh interpreter, because the rest of the suite
-imports scipy into the test process.
+imports both into the test process.
 """
 
 import os
@@ -9,17 +9,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 DEFERRED = ("scipy.optimize", "scipy.stats", "scipy.special")
 
 
-def _loaded_after(code: str) -> set:
-    """Names from DEFERRED in sys.modules after running code.
+def _loaded_after(code: str, names=DEFERRED) -> set:
+    """The names in sys.modules after running code.
 
     The names are printed on the last line, after anything code prints.
     """
     script = (f"{code}\nimport sys\nprint()\n"
-              f"print(' '.join(m for m in {DEFERRED!r} if m in sys.modules))")
+              f"print(' '.join(m for m in {names!r} if m in sys.modules))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -49,3 +50,21 @@ def test_first_fit_loads_optimize_not_stats():
             "x = np.arange(10.0)\n"
             "nlls_fit(model, (x, 2.0 * x + 0.01 * np.cos(x)))")
     assert _loaded_after(code) == {"scipy.optimize", "scipy.special"}
+
+
+def _cli_run(*args) -> str:
+    return ("from nvcdd import cli\n"
+            f"cli.main({list(args)!r}, standalone_mode=False)")
+
+
+def test_cli_import_and_default_run_load_no_jsonschema(tmp_path):
+    assert _loaded_after("import nvcdd.cli", ("jsonschema",)) == set()
+    code = _cli_run("--out", str(tmp_path), "--shots", "2", "ramsey",
+                    "--tau-stop-us", "0.1")
+    assert _loaded_after(code, ("jsonschema",)) == set()
+
+
+def test_config_run_loads_jsonschema(tmp_path):
+    code = _cli_run("--config", str(REPO / "configs" / "nv2.json"),
+                    "--out", str(tmp_path), "rates")
+    assert _loaded_after(code, ("jsonschema",)) == {"jsonschema"}
