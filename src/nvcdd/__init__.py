@@ -18,8 +18,8 @@ from .dephasing import (
 )
 from .errors import NumericalError
 from .pulse_sim import (
-    SimConfig, Trace, PulseSequence, Reset, MagneticPulse, FreeEvolution,
-    Readout, simulate_ramsey, simulate_spectrum, fourier_magnitude,
+    SimConfig, Trace, PulseSequence, MagneticPulse, FreeEvolution,
+    simulate_ramsey, simulate_spectrum, fourier_magnitude,
     write_trace_csv, read_trace_csv, shot_rng,
 )
 from .fitting import FitParam, FitOptions, FitOutcome, ModelFunction, \
@@ -46,8 +46,8 @@ __all__ = [
     # errors
     "NumericalError",
     # pulse_sim
-    "SimConfig", "Trace", "PulseSequence", "Reset", "MagneticPulse",
-    "FreeEvolution", "Readout", "simulate_ramsey", "simulate_spectrum",
+    "SimConfig", "Trace", "PulseSequence", "MagneticPulse",
+    "FreeEvolution", "simulate_ramsey", "simulate_spectrum",
     "fourier_magnitude", "write_trace_csv", "read_trace_csv", "shot_rng",
     # fitting
     "FitParam", "FitOptions", "FitOutcome", "ModelFunction", "nlls_fit",

@@ -179,6 +179,23 @@ class ConfigError(Exception):
     pass
 
 
+class _ConfigFloat(click.FloatRange):
+    """A float flag that overrides a config key: finite, and held to the
+    bound SCHEMA gives that key (or its items, for a list key)."""
+
+    def __init__(self, section: str, key: str):
+        rule = SCHEMA["properties"][section]["properties"][key]
+        rule = rule.get("items", rule)
+        super().__init__(rule.get("minimum", rule.get("exclusiveMinimum")),
+                         min_open="exclusiveMinimum" in rule)
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value} is not a finite number", param, ctx)
+        return number
+
+
 def load_config(path) -> dict:
     """Read and schema-validate a JSON scenario config.
 
@@ -390,7 +407,8 @@ def rates(res):
 
 
 @main.command()
-@click.option("--omega-khz", "omega_list", type=float, multiple=True,
+@click.option("--omega-khz", "omega_list", multiple=True,
+              type=_ConfigFloat("t2scan", "omega_list_khz"),
               help="Override the mechanical Rabi scan list.")
 @click.option("--mc/--no-mc", "mc_flag", default=None,
               help="Toggle the Monte-Carlo simulate-and-fit column.")
@@ -438,9 +456,12 @@ def t2scan(res, omega_list, mc_flag):
 
 @main.command()
 @click.option("--kind", type=click.Choice(RAMSEY_KINDS), default=None)
-@click.option("--tau-stop-us", type=float, default=None)
-@click.option("--tau-step-us", type=float, default=None)
-@click.option("--omega-mag-khz", type=float, default=None)
+@click.option("--tau-stop-us", type=_ConfigFloat("ramsey", "tau_stop_us"),
+              default=None)
+@click.option("--tau-step-us", type=_ConfigFloat("ramsey", "tau_step_us"),
+              default=None)
+@click.option("--omega-mag-khz", type=_ConfigFloat("ramsey", "omega_mag_khz"),
+              default=None)
 @click.pass_obj
 @pipeline
 def ramsey(res, kind, tau_stop_us, tau_step_us, omega_mag_khz):
@@ -474,7 +495,8 @@ def ramsey(res, kind, tau_stop_us, tau_step_us, omega_mag_khz):
 
 
 @main.command()
-@click.option("--omega-khz", "omega_list", type=float, multiple=True,
+@click.option("--omega-khz", "omega_list", multiple=True,
+              type=_ConfigFloat("spectra", "omega_list_khz"),
               help="Override the drive list; 0 means undressed.")
 @click.pass_obj
 @pipeline
@@ -505,7 +527,8 @@ def spectra(res, omega_list):
 
 
 @main.command()
-@click.option("--tau-stop-us", type=float, default=None)
+@click.option("--tau-stop-us", type=_ConfigFloat("envelope", "tau_stop_us"),
+              default=None)
 @click.pass_obj
 @pipeline
 def envelope(res, tau_stop_us):

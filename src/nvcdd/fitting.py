@@ -25,6 +25,14 @@ import numpy as np
 from .errors import NumericalError
 
 
+# Solver policy, as stated above; at most MAX_ITER * (n_free + 1)
+# residual evaluations.
+FTOL = 1e-10
+XTOL = 1e-10
+DIFF_STEP = 1e-6
+MAX_ITER = 500
+
+
 class NonFiniteResidualsError(NumericalError, ValueError):
     """The model gives NaN or infinite residuals at the initial guess."""
 
@@ -70,10 +78,6 @@ class ModelFunction:
 
 @dataclass(frozen=True)
 class FitOptions:
-    max_iter: int = 500
-    ftol: float = 1e-10
-    xtol: float = 1e-10
-    diff_step: float = 1e-6
     use_stderr_weights: bool = False
     confidence: float = 0.95
 
@@ -147,8 +151,8 @@ def nlls_fit(model: ModelFunction, data, options: FitOptions | None = None,
 
     result = least_squares(
         residuals, theta0[free], bounds=(lower, upper), method="trf",
-        ftol=options.ftol, xtol=options.xtol, gtol=None,
-        diff_step=options.diff_step, max_nfev=options.max_iter * (n_free + 1),
+        ftol=FTOL, xtol=XTOL, gtol=None, diff_step=DIFF_STEP,
+        max_nfev=MAX_ITER * (n_free + 1),
     )
 
     theta = theta0.copy()

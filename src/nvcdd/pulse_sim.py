@@ -16,13 +16,17 @@ ziggurat fast path run as numpy array operations, with numpy's tables
 redrawn by numpy through one re-keyed generator.
 
 The engine is batch-only: _simulate runs all shots of a grid point as one
-stack; a single shot is a batch of one.  The Hamiltonian never couples
-the 13C index, so states are propagated as two 3-level blocks, {0,2,4}
-and {1,3,5}.  Free evolution is closed-form (|0> only picks up a phase,
-the +-1 pair rotates), and each distinct pulse is diagonalised once per
-point at phase 0: a pulse of phase phi is h(phi) = P h(0) P^dagger with
-P = exp(i phi) on |0>, so opening and closing pulses share one
-eigendecomposition.
+stack; a single shot is a batch of one.  Each shot starts in |0> with the
+13C spin unpolarized and ends with a readout of the |0> population; in
+between, a sequence holds only magnetic pulses and free evolution.  The
+Hamiltonian never couples the 13C index, so _frame_hamiltonians builds
+the two real 3x3 blocks, 13C up (basis states {0,2,4} of the six-level
+model) and down ({1,3,5}), each ordered (+1, 0, -1), and states
+propagate as two 3-level blocks.  Free evolution is closed-form (|0>
+only picks up a phase, the +-1 pair rotates), and each distinct pulse is
+diagonalised once per point at phase 0: a pulse of phase phi is
+h(phi) = P h(0) P^dagger with P = exp(i phi) on |0>, so opening and
+closing pulses share one eigendecomposition.
 """
 
 from __future__ import annotations
@@ -56,26 +60,6 @@ class NormLossError(NumericalError, RuntimeError):
     """Propagation changed a state's norm by more than NORM_TOL."""
 
 
-class SequenceError(ValueError):
-    """Malformed pulse sequence; carries the offending segment index."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(f"segment {index}: {message}")
-        self.index = index
-
-
-@dataclass(frozen=True)
-class Reset:
-    """Optical initialization into |0> with the given 13C weights."""
-
-    weights: tuple = (0.5, 0.5)
-
-    def __post_init__(self):
-        w = self.weights
-        if len(w) != 2 or min(w) < 0 or abs(w[0] + w[1] - 1.0) > 1e-12:
-            raise ValueError("carbon weights must be two non-negatives summing to 1")
-
-
 @dataclass(frozen=True)
 class MagneticPulse:
     """Magnetic drive segment.
@@ -84,13 +68,12 @@ class MagneticPulse:
     addresses both 0<->m and 0<->p through their |-1> components.  The
     0<->+1 element of a tone near the 0<->-1 splitting is detuned by the
     full Zeeman splitting and is dropped, like every other counter-rotating
-    term in this frame.
+    term in this frame.  The carrier sits at the sequence's frame detuning.
     """
 
     omega_mag: float            # Rabi strength, rad/us
     duration: float             # us
     phase: float = 0.0          # rad
-    detuning_mag: float | None = None  # rad/us; None -> sequence frame value
 
     def __post_init__(self):
         if self.duration < 0:
@@ -109,14 +92,10 @@ class FreeEvolution:
 
 
 @dataclass(frozen=True)
-class Readout:
-    pass
-
-
-@dataclass(frozen=True)
 class PulseSequence:
-    """Ordered segments plus the carrier frame detuning shared by all
-    free-evolution segments (and pulses that do not override it)."""
+    """Ordered MagneticPulse and FreeEvolution segments, run from |0> with
+    the 13C spin unpolarized up to the |0> readout, plus the carrier frame
+    detuning that every segment shares."""
 
     segments: tuple
     frame_detuning: float = 0.0  # rad/us
@@ -126,7 +105,6 @@ class PulseSequence:
 class SimConfig:
     n_shots: int = 1000
     seed: int = 0
-    carbon_weights: tuple = (0.5, 0.5)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
@@ -134,7 +112,6 @@ class SimConfig:
             raise ValueError("n_shots must be >= 1")
         if not 0 <= self.seed < 2 ** 64:   # Philox keys are uint64
             raise ValueError("seed must lie in [0, 2**64)")
-        Reset(self.carbon_weights)
 
 
 @dataclass
@@ -182,41 +159,25 @@ def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generato
 
 
 def _frame_hamiltonians(params: SystemParams, db, dom, dt,
-                        detuning_mag, omega_mag=0.0, phase=0.0) -> np.ndarray:
-    """Stacked doubly-rotating-frame Hamiltonians, shape (n, 6, 6).
+                        detuning_mag, omega_mag=0.0) -> np.ndarray:
+    """Stacked doubly-rotating-frame Hamiltonians at pulse phase 0, as
+    their two real 13C blocks: shape (n, 2, 3, 3), up block first, each
+    ordered (+1, 0, -1).
 
     db, dom, dt are environment arrays of shape (n,).
     """
     db = np.atleast_1d(np.asarray(db, dtype=float))
     dom = np.broadcast_to(np.asarray(dom, dtype=float), db.shape)
     dt = np.broadcast_to(np.asarray(dt, dtype=float), db.shape)
-    h = np.zeros((db.shape[0], 6, 6), dtype=complex)
-    gdb = params.gamma * db
+    h = np.zeros((db.shape[0], 2, 3, 3))
+    gdb = params.gamma * db[:, None]
     a = params.a_par
-    h[:, 0, 0] = gdb + 0.5 * (params.delta + a)
-    h[:, 1, 1] = gdb + 0.5 * (params.delta - a)
-    h[:, 2, 2] = detuning_mag - params.dd_dt * dt
-    h[:, 3, 3] = h[:, 2, 2]
-    h[:, 4, 4] = -gdb - 0.5 * (params.delta + a)
-    h[:, 5, 5] = -gdb - 0.5 * (params.delta - a)
-    om2 = 0.5 * (params.omega + dom)
-    h[:, 0, 4] = h[:, 4, 0] = om2
-    h[:, 1, 5] = h[:, 5, 1] = om2
-    if omega_mag:  # 0<->-1 only, see MagneticPulse
-        g = 0.5 * omega_mag * np.exp(1j * phase)
-        h[:, 2, 4] = h[:, 3, 5] = g
-        h[:, 4, 2] = h[:, 5, 3] = np.conj(g)
+    h[..., 0, 0] = gdb + 0.5 * np.array([params.delta + a, params.delta - a])
+    h[..., 1, 1] = (detuning_mag - params.dd_dt * dt)[:, None]
+    h[..., 2, 2] = -h[..., 0, 0]
+    h[..., 0, 2] = h[..., 2, 0] = 0.5 * (params.omega + dom)[:, None]
+    h[..., 1, 2] = h[..., 2, 1] = 0.5 * omega_mag   # 0<->-1, see MagneticPulse
     return h
-
-
-# Basis indices of the two uncoupled 13C blocks, each ordered (+1, 0, -1).
-_BLOCKS = np.array([[0, 2, 4], [1, 3, 5]])
-
-
-def _eigen_blocks(h: np.ndarray):
-    """Eigendecomposition of the two 13C blocks of stacked (n, 6, 6)
-    Hamiltonians: values (n, 2, 3) and vectors (n, 2, 3, 3)."""
-    return np.linalg.eigh(h[:, _BLOCKS[:, :, None], _BLOCKS[:, None, :]])
 
 
 def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
@@ -231,70 +192,44 @@ def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
 def _free_evolve(states: np.ndarray, h: np.ndarray,
                  duration: float) -> np.ndarray:
     """exp(-i h t) applied to block states (n, 2, 3) in closed form, for
-    drive-free Hamiltonians h (n, 6, 6).
+    drive-free block Hamiltonians h (n, 2, 3, 3).
 
     |0> only picks up a phase.  In each block the +-1 pair rotates under
     e*sigma_z + w*sigma_x, whose propagator is
     cos(rt) - i sin(rt)/r (e*sigma_z + w*sigma_x) with r = hypot(e, w).
     """
-    e = h[:, [0, 1], [0, 1]].real
-    w = h[:, [0, 1], [4, 5]].real
+    e, w = h[..., 0, 0], h[..., 0, 2]
     r = np.hypot(e, w)
     cos = np.cos(r * duration)
     sin_r = duration * np.sinc(r * duration / math.pi)   # sin(rt)/r
     plus, minus = states[..., 0], states[..., 2]
     out = np.empty_like(states)
     out[..., 0] = (cos - 1j * sin_r * e) * plus - 1j * sin_r * w * minus
-    zero = h[:, [2, 3], [2, 3]].real
-    out[..., 1] = np.exp(-1j * zero * duration) * states[..., 1]
+    out[..., 1] = np.exp(-1j * h[..., 1, 1] * duration) * states[..., 1]
     out[..., 2] = (cos + 1j * sin_r * e) * minus - 1j * sin_r * w * plus
     return out
-
-
-def _propagate_batch(states: np.ndarray, h: np.ndarray,
-                     duration: float) -> np.ndarray:
-    """exp(-i h t) applied to stacked states (n, 6), block by block."""
-    out = np.empty(states.shape, dtype=complex)
-    out[:, _BLOCKS] = _apply_eigen(states[:, _BLOCKS], *_eigen_blocks(h),
-                                   duration)
-    return out
-
-
-def _validate_sequence(seq: PulseSequence) -> None:
-    segs = seq.segments
-    if not segs or not isinstance(segs[0], Reset):
-        raise SequenceError(0, "sequence must begin with Reset")
-    if not isinstance(segs[-1], Readout):
-        raise SequenceError(len(segs) - 1, "sequence must end with Readout")
-    for i, seg in enumerate(segs[1:-1], start=1):
-        if not isinstance(seg, (MagneticPulse, FreeEvolution)):
-            raise SequenceError(i, f"unexpected segment {type(seg).__name__}")
 
 
 def _run_batch(seq: PulseSequence, params: SystemParams,
                db, dom, dt) -> np.ndarray:
     """Run the sequence for stacked environment samples; returns P0 (n,).
 
-    Each distinct (detuning, strength) pulse is diagonalised once, at
-    phase 0, and a pulse of phase phi is applied as P h(0) P^dagger.
+    Each shot starts in |0> with the 13C spin unpolarized.  Each distinct
+    pulse strength is diagonalised once, at phase 0, and a pulse of phase
+    phi is applied as P h(0) P^dagger.
     """
-    _validate_sequence(seq)
     db = np.atleast_1d(np.asarray(db, dtype=float))
     states = np.zeros((db.shape[0], 2, 3), dtype=complex)
-    states[:, :, 1] = np.sqrt(seq.segments[0].weights)
+    states[:, :, 1] = math.sqrt(0.5)
     eigen = {}
-    for seg in seq.segments[1:-1]:
+    for seg in seq.segments:
         if isinstance(seg, MagneticPulse):
-            det = seq.frame_detuning if seg.detuning_mag is None \
-                else seg.detuning_mag
-            key = (det, seg.omega_mag)
-            if key not in eigen:
-                # At phase 0 the Hamiltonian is real.
-                eigen[key] = _eigen_blocks(_frame_hamiltonians(
-                    params, db, dom, dt, det, seg.omega_mag).real)
+            if seg.omega_mag not in eigen:
+                eigen[seg.omega_mag] = np.linalg.eigh(_frame_hamiltonians(
+                    params, db, dom, dt, seq.frame_detuning, seg.omega_mag))
             rot = np.exp(1j * seg.phase)
             states[..., 1] *= rot.conjugate()
-            states = _apply_eigen(states, *eigen[key], seg.duration)
+            states = _apply_eigen(states, *eigen[seg.omega_mag], seg.duration)
             states[..., 1] *= rot
         else:
             states = _free_evolve(states, _frame_hamiltonians(
@@ -508,13 +443,12 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
         frame = -0.5 * params.delta if kind == "undressed_0m1" \
             else _mean_p_line(params)
         t_pulse, phase_rate = 0.5 * math.pi / omega_mag, omega_rot
-    opening = (Reset(config.carbon_weights), MagneticPulse(omega_mag, t_pulse))
+    opening = MagneticPulse(omega_mag, t_pulse)
 
     def sequence_at(tau):
         closing = MagneticPulse(omega_mag, t_pulse,
                                 phase=phase_rate * tau + closing_phase)
-        return PulseSequence(
-            opening + (FreeEvolution(tau), closing, Readout()), frame)
+        return PulseSequence((opening, FreeEvolution(tau), closing), frame)
 
     mean, stderr = _simulate(tau_grid, sequence_at, params, config)
     metadata = _metadata(kind, "us", params, config, omega_mag,
@@ -533,8 +467,7 @@ def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     if np.any(np.diff(detuning_grid) <= 0):
         raise ValueError("detuning grid must be strictly ascending")
-    segments = (Reset(config.carbon_weights),
-                MagneticPulse(omega_mag, pulse_area / omega_mag), Readout())
+    segments = (MagneticPulse(omega_mag, pulse_area / omega_mag),)
     mean, stderr = _simulate(
         detuning_grid,
         lambda det_axis: PulseSequence(

@@ -38,6 +38,22 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     )
 
 
+# Basis states of the two 13C blocks of the six-level model, up block
+# first, each ordered (+1, 0, -1): the order of pulse_sim's blocks.
+BLOCKS = np.array([[0, 2, 4], [1, 3, 5]])
+
+
+def dense_hamiltonians(h: np.ndarray, phase=0.0) -> np.ndarray:
+    """The dense (n, 6, 6) form of block Hamiltonians h (n, 2, 3, 3) built
+    at pulse phase 0, with the drive's 0<->-1 element 1/2 Omega put at
+    phase phi: 1/2 Omega exp(i phi)."""
+    out = np.zeros((len(h), 6, 6), dtype=complex)
+    out[:, BLOCKS[:, :, None], BLOCKS[:, None, :]] = h
+    out[:, [2, 3], [4, 5]] *= np.exp(1j * phase)
+    out[:, [4, 5], [2, 3]] *= np.exp(-1j * phase)
+    return out
+
+
 def assert_hermitian_blockdiag(h: np.ndarray, tol=1e-12):
     scale = max(np.abs(h).max(), 1.0)
     assert np.abs(h - h.conj().T).max() <= tol * scale

@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -413,6 +414,45 @@ class TestPipeline:
                                  "rates"])
         assert result.exit_code == 3
         assert all_output(result).startswith("numerical failure: ")
+
+
+FLOAT_FLAG_CASES = [
+    ("ramsey", "--tau-stop-us", "0", "0.0 is not in the range x>0."),
+    ("ramsey", "--tau-step-us", "0", "0.0 is not in the range x>0."),
+    ("ramsey", "--tau-step-us", "nan", "nan is not a finite number"),
+    ("ramsey", "--omega-mag-khz", "0", "0.0 is not in the range x>0."),
+    ("ramsey", "--omega-mag-khz", "inf", "inf is not a finite number"),
+    ("envelope", "--tau-stop-us", "-1", "-1.0 is not in the range x>0."),
+    ("envelope", "--tau-stop-us", "-inf", "-inf is not in the range x>0."),
+    ("t2scan", "--omega-khz", "-3", "-3.0 is not in the range x>0."),
+    ("t2scan", "--omega-khz", "0", "0.0 is not in the range x>0."),
+    ("t2scan", "--omega-khz", "nan", "nan is not a finite number"),
+    ("spectra", "--omega-khz", "-1", "-1.0 is not in the range x>=0."),
+    ("spectra", "--omega-khz", "NaN", "NaN is not a finite number"),
+]
+
+
+class TestFloatFlags:
+    """A flag that overrides a config key obeys that key's schema bound."""
+
+    @pytest.mark.parametrize("command,flag,value,message", FLOAT_FLAG_CASES,
+                             ids=[" ".join(case[:3])
+                                  for case in FLOAT_FLAG_CASES])
+    def test_out_of_bound_flag_is_usage_error(self, runner, tmp_path, command,
+                                              flag, value, message):
+        result = invoke(runner, ["--out", str(tmp_path), command, flag, value])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}': {message}" in all_output(result)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bounds_come_from_the_schema(self, monkeypatch):
+        rule = cli.SCHEMA["properties"]["spectra"]["properties"][
+            "omega_list_khz"]["items"]
+        monkeypatch.setitem(rule, "minimum", 5)
+        flag = cli._ConfigFloat("spectra", "omega_list_khz")
+        assert flag.convert("5", None, None) == 5.0
+        with pytest.raises(click.BadParameter, match="range x>=5"):
+            flag.convert("4", None, None)
 
 
 class TestSpectraAndEnvelope:

@@ -36,3 +36,62 @@ def test_guard_sees_an_unused_import():
     source = ("import math\nimport numpy as np\nfrom os import path, sep\n"
               "x = np.pi + math.e\nprint(sep)\n")
     assert unused_imports(source) == ["line 3: path"]
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level private functions, classes and constants (``_name``,
+    not dunders), with their line numbers."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module reads: bare names, attributes and imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names that no module of the package reads, so
+    that only tests (or nothing) use them."""
+    read = set().union(*map(names_read, sources.values()))
+    return [f"{module}:{line}: {name}"
+            for module, source in sources.items()
+            for name, line in private_definitions(source).items()
+            if name not in read]
+
+
+def test_no_private_name_only_tests_use():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_guard_sees_an_unread_private_name():
+    sources = {
+        "a": ("import math\n_TABLE = 1\n_UNUSED = 2\n__all__ = []\n"
+              "def _helper():\n    return _TABLE\n"
+              "def _dead():\n    return math.pi\n"
+              "class _Gone:\n    pass\n"),
+        "b": "from . import a\nfrom .c import _shared\nprint(a._helper())\n",
+        "c": "def _shared():\n    pass\n",
+    }
+    assert unread_private_names(sources) == [
+        "a:3: _UNUSED", "a:7: _dead", "a:9: _Gone"]

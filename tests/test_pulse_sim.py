@@ -14,13 +14,10 @@ from nvcdd.pulse_sim import (
     FreeEvolution,
     MagneticPulse,
     PulseSequence,
-    Readout,
-    Reset,
-    SequenceError,
     SimConfig,
     Trace,
+    _apply_eigen,
     _frame_hamiltonians,
-    _propagate_batch,
     _run_batch,
     _sample_block,
     fourier_magnitude,
@@ -37,7 +34,7 @@ from nvcdd.spin_model import (
 )
 from nvcdd.units import angular_to_khz, khz_to_angular, mhz_to_angular
 
-from conftest import assert_hermitian_blockdiag, make_params
+from conftest import dense_hamiltonians, make_params
 
 QUIET = SimConfig(n_shots=1, seed=0, noise=NoiseSpec())
 NV2_NOISE = NoiseSpec(sigma_b=sigma_b_from_t2(5.4), sigma_t=0.25)
@@ -110,55 +107,64 @@ class TestHamiltonians:
         # static Zeeman offset and the absorbed carrier are put back
         env = EnvironmentSample(delta_b=7.0, delta_omega=0.3, delta_t=0.4)
         for det in (0.0, khz_to_angular(-75.0)):
-            h = _frame_hamiltonians(nv2_params, [7.0], [0.3], [0.4], det)[0]
+            h = _frame_hamiltonians(nv2_params, [7.0], [0.3], [0.4], det)
             href = build_rotating_hamiltonian(nv2_params, env)
             carrier = (nv2_params.d0 + det) * np.diag([0, 0, 1, 1, 0, 0])
-            np.testing.assert_allclose(h, href - zeeman_frame_shift(nv2_params)
+            np.testing.assert_allclose(dense_hamiltonians(h)[0],
+                                       href - zeeman_frame_shift(nv2_params)
                                        + carrier, atol=1e-9)
 
     def test_single_quantum_matches_three_level_form(self, nv2_params):
         p = nv2_params
-        omega_mag, phase = khz_to_angular(80.0), 0.4
+        omega_mag = khz_to_angular(80.0)
         detuning_mag = khz_to_angular(-10.0)
         h = _frame_hamiltonians(p, [0.0], [0.0], [0.0], detuning_mag,
-                                omega_mag, phase)[0]
-        assert_hermitian_blockdiag(h)
-        # up-sublevel 3x3 block in {+1, 0, -1}
-        idx = np.ix_([0, 2, 4], [0, 2, 4])
-        g = 0.5 * omega_mag * np.exp(1j * phase)
+                                omega_mag)[0]
+        assert h.dtype == float and np.array_equal(h, h.swapaxes(-1, -2))
+        # up-sublevel block in {+1, 0, -1}, at pulse phase 0
+        g = 0.5 * omega_mag
         expected = np.array([
             [0.5 * (p.delta + p.a_par), 0.0, 0.5 * p.omega],
             [0.0, detuning_mag, g],
-            [0.5 * p.omega, np.conj(g), -0.5 * (p.delta + p.a_par)],
+            [0.5 * p.omega, g, -0.5 * (p.delta + p.a_par)],
         ])
-        np.testing.assert_allclose(h[idx], expected, atol=1e-12)
+        np.testing.assert_allclose(h[0], expected, atol=1e-12)
 
     def test_no_crosstalk_to_plus_one(self, nv2_params):
         h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0, 1.0)[0]
-        assert h[0, 2] == 0.0 and h[1, 3] == 0.0
+        assert np.all(h[:, 0, 1] == 0.0) and np.all(h[:, 1, 0] == 0.0)
+
+
+def random_block_state(rng):
+    """A normalised state of the two 13C blocks, shape (2, 3)."""
+    psi = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    return psi / np.linalg.norm(psi)
 
 
 class TestPropagate:
     def test_zero_duration_identity(self, nv2_params, rng):
         h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0)
-        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
-        psi /= np.linalg.norm(psi)
-        np.testing.assert_allclose(_propagate_batch(psi[None], h, 0.0)[0],
-                                   psi, atol=1e-14)
+        psi = random_block_state(rng)
+        np.testing.assert_allclose(
+            _apply_eigen(psi[None], *np.linalg.eigh(h), 0.0)[0], psi,
+            atol=1e-14)
 
     def test_norm_preserved(self, nv2_params, rng):
-        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
-        psi /= np.linalg.norm(psi)
-        h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0, 2.0, 0.3)
+        psi = random_block_state(rng)
+        h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0, 2.0)
+        h = h.astype(complex)
+        # phase 0.3, applied as P h(0) P^dagger with P = exp(0.3i) on |0>
+        h[..., 1, 2] *= np.exp(0.3j)
+        h[..., 2, 1] *= np.exp(-0.3j)
+        eigen = np.linalg.eigh(h)
         for _ in range(40):
-            psi = _propagate_batch(psi[None], h, 0.37)[0]
+            psi = _apply_eigen(psi[None], *eigen, 0.37)[0]
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
     def test_resonant_pi_pulse_empties_zero(self):
         p = make_params(omega_khz=0.0, a_par_khz=0.0)
         om = khz_to_angular(696.0)
-        seq = PulseSequence((Reset(), MagneticPulse(om, math.pi / om),
-                             Readout()))
+        seq = PulseSequence((MagneticPulse(om, math.pi / om),))
         assert _run_batch(seq, p, 0.0, 0.0, 0.0)[0] < 1e-6
 
     def test_undressed_double_pi_is_identity(self):
@@ -166,10 +172,8 @@ class TestPropagate:
         # 2pi rotation of the undressed {0,-1} qubit
         p = make_params(omega_khz=0.0, a_par_khz=0.0)
         t_pi = math.pi / DEFAULT_OMEGA_MAG_DQ
-        seq = PulseSequence((Reset(),
-                             MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi),
-                             MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi),
-                             Readout()))
+        seq = PulseSequence((MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi),
+                             MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi)))
         assert _run_batch(seq, p, 0.0, 0.0, 0.0)[0] == pytest.approx(
             1.0, abs=1e-9)
         # hyperfine detuning degrades it only at the % level
@@ -179,46 +183,11 @@ class TestPropagate:
 
 class TestRunSequence:
     def test_reset_readout(self, nv2_params):
-        seq = PulseSequence((Reset(), Readout()))
+        # every shot is reset into |0> and read out: with no segment in
+        # between, P0 is 1
+        seq = PulseSequence(())
         assert _run_batch(seq, nv2_params, 0.0, 0.0, 0.0)[0] == \
             pytest.approx(1.0, abs=1e-12)
-
-    def test_malformed_sequences_carry_index(self, nv2_params):
-        with pytest.raises(SequenceError) as err:
-            _run_batch(PulseSequence((Readout(), Reset())), nv2_params,
-                       0.0, 0.0, 0.0)
-        assert err.value.index == 0
-        with pytest.raises(SequenceError) as err:
-            _run_batch(PulseSequence((Reset(), FreeEvolution(1.0))),
-                       nv2_params, 0.0, 0.0, 0.0)
-        assert err.value.index == 1
-
-    def test_carbon_blocks_do_not_mix(self, nv2_params):
-        seq = PulseSequence((Reset((0.7, 0.3)),
-                             MagneticPulse(2.0, 0.3),
-                             FreeEvolution(1.7),
-                             MagneticPulse(2.0, 0.3),
-                             Readout()))
-        # weights enter linearly, so sublevel populations stay separable:
-        # P0(w) = w_u * P0(up only) + w_d * P0(down only)
-        p_mixed, up, dn = (
-            _run_batch(PulseSequence((Reset(w),) + seq.segments[1:]),
-                       nv2_params, 0.0, 0.0, 0.0)[0]
-            for w in ((0.7, 0.3), (1.0, 0.0), (0.0, 1.0)))
-        assert p_mixed == pytest.approx(0.7 * up + 0.3 * dn, abs=1e-12)
-
-    def test_pulse_without_detuning_uses_frame(self, nv2_params):
-        # detuning_mag=None puts |0> at the sequence's frame detuning
-        det = khz_to_angular(-40.0)
-        db, dom = np.array([-3.0, 0.0, 5.0]), np.array([0.1, 0.0, -0.2])
-        p0 = []
-        for pulse_det in (None, det):
-            seq = PulseSequence((Reset(),
-                                 MagneticPulse(2.0, 0.8, detuning_mag=pulse_det),
-                                 FreeEvolution(1.1), Readout()),
-                                frame_detuning=det)
-            p0.append(_run_batch(seq, nv2_params, db, dom, 0.3))
-        assert np.array_equal(p0[0], p0[1])
 
 
 class TestSimulateRamsey:
