@@ -22,8 +22,8 @@ from .pulse_sim import (
     simulate_ramsey, simulate_spectrum, fourier_magnitude,
     write_trace_csv, read_trace_csv, shot_rng,
 )
-from .fitting import FitParam, FitOptions, FitOutcome, ModelFunction, \
-    nlls_fit, format_fit_report
+from .fitting import FitParam, FitOutcome, ModelFunction, nlls_fit, \
+    format_fit_report
 from .models import (
     model_undressed_ramsey, model_ramsey_0p, model_ramsey_mp,
     model_max_protection, model_spectrum_joint, stack_spectra,
@@ -50,8 +50,7 @@ __all__ = [
     "FreeEvolution", "simulate_ramsey", "simulate_spectrum",
     "fourier_magnitude", "write_trace_csv", "read_trace_csv", "shot_rng",
     # fitting
-    "FitParam", "FitOptions", "FitOutcome", "ModelFunction", "nlls_fit",
-    "format_fit_report",
+    "FitParam", "FitOutcome", "ModelFunction", "nlls_fit", "format_fit_report",
     # models
     "model_undressed_ramsey", "model_ramsey_0p", "model_ramsey_mp",
     "model_max_protection", "model_spectrum_joint", "stack_spectra",

@@ -26,9 +26,7 @@ import numpy as np
 from .dephasing import (
     FixedAmplitudeNoise,
     NoiseSpec,
-    RateBudget,
     ReflectometerNoise,
-    combine_rates,
     envelope_max_protection,
     envelope_second_order,
     gaussian_envelope,
@@ -37,11 +35,7 @@ from .dephasing import (
     rate_magnetic_mp,
     sigma_b_from_t2,
 )
-from .fitting import (
-    FitOptions,
-    format_fit_report,
-    nlls_fit,
-)
+from .fitting import format_fit_report, nlls_fit
 from .errors import NumericalError
 from .models import FIT_MODELS
 from .presets import PRESETS
@@ -60,6 +54,8 @@ from .units import GAMMA, DD_DT, angular_to_khz, khz_to_angular, mhz_to_angular
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+_MAX_GRID_POINTS = 10**6
 
 _AMPLITUDE_SCHEMA = {
     "type": "object",
@@ -249,7 +245,7 @@ def resolve_config(cfg: dict) -> dict:
     if preset is None:
         raise ConfigError(f"unknown preset {cfg.get('preset')!r}")
     system = cfg.get("system", {})
-    params = SystemParams.create(
+    params = SystemParams(
         omega=khz_to_angular(system.get("omega_khz",
                                         preset["default_omega_khz"])),
         delta=khz_to_angular(system.get("delta_khz", 0.0)),
@@ -297,12 +293,21 @@ def resolve_config(cfg: dict) -> dict:
     }
 
 
-def _tau_grid(section: dict, stop_default: float, step_default: float):
-    start = section.get("tau_start_us", 0.0)
-    stop = section.get("tau_stop_us", stop_default)
-    step = section.get("tau_step_us", step_default)
+def _grid(section: dict, key: str, start: float, stop: float, step: float):
+    """Evenly spaced grid, stop included, from the section keys
+    key.format("start"/"stop"/"step") with the given defaults.  Grids of
+    more than _MAX_GRID_POINTS points are config errors, not allocations."""
+    start_key, stop_key, step_key = (key.format(part)
+                                     for part in ("start", "stop", "step"))
+    start = section.get(start_key, start)
+    stop = section.get(stop_key, stop)
+    step = section.get(step_key, step)
     if stop <= start:
-        raise ConfigError("tau_stop_us must exceed tau_start_us")
+        raise ConfigError(f"{stop_key} must exceed {start_key}")
+    # np.arange gives ceil((stop - start) / step + 0.5) points
+    if (stop - start) / step + 0.5 > _MAX_GRID_POINTS:
+        raise ConfigError(f"the grid {start_key}..{stop_key} by {step_key} "
+                          f"has more than {_MAX_GRID_POINTS} points")
     return np.arange(start, stop + 0.5 * step, step)
 
 
@@ -380,11 +385,12 @@ def rates(res):
     thermal_t2 = math.sqrt(2.0) / (abs(DD_DT) * noise.sigma_t) \
         if noise.sigma_t else math.inf
     cutoff = mechanical_cutoff(params.omega_mech, params.q_factor)
-    budget = RateBudget((
+    budget = (
         ("magnetic", rate_magnetic_mp(params.omega, params.a_par, noise.sigma_b)),
         ("amplitude", rate_amplitude_mp(params.omega, params.a_par, sigma_omega)),
-    ))
-    t2_first = combine_rates(budget)
+    )
+    t2_first = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
+                               sigma_omega, order="first")
     t2_second = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
                                 sigma_omega, order="second")
     lines = [
@@ -395,7 +401,7 @@ def rates(res):
         f"thermal-limit T2*   : {thermal_t2:10.2f} us  (sigma_T = {noise.sigma_t:.2f} C)",
         f"mech cutoff w_c/2pi : {angular_to_khz(cutoff):10.2f} kHz",
     ]
-    for name, rate in budget.entries:
+    for name, rate in budget:
         lines.append(f"Gamma_{name:<13}: {rate:10.4f} rad/us")
     lines += [
         f"T2*_mp (first)      : {t2_first:10.2f} us",
@@ -423,7 +429,7 @@ def t2scan(res, omega_list, mc_flag):
         raise ConfigError("t2scan omega list is empty")
     power_leveled = section.get("power_leveled", True)
     run_mc = section.get("mc", False) if mc_flag is None else mc_flag
-    tau = _tau_grid(section, stop_default=25.0, step_default=0.1)
+    tau = _grid(section, "tau_{}_us", 0.0, 25.0, 0.1)
     noise = res["noise"]
     if power_leveled:
         noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))
@@ -472,7 +478,7 @@ def ramsey(res, kind, tau_stop_us, tau_step_us, omega_mag_khz):
     if tau_step_us is not None:
         section["tau_step_us"] = tau_step_us
     kind = kind or section.get("kind", "dressed_mp")
-    tau = _tau_grid(section, stop_default=20.0, step_default=0.05)
+    tau = _grid(section, "tau_{}_us", 0.0, 20.0, 0.05)
     params = res["params"]
     cfg = _sim_config(res)
     kwargs = {}
@@ -507,12 +513,8 @@ def spectra(res, omega_list):
                                              [0.0, 230.0, 470.0, 670.0])
     if not omegas:
         raise ConfigError("spectra omega list is empty")
-    start = section.get("detuning_start_khz", -600.0)
-    stop = section.get("detuning_stop_khz", 600.0)
-    step = section.get("detuning_step_khz", 4.0)
-    if stop <= start:
-        raise ConfigError("detuning_stop_khz must exceed detuning_start_khz")
-    grid = khz_to_angular(np.arange(start, stop + 0.5 * step, step))
+    grid = khz_to_angular(
+        _grid(section, "detuning_{}_khz", -600.0, 600.0, 4.0))
     kwargs = {}
     if "omega_mag_khz" in section:
         kwargs["omega_mag"] = khz_to_angular(section["omega_mag_khz"])
@@ -536,7 +538,7 @@ def envelope(res, tau_stop_us):
     section = dict(res["raw"].get("envelope", {}))
     if tau_stop_us is not None:
         section["tau_stop_us"] = tau_stop_us
-    tau = _tau_grid(section, stop_default=30.0, step_default=0.05)
+    tau = _grid(section, "tau_{}_us", 0.0, 30.0, 0.05)
     noise = res["noise"]
     params = res["params"]
     f = envelope_second_order(tau, params.omega, noise.sigma_b, params.a_par)
@@ -575,9 +577,13 @@ def fit(res, model_name, input_csv, undressed_csv):
                                              gsb_khz, section.get("p0_ud"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    options = FitOptions(
-        use_stderr_weights=section.get("use_stderr_weights", False))
-    outcome = nlls_fit(model, data, options)
+    sigma = None
+    if section.get("use_stderr_weights", False):
+        if data is not trace:   # spectrum_joint fits two stacked traces
+            raise ConfigError(f"fit.use_stderr_weights does not apply to "
+                              f"the {model_name} model")
+        sigma = trace.stderr
+    outcome = nlls_fit(model, data, sigma)
 
     report = format_fit_report(model, outcome)
     click.echo(report)

@@ -16,6 +16,9 @@ from .units import GAMMA
 
 SQRT2 = math.sqrt(2.0)
 
+# Bisection tolerance of one_over_e_time, us.
+ONE_OVER_E_TOL = 1e-3
+
 
 class ZeroRateError(NumericalError, ValueError):
     """All rates vanish: the coherence time is unbounded."""
@@ -100,12 +103,12 @@ def gaussian_dephasing_rate(alpha: float, sigma_x: float) -> float:
     return SQRT2 * math.pi * abs(alpha) * sigma_x
 
 
-def sigma_b_from_t2(t2_0m1: float, gamma: float = GAMMA) -> float:
+def sigma_b_from_t2(t2_0m1: float) -> float:
     """Field-noise sigma (mG) implied by the undressed {0,-1} coherence
     time: gamma*sigma_b = sqrt(2)/t2."""
     if not t2_0m1 > 0:
         raise ValueError("t2 must be positive")
-    return SQRT2 / (gamma * t2_0m1)
+    return SQRT2 / (GAMMA * t2_0m1)
 
 
 def kappa(omega: float, a_par: float) -> float:
@@ -116,16 +119,15 @@ def kappa(omega: float, a_par: float) -> float:
     return SQRT2 * math.pi / root
 
 
-def rate_magnetic_mp(omega: float, a_par: float, sigma_b: float,
-                     gamma: float = GAMMA) -> float:
+def rate_magnetic_mp(omega: float, a_par: float, sigma_b: float) -> float:
     """First-order {m,p} dephasing rate from field noise:
     Gamma_b = sqrt(2)*pi * (2*|a_par|*gamma/sqrt(a_par^2+omega^2)) * sigma_b."""
     if sigma_b < 0:
         raise ValueError("sigma_b must be non-negative")
     if a_par == 0.0 and omega == 0.0:
         # Undressed {+1,-1} qubit: slope is 2*gamma.
-        return gaussian_dephasing_rate(2.0 * gamma, sigma_b)
-    slope = 2.0 * abs(a_par) * gamma / math.hypot(a_par, omega)
+        return gaussian_dephasing_rate(2.0 * GAMMA, sigma_b)
+    slope = 2.0 * abs(a_par) * GAMMA / math.hypot(a_par, omega)
     return gaussian_dephasing_rate(slope, sigma_b)
 
 
@@ -156,14 +158,13 @@ def sigma_omega_from_reflectometer(mean_omega: float, eta: float,
     return (mean_omega + alpha_diode) * eta
 
 
-def _beta(tau, omega, sigma_b, a_par, gamma):
+def _beta(tau, omega, sigma_b, a_par):
     cube = (a_par * a_par + omega * omega) ** 3
-    q = (2.0 * gamma * sigma_b * omega) ** 4 * tau * tau
+    q = (2.0 * GAMMA * sigma_b * omega) ** 4 * tau * tau
     return np.sqrt(cube / (cube + q))
 
 
-def envelope_second_order(tau, omega: float, sigma_b: float, a_par: float,
-                          gamma: float = GAMMA):
+def envelope_second_order(tau, omega: float, sigma_b: float, a_par: float):
     """Second-order-in-delta_b Ramsey decay envelope
     f = sqrt(beta) * exp(-2*(gamma*sigma_b*a_par*beta*tau)^2/(a_par^2+omega^2)).
 
@@ -174,15 +175,14 @@ def envelope_second_order(tau, omega: float, sigma_b: float, a_par: float,
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be non-negative")
-    beta = _beta(tau, omega, sigma_b, a_par, gamma)
-    expo = 2.0 * (gamma * sigma_b * a_par * beta * tau) ** 2 \
+    beta = _beta(tau, omega, sigma_b, a_par)
+    expo = 2.0 * (GAMMA * sigma_b * a_par * beta * tau) ** 2 \
         / (a_par * a_par + omega * omega)
     out = np.sqrt(beta) * np.exp(-expo)
     return float(out) if out.ndim == 0 else out
 
 
-def envelope_max_protection(tau, omega: float, sigma_b: float,
-                            gamma: float = GAMMA):
+def envelope_max_protection(tau, omega: float, sigma_b: float):
     """a_par -> 0 limit of the second-order envelope:
     h = sqrt(omega / sqrt(omega^2 + (2*gamma*sigma_b)^4 * tau^2))."""
     if not omega > 0:
@@ -191,7 +191,7 @@ def envelope_max_protection(tau, omega: float, sigma_b: float,
     if np.any(tau < 0):
         raise ValueError("tau must be non-negative")
     out = np.sqrt(omega / np.sqrt(omega * omega
-                                  + (2.0 * gamma * sigma_b) ** 4 * tau * tau))
+                                  + (2.0 * GAMMA * sigma_b) ** 4 * tau * tau))
     return float(out) if out.ndim == 0 else out
 
 
@@ -200,13 +200,15 @@ def gaussian_envelope(tau, t2: float):
     if not t2 > 0:
         raise ValueError("t2 must be positive")
     tau = np.asarray(tau, dtype=float)
-    out = np.exp(-(tau / t2) ** 2)
+    # (tau/t2)**2 may overflow to inf; exp(-inf) = 0 is the right limit
+    with np.errstate(over="ignore"):
+        out = np.exp(-(tau / t2) ** 2)
     return float(out) if out.ndim == 0 else out
 
 
-def one_over_e_time(envelope, horizon: float = 1e3,
-                    tol: float = 1e-3) -> float:
-    """Solve envelope(tau) = 1/e by doubling bracket + bisection.
+def one_over_e_time(envelope, horizon: float = 1e3) -> float:
+    """Solve envelope(tau) = 1/e by doubling bracket + bisection, to
+    ONE_OVER_E_TOL us.
 
     The envelope must be non-increasing with envelope(0) = 1.  Raises
     HorizonExceeded if no crossing exists below the horizon.
@@ -222,7 +224,7 @@ def one_over_e_time(envelope, horizon: float = 1e3,
                 raise HorizonExceeded(horizon)
             hi = horizon
             break
-    while hi - lo > tol:
+    while hi - lo > ONE_OVER_E_TOL:
         mid = 0.5 * (lo + hi)
         if float(envelope(mid)) > target:
             lo = mid
@@ -232,8 +234,7 @@ def one_over_e_time(envelope, horizon: float = 1e3,
 
 
 def predicted_t2_mp(omega: float, a_par: float, sigma_b: float,
-                    sigma_omega: float = 0.0, order: str = "first",
-                    gamma: float = GAMMA, horizon: float = 1e3) -> float:
+                    sigma_omega: float = 0.0, order: str = "first") -> float:
     """Predicted {m,p} coherence time at delta = 0.
 
     order='first': 2*pi / (Gamma_b + Gamma_Omega).
@@ -242,7 +243,7 @@ def predicted_t2_mp(omega: float, a_par: float, sigma_b: float,
     """
     if order == "first":
         budget = RateBudget((
-            ("magnetic", rate_magnetic_mp(omega, a_par, sigma_b, gamma)),
+            ("magnetic", rate_magnetic_mp(omega, a_par, sigma_b)),
             ("amplitude", rate_amplitude_mp(omega, a_par, sigma_omega)),
         ))
         return combine_rates(budget)
@@ -250,18 +251,18 @@ def predicted_t2_mp(omega: float, a_par: float, sigma_b: float,
         gamma_om = rate_amplitude_mp(omega, a_par, sigma_omega)
 
         def env(tau):
-            f = envelope_second_order(tau, omega, sigma_b, a_par, gamma)
+            f = envelope_second_order(tau, omega, sigma_b, a_par)
             if gamma_om > 0.0:
                 f = f * gaussian_envelope(tau, 2.0 * math.pi / gamma_om)
             return f
 
-        return one_over_e_time(env, horizon=horizon)
+        return one_over_e_time(env)
     raise ValueError(f"unknown order {order!r}")
 
 
 def mc_envelope_second_order(tau_grid, omega: float, sigma_b: float,
-                             a_par: float, gamma: float = GAMMA,
-                             n_draws: int = 100_000, seed: int = 0):
+                             a_par: float, n_draws: int = 100_000,
+                             seed: int = 0):
     """Monte-Carlo evaluation of the Gaussian phase average behind the
     second-order envelope: |<exp(i*dw*tau)>| over delta_b ~ N(0, sigma_b^2)
     with dw the second-order expansion of the {m,p} Larmor deviation.
@@ -271,7 +272,7 @@ def mc_envelope_second_order(tau_grid, omega: float, sigma_b: float,
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     db = rng.standard_normal(n_draws) * sigma_b
-    gdb = gamma * db
+    gdb = GAMMA * db
     denom = (a_par * a_par + omega * omega) ** 1.5
     dw = 2.0 * gdb * (a_par ** 3 + a_par * omega * omega + gdb * omega * omega) \
         / denom

@@ -26,11 +26,12 @@ from .errors import NumericalError
 
 
 # Solver policy, as stated above; at most MAX_ITER * (n_free + 1)
-# residual evaluations.
+# residual evaluations, and CONFIDENCE is the two-sided CI level.
 FTOL = 1e-10
 XTOL = 1e-10
 DIFF_STEP = 1e-6
 MAX_ITER = 500
+CONFIDENCE = 0.95
 
 
 class NonFiniteResidualsError(NumericalError, ValueError):
@@ -76,12 +77,6 @@ class ModelFunction:
                               np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    use_stderr_weights: bool = False
-    confidence: float = 0.95
-
-
 @dataclass
 class FitOutcome:
     params: dict                 # name -> fitted value (frozen included)
@@ -98,19 +93,14 @@ class FitOutcome:
         return 0.5 * (hi - lo)
 
 
-def nlls_fit(model: ModelFunction, data, options: FitOptions | None = None,
-             sigma=None) -> FitOutcome:
+def nlls_fit(model: ModelFunction, data, sigma=None) -> FitOutcome:
     """Fit a model to a Trace (or an (x, y) pair).
 
-    sigma: optional per-point standard deviations used as weights; with
-    use_stderr_weights the Trace stderr column is used instead.
+    sigma: optional per-point standard deviations used as weights.
     """
-    options = options or FitOptions()
     if hasattr(data, "abscissa"):
         x = np.asarray(data.abscissa, dtype=float)
         y = np.asarray(data.mean_p0, dtype=float)
-        if options.use_stderr_weights and sigma is None:
-            sigma = np.asarray(data.stderr, dtype=float)
     else:
         x, y = data
         x = np.asarray(x, dtype=float)
@@ -176,7 +166,7 @@ def nlls_fit(model: ModelFunction, data, options: FitOptions | None = None,
         cov = np.linalg.inv(jtj) * (rss / max(dof, 1))
     cov = 0.5 * (cov + cov.T)
 
-    tval = stdtrit(max(dof, 1), 0.5 + 0.5 * options.confidence)
+    tval = stdtrit(max(dof, 1), 0.5 + 0.5 * CONFIDENCE)
     ci = {}
     for k, i in enumerate(free):
         half = tval * math.sqrt(max(cov[k, k], 0.0))

@@ -42,7 +42,7 @@ import numpy as np
 from .dephasing import NoiseSpec
 from .errors import NumericalError
 from .spin_model import SystemParams, dressed_transition_offsets
-from .units import angular_to_khz
+from .units import DD_DT, GAMMA, angular_to_khz
 
 NORM_TOL = 1e-9
 
@@ -170,10 +170,10 @@ def _frame_hamiltonians(params: SystemParams, db, dom, dt,
     dom = np.broadcast_to(np.asarray(dom, dtype=float), db.shape)
     dt = np.broadcast_to(np.asarray(dt, dtype=float), db.shape)
     h = np.zeros((db.shape[0], 2, 3, 3))
-    gdb = params.gamma * db[:, None]
+    gdb = GAMMA * db[:, None]
     a = params.a_par
     h[..., 0, 0] = gdb + 0.5 * np.array([params.delta + a, params.delta - a])
-    h[..., 1, 1] = (detuning_mag - params.dd_dt * dt)[:, None]
+    h[..., 1, 1] = (detuning_mag - DD_DT * dt)[:, None]
     h[..., 2, 2] = -h[..., 0, 0]
     h[..., 0, 2] = h[..., 2, 0] = 0.5 * (params.omega + dom)[:, None]
     h[..., 1, 2] = h[..., 2, 1] = 0.5 * omega_mag   # 0<->-1, see MagneticPulse
@@ -457,9 +457,9 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
 
 
 def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
-                      *, omega_mag: float = 2.0 * math.pi * 0.080,
-                      pulse_area: float = math.pi) -> Trace:
-    """Spectroscopy scan: P0 versus magnetic drive detuning.
+                      *, omega_mag: float = 2.0 * math.pi * 0.080) -> Trace:
+    """Spectroscopy scan: P0 versus magnetic drive detuning, one pi
+    pulse per shot.
 
     detuning_grid is angular (rad/us), measured from the nominal undressed
     0<->-1 line; the returned Trace abscissa is in kHz.
@@ -467,7 +467,7 @@ def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     if np.any(np.diff(detuning_grid) <= 0):
         raise ValueError("detuning grid must be strictly ascending")
-    segments = (MagneticPulse(omega_mag, pulse_area / omega_mag),)
+    segments = (MagneticPulse(omega_mag, math.pi / omega_mag),)
     mean, stderr = _simulate(
         detuning_grid,
         lambda det_axis: PulseSequence(
@@ -483,14 +483,15 @@ def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
 def fourier_magnitude(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
     """DFT magnitude of the mean-subtracted signal; frequency axis in kHz.
 
-    Requires a uniform tau grid (in us).
+    Requires a uniform ascending tau grid (in us).
     """
     tau = trace.abscissa
     if len(tau) < 2:
         raise ValueError("need at least two points")
     steps = np.diff(tau)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(abs(steps[0]), 1e-12):
-        raise ValueError("fourier_magnitude requires a uniform grid")
+    if not steps[0] > 0 \
+            or np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1e-12):
+        raise ValueError("fourier_magnitude requires a uniform ascending grid")
     signal = trace.mean_p0 - trace.mean_p0.mean()
     mag = np.abs(np.fft.rfft(signal))
     freq_khz = np.fft.rfftfreq(len(tau), d=steps[0]) * 1e3

@@ -32,15 +32,11 @@ class NonHermitianError(NumericalError, ValueError):
 class SystemParams:
     """Static configuration of the spin + mechanical drive system.
 
-    The mechanical mode frequency is tied to the bias field and detuning
-    by omega_mech = 2*gamma*b + delta (the drive rotates the frame at
-    omega_mech/2); the constructor enforces this.
+    The bias field b is derived, not stored: it follows from the
+    resonance condition omega_mech = 2*GAMMA*b + delta (the drive rotates
+    the frame at omega_mech/2).
     """
 
-    gamma: float = GAMMA        # rad/us/mG
-    d0: float = D0              # rad/us
-    dd_dt: float = DD_DT        # rad/us/degC
-    b: float = 0.0              # mG
     omega: float = 0.0          # mechanical Rabi field, rad/us
     delta: float = 0.0          # mechanical detuning, rad/us
     a_par: float = 0.0          # 13C coupling (signed), rad/us
@@ -48,39 +44,19 @@ class SystemParams:
     q_factor: float = 1.0       # dimensionless
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.q_factor > 0:
             raise ValueError(f"q_factor must be positive, got {self.q_factor}")
         if self.omega < 0:
             raise ValueError(f"omega must be non-negative, got {self.omega}")
-        expected = 2.0 * self.gamma * self.b + self.delta
-        scale = max(abs(self.omega_mech), abs(expected), 1.0)
-        if abs(self.omega_mech - expected) > 1e-9 * scale:
-            raise ValueError(
-                "omega_mech must equal 2*gamma*b + delta "
-                f"(got {self.omega_mech}, expected {expected})"
-            )
 
-    @classmethod
-    def create(cls, *, omega, delta=0.0, a_par=0.0, b=None, omega_mech=None,
-               q_factor=1.0, gamma=GAMMA, d0=D0, dd_dt=DD_DT) -> "SystemParams":
-        """Build params with the omega_mech = 2*gamma*b + delta constraint
-        resolved from whichever of b / omega_mech is given."""
-        if b is None and omega_mech is None:
-            raise ValueError("give either b or omega_mech")
-        if b is None:
-            b = (omega_mech - delta) / (2.0 * gamma)
-        if omega_mech is None:
-            omega_mech = 2.0 * gamma * b + delta
-        return cls(gamma=gamma, d0=d0, dd_dt=dd_dt, b=b, omega=omega,
-                   delta=delta, a_par=a_par, omega_mech=omega_mech,
-                   q_factor=q_factor)
+    @property
+    def b(self) -> float:
+        """Bias field in mG."""
+        return (self.omega_mech - self.delta) / (2.0 * GAMMA)
 
     def with_delta(self, delta: float) -> "SystemParams":
-        """Retune the drive detuning at fixed omega_mech (adjusts b)."""
-        b = (self.omega_mech - delta) / (2.0 * self.gamma)
-        return replace(self, delta=delta, b=b)
+        """Retune the drive detuning at fixed omega_mech (moves b)."""
+        return replace(self, delta=delta)
 
     def with_omega(self, omega: float) -> "SystemParams":
         return replace(self, omega=omega)
@@ -105,7 +81,7 @@ ZERO_ENV = EnvironmentSample()
 
 def zero_field_splitting(params: SystemParams, env: EnvironmentSample) -> float:
     """D = D0 + (dD/dT) * deltaT, angular."""
-    return params.d0 + params.dd_dt * env.delta_t
+    return D0 + DD_DT * env.delta_t
 
 
 def build_lab_hamiltonian(params: SystemParams, env: EnvironmentSample,
@@ -115,7 +91,7 @@ def build_lab_hamiltonian(params: SystemParams, env: EnvironmentSample,
     Exists for structural checks; time-domain integration of it is out of
     scope.
     """
-    gb = params.gamma * (params.b + env.delta_b)
+    gb = GAMMA * (params.b + env.delta_b)
     om = (params.omega + env.delta_omega) * math.cos(params.omega_mech * t)
     d = zero_field_splitting(params, env)
     a2 = 0.5 * params.a_par
@@ -139,7 +115,7 @@ def build_rotating_hamiltonian(params: SystemParams,
     13C sublevel; the 0 block sits at -D; the mechanical coupling is
     (omega + delta_omega)/2 between +1 and -1 within each sublevel.
     """
-    gb = params.gamma * (params.b + env.delta_b)
+    gb = GAMMA * (params.b + env.delta_b)
     om2 = 0.5 * (params.omega + env.delta_omega)
     d = zero_field_splitting(params, env)
     a = params.a_par
@@ -161,14 +137,14 @@ def zeeman_frame_shift(params: SystemParams) -> np.ndarray:
     Subtracting this from the rotating-frame Hamiltonian centers the
     +-1 blocks so their eigenvalues are the dressed energies directly.
     """
-    gb = params.gamma * params.b
+    gb = GAMMA * params.b
     return np.diag([gb, gb, 0.0, 0.0, -gb, -gb]).astype(complex)
 
 
 def xi(params: SystemParams, env: EnvironmentSample, sublevel: str) -> float:
     """Effective detuning xi = delta + 2*gamma*delta_b +- a_par."""
     s = SUBLEVELS[sublevel]
-    return params.delta + 2.0 * params.gamma * env.delta_b + s * params.a_par
+    return params.delta + 2.0 * GAMMA * env.delta_b + s * params.a_par
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ OMEGA_MECH = mhz_to_angular(586.0)
 
 def make_params(omega_khz=581.0, delta_khz=0.0, a_par_khz=150.0,
                 q_factor=2700.0) -> SystemParams:
-    return SystemParams.create(
+    return SystemParams(
         omega=khz_to_angular(omega_khz),
         delta=khz_to_angular(delta_khz),
         a_par=khz_to_angular(a_par_khz),

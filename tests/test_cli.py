@@ -283,6 +283,19 @@ class TestRamseyAndFit:
         assert result.exit_code == 3
         assert "norm" in all_output(result)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fit_equal_abscissae_is_config_error(self, runner, tmp_path):
+        # every step is 0: uniform, but no grid to take a spectrum of
+        path = tmp_path / "flat.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n"
+                        + "".join(f"1.0,{0.5 + 0.01 * (k % 3)},0.01,100\n"
+                                  for k in range(30)))
+        result = invoke(runner, ["--out", str(tmp_path), "fit",
+                                 "--model", "ramsey_mp", "--input", str(path)])
+        assert result.exit_code == 2
+        assert "fourier_magnitude requires a uniform ascending grid" \
+            in all_output(result)
+
     def test_negative_seed_is_config_error(self, runner, tmp_path):
         result = invoke(runner, ["--out", str(tmp_path), "--seed", "-1",
                                  "--shots", "2", "ramsey",
@@ -354,6 +367,54 @@ class TestFitModels:
         assert result.exit_code == 2
         assert "config error: spectrum_joint needs an undressed CSV too" \
             in all_output(result).splitlines()
+
+
+    def test_stderr_weights(self, runner, tmp_path):
+        # fit.use_stderr_weights weights the committed trace by its stderr
+        trace, _, reference = COMMITTED_FITS["ramsey_mp"]
+        cfg = load_config(CONFIG_DIR / "nv2.json")
+        cfg["fit"]["use_stderr_weights"] = True
+        result = invoke(runner, ["--config", write_config(tmp_path, cfg),
+                                 "--out", str(tmp_path), "fit",
+                                 "--input", str(REPO_ROOT / trace)])
+        assert result.exit_code == 0, all_output(result)
+        report = (tmp_path / "fit_ramsey_mp.txt").read_text().splitlines()
+        assert [line.rstrip() for line in report] == WEIGHTED_RAMSEY_MP_REPORT
+        # every free parameter's CI moves
+        unweighted = (REPO_ROOT / reference).read_text().splitlines()
+        free = [line for line in report[4:] if "frozen" not in line]
+        assert len(free) == 4
+        assert not set(free) & set(unweighted)
+
+    def test_stderr_weights_rejected_for_spectrum_joint(self, runner,
+                                                        tmp_path):
+        trace, undressed, _ = COMMITTED_FITS["spectrum_joint"]
+        cfg = load_config(spec_smoke_config(tmp_path))
+        cfg["fit"]["use_stderr_weights"] = True
+        result = invoke(runner, ["--config", write_config(tmp_path, cfg),
+                                 "--out", str(tmp_path), "fit",
+                                 "--model", "spectrum_joint",
+                                 "--input", str(REPO_ROOT / trace),
+                                 "--undressed", str(REPO_ROOT / undressed)])
+        assert result.exit_code == 2
+        assert "fit.use_stderr_weights" in all_output(result)
+        assert not (tmp_path / "fit_spectrum_joint.txt").exists()
+
+
+# fit --model ramsey_mp of out/nv2/ramsey_dressed_mp.csv, weighted by its
+# stderr column.
+WEIGHTED_RAMSEY_MP_REPORT = [
+    "fit: ramsey_mp",
+    "converged: True",
+    "rss: 2752.32",
+    "parameter                value        ci_low       ci_high  unit",
+    "c                     0.532045      0.530613      0.533477",
+    "t2_us                  7.02251       6.90185       7.14318  us",
+    "omega_khz              582.978       582.152       583.803  kHz",
+    "phi                    1.58255        1.5752       1.58989  rad",
+    "a_par_khz                  150        frozen                kHz",
+    "p0_ud                 0.937511        frozen",
+]
 
 
 def _fit_nan_model():
@@ -476,3 +537,16 @@ class TestSpectraAndEnvelope:
         assert lines[0] == "tau_us,second_order,max_protection,gaussian_first"
         first_row = [float(v) for v in lines[1].split(",")]
         assert first_row[1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("args,section", [
+        (["envelope", "--tau-stop-us", "1e12"], None),
+        (["spectra"], {"spectra": {"detuning_step_khz": 1e-9}}),
+    ])
+    def test_oversized_grid_is_config_error(self, runner, tmp_path, args,
+                                            section):
+        # 2e13 and 1.2e12 points: rejected before anything is allocated
+        head = ["--config", write_config(tmp_path, section)] if section \
+            else []
+        result = invoke(runner, head + ["--out", str(tmp_path)] + args)
+        assert result.exit_code == 2
+        assert "has more than 1000000 points" in all_output(result)

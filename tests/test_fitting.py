@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from nvcdd import fitting
 from nvcdd.fitting import (
-    FitOptions,
     FitParam,
     ModelFunction,
     NonFiniteResidualsError,
@@ -149,15 +149,18 @@ class TestConfidenceIntervals:
 
     @pytest.mark.parametrize("n_points", [8, 9, 12, 43, 300])
     @pytest.mark.parametrize("confidence", [0.68, 0.95, 0.99])
-    def test_t_quantile_matches_scipy_stats(self, n_points, confidence):
+    def test_t_quantile_matches_scipy_stats(self, n_points, confidence,
+                                            monkeypatch):
         # nlls_fit takes the quantile from scipy.special.stdtrit; the CI
-        # must be bit-identical to one built on scipy.stats.t.ppf
+        # must be bit-identical to one built on scipy.stats.t.ppf, at the
+        # shipped level and at others
         from scipy import stats
 
+        monkeypatch.setattr(fitting, "CONFIDENCE", confidence)
         model = _exp_decay_model(a=2.0, b=4.0)
         x = np.linspace(0.0, 10.0, n_points)
         y = 2.0 * np.exp(-x / 4.0) + 0.01 * np.cos(7.0 * x)
-        outcome = nlls_fit(model, (x, y), FitOptions(confidence=confidence))
+        outcome = nlls_fit(model, (x, y))
         dof = n_points - 2
         tval = stats.t.ppf(0.5 + 0.5 * confidence, dof)
         for k, name in enumerate(("a", "b")):

@@ -32,7 +32,7 @@ from nvcdd.spin_model import (
     build_rotating_hamiltonian,
     zeeman_frame_shift,
 )
-from nvcdd.units import angular_to_khz, khz_to_angular, mhz_to_angular
+from nvcdd.units import D0, angular_to_khz, khz_to_angular, mhz_to_angular
 
 from conftest import dense_hamiltonians, make_params
 
@@ -109,7 +109,7 @@ class TestHamiltonians:
         for det in (0.0, khz_to_angular(-75.0)):
             h = _frame_hamiltonians(nv2_params, [7.0], [0.3], [0.4], det)
             href = build_rotating_hamiltonian(nv2_params, env)
-            carrier = (nv2_params.d0 + det) * np.diag([0, 0, 1, 1, 0, 0])
+            carrier = (D0 + det) * np.diag([0, 0, 1, 1, 0, 0])
             np.testing.assert_allclose(dense_hamiltonians(h)[0],
                                        href - zeeman_frame_shift(nv2_params)
                                        + carrier, atol=1e-9)
@@ -301,9 +301,11 @@ class TestFourier:
         assert np.abs(mag).max() < 1e-12
 
     def test_non_uniform_grid_rejected(self):
-        tau = np.array([0.0, 0.1, 0.3, 0.35])
-        with pytest.raises(ValueError):
-            fourier_magnitude(self._trace(tau, np.zeros_like(tau)))
+        for tau in (np.array([0.0, 0.1, 0.3, 0.35]),   # uneven
+                    np.full(30, 1.0),                  # zero step
+                    1.0 - 0.1 * np.arange(30)):        # descending
+            with pytest.raises(ValueError, match="uniform ascending grid"):
+                fourier_magnitude(self._trace(tau, np.zeros_like(tau)))
 
 
 class TestTraceIO:

@@ -18,7 +18,7 @@ from nvcdd.spin_model import (
     mechanical_cutoff,
     zeeman_frame_shift,
 )
-from nvcdd.units import GAMMA, DD_DT, angular_to_khz, khz_to_angular
+from nvcdd.units import D0, DD_DT, GAMMA, angular_to_khz, khz_to_angular
 
 from conftest import assert_hermitian_blockdiag, make_params, random_params
 
@@ -26,17 +26,20 @@ from conftest import assert_hermitian_blockdiag, make_params, random_params
 class TestSystemParams:
     def test_constraint_enforced(self, nv2_params):
         p = nv2_params
-        assert p.omega_mech == pytest.approx(2 * p.gamma * p.b + p.delta,
+        assert p.omega_mech == pytest.approx(2 * GAMMA * p.b + p.delta,
                                              rel=1e-12)
 
     def test_inconsistent_construction_rejected(self, nv2_params):
-        with pytest.raises(ValueError):
-            SystemParams.create(omega=1.0, delta=0.0)  # neither b nor mech
+        # b follows from omega_mech and delta, so it cannot be given
+        with pytest.raises(TypeError):
+            SystemParams(omega=1.0, b=5.0)
+        with pytest.raises(AttributeError):
+            nv2_params.b = 5.0
 
     def test_with_delta_keeps_mech_frequency(self, nv2_params):
         q = nv2_params.with_delta(khz_to_angular(-150.0))
         assert q.omega_mech == nv2_params.omega_mech
-        assert q.omega_mech == pytest.approx(2 * q.gamma * q.b + q.delta,
+        assert q.omega_mech == pytest.approx(2 * GAMMA * q.b + q.delta,
                                              rel=1e-12)
 
     def test_negative_omega_rejected(self, nv2_params):
@@ -48,7 +51,7 @@ class TestLabHamiltonian:
     def test_drive_off_is_diagonal(self, nv2_params):
         p = nv2_params.with_omega(0.0)
         h = build_lab_hamiltonian(p, ZERO_ENV, t=0.37)
-        gb, a, d = p.gamma * p.b, p.a_par, p.d0
+        gb, a, d = GAMMA * p.b, p.a_par, D0
         expected = np.diag([gb + a / 2, gb - a / 2, -d, -d,
                             -gb - a / 2, -gb + a / 2])
         np.testing.assert_allclose(h, expected, rtol=1e-12, atol=0)
@@ -79,9 +82,9 @@ class TestRotatingHamiltonian:
 
     def test_field_cancels_detuning(self):
         p = make_params(a_par_khz=0.0, delta_khz=40.0)
-        db = -0.5 * p.delta / p.gamma
+        db = -0.5 * p.delta / GAMMA
         h = build_rotating_hamiltonian(p, EnvironmentSample(delta_b=db))
-        gb = p.gamma * p.b
+        gb = GAMMA * p.b
         np.testing.assert_allclose(np.diag(h)[[0, 1, 4, 5]],
                                    [gb, gb, -gb, -gb], rtol=1e-12)
 
@@ -114,7 +117,7 @@ class TestDressedEnergies:
     def test_zero_level_at_minus_d(self, nv2_params):
         env = EnvironmentSample(delta_t=1.5)
         lv = dressed_energies(nv2_params, env)
-        d = nv2_params.d0 + nv2_params.dd_dt * env.delta_t
+        d = D0 + DD_DT * env.delta_t
         assert lv.energy("0u") == pytest.approx(-d, rel=1e-12)
 
     def test_mp_symmetric(self, rng):
@@ -169,7 +172,7 @@ class TestLarmorFrequency:
         w_minus = larmor_frequency("mu", "pu", p,
                                    EnvironmentSample(delta_b=-step))
         slope = (w_plus - w_minus) / (2 * step)
-        expected = 2 * p.gamma * abs(p.a_par) / math.hypot(p.a_par, p.omega)
+        expected = 2 * GAMMA * abs(p.a_par) / math.hypot(p.a_par, p.omega)
         assert slope == pytest.approx(expected, rel=1e-6)
 
     def test_mp_immune_to_temperature(self, rng):
@@ -188,12 +191,12 @@ class TestLarmorFrequency:
         slope = (w_plus - w_minus) / (2 * step)
         # omega_0p = D + sqrt(..)/2 with the 0 level at -D, so the
         # splitting tracks D directly and the slope is dD/dT itself
-        assert slope == pytest.approx(nv2_params.dd_dt, rel=1e-6)
+        assert slope == pytest.approx(DD_DT, rel=1e-6)
 
     def test_avoided_crossing_even_in_xi(self, nv2_params):
         # at delta=0, omega_mp is even in (2*gamma*db + a_par) about xi=0
         p = nv2_params
-        center = -p.a_par / (2 * p.gamma)
+        center = -p.a_par / (2 * GAMMA)
         for off in (5.0, 11.0):
             w_lo = larmor_frequency("mu", "pu", p,
                                     EnvironmentSample(delta_b=center - off))
