@@ -3,7 +3,9 @@
 Every command is driven by a JSON config plus a few override flags. The
 config contract is ``SCHEMA`` below (JSON Schema draft 2020-12), the only
 copy of it: its preset, Ramsey-kind and fit-model enums come from the
-registries. ``configs/nv1.json`` and ``configs/nv2.json`` are examples.
+registries, and its ``default`` values are the CLI's defaults. A flag,
+if given, overrides the config key its Python name names.
+``configs/nv1.json`` and ``configs/nv2.json`` are examples.
 All frequencies in configs and reports are ordinary kHz, converted to
 angular units at the boundary.
 Outputs are plottable CSV artifacts plus text fit reports, deterministic
@@ -14,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -61,32 +64,36 @@ _AMPLITUDE_SCHEMA = {
     "type": "object",
     "properties": {
         "mode": {"enum": ["fixed", "reflectometer"]},
-        "sigma_omega_khz": {"type": "number", "minimum": 0},
+        "sigma_omega_khz": {"type": "number", "minimum": 0, "default": 0.0},
         "eta": {"type": "number", "minimum": 0},
         "alpha_khz": {"type": "number"},
     },
     "required": ["mode"],
     "additionalProperties": False,
+    "default": {"mode": "fixed"},
 }
 
-_GRID_KEYS = {
-    "tau_start_us": {"type": "number", "minimum": 0},
-    "tau_stop_us": {"type": "number", "exclusiveMinimum": 0},
-    "tau_step_us": {"type": "number", "exclusiveMinimum": 0},
-}
+
+def _tau_grid_keys(stop: float, step: float) -> dict:
+    """Rules of a tau_{start,stop,step}_us grid, by default 0..stop by step."""
+    positive = {"type": "number", "exclusiveMinimum": 0}
+    return {"tau_start_us": {"type": "number", "minimum": 0, "default": 0.0},
+            "tau_stop_us": {**positive, "default": stop},
+            "tau_step_us": {**positive, "default": step}}
+
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "nvcdd scenario config",
     "type": "object",
     "properties": {
-        "preset": {"enum": sorted(PRESETS)},
-        "out_dir": {"type": "string"},
+        "preset": {"enum": sorted(PRESETS), "default": "nv2"},
+        "out_dir": {"type": "string", "default": "out"},
         "system": {
             "type": "object",
             "properties": {
                 "omega_khz": {"type": "number", "minimum": 0},
-                "delta_khz": {"type": "number"},
+                "delta_khz": {"type": "number", "default": 0.0},
                 "a_par_khz": {"type": "number", "minimum": 0},
                 "omega_mech_mhz": {"type": "number", "exclusiveMinimum": 0},
                 "q_factor": {"type": "number", "exclusiveMinimum": 0},
@@ -102,24 +109,26 @@ SCHEMA = {
                 "sigma_t_c": {"type": "number", "minimum": 0},
                 "amplitude": _AMPLITUDE_SCHEMA,
             },
+            # field noise takes at most one key; the preset fills it otherwise
+            "allOf": [{"not": {"required": pair}} for pair in (
+                ["sigma_b_mg", "gamma_sigma_b_khz"], ["sigma_b_mg", "t2_0m1_us"],
+                ["gamma_sigma_b_khz", "t2_0m1_us"])],
             "additionalProperties": False,
         },
         "sim": {
             "type": "object",
             "properties": {
-                "shots": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
+                "shots": {"type": "integer", "minimum": 1, "default": 1000},
+                "seed": {"type": "integer", "minimum": 0, "default": 0},
             },
             "additionalProperties": False,
         },
         "ramsey": {
             "type": "object",
             "properties": {
-                "kind": {"enum": list(RAMSEY_KINDS)},
-                **_GRID_KEYS,
+                "kind": {"enum": list(RAMSEY_KINDS), "default": "dressed_mp"},
+                **_tau_grid_keys(20.0, 0.05),
                 "omega_mag_khz": {"type": "number", "exclusiveMinimum": 0},
-                "omega_rot_khz": {"type": "number"},
-                "closing_phase_rad": {"type": "number"},
             },
             "additionalProperties": False,
         },
@@ -129,10 +138,12 @@ SCHEMA = {
                 "omega_list_khz": {
                     "type": "array",
                     "items": {"type": "number", "minimum": 0},
+                    "minItems": 1, "default": [0.0, 230.0, 470.0, 670.0],
                 },
-                "detuning_start_khz": {"type": "number"},
-                "detuning_stop_khz": {"type": "number"},
-                "detuning_step_khz": {"type": "number", "exclusiveMinimum": 0},
+                "detuning_start_khz": {"type": "number", "default": -600.0},
+                "detuning_stop_khz": {"type": "number", "default": 600.0},
+                "detuning_step_khz": {"type": "number", "exclusiveMinimum": 0,
+                                      "default": 4.0},
                 "omega_mag_khz": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -143,16 +154,17 @@ SCHEMA = {
                 "omega_list_khz": {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
+                    "minItems": 1, "default": [230.0, 348.0, 470.0, 581.0],
                 },
-                "power_leveled": {"type": "boolean"},
-                "mc": {"type": "boolean"},
-                **_GRID_KEYS,
+                "power_leveled": {"type": "boolean", "default": True},
+                "mc": {"type": "boolean", "default": False},
+                **_tau_grid_keys(25.0, 0.1),
             },
             "additionalProperties": False,
         },
         "envelope": {
             "type": "object",
-            "properties": _GRID_KEYS,
+            "properties": _tau_grid_keys(30.0, 0.05),
             "additionalProperties": False,
         },
         "fit": {
@@ -162,7 +174,7 @@ SCHEMA = {
                 "input_csv": {"type": "string"},
                 "undressed_csv": {"type": "string"},
                 "p0_ud": {"type": "number", "exclusiveMinimum": 0},
-                "use_stderr_weights": {"type": "boolean"},
+                "use_stderr_weights": {"type": "boolean", "default": False},
             },
             "additionalProperties": False,
         },
@@ -235,27 +247,48 @@ def validate_config(cfg: dict) -> None:
             from error
 
 
+def _given(**flags) -> dict:
+    """The flags given: neither None nor a multiple=True option's ()."""
+    return {key: value for key, value in flags.items()
+            if value is not None and value != ()}
+
+
+def _merged(rule: dict, section: dict, **flags) -> dict:
+    """The defaults of an object rule of SCHEMA, overlaid by a config
+    section, overlaid by every flag given.  Default lists are copied, so
+    no caller can edit SCHEMA."""
+    defaults = {key: copy.copy(prop["default"])
+                for key, prop in rule["properties"].items() if "default" in prop}
+    return {**defaults, **section, **_given(**flags)}
+
+
+def _section(res: dict, name: str, **flags) -> dict:
+    """The settings of one command: see _merged."""
+    return _merged(SCHEMA["properties"][name], res["raw"].get(name, {}),
+                   **flags)
+
+
 def resolve_config(cfg: dict) -> dict:
     """Fill preset defaults and convert units; returns plain runtime values.
 
     Resulting dict holds the SystemParams (angular units), a NoiseSpec,
     shot/seed counts, and the raw per-command sections.
     """
-    preset = PRESETS.get(cfg.get("preset", "nv2"))
+    top = _merged(SCHEMA, cfg)
+    preset = PRESETS.get(top["preset"])
     if preset is None:
-        raise ConfigError(f"unknown preset {cfg.get('preset')!r}")
-    system = cfg.get("system", {})
+        raise ConfigError(f"unknown preset {top['preset']!r}")
+    system = {**preset, **_merged(SCHEMA["properties"]["system"],
+                                  cfg.get("system", {}))}
     params = SystemParams(
-        omega=khz_to_angular(system.get("omega_khz",
-                                        preset["default_omega_khz"])),
-        delta=khz_to_angular(system.get("delta_khz", 0.0)),
-        a_par=khz_to_angular(system.get("a_par_khz", preset["a_par_khz"])),
-        omega_mech=mhz_to_angular(system.get("omega_mech_mhz",
-                                             preset["omega_mech_mhz"])),
-        q_factor=system.get("q_factor", preset["q_factor"]),
+        omega=khz_to_angular(system["omega_khz"]),
+        delta=khz_to_angular(system["delta_khz"]),
+        a_par=khz_to_angular(system["a_par_khz"]),
+        omega_mech=mhz_to_angular(system["omega_mech_mhz"]),
+        q_factor=system["q_factor"],
     )
 
-    noise_cfg = cfg.get("noise", {})
+    noise_cfg = _merged(SCHEMA["properties"]["noise"], cfg.get("noise", {}))
     if "sigma_b_mg" in noise_cfg:
         sigma_b = noise_cfg["sigma_b_mg"]
     elif "gamma_sigma_b_khz" in noise_cfg:
@@ -267,10 +300,9 @@ def resolve_config(cfg: dict) -> dict:
     else:
         sigma_b = sigma_b_from_t2(preset["t2_0m1_us"])
     sigma_t = noise_cfg.get("sigma_t_c", preset["sigma_t_c"])
-    amp_cfg = noise_cfg.get("amplitude", {"mode": "fixed", "sigma_omega_khz": 0.0})
+    amp_cfg = _merged(_AMPLITUDE_SCHEMA, noise_cfg["amplitude"])
     if amp_cfg["mode"] == "fixed":
-        amplitude = FixedAmplitudeNoise(
-            khz_to_angular(amp_cfg.get("sigma_omega_khz", 0.0)))
+        amplitude = FixedAmplitudeNoise(khz_to_angular(amp_cfg["sigma_omega_khz"]))
     else:
         if "eta" not in amp_cfg or "alpha_khz" not in amp_cfg:
             raise ConfigError(
@@ -281,27 +313,19 @@ def resolve_config(cfg: dict) -> dict:
             alpha_diode=khz_to_angular(amp_cfg["alpha_khz"]))
     noise = NoiseSpec(sigma_b=sigma_b, sigma_t=sigma_t, amplitude_noise=amplitude)
 
-    sim = cfg.get("sim", {})
+    sim = _merged(SCHEMA["properties"]["sim"], cfg.get("sim", {}))
     # The schema's "integer" also admits integral floats such as 3.0.
-    return {
-        "params": params,
-        "noise": noise,
-        "shots": int(sim.get("shots", 1000)),
-        "seed": int(sim.get("seed", 0)),
-        "out_dir": cfg.get("out_dir", "out"),
-        "raw": cfg,
-    }
+    return {"params": params, "noise": noise, "shots": int(sim["shots"]),
+            "seed": int(sim["seed"]), "out_dir": top["out_dir"], "raw": cfg}
 
 
-def _grid(section: dict, key: str, start: float, stop: float, step: float):
+def _grid(section: dict, key: str):
     """Evenly spaced grid, stop included, from the section keys
-    key.format("start"/"stop"/"step") with the given defaults.  Grids of
-    more than _MAX_GRID_POINTS points are config errors, not allocations."""
+    key.format("start"/"stop"/"step").  Grids of more than
+    _MAX_GRID_POINTS points are config errors, not allocations."""
     start_key, stop_key, step_key = (key.format(part)
                                      for part in ("start", "stop", "step"))
-    start = section.get(start_key, start)
-    stop = section.get(stop_key, stop)
-    step = section.get(step_key, step)
+    start, stop, step = section[start_key], section[stop_key], section[step_key]
     if stop <= start:
         raise ConfigError(f"{stop_key} must exceed {start_key}")
     # np.arange gives ceil((stop - start) / step + 0.5) points
@@ -312,9 +336,7 @@ def _grid(section: dict, key: str, start: float, stop: float, step: float):
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.10g}" for v in row))
+    lines = [header, *(",".join(f"{v:.10g}" for v in row) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -341,7 +363,14 @@ def pipeline(fn):
     return wrapper
 
 
-@click.group()
+class _PipelineGroup(click.Group):
+    """A command group whose callback and subcommands run through pipeline."""
+
+    def invoke(self, ctx):
+        return pipeline(super().invoke)(ctx)
+
+
+@click.group(cls=_PipelineGroup)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON scenario config; defaults to the nv2 preset.")
 @click.option("--seed", type=int, default=None, help="Override RNG seed.")
@@ -349,18 +378,11 @@ def pipeline(fn):
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Override output directory.")
 @click.pass_context
-@pipeline
-def main(ctx, config_path, seed, shots, out_dir):
+def main(ctx, config_path, **flags):
     """Continuous-dynamical-decoupling simulation and analysis pipelines."""
-    cfg = load_config(config_path) if config_path else {"preset": "nv2"}
-    res = resolve_config(cfg)
-    if seed is not None:
-        res["seed"] = seed
-    if shots is not None:
-        res["shots"] = shots
-    if out_dir is not None:
-        res["out_dir"] = out_dir
-    ctx.obj = res
+    cfg = load_config(config_path) if config_path else {}
+    # the flags override the resolved sim.seed, sim.shots and out_dir
+    ctx.obj = {**resolve_config(cfg), **_given(**flags)}
 
 
 def _out_dir(res: dict) -> Path:
@@ -375,7 +397,6 @@ def _sim_config(res: dict) -> SimConfig:
 
 @main.command()
 @click.pass_obj
-@pipeline
 def rates(res):
     """Print the dephasing-rate budget and predicted coherence times."""
     params = res["params"]
@@ -385,10 +406,8 @@ def rates(res):
     thermal_t2 = math.sqrt(2.0) / (abs(DD_DT) * noise.sigma_t) \
         if noise.sigma_t else math.inf
     cutoff = mechanical_cutoff(params.omega_mech, params.q_factor)
-    budget = (
-        ("magnetic", rate_magnetic_mp(params.omega, params.a_par, noise.sigma_b)),
-        ("amplitude", rate_amplitude_mp(params.omega, params.a_par, sigma_omega)),
-    )
+    gamma_b = rate_magnetic_mp(params.omega, params.a_par, noise.sigma_b)
+    gamma_om = rate_amplitude_mp(params.omega, params.a_par, sigma_omega)
     t2_first = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
                                sigma_omega, order="first")
     t2_second = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
@@ -400,10 +419,8 @@ def rates(res):
         f"sigma_Omega/2pi     : {angular_to_khz(sigma_omega):10.2f} kHz",
         f"thermal-limit T2*   : {thermal_t2:10.2f} us  (sigma_T = {noise.sigma_t:.2f} C)",
         f"mech cutoff w_c/2pi : {angular_to_khz(cutoff):10.2f} kHz",
-    ]
-    for name, rate in budget:
-        lines.append(f"Gamma_{name:<13}: {rate:10.4f} rad/us")
-    lines += [
+        f"Gamma_magnetic     : {gamma_b:10.4f} rad/us",
+        f"Gamma_amplitude    : {gamma_om:10.4f} rad/us",
         f"T2*_mp (first)      : {t2_first:10.2f} us",
         f"T2*_mp (second)     : {t2_second:10.2f} us",
     ]
@@ -413,30 +430,23 @@ def rates(res):
 
 
 @main.command()
-@click.option("--omega-khz", "omega_list", multiple=True,
+@click.option("--omega-khz", "omega_list_khz", multiple=True,
               type=_ConfigFloat("t2scan", "omega_list_khz"),
               help="Override the mechanical Rabi scan list.")
-@click.option("--mc/--no-mc", "mc_flag", default=None,
+@click.option("--mc/--no-mc", default=None,
               help="Toggle the Monte-Carlo simulate-and-fit column.")
 @click.pass_obj
-@pipeline
-def t2scan(res, omega_list, mc_flag):
+def t2scan(res, **flags):
     """Scan T2* of the {m,p} qubit against the mechanical drive strength."""
-    section = res["raw"].get("t2scan", {})
-    omegas = list(omega_list) or section.get("omega_list_khz",
-                                             [230.0, 348.0, 470.0, 581.0])
-    if not omegas:
-        raise ConfigError("t2scan omega list is empty")
-    power_leveled = section.get("power_leveled", True)
-    run_mc = section.get("mc", False) if mc_flag is None else mc_flag
-    tau = _grid(section, "tau_{}_us", 0.0, 25.0, 0.1)
+    section = _section(res, "t2scan", **flags)
+    tau = _grid(section, "tau_{}_us")
     noise = res["noise"]
-    if power_leveled:
+    if section["power_leveled"]:
         noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))
     a_par = res["params"].a_par
     gsb_khz = angular_to_khz(GAMMA * noise.sigma_b)
     rows = []
-    for om_khz in omegas:
+    for om_khz in section["omega_list_khz"]:
         omega = khz_to_angular(om_khz)
         sigma_omega = noise.sigma_omega(omega)
         t2_first = predicted_t2_mp(omega, a_par, noise.sigma_b,
@@ -444,7 +454,7 @@ def t2scan(res, omega_list, mc_flag):
         t2_second = predicted_t2_mp(omega, a_par, noise.sigma_b,
                                     sigma_omega, order="second")
         t2_mc, mc_err = math.nan, math.nan
-        if run_mc:
+        if section["mc"]:
             params = res["params"].with_omega(omega)
             cfg = SimConfig(n_shots=res["shots"], seed=res["seed"], noise=noise)
             trace = simulate_ramsey("dressed_mp", tau, params, cfg)
@@ -461,36 +471,20 @@ def t2scan(res, omega_list, mc_flag):
 
 
 @main.command()
-@click.option("--kind", type=click.Choice(RAMSEY_KINDS), default=None)
-@click.option("--tau-stop-us", type=_ConfigFloat("ramsey", "tau_stop_us"),
-              default=None)
-@click.option("--tau-step-us", type=_ConfigFloat("ramsey", "tau_step_us"),
-              default=None)
-@click.option("--omega-mag-khz", type=_ConfigFloat("ramsey", "omega_mag_khz"),
-              default=None)
+@click.option("--kind", type=click.Choice(RAMSEY_KINDS))
+@click.option("--tau-stop-us", type=_ConfigFloat("ramsey", "tau_stop_us"))
+@click.option("--tau-step-us", type=_ConfigFloat("ramsey", "tau_step_us"))
+@click.option("--omega-mag-khz", type=_ConfigFloat("ramsey", "omega_mag_khz"))
 @click.pass_obj
-@pipeline
-def ramsey(res, kind, tau_stop_us, tau_step_us, omega_mag_khz):
+def ramsey(res, **flags):
     """Simulate a Ramsey trace; writes the trace and its Fourier magnitude."""
-    section = dict(res["raw"].get("ramsey", {}))
-    if tau_stop_us is not None:
-        section["tau_stop_us"] = tau_stop_us
-    if tau_step_us is not None:
-        section["tau_step_us"] = tau_step_us
-    kind = kind or section.get("kind", "dressed_mp")
-    tau = _grid(section, "tau_{}_us", 0.0, 20.0, 0.05)
-    params = res["params"]
-    cfg = _sim_config(res)
-    kwargs = {}
-    om_mag_khz = omega_mag_khz if omega_mag_khz is not None \
-        else section.get("omega_mag_khz")
-    if om_mag_khz is not None:
-        kwargs["omega_mag"] = khz_to_angular(om_mag_khz)
-    if "omega_rot_khz" in section:
-        kwargs["omega_rot"] = khz_to_angular(section["omega_rot_khz"])
-    if "closing_phase_rad" in section:
-        kwargs["closing_phase"] = section["closing_phase_rad"]
-    trace = simulate_ramsey(kind, tau, params, cfg, **kwargs)
+    section = _section(res, "ramsey", **flags)
+    kind = section["kind"]
+    tau = _grid(section, "tau_{}_us")
+    # without omega_mag_khz the simulator picks the kind's pulse strength
+    kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
+        if "omega_mag_khz" in section else {}
+    trace = simulate_ramsey(kind, tau, res["params"], _sim_config(res), **kwargs)
     out = _out_dir(res)
     trace_path = out / f"ramsey_{kind}.csv"
     write_trace_csv(trace, trace_path)
@@ -501,26 +495,19 @@ def ramsey(res, kind, tau_stop_us, tau_step_us, omega_mag_khz):
 
 
 @main.command()
-@click.option("--omega-khz", "omega_list", multiple=True,
+@click.option("--omega-khz", "omega_list_khz", multiple=True,
               type=_ConfigFloat("spectra", "omega_list_khz"),
               help="Override the drive list; 0 means undressed.")
 @click.pass_obj
-@pipeline
-def spectra(res, omega_list):
+def spectra(res, **flags):
     """Simulate pulsed spectra across a list of mechanical drive strengths."""
-    section = res["raw"].get("spectra", {})
-    omegas = list(omega_list) or section.get("omega_list_khz",
-                                             [0.0, 230.0, 470.0, 670.0])
-    if not omegas:
-        raise ConfigError("spectra omega list is empty")
-    grid = khz_to_angular(
-        _grid(section, "detuning_{}_khz", -600.0, 600.0, 4.0))
-    kwargs = {}
-    if "omega_mag_khz" in section:
-        kwargs["omega_mag"] = khz_to_angular(section["omega_mag_khz"])
+    section = _section(res, "spectra", **flags)
+    grid = khz_to_angular(_grid(section, "detuning_{}_khz"))
+    kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
+        if "omega_mag_khz" in section else {}
     cfg = _sim_config(res)
     out = _out_dir(res)
-    for om_khz in omegas:
+    for om_khz in section["omega_list_khz"]:
         params = res["params"].with_omega(khz_to_angular(om_khz))
         trace = simulate_spectrum(grid, params, cfg, **kwargs)
         path = out / f"spectrum_omega{om_khz:g}khz.csv"
@@ -529,16 +516,11 @@ def spectra(res, omega_list):
 
 
 @main.command()
-@click.option("--tau-stop-us", type=_ConfigFloat("envelope", "tau_stop_us"),
-              default=None)
+@click.option("--tau-stop-us", type=_ConfigFloat("envelope", "tau_stop_us"))
 @click.pass_obj
-@pipeline
-def envelope(res, tau_stop_us):
+def envelope(res, **flags):
     """Tabulate the analytic envelopes against their Gaussian references."""
-    section = dict(res["raw"].get("envelope", {}))
-    if tau_stop_us is not None:
-        section["tau_stop_us"] = tau_stop_us
-    tau = _grid(section, "tau_{}_us", 0.0, 30.0, 0.05)
+    tau = _grid(_section(res, "envelope", **flags), "tau_{}_us")
     noise = res["noise"]
     params = res["params"]
     f = envelope_second_order(tau, params.omega, noise.sigma_b, params.a_par)
@@ -553,23 +535,20 @@ def envelope(res, tau_stop_us):
 
 
 @main.command()
-@click.option("--model", "model_name", default=None,
-              type=click.Choice(list(FIT_MODELS)))
-@click.option("--input", "input_csv", type=click.Path(), default=None,
+@click.option("--model", type=click.Choice(list(FIT_MODELS)))
+@click.option("--input", "input_csv", type=click.Path(),
               help="Trace CSV to fit (dressed spectrum for spectrum_joint).")
-@click.option("--undressed", "undressed_csv", type=click.Path(), default=None,
+@click.option("--undressed", "undressed_csv", type=click.Path(),
               help="Undressed spectrum CSV (spectrum_joint only).")
 @click.pass_obj
-@pipeline
-def fit(res, model_name, input_csv, undressed_csv):
+def fit(res, **flags):
     """Fit a signal model to a trace CSV and write the report."""
-    section = res["raw"].get("fit", {})
-    model_name = model_name or section.get("model")
-    input_csv = input_csv or section.get("input_csv")
-    undressed_csv = undressed_csv or section.get("undressed_csv")
+    section = _section(res, "fit", **flags)
+    model_name, input_csv = section.get("model"), section.get("input_csv")
     if not model_name or not input_csv:
         raise ConfigError("fit needs a model name and an input CSV")
     trace = read_trace_csv(input_csv)
+    undressed_csv = section.get("undressed_csv")
     undressed = read_trace_csv(undressed_csv) if undressed_csv else None
     gsb_khz = angular_to_khz(GAMMA * res["noise"].sigma_b)
     try:
@@ -578,7 +557,7 @@ def fit(res, model_name, input_csv, undressed_csv):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sigma = None
-    if section.get("use_stderr_weights", False):
+    if section["use_stderr_weights"]:
         if data is not trace:   # spectrum_joint fits two stacked traces
             raise ConfigError(f"fit.use_stderr_weights does not apply to "
                               f"the {model_name} model")

@@ -25,7 +25,8 @@ class ZeroRateError(NumericalError, ValueError):
 
 
 class HorizonExceeded(NumericalError, RuntimeError):
-    """The envelope never crosses 1/e within the search horizon."""
+    """The envelope stays above 1/e out to the largest tau the bracket
+    reaches before doubling overflows."""
 
     def __init__(self, horizon: float):
         super().__init__(f"envelope stays above 1/e out to {horizon} us")
@@ -206,12 +207,12 @@ def gaussian_envelope(tau, t2: float):
     return float(out) if out.ndim == 0 else out
 
 
-def one_over_e_time(envelope, horizon: float = 1e3) -> float:
+def one_over_e_time(envelope) -> float:
     """Solve envelope(tau) = 1/e by doubling bracket + bisection, to
-    ONE_OVER_E_TOL us.
+    ONE_OVER_E_TOL us, or to the float resolution where that is coarser.
 
     The envelope must be non-increasing with envelope(0) = 1.  Raises
-    HorizonExceeded if no crossing exists below the horizon.
+    HorizonExceeded if the doubling bracket overflows to inf first.
     """
     target = 1.0 / math.e
     lo = 0.0
@@ -219,18 +220,17 @@ def one_over_e_time(envelope, horizon: float = 1e3) -> float:
     while float(envelope(hi)) > target:
         lo = hi
         hi *= 2.0
-        if hi > horizon:
-            if float(envelope(horizon)) > target:
-                raise HorizonExceeded(horizon)
-            hi = horizon
-            break
+        if hi == math.inf:
+            raise HorizonExceeded(lo)
     while hi - lo > ONE_OVER_E_TOL:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi   # equals 0.5 * (lo + hi), never inf
+        if not lo < mid < hi:
+            break
         if float(envelope(mid)) > target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def predicted_t2_mp(omega: float, a_par: float, sigma_b: float,

@@ -18,13 +18,13 @@ import numpy as np
 
 from .dephasing import envelope_max_protection
 from .fitting import FitParam, ModelFunction
-from .pulse_sim import Trace, fourier_magnitude
+from .pulse_sim import OMEGA_ROT_KHZ, Trace, fourier_magnitude
 from .units import GAMMA, angular_to_khz, khz_to_angular
 
 _K = 2.0 * math.pi * 1e-3  # kHz -> rad/us
 
 
-def model_undressed_ramsey(omega_rot_khz: float = 250.0) -> ModelFunction:
+def model_undressed_ramsey() -> ModelFunction:
     """Gaussian-damped two-cosine undressed Ramsey fringe, 13C-split by
     +-a_par/2 about the phase-advance frequency."""
 
@@ -43,13 +43,13 @@ def model_undressed_ramsey(omega_rot_khz: float = 250.0) -> ModelFunction:
             FitParam("t2_us", 5.0, 1e-3, 1e4, unit="us"),
             FitParam("delta_mag_khz", 0.0, -1e3, 1e3, unit="kHz"),
             FitParam("a_par_khz", 150.0, 0.0, 2e3, unit="kHz"),
-            FitParam("omega_rot_khz", omega_rot_khz, unit="kHz", frozen=True),
+            FitParam("omega_rot_khz", OMEGA_ROT_KHZ, unit="kHz", frozen=True),
         ),
         evaluator=evaluate,
     )
 
 
-def model_ramsey_0p(a_par_khz: float, omega_rot_khz: float = 250.0) -> ModelFunction:
+def model_ramsey_0p(a_par_khz: float) -> ModelFunction:
     """{0,p} CDD Ramsey: slow branch at the residual detuning plus a fast
     branch offset by sqrt(omega^2 + a_par^2), shared Gaussian envelope."""
 
@@ -72,7 +72,7 @@ def model_ramsey_0p(a_par_khz: float, omega_rot_khz: float = 250.0) -> ModelFunc
             FitParam("delta_mag_khz", 0.0, -1e3, 1e3, unit="kHz"),
             FitParam("t2_us", 10.0, 1e-3, 1e4, unit="us"),
             FitParam("a_par_khz", a_par_khz, unit="kHz", frozen=True),
-            FitParam("omega_rot_khz", omega_rot_khz, unit="kHz", frozen=True),
+            FitParam("omega_rot_khz", OMEGA_ROT_KHZ, unit="kHz", frozen=True),
         ),
         evaluator=evaluate,
     )

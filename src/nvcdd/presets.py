@@ -21,7 +21,7 @@ PRESETS = {
         "sigma_t_c": 0.25,
         "omega_mech_mhz": 586.0,
         "q_factor": Q_FACTOR,
-        "default_omega_khz": 348.0,
+        "omega_khz": 348.0,
     },
     "nv2": {
         "a_par_khz": 150.0,
@@ -30,6 +30,6 @@ PRESETS = {
         "sigma_t_c": 0.25,
         "omega_mech_mhz": 586.0,
         "q_factor": Q_FACTOR,
-        "default_omega_khz": 581.0,
+        "omega_khz": 581.0,
     },
 }

@@ -42,16 +42,16 @@ import numpy as np
 from .dephasing import NoiseSpec
 from .errors import NumericalError
 from .spin_model import SystemParams, dressed_transition_offsets
-from .units import DD_DT, GAMMA, angular_to_khz
+from .units import DD_DT, GAMMA, angular_to_khz, khz_to_angular
 
 NORM_TOL = 1e-9
 
 # Paper-grade default pulse strengths (angular rad/us).
 DEFAULT_OMEGA_MAG_SQ = 2.0 * math.pi * 0.696   # {0,p} pi/2 pulses, 696 kHz
 DEFAULT_OMEGA_MAG_DQ = 2.0 * math.pi * 1.513   # {m,p} DQ pi pulses, 1513 kHz
-# Phase-advance rate of the closing {0,p} pulse; a visualization aid, not a
-# measured quantity.
-DEFAULT_OMEGA_ROT = 2.0 * math.pi * 0.250
+# Phase-advance rate of the closing {0,p} pulse, kHz; a visualization aid,
+# not a measured quantity.  The fit models freeze the same value.
+OMEGA_ROT_KHZ = 250.0
 
 RAMSEY_KINDS = ("undressed_0m1", "dressed_0p", "dressed_mp", "max_protection")
 
@@ -418,9 +418,7 @@ def _metadata(kind: str, unit: str, params: SystemParams,
 
 
 def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
-                    config: SimConfig, *, omega_mag: float | None = None,
-                    omega_rot: float = DEFAULT_OMEGA_ROT,
-                    closing_phase: float = 0.0) -> Trace:
+                    config: SimConfig, *, omega_mag: float | None = None) -> Trace:
     """Monte-Carlo Ramsey trace: mean P0 +- stderr over n_shots per tau."""
     if kind not in RAMSEY_KINDS:
         raise ValueError(f"unknown Ramsey kind {kind!r}")
@@ -433,6 +431,7 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
         raise ValueError(f"kind {kind!r} requires a nonzero mechanical drive")
     if kind == "max_protection":
         params = params.with_delta(-abs(params.a_par))
+    omega_rot = khz_to_angular(OMEGA_ROT_KHZ)
     if kind in ("dressed_mp", "max_protection"):
         # DQ pi pulses at the dressed-line midpoint; fixed closing phase
         omega_mag = DEFAULT_OMEGA_MAG_DQ if omega_mag is None else omega_mag
@@ -446,8 +445,7 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
     opening = MagneticPulse(omega_mag, t_pulse)
 
     def sequence_at(tau):
-        closing = MagneticPulse(omega_mag, t_pulse,
-                                phase=phase_rate * tau + closing_phase)
+        closing = MagneticPulse(omega_mag, t_pulse, phase=phase_rate * tau)
         return PulseSequence((opening, FreeEvolution(tau), closing), frame)
 
     mean, stderr = _simulate(tau_grid, sequence_at, params, config)

@@ -189,14 +189,34 @@ class TestT2Scan:
         result = invoke(runner, ["--config", cfg, "--out", str(tmp_path),
                                  "t2scan"])
         assert result.exit_code == 2
+        assert "config key $.t2scan.omega_list_khz" in all_output(result)
+
+    def test_default_drives(self, runner, tmp_path):
+        result = invoke(runner, ["--out", str(tmp_path), "t2scan"])
+        assert result.exit_code == 0, all_output(result)
+        rows = (tmp_path / "t2scan.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] \
+            == [230.0, 348.0, 470.0, 581.0]
 
     def test_numerical_failure_exit_code(self, runner, tmp_path):
-        # noise so weak the envelope never reaches 1/e inside the horizon
+        # no field noise and power-levelled drive: every rate is zero
         cfg = write_config(tmp_path, {
-            "noise": {"gamma_sigma_b_khz": 1e-9, "sigma_t_c": 0.25}})
+            "noise": {"gamma_sigma_b_khz": 0, "sigma_t_c": 0.25}})
         result = invoke(runner, ["--config", cfg, "--out", str(tmp_path),
                                  "t2scan", "--omega-khz", "581", "--no-mc"])
         assert result.exit_code == 3
+
+
+class TestWeakNoise:
+    def test_rates_reports_long_t2(self, runner, tmp_path):
+        # second-order T2* ~3.2 ms, beyond any fixed search horizon
+        cfg = write_config(tmp_path, {"noise": {"sigma_b_mg": 0.05}})
+        result = invoke(runner, ["--config", cfg, "--out", str(tmp_path),
+                                 "rates"])
+        assert result.exit_code == 0, all_output(result)
+        first = grab(result.output, "T2*_mp (first)")
+        second = grab(result.output, "T2*_mp (second)")
+        assert 1e3 < first < 1e4 and 1e3 < second < 1e4
 
 
 class TestRamseyAndFit:
@@ -283,7 +303,6 @@ class TestRamseyAndFit:
         assert result.exit_code == 3
         assert "norm" in all_output(result)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fit_equal_abscissae_is_config_error(self, runner, tmp_path):
         # every step is 0: uniform, but no grid to take a spectrum of
         path = tmp_path / "flat.csv"
@@ -550,3 +569,140 @@ class TestSpectraAndEnvelope:
         result = invoke(runner, head + ["--out", str(tmp_path)] + args)
         assert result.exit_code == 2
         assert "has more than 1000000 points" in all_output(result)
+
+
+SECTION = cli._section
+
+
+class _SectionRead(Exception):
+    """Stops a command once it has read its settings."""
+
+
+def settings_of(runner, monkeypatch, args):
+    """The (resolved config, merged section) a command runs with: the
+    command stops when it has read its section, before any work."""
+    seen = {}
+
+    def section(res, name, **flags):
+        seen["res"], seen["section"] = res, SECTION(res, name, **flags)
+        raise _SectionRead
+
+    monkeypatch.setattr(cli, "_section", section)
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, _SectionRead), all_output(result)
+    return seen["res"], seen["section"]
+
+
+# Command argv with one flag, the config key the flag overrides, a
+# config value for that key and the flag's value (a multiple=True flag
+# gives a tuple).
+FLAG_OVERRIDES = [
+    (["ramsey", "--kind", "dressed_0p"], "ramsey", "kind",
+     "max_protection", "dressed_0p"),
+    (["ramsey", "--tau-stop-us", "3"], "ramsey", "tau_stop_us", 7.0, 3.0),
+    (["ramsey", "--tau-step-us", "0.2"], "ramsey", "tau_step_us", 0.1, 0.2),
+    (["ramsey", "--omega-mag-khz", "900"], "ramsey", "omega_mag_khz",
+     700.0, 900.0),
+    (["envelope", "--tau-stop-us", "3"], "envelope", "tau_stop_us", 7.0, 3.0),
+    (["spectra", "--omega-khz", "0", "--omega-khz", "470"], "spectra",
+     "omega_list_khz", [230.0], (0.0, 470.0)),
+    (["t2scan", "--omega-khz", "348"], "t2scan", "omega_list_khz",
+     [230.0], (348.0,)),
+    (["t2scan", "--mc"], "t2scan", "mc", False, True),
+    (["t2scan", "--no-mc"], "t2scan", "mc", True, False),
+    (["fit", "--model", "ramsey_0p"], "fit", "model", "ramsey_mp",
+     "ramsey_0p"),
+    (["fit", "--input", "b.csv"], "fit", "input_csv", "a.csv", "b.csv"),
+    (["fit", "--undressed", "b.csv"], "fit", "undressed_csv", "a.csv",
+     "b.csv"),
+]
+
+# Global flag, its value, the resolved key it overrides, a config that
+# sets that key and the flag's value.
+GLOBAL_OVERRIDES = [
+    ("--seed", "5", "seed", {"sim": {"seed": 9}}, 9, 5),
+    ("--shots", "7", "shots", {"sim": {"shots": 9}}, 9, 7),
+    ("--out", "flag_dir", "out_dir", {"out_dir": "config_dir"},
+     "config_dir", "flag_dir"),
+]
+
+
+class TestSettingsMerge:
+    """SCHEMA default, then config section, then each flag given."""
+
+    @pytest.mark.parametrize("args,section,key,config_value,flag_value",
+                             FLAG_OVERRIDES,
+                             ids=[" ".join(case[0]) for case in FLAG_OVERRIDES])
+    def test_flag_overrides_its_config_key(self, runner, monkeypatch,
+                                           tmp_path, args, section, key,
+                                           config_value, flag_value):
+        cfg = write_config(tmp_path, {section: {key: config_value}})
+        _, from_config = settings_of(runner, monkeypatch,
+                                     ["--config", cfg, args[0]])
+        _, from_flag = settings_of(runner, monkeypatch, ["--config", cfg, *args])
+        assert from_config[key] == config_value
+        assert from_flag[key] == flag_value
+
+    @pytest.mark.parametrize("flag,value,key,payload,config_value,flag_value",
+                             GLOBAL_OVERRIDES,
+                             ids=[case[0] for case in GLOBAL_OVERRIDES])
+    def test_global_flag_overrides_its_config_key(self, runner, monkeypatch,
+                                                  tmp_path, flag, value, key,
+                                                  payload, config_value,
+                                                  flag_value):
+        cfg = write_config(tmp_path, payload)
+        res, _ = settings_of(runner, monkeypatch,
+                             ["--config", cfg, "envelope"])
+        assert res[key] == config_value
+        res, _ = settings_of(runner, monkeypatch,
+                             ["--config", cfg, flag, value, "envelope"])
+        assert res[key] == flag_value
+
+    @pytest.mark.parametrize("name", ["ramsey", "spectra", "t2scan",
+                                      "envelope", "fit"])
+    def test_defaults_come_from_the_schema(self, runner, monkeypatch, name):
+        res, section = settings_of(runner, monkeypatch, [name])
+        rules = cli.SCHEMA["properties"][name]["properties"]
+        assert section == {key: rule["default"] for key, rule in rules.items()
+                           if "default" in rule}
+        assert (res["seed"], res["shots"], res["out_dir"]) == (0, 1000, "out")
+
+    def test_section_copies_schema_lists(self):
+        rule = cli.SCHEMA["properties"]["t2scan"]["properties"][
+            "omega_list_khz"]
+        before = list(rule["default"])
+        cli._section({"raw": {}}, "t2scan")["omega_list_khz"].append(1.0)
+        assert rule["default"] == before
+
+    def test_ramsey_default_grid(self, runner, tmp_path):
+        result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
+                                 "ramsey"])
+        assert result.exit_code == 0, all_output(result)
+        rows = (tmp_path / "ramsey_dressed_mp.csv").read_text().splitlines()
+        tau = [float(row.split(",")[0]) for row in rows[1:]]
+        assert len(tau) == 401
+        assert tau[0] == 0.0 and tau[-1] == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"ramsey": {"omega_rot_khz": 250.0}},
+         "config error: config key $.ramsey: Additional properties are not "
+         "allowed ('omega_rot_khz' was unexpected)"),
+        ({"ramsey": {"closing_phase_rad": 0.0}},
+         "config error: config key $.ramsey: Additional properties are not "
+         "allowed ('closing_phase_rad' was unexpected)"),
+        ({"spectra": {"omega_list_khz": []}},
+         "config error: config key $.spectra.omega_list_khz: [] should be "
+         "non-empty"),
+        ({"noise": {"sigma_b_mg": 1.0, "t2_0m1_us": 5.0}},
+         "config error: config key $.noise: {'sigma_b_mg': 1.0, 't2_0m1_us': "
+         "5.0} should not be valid under {'required': ['sigma_b_mg', "
+         "'t2_0m1_us']}"),
+    ], ids=["omega_rot_khz", "closing_phase_rad", "empty_spectra_list",
+            "two_field_noise_keys"])
+    def test_rejected_config_exits_2(self, runner, tmp_path, payload,
+                                     message):
+        cfg = write_config(tmp_path, payload)
+        result = invoke(runner, ["--config", cfg, "--out", str(tmp_path),
+                                 "rates"])
+        assert result.exit_code == 2
+        assert message in all_output(result).splitlines()

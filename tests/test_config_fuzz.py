@@ -5,8 +5,9 @@ allocation (`envelope`, `ramsey` and `t2scan` size their grids from the
 config). Numbers are drawn log-uniformly over 1e-300..1e300, because the
 overflows sit at extreme magnitudes that uniform floats rarely reach.
 Literals no Python float holds (`1e400`) are checked in `test_cli.py`.
-A numpy RuntimeWarning fails the test: an overflow must end in a
-documented exit code, not in a silent inf or NaN.
+A numpy RuntimeWarning fails the test (pyproject.toml turns it into an
+error suite-wide): an overflow must end in a documented exit code, not
+in a silent inf or NaN.
 """
 
 import json
@@ -14,11 +15,8 @@ import math
 
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
-import pytest
 
 from nvcdd.cli import main
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 magnitudes = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
 non_negative = st.one_of(magnitudes, st.just(0.0), st.integers(0, 2**70))

@@ -246,12 +246,17 @@ class TestOneOverETime:
         assert one_over_e_time(env) == pytest.approx(13.5, abs=0.2)
 
     def test_horizon_exceeded(self):
-        env = functools.partial(envelope_max_protection,
-                                omega=khz_to_angular(455.7),
-                                sigma_b=SIGMA_B_NV2)
+        # an envelope that never decays outruns every finite bracket
         with pytest.raises(HorizonExceeded) as err:
-            one_over_e_time(env, horizon=50.0)
-        assert err.value.horizon == 50.0
+            one_over_e_time(lambda tau: 1.0)
+        assert math.isfinite(err.value.horizon)
+        assert 2.0 * err.value.horizon == math.inf
+
+    def test_crossing_beyond_float_resolution(self):
+        # near 1e20 us adjacent floats lie ~1.6e4 us apart, far above
+        # ONE_OVER_E_TOL: bisection stops at the float resolution
+        env = functools.partial(gaussian_envelope, t2=1e20)
+        assert one_over_e_time(env) == pytest.approx(1e20, rel=1e-12)
 
     def test_second_order_converges_to_gaussian_limit(self):
         env = functools.partial(envelope_second_order,

@@ -168,7 +168,7 @@ class TestSpectrumGeometry:
 
 class TestFrozenParameters:
     def test_frozen_values_survive_fit(self):
-        model = model_undressed_ramsey(omega_rot_khz=250.0)
+        model = model_undressed_ramsey()
         tau = np.arange(0.0, 12.0, 0.01)
         truth = np.array([0.5, 0.9, 6.0, 10.0, 150.0, 250.0])
         y = model.evaluate(truth, tau)

@@ -9,9 +9,9 @@ models can seed from -- with bad ones: wrong field counts, text, nan/inf
 and integers of 2**70.  Some files get a wrong header.  The solver's
 iteration budget is cut to a few steps: the property is the exit code,
 not convergence, and a fit that never converges would otherwise run to
-its full budget of evaluations.  A numpy RuntimeWarning fails the test:
-a bad trace must end in a documented exit code, not in a silent inf or
-NaN.
+its full budget of evaluations.  A numpy RuntimeWarning fails the test
+(pyproject.toml turns it into an error suite-wide): a bad trace must end
+in a documented exit code, not in a silent inf or NaN.
 """
 
 import json
@@ -23,8 +23,6 @@ import pytest
 from nvcdd import fitting
 from nvcdd.cli import main
 from nvcdd.models import FIT_MODELS
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 HEADER = "abscissa,mean_p0,stderr,n_shots"
 
