@@ -395,6 +395,13 @@ def _sim_config(res: dict) -> SimConfig:
     return SimConfig(n_shots=res["shots"], seed=res["seed"], noise=res["noise"])
 
 
+def _t2_us(t2: float) -> str:
+    """A T2* in us for the rates report: fixed point below 1e7 us, where
+    every shipped scenario lies, and exponent form from there up, so that
+    weak noise still prints a short line."""
+    return f"{t2:10.2f}" if t2 < 1e7 else f"{t2:10.3e}"
+
+
 @main.command()
 @click.pass_obj
 def rates(res):
@@ -417,12 +424,12 @@ def rates(res):
         f"a_par/2pi           : {angular_to_khz(params.a_par):10.2f} kHz",
         f"gamma*sigma_b/2pi   : {gsb_khz:10.2f} kHz  (sigma_b = {noise.sigma_b:.2f} mG)",
         f"sigma_Omega/2pi     : {angular_to_khz(sigma_omega):10.2f} kHz",
-        f"thermal-limit T2*   : {thermal_t2:10.2f} us  (sigma_T = {noise.sigma_t:.2f} C)",
+        f"thermal-limit T2*   : {_t2_us(thermal_t2)} us  (sigma_T = {noise.sigma_t:.2f} C)",
         f"mech cutoff w_c/2pi : {angular_to_khz(cutoff):10.2f} kHz",
         f"Gamma_magnetic     : {gamma_b:10.4f} rad/us",
         f"Gamma_amplitude    : {gamma_om:10.4f} rad/us",
-        f"T2*_mp (first)      : {t2_first:10.2f} us",
-        f"T2*_mp (second)     : {t2_second:10.2f} us",
+        f"T2*_mp (first)      : {_t2_us(t2_first)} us",
+        f"T2*_mp (second)     : {_t2_us(t2_second)} us",
     ]
     report = "\n".join(lines)
     click.echo(report)

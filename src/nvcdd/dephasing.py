@@ -81,21 +81,6 @@ class NoiseSpec:
         return self.amplitude_noise.resolve(mean_omega)
 
 
-@dataclass(frozen=True)
-class RateBudget:
-    """Labelled collection of uncorrelated dephasing rates."""
-
-    entries: tuple  # of (label, rate) pairs
-
-    def __post_init__(self):
-        for label, rate in self.entries:
-            if rate < 0:
-                raise ValueError(f"rate {label} must be >= 0, got {rate}")
-
-    def total(self) -> float:
-        return sum(rate for _, rate in self.entries)
-
-
 def gaussian_dephasing_rate(alpha: float, sigma_x: float) -> float:
     """Gamma = sqrt(2)*pi*alpha*sigma_x for a linear frequency deviation
     alpha*delta_x with Gaussian delta_x."""
@@ -140,14 +125,6 @@ def rate_amplitude_mp(omega: float, a_par: float, sigma_omega: float) -> float:
     if sigma_omega == 0.0 or omega == 0.0:
         return 0.0
     return kappa(omega, a_par) * omega * sigma_omega
-
-
-def combine_rates(budget: RateBudget) -> float:
-    """T2* = 2*pi / sum(Gamma_i) for uncorrelated noise sources."""
-    total = budget.total()
-    if total <= 0.0:
-        raise ZeroRateError("all rates are zero; T2* is unbounded")
-    return 2.0 * math.pi / total
 
 
 def sigma_omega_from_reflectometer(mean_omega: float, eta: float,
@@ -242,11 +219,14 @@ def predicted_t2_mp(omega: float, a_par: float, sigma_b: float,
     Gaussian delta_omega envelope (independent channels multiply).
     """
     if order == "first":
-        budget = RateBudget((
-            ("magnetic", rate_magnetic_mp(omega, a_par, sigma_b)),
-            ("amplitude", rate_amplitude_mp(omega, a_par, sigma_omega)),
-        ))
-        return combine_rates(budget)
+        gamma_b = rate_magnetic_mp(omega, a_par, sigma_b)
+        gamma_om = rate_amplitude_mp(omega, a_par, sigma_omega)
+        if gamma_om < 0:   # omega < 0; gamma_b is never negative
+            raise ValueError(f"rate amplitude must be >= 0, got {gamma_om}")
+        total = gamma_b + gamma_om
+        if total <= 0.0:
+            raise ZeroRateError("all rates are zero; T2* is unbounded")
+        return 2.0 * math.pi / total
     if order == "second":
         gamma_om = rate_amplitude_mp(omega, a_par, sigma_omega)
 
@@ -258,34 +238,3 @@ def predicted_t2_mp(omega: float, a_par: float, sigma_b: float,
 
         return one_over_e_time(env)
     raise ValueError(f"unknown order {order!r}")
-
-
-def mc_envelope_second_order(tau_grid, omega: float, sigma_b: float,
-                             a_par: float, n_draws: int = 100_000,
-                             seed: int = 0):
-    """Monte-Carlo evaluation of the Gaussian phase average behind the
-    second-order envelope: |<exp(i*dw*tau)>| over delta_b ~ N(0, sigma_b^2)
-    with dw the second-order expansion of the {m,p} Larmor deviation.
-
-    Returns (envelope estimate, standard error) arrays over tau_grid.
-    Independent oracle for envelope_second_order.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    db = rng.standard_normal(n_draws) * sigma_b
-    gdb = GAMMA * db
-    denom = (a_par * a_par + omega * omega) ** 1.5
-    dw = 2.0 * gdb * (a_par ** 3 + a_par * omega * omega + gdb * omega * omega) \
-        / denom
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    phases = np.exp(1j * np.outer(tau_grid, dw))
-    mean = phases.mean(axis=1)
-    # SE of |mean| from the component scatter.
-    se_re = phases.real.std(axis=1) / math.sqrt(n_draws)
-    se_im = phases.imag.std(axis=1) / math.sqrt(n_draws)
-    env = np.abs(mean)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        se = np.where(env > 0,
-                      np.sqrt((mean.real * se_re) ** 2
-                              + (mean.imag * se_im) ** 2) / np.maximum(env, 1e-300),
-                      np.hypot(se_re, se_im))
-    return env, se

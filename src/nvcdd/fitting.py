@@ -84,7 +84,6 @@ class FitOutcome:
     ci: dict                     # name -> (low, high), free parameters
     rss: float
     converged: bool
-    n_iter: int
     flags: list = field(default_factory=list)
     message: str = ""
 
@@ -174,9 +173,8 @@ def nlls_fit(model: ModelFunction, data, sigma=None) -> FitOutcome:
 
     params = {p.name: theta[i] for i, p in enumerate(model.params)}
     return FitOutcome(params=params, covariance=cov, ci=ci, rss=rss,
-                      converged=converged,
-                      n_iter=int(result.nfev // max(n_free, 1)),
-                      flags=flags, message=result.message)
+                      converged=converged, flags=flags,
+                      message=result.message)
 
 
 def format_fit_report(model: ModelFunction, outcome: FitOutcome) -> str:

@@ -7,10 +7,12 @@ splitting, so the |0> level sits at (carrier detuning) - (dD/dT)*deltaT.
 Spectral abscissae are detunings from the nominal undressed 0<->-1 line.
 
 One environment sample is drawn per shot and held constant across the
-whole sequence.  Shot RNG streams are counter-based (Philox keyed by
-(seed, shot), counter positioned by the abscissa index), so execution
-order never changes results.  _sample_block draws a block of whole grid
-points at once, bit-identical to shot_rng: Philox4x64-10 and numpy's
+whole sequence.  Shot RNG streams are counter-based, so execution order
+never changes results: a shot's three draws (field, drive amplitude,
+temperature) are numpy's standard_normal draws from a Philox4x64-10
+generator keyed by [seed, shot] with counter [0, point, 0, 0], point
+being the abscissa index.  _sample_block draws a block of whole grid
+points at once, bit-identical to that stream: Philox4x64-10 and numpy's
 ziggurat fast path run as numpy array operations, with numpy's tables
 (ziggurat_double.bin), and the few shots that miss the fast path are
 redrawn by numpy through one re-keyed generator.
@@ -150,14 +152,6 @@ def _stderr_valid(stderr):
     return (stderr >= 0) & (stderr < np.inf)
 
 
-def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generator:
-    """Counter-based per-shot RNG stream, independent of execution order."""
-    bitgen = np.random.Philox(key=np.array([seed, shot_index], dtype=np.uint64),
-                              counter=np.array([0, point_index, 0, 0],
-                                               dtype=np.uint64))
-    return np.random.Generator(bitgen)
-
-
 def _frame_hamiltonians(params: SystemParams, db, dom, dt,
                         detuning_mag, omega_mag=0.0) -> np.ndarray:
     """Stacked doubly-rotating-frame Hamiltonians at pulse phase 0, as
@@ -267,7 +261,7 @@ def _mulhilo(m: int, b: np.ndarray):
 
 
 def _philox_words(seed: int, shots: np.ndarray, points: np.ndarray):
-    """First three outputs of each shot_rng(seed, shot, point) stream.
+    """First three outputs of each shot's stream (see the module doc).
 
     numpy increments the Philox counter before each block, so they are the
     first three words of the Philox4x64-10 block of counter [1, point, 0, 0]
@@ -305,9 +299,10 @@ def _ziggurat_fast(words, wi: np.ndarray, ki: np.ndarray):
 
 def _redraw(draws: np.ndarray, rows: np.ndarray, seed: int,
             shots: np.ndarray, points: np.ndarray) -> None:
-    """Overwrite draws[rows] with shot_rng(seed, shot, point)
-    .standard_normal(3).  One generator is re-keyed per shot by assigning
-    its state, which is much cheaper than constructing a generator."""
+    """Overwrite draws[rows] with numpy's standard_normal(3) from each
+    shot's stream (see the module doc).  One generator is re-keyed per
+    shot by assigning its state, which is much cheaper than constructing
+    a generator."""
     key = np.array([seed, 0], dtype=np.uint64)
     counter = np.zeros(4, dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
@@ -334,7 +329,7 @@ def _read_tables():
 def _ziggurat_tables():
     """The ziggurat tables, checked once against numpy.
 
-    If the fast path disagrees with shot_rng on any of _CHECK_SHOTS shots
+    If the fast path disagrees with numpy on any of _CHECK_SHOTS shots
     (say, after numpy changes its ziggurat), ki is zeroed, so that every
     shot misses the fast path and is redrawn by numpy itself.
     """
@@ -355,10 +350,11 @@ def _sample_block(noise: NoiseSpec, mean_omega: float, seed: int,
     arrays of shape (n_shots,)) or for a range of points (shape
     (len(point_index), n_shots)).
 
-    The draws equal shot_rng(seed, shot, point).standard_normal(3) bit for
-    bit.  Philox and numpy's ziggurat fast path run vectorised over every
-    shot of the block; the shots where any of the three draws misses the
-    fast path (about 4%) are redrawn by numpy.
+    The draws equal numpy's standard_normal(3) from each shot's stream
+    (see the module doc) bit for bit.  Philox and numpy's ziggurat fast
+    path run vectorised over every shot of the block; the shots where any
+    of the three draws misses the fast path (about 4%) are redrawn by
+    numpy.
     """
     points = np.asarray(point_index, dtype=np.uint64)
     shape = points.shape + (n_shots,)

@@ -28,8 +28,5 @@ def mhz_to_angular(f_mhz: float) -> float:
 # NV gyromagnetic ratio, 2.8 MHz/G = 2.8e-3 MHz/mG, stored angular per mG.
 GAMMA = TWO_PI * 2.8e-3  # rad/us/mG
 
-# Zero-field splitting, 2.87 GHz.
-D0 = TWO_PI * 2.87e3  # rad/us
-
 # Thermal slope of the zero-field splitting, -74 kHz/degC.
 DD_DT = -TWO_PI * 74e-3  # rad/us/degC

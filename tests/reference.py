@@ -1,0 +1,251 @@
+"""Independent reference physics the suite checks nvcdd against.
+
+No command, engine path or fit model runs this code.  It restates the
+paper's closed forms in their most direct form, so that the shot engine,
+the dephasing formulas and the fit models can be compared with them:
+the six-level Hamiltonians, the dressed energies and Larmor frequencies,
+the rate budget, a Monte-Carlo estimate of the second-order envelope and
+numpy's own per-shot generator.
+
+Basis order of the six-level model: {+1 up, +1 down, 0 up, 0 down,
+-1 up, -1 down}, where up/down are the m_I = +-1/2 sublevels of the 13C
+spin.  The 13C index is never coupled: every Hamiltonian here is
+block-diagonal in it.
+
+All frequencies are angular (rad/us), fields in mG, times in us.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+import math
+
+import numpy as np
+
+from nvcdd.dephasing import ZeroRateError
+from nvcdd.spin_model import SystemParams
+from nvcdd.units import DD_DT, GAMMA, TWO_PI
+
+# Zero-field splitting, 2.87 GHz.
+D0 = TWO_PI * 2.87e3  # rad/us
+
+HERMITICITY_RTOL = 1e-12
+
+# Sublevel sign: +1 for 13C up (m_I=+1/2), -1 for down.
+SUBLEVELS = {"u": +1.0, "d": -1.0}
+
+
+class NonHermitianError(ValueError):
+    """Raised when a matrix expected to be Hermitian is not."""
+
+
+def bias_field(params: SystemParams) -> float:
+    """Bias field in mG, from the resonance condition
+    omega_mech = 2*GAMMA*b + delta (the drive rotates the frame at
+    omega_mech/2)."""
+    return (params.omega_mech - params.delta) / (2.0 * GAMMA)
+
+
+@dataclass(frozen=True)
+class EnvironmentSample:
+    """One quasi-static noise draw, held fixed for an entire shot."""
+
+    delta_b: float = 0.0       # mG
+    delta_omega: float = 0.0   # rad/us
+    delta_t: float = 0.0       # degC
+
+    def __post_init__(self):
+        for name in ("delta_b", "delta_omega", "delta_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
+
+ZERO_ENV = EnvironmentSample()
+
+
+def zero_field_splitting(params: SystemParams, env: EnvironmentSample) -> float:
+    """D = D0 + (dD/dT) * deltaT, angular."""
+    return D0 + DD_DT * env.delta_t
+
+
+def build_lab_hamiltonian(params: SystemParams, env: EnvironmentSample,
+                          t: float) -> np.ndarray:
+    """Lab-frame Hamiltonian with the mechanical drive at cos(omega_mech*t).
+
+    Exists for structural checks; time-domain integration of it is out of
+    scope.
+    """
+    gb = GAMMA * (bias_field(params) + env.delta_b)
+    om = (params.omega + env.delta_omega) * math.cos(params.omega_mech * t)
+    d = zero_field_splitting(params, env)
+    a2 = 0.5 * params.a_par
+    h = np.zeros((6, 6), dtype=complex)
+    h[0, 0] = gb + a2
+    h[1, 1] = gb - a2
+    h[2, 2] = -d
+    h[3, 3] = -d
+    h[4, 4] = -gb - a2
+    h[5, 5] = -gb + a2
+    h[0, 4] = h[4, 0] = om
+    h[1, 5] = h[5, 1] = om
+    return h
+
+
+def build_rotating_hamiltonian(params: SystemParams,
+                               env: EnvironmentSample) -> np.ndarray:
+    """RWA Hamiltonian in the frame rotating at omega_mech/2.
+
+    Diagonal on the +-1 block is +-[gamma*b_sum + (delta +- a_par)/2] per
+    13C sublevel; the 0 block sits at -D; the mechanical coupling is
+    (omega + delta_omega)/2 between +1 and -1 within each sublevel.
+    """
+    gb = GAMMA * (bias_field(params) + env.delta_b)
+    om2 = 0.5 * (params.omega + env.delta_omega)
+    d = zero_field_splitting(params, env)
+    a = params.a_par
+    h = np.zeros((6, 6), dtype=complex)
+    h[0, 0] = gb + 0.5 * (params.delta + a)
+    h[1, 1] = gb + 0.5 * (params.delta - a)
+    h[2, 2] = -d
+    h[3, 3] = -d
+    h[4, 4] = -gb - 0.5 * (params.delta + a)
+    h[5, 5] = -gb - 0.5 * (params.delta - a)
+    h[0, 4] = h[4, 0] = om2
+    h[1, 5] = h[5, 1] = om2
+    return h
+
+
+def zeeman_frame_shift(params: SystemParams) -> np.ndarray:
+    """Static Zeeman offset gamma*b on the +-1 manifold.
+
+    Subtracting this from the rotating-frame Hamiltonian centers the
+    +-1 blocks so their eigenvalues are the dressed energies directly.
+    """
+    gb = GAMMA * bias_field(params)
+    return np.diag([gb, gb, 0.0, 0.0, -gb, -gb]).astype(complex)
+
+
+def xi(params: SystemParams, env: EnvironmentSample, sublevel: str) -> float:
+    """Effective detuning xi = delta + 2*gamma*delta_b +- a_par."""
+    s = SUBLEVELS[sublevel]
+    return params.delta + 2.0 * GAMMA * env.delta_b + s * params.a_par
+
+
+@dataclass(frozen=True)
+class DressedLevels:
+    """Dressed eigenenergies, one (label, energy) pair per basis state.
+
+    Labels are '0u', '0d', 'mu', 'md', 'pu', 'pd'.
+    """
+
+    energies: dict
+
+    def energy(self, label: str) -> float:
+        return self.energies[label]
+
+
+def dressed_energies(params: SystemParams,
+                     env: EnvironmentSample = ZERO_ENV) -> DressedLevels:
+    """Closed-form dressed energies {-D, -+sqrt(omega_sum^2 + xi^2)/2}."""
+    d = zero_field_splitting(params, env)
+    om = params.omega + env.delta_omega
+    energies = {"0u": -d, "0d": -d}
+    for sub in ("u", "d"):
+        half = 0.5 * math.hypot(om, xi(params, env, sub))
+        energies["m" + sub] = -half
+        energies["p" + sub] = +half
+    return DressedLevels(energies)
+
+
+def diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix, ascending eigenvalues.
+
+    Rejects input whose anti-Hermitian part exceeds the relative
+    tolerance.  Returns (eigenvalues, eigenvector matrix with orthonormal
+    columns).
+    """
+    h = np.asarray(h, dtype=complex)
+    scale = max(np.abs(h).max(), 1.0)
+    if np.abs(h - h.conj().T).max() > HERMITICITY_RTOL * scale * 100:
+        raise NonHermitianError("matrix is not Hermitian within tolerance")
+    vals, vecs = np.linalg.eigh(h)
+    return vals, vecs
+
+
+def larmor_frequency(level_i: str, level_j: str, params: SystemParams,
+                     env: EnvironmentSample = ZERO_ENV) -> float:
+    """Phase-accumulation rate |E_i - E_j| between two dressed levels."""
+    if level_i == level_j:
+        raise ValueError("levels must be distinct")
+    levels = dressed_energies(params, env)
+    return abs(levels.energy(level_i) - levels.energy(level_j))
+
+
+def detuning_from_lines(w0m: float, w0p: float, w0m1: float) -> float:
+    """Mechanical detuning from the three measured spectral lines:
+    delta = 2 * [(w0m + w0p)/2 - w0m1]."""
+    return 2.0 * (0.5 * (w0m + w0p) - w0m1)
+
+
+@dataclass(frozen=True)
+class RateBudget:
+    """Labelled collection of uncorrelated dephasing rates."""
+
+    entries: tuple  # of (label, rate) pairs
+
+    def __post_init__(self):
+        for label, rate in self.entries:
+            if rate < 0:
+                raise ValueError(f"rate {label} must be >= 0, got {rate}")
+
+    def total(self) -> float:
+        return sum(rate for _, rate in self.entries)
+
+
+def combine_rates(budget: RateBudget) -> float:
+    """T2* = 2*pi / sum(Gamma_i) for uncorrelated noise sources."""
+    total = budget.total()
+    if total <= 0.0:
+        raise ZeroRateError("all rates are zero; T2* is unbounded")
+    return 2.0 * math.pi / total
+
+
+def mc_envelope_second_order(tau_grid, omega: float, sigma_b: float,
+                             a_par: float, n_draws: int = 100_000,
+                             seed: int = 0):
+    """Monte-Carlo evaluation of the Gaussian phase average behind the
+    second-order envelope: |<exp(i*dw*tau)>| over delta_b ~ N(0, sigma_b^2)
+    with dw the second-order expansion of the {m,p} Larmor deviation.
+
+    Returns (envelope estimate, standard error) arrays over tau_grid.
+    Independent oracle for dephasing.envelope_second_order.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    db = rng.standard_normal(n_draws) * sigma_b
+    gdb = GAMMA * db
+    denom = (a_par * a_par + omega * omega) ** 1.5
+    dw = 2.0 * gdb * (a_par ** 3 + a_par * omega * omega + gdb * omega * omega) \
+        / denom
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    phases = np.exp(1j * np.outer(tau_grid, dw))
+    mean = phases.mean(axis=1)
+    # SE of |mean| from the component scatter.
+    se_re = phases.real.std(axis=1) / math.sqrt(n_draws)
+    se_im = phases.imag.std(axis=1) / math.sqrt(n_draws)
+    env = np.abs(mean)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        se = np.where(env > 0,
+                      np.sqrt((mean.real * se_re) ** 2
+                              + (mean.imag * se_im) ** 2) / np.maximum(env, 1e-300),
+                      np.hypot(se_re, se_im))
+    return env, se
+
+
+def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generator:
+    """numpy's own generator for one shot's noise stream: Philox keyed by
+    [seed, shot], counter [0, point, 0, 0].  pulse_sim._sample_block must
+    reproduce its standard_normal draws bit for bit."""
+    bitgen = np.random.Philox(key=np.array([seed, shot_index], dtype=np.uint64),
+                              counter=np.array([0, point_index, 0, 0],
+                                               dtype=np.uint64))
+    return np.random.Generator(bitgen)

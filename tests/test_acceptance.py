@@ -12,13 +12,10 @@ import pytest
 
 from nvcdd.dephasing import (
     NoiseSpec,
-    RateBudget,
     ReflectometerNoise,
-    combine_rates,
     envelope_max_protection,
     envelope_second_order,
     gaussian_envelope,
-    mc_envelope_second_order,
     predicted_t2_mp,
     rate_amplitude_mp,
     rate_magnetic_mp,
@@ -44,17 +41,7 @@ from nvcdd.pulse_sim import (
     simulate_spectrum,
     write_trace_csv,
 )
-from nvcdd.spin_model import (
-    ZERO_ENV,
-    EnvironmentSample,
-    build_rotating_hamiltonian,
-    detuning_from_lines,
-    diagonalize,
-    dressed_energies,
-    larmor_frequency,
-    mechanical_cutoff,
-    zeeman_frame_shift,
-)
+from nvcdd.spin_model import mechanical_cutoff
 from nvcdd.units import (
     DD_DT,
     GAMMA,
@@ -64,6 +51,19 @@ from nvcdd.units import (
 )
 
 from conftest import assert_hermitian_blockdiag, make_params, random_params
+from reference import (
+    ZERO_ENV,
+    EnvironmentSample,
+    RateBudget,
+    build_rotating_hamiltonian,
+    combine_rates,
+    detuning_from_lines,
+    diagonalize,
+    dressed_energies,
+    larmor_frequency,
+    mc_envelope_second_order,
+    zeeman_frame_shift,
+)
 
 SIGMA_B_54 = sigma_b_from_t2(5.4)                  # from T2*(0,-1) = 5.4 us
 SIGMA_B_42 = khz_to_angular(42.0) / GAMMA          # pinned 42 kHz calibration

@@ -8,16 +8,13 @@ from nvcdd.dephasing import (
     FixedAmplitudeNoise,
     HorizonExceeded,
     NoiseSpec,
-    RateBudget,
     ReflectometerNoise,
     ZeroRateError,
-    combine_rates,
     envelope_max_protection,
     envelope_second_order,
     gaussian_dephasing_rate,
     gaussian_envelope,
     kappa,
-    mc_envelope_second_order,
     one_over_e_time,
     predicted_t2_mp,
     rate_amplitude_mp,
@@ -25,10 +22,16 @@ from nvcdd.dephasing import (
     sigma_b_from_t2,
     sigma_omega_from_reflectometer,
 )
-from nvcdd.spin_model import EnvironmentSample, larmor_frequency
 from nvcdd.units import GAMMA, angular_to_khz, khz_to_angular
 
 from conftest import make_params
+from reference import (
+    EnvironmentSample,
+    RateBudget,
+    combine_rates,
+    larmor_frequency,
+    mc_envelope_second_order,
+)
 
 SIGMA_B_NV2 = sigma_b_from_t2(5.4)  # mG
 
@@ -295,6 +298,23 @@ class TestPredictedT2:
     def test_unknown_order_rejected(self):
         with pytest.raises(ValueError):
             predicted_t2_mp(1.0, 1.0, SIGMA_B_NV2, order="third")
+
+    def test_first_order_is_the_rate_budget(self):
+        a = khz_to_angular(150.0)
+        for f, sigma_om in ((0.0, 0.0), (348.0, 0.0), (581.0, 0.14),
+                            (900.0, 0.3)):
+            om = khz_to_angular(f)
+            budget = RateBudget((
+                ("magnetic", rate_magnetic_mp(om, a, SIGMA_B_NV2)),
+                ("amplitude", rate_amplitude_mp(om, a, sigma_om))))
+            assert predicted_t2_mp(om, a, SIGMA_B_NV2, sigma_om) \
+                == combine_rates(budget)
+
+    def test_first_order_rate_failures(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            predicted_t2_mp(-1.0, 1.0, SIGMA_B_NV2, 0.1)
+        with pytest.raises(ZeroRateError):
+            predicted_t2_mp(1.0, 1.0, 0.0)
 
 
 class TestMonteCarloOracle:

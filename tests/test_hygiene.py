@@ -38,9 +38,8 @@ def test_guard_sees_an_unused_import():
     assert unused_imports(source) == ["line 3: path"]
 
 
-def private_definitions(source: str) -> dict[str, int]:
-    """Module-level private functions, classes and constants (``_name``,
-    not dunders), with their line numbers."""
+def definitions(source: str) -> dict[str, ast.stmt]:
+    """Module-level functions, classes and constants, by name."""
     defined = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -50,9 +49,33 @@ def private_definitions(source: str) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined[name] = node.lineno
+            defined[name] = node
     return defined
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level private functions, classes and constants (``_name``,
+    not dunders), with their line numbers."""
+    return {name: node.lineno for name, node in definitions(source).items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def is_command(node: ast.stmt) -> bool:
+    """Whether a ``@<group>.command()`` decorator registers the function
+    as a CLI command, which click calls and no module reads."""
+    for decorator in getattr(node, "decorator_list", ()):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Attribute) and decorator.attr == "command":
+            return True
+    return False
+
+
+def public_definitions(source: str) -> dict[str, int]:
+    """Module-level public functions, classes and constants, CLI commands
+    excepted, with their line numbers."""
+    return {name: node.lineno for name, node in definitions(source).items()
+            if not name.startswith("_") and not is_command(node)}
 
 
 def names_read(source: str) -> set[str]:
@@ -95,3 +118,35 @@ def test_guard_sees_an_unread_private_name():
     }
     assert unread_private_names(sources) == [
         "a:3: _UNUSED", "a:7: _dead", "a:9: _Gone"]
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Public module-level names that no module of the package other than
+    __init__ reads, so that only tests (or nothing) use them.  __init__
+    re-exports the public names, which is no use."""
+    read = set().union(*(names_read(source) for module, source
+                         in sources.items() if module != "__init__"))
+    return [f"{module}:{line}: {name}"
+            for module, source in sources.items()
+            for name, line in public_definitions(source).items()
+            if name not in read]
+
+
+def test_no_public_name_only_tests_use():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unread_public_names(sources) == []
+
+
+def test_guard_sees_an_unread_public_name():
+    sources = {
+        "__init__": ("from .a import LIMIT, UNREAD, used\n"
+                     "__version__ = '1'\n"),
+        "a": ("import click\nLIMIT = 3\nUNREAD = 4\n"
+              "@click.group()\ndef main():\n    pass\n"
+              "@main.command()\ndef run():\n    return LIMIT\n"
+              "def used():\n    pass\n"
+              "class Gone:\n    pass\n"),
+        "b": "from .a import used\nused()\n",
+    }
+    assert unread_public_names(sources) == ["a:3: UNREAD", "a:12: Gone"]

@@ -21,9 +21,9 @@ from nvcdd.pulse_sim import (
     simulate_ramsey,
 )
 from nvcdd.units import mhz_to_angular
-from nvcdd.spin_model import detuning_from_lines
 
 from conftest import make_params
+from reference import detuning_from_lines
 
 _K = 2.0 * math.pi * 1e-3  # kHz -> rad/us
 

@@ -22,19 +22,20 @@ from nvcdd.pulse_sim import (
     _sample_block,
     fourier_magnitude,
     read_trace_csv,
-    shot_rng,
     simulate_ramsey,
     simulate_spectrum,
     write_trace_csv,
 )
-from nvcdd.spin_model import (
-    EnvironmentSample,
-    build_rotating_hamiltonian,
-    zeeman_frame_shift,
-)
-from nvcdd.units import D0, angular_to_khz, khz_to_angular, mhz_to_angular
+from nvcdd.units import angular_to_khz, khz_to_angular, mhz_to_angular
 
 from conftest import dense_hamiltonians, make_params
+from reference import (
+    D0,
+    EnvironmentSample,
+    build_rotating_hamiltonian,
+    shot_rng,
+    zeeman_frame_shift,
+)
 
 QUIET = SimConfig(n_shots=1, seed=0, noise=NoiseSpec())
 NV2_NOISE = NoiseSpec(sigma_b=sigma_b_from_t2(5.4), sigma_t=0.25)

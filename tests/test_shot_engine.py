@@ -29,12 +29,12 @@ from nvcdd.pulse_sim import (
     _frame_hamiltonians,
     _free_evolve,
     _sample_block,
-    shot_rng,
     simulate_ramsey,
     simulate_spectrum,
 )
 
 from conftest import BLOCKS, dense_hamiltonians, make_params
+from reference import shot_rng
 
 TOLERANCE = 1e-12
 N_DRAWS = 40
