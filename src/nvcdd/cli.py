@@ -395,11 +395,13 @@ def _sim_config(res: dict) -> SimConfig:
     return SimConfig(n_shots=res["shots"], seed=res["seed"], noise=res["noise"])
 
 
-def _t2_us(t2: float) -> str:
-    """A T2* in us for the rates report: fixed point below 1e7 us, where
-    every shipped scenario lies, and exponent form from there up, so that
-    weak noise still prints a short line."""
-    return f"{t2:10.2f}" if t2 < 1e7 else f"{t2:10.3e}"
+def _short(value: float, spec: str = "10.2f") -> str:
+    """A rates report field: the fixed-point spec below 1e7, where every
+    shipped scenario lies, and exponent form with the same width from there
+    up, so that extreme noise still prints a short line."""
+    if value < 1e7:
+        return format(value, spec)
+    return format(value, spec.partition(".")[0] + ".3e")
 
 
 @main.command()
@@ -422,14 +424,16 @@ def rates(res):
     lines = [
         f"omega/2pi           : {angular_to_khz(params.omega):10.2f} kHz",
         f"a_par/2pi           : {angular_to_khz(params.a_par):10.2f} kHz",
-        f"gamma*sigma_b/2pi   : {gsb_khz:10.2f} kHz  (sigma_b = {noise.sigma_b:.2f} mG)",
-        f"sigma_Omega/2pi     : {angular_to_khz(sigma_omega):10.2f} kHz",
-        f"thermal-limit T2*   : {_t2_us(thermal_t2)} us  (sigma_T = {noise.sigma_t:.2f} C)",
+        f"gamma*sigma_b/2pi   : {_short(gsb_khz)} kHz  "
+        f"(sigma_b = {_short(noise.sigma_b, '.2f')} mG)",
+        f"sigma_Omega/2pi     : {_short(angular_to_khz(sigma_omega))} kHz",
+        f"thermal-limit T2*   : {_short(thermal_t2)} us  "
+        f"(sigma_T = {_short(noise.sigma_t, '.2f')} C)",
         f"mech cutoff w_c/2pi : {angular_to_khz(cutoff):10.2f} kHz",
-        f"Gamma_magnetic     : {gamma_b:10.4f} rad/us",
-        f"Gamma_amplitude    : {gamma_om:10.4f} rad/us",
-        f"T2*_mp (first)      : {_t2_us(t2_first)} us",
-        f"T2*_mp (second)     : {_t2_us(t2_second)} us",
+        f"Gamma_magnetic     : {_short(gamma_b, '10.4f')} rad/us",
+        f"Gamma_amplitude    : {_short(gamma_om, '10.4f')} rad/us",
+        f"T2*_mp (first)      : {_short(t2_first)} us",
+        f"T2*_mp (second)     : {_short(t2_second)} us",
     ]
     report = "\n".join(lines)
     click.echo(report)

@@ -51,7 +51,12 @@ def model_undressed_ramsey() -> ModelFunction:
 
 def model_ramsey_0p(a_par_khz: float) -> ModelFunction:
     """{0,p} CDD Ramsey: slow branch at the residual detuning plus a fast
-    branch offset by sqrt(omega^2 + a_par^2), shared Gaussian envelope."""
+    branch offset by sqrt(omega^2 + a_par^2), shared Gaussian envelope.
+
+    The branch amplitudes a_p and a_m are signed (a negative one is a pi
+    phase between the branches): with a bound at 0, a fit that drives a_p
+    there leaves omega and delta_mag only in the fast tone, and is then
+    degenerate or not by the last bits of the data."""
 
     def evaluate(theta, tau):
         c, a_p, a_m, phi, omega, dmag, t2, a_par, wrot = theta
@@ -65,8 +70,8 @@ def model_ramsey_0p(a_par_khz: float) -> ModelFunction:
         name="ramsey_0p",
         params=(
             FitParam("c", 0.5, -1.0, 2.0),
-            FitParam("a_p", 1.0, 0.0, 2.0),
-            FitParam("a_m", 1.0, 0.0, 2.0),
+            FitParam("a_p", 1.0, -2.0, 2.0),
+            FitParam("a_m", 1.0, -2.0, 2.0),
             FitParam("phi", 0.0, -2.0 * math.pi, 2.0 * math.pi, unit="rad"),
             FitParam("omega_khz", 400.0, 0.0, 5e3, unit="kHz"),
             FitParam("delta_mag_khz", 0.0, -1e3, 1e3, unit="kHz"),

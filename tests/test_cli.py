@@ -217,16 +217,22 @@ class TestWeakNoise:
         second = grab(result.output, "T2*_mp (second)")
         assert 1e3 < first < 1e4 and 1e3 < second < 1e4
 
-    @pytest.mark.parametrize("noise", [{"sigma_b_mg": 1e-300},
-                                       {"sigma_t_c": 1e-300}],
-                             ids=["sigma_b_mg", "sigma_t_c"])
-    def test_rates_lines_stay_short(self, runner, tmp_path, noise):
-        # T2* near 1e300 us prints in exponent form, not as 300 digits
+    @pytest.mark.parametrize("noise,exponent", [
+        ({"sigma_b_mg": 1e-300}, "e+30"),
+        ({"sigma_t_c": 1e-300}, "e+30"),
+        # strong noise: the noise inputs and rates themselves are huge
+        ({"sigma_t_c": 1e300}, "e+300"),
+        ({"amplitude": {"mode": "fixed", "sigma_omega_khz": 1e200}}, "e+200"),
+        ({"sigma_b_mg": 1e30}, "e+30"),
+    ], ids=["sigma_b_mg", "sigma_t_c", "strong_sigma_t_c",
+            "strong_sigma_omega_khz", "strong_sigma_b_mg"])
+    def test_rates_lines_stay_short(self, runner, tmp_path, noise, exponent):
+        # values near 1e300 print in exponent form, not as 300 digits
         cfg = write_config(tmp_path, {"noise": noise})
         result = invoke(runner, ["--config", cfg, "--out", str(tmp_path),
                                  "rates"])
         assert result.exit_code == 0, all_output(result)
-        assert "e+30" in result.output
+        assert exponent in result.output
         for text in (result.output, (tmp_path / "rates.txt").read_text()):
             assert max(map(len, text.splitlines())) <= 80
 
@@ -310,6 +316,19 @@ class TestRamseyAndFit:
         apply_eigen = pulse_sim._apply_eigen
         monkeypatch.setattr(pulse_sim, "_apply_eigen",
                             lambda *args: 1.01 * apply_eigen(*args))
+        result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
+                                 "ramsey", "--tau-stop-us", "0.1"])
+        assert result.exit_code == 3
+        assert "norm" in all_output(result)
+
+    def test_nan_state_is_numerical_error(self, runner, tmp_path,
+                                          monkeypatch):
+        # NaN fails every comparison, so a norm check written as "too far
+        # from 1" would let it through to the trace as a config error
+        from nvcdd import pulse_sim
+        apply_eigen = pulse_sim._apply_eigen
+        monkeypatch.setattr(pulse_sim, "_apply_eigen",
+                            lambda *args: np.nan * apply_eigen(*args))
         result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
                                  "ramsey", "--tau-stop-us", "0.1"])
         assert result.exit_code == 3

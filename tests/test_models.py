@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from nvcdd.cli import resolve_config
 from nvcdd.dephasing import NoiseSpec, sigma_b_from_t2
 from nvcdd.fitting import nlls_fit
 from nvcdd.models import (
+    FIT_MODELS,
     guess_envelope_t2_us,
     guess_ramsey_frequency_khz,
     guess_spectrum_dips_khz,
@@ -133,6 +135,27 @@ class TestDressed0pFit:
         outcome = nlls_fit(model, trace)
         assert outcome.converged
         assert outcome.params["omega_khz"] == pytest.approx(348.0, rel=0.10)
+
+    def test_fit_does_not_hinge_on_rounding(self):
+        # With branch amplitudes bounded below by 0, this 20-shot trace fit
+        # to a_p = 0, where omega_khz and delta_mag_khz enter only through
+        # the fast tone and the fit is degenerate, or not, depending on
+        # 1e-15 changes to the data.  Signed amplitudes leave no such edge.
+        res = resolve_config({})
+        params = res["params"]
+        trace = simulate_ramsey(
+            "dressed_0p", np.arange(0.0, 10.01, 0.02), params,
+            SimConfig(n_shots=20, seed=3, noise=res["noise"]))
+        rng = np.random.default_rng(1)
+        fitted = []
+        for k in range(6):
+            y = trace.mean_p0 + k * rng.normal(0.0, 1e-15, len(trace.mean_p0))
+            model, data = FIT_MODELS["ramsey_0p"](
+                _trace(trace.abscissa, y), None, params, 42.0, None)
+            outcome = nlls_fit(model, data)
+            assert outcome.converged, outcome.flags
+            fitted.append(outcome.params["omega_khz"])
+        assert np.ptp(fitted) <= 1e-6 * fitted[0]
 
 
 class TestSpectrumGeometry:

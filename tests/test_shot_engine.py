@@ -1,9 +1,10 @@
 """The block-diagonal shot engine against a dense reference.
 
-Every kernel of the engine -- the closed-form free evolution, the block
-eigendecomposition with phase conjugation, and the full _run_batch -- is
-compared with scipy.linalg.expm of the dense 6x6 Hamiltonians over random
-environment draws.  The dense form exists only here: the blocks of
+Every kernel of the engine -- the closed-form free evolution, the
+closed-form block eigendecomposition and its eigh fallback, propagation
+with phase conjugation, and the full _run_batch -- is compared with
+scipy.linalg.expm of the dense 6x6 Hamiltonians over random environment
+draws and random blocks.  The dense form exists only here: the blocks of
 _frame_hamiltonians are scattered into a 6x6 matrix, with the pulse phase
 put on its 0<->-1 element.  The vectorised sampler is compared with
 shot_rng, numpy's own generator, draw for draw.
@@ -15,6 +16,8 @@ from pathlib import Path
 import struct
 import sys
 
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -26,6 +29,7 @@ from nvcdd.pulse_sim import (
     MagneticPulse,
     SimConfig,
     _apply_eigen,
+    _eigh_blocks,
     _frame_hamiltonians,
     _free_evolve,
     _sample_block,
@@ -112,6 +116,84 @@ class TestPulses:
         got = np.empty_like(psi)
         got[:, BLOCKS] = blocks
         assert np.abs(got - dense(psi, h0, 0.33, phase)).max() <= TOLERANCE
+
+
+def blocks(e, z, w, g):
+    """Stacked pulse blocks [[e, 0, w], [0, z, g], [w, g, -e]] from arrays
+    of shape (n, 2)."""
+    h = np.zeros(np.shape(e) + (3, 3))
+    h[..., 0, 0], h[..., 1, 1], h[..., 2, 2] = e, z, -np.asarray(e)
+    h[..., 0, 2] = h[..., 2, 0] = w
+    h[..., 1, 2] = h[..., 2, 1] = g
+    return h
+
+
+@pytest.fixture
+def fallback_blocks(monkeypatch):
+    """Every block _eigh_blocks hands to np.linalg.eigh."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(h):
+        seen.extend(h)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return seen
+
+
+# A w = 0 block with e on the {0,-1} pair's upper level: the +1 level
+# (e, decoupled) crosses it where 2 e^2 - 2 z e - g^2 = 0.
+Z_CROSS, G_CROSS = 0.4, 1.1
+E_CROSS = 0.5 * (Z_CROSS + math.sqrt(Z_CROSS ** 2 + 2.0 * G_CROSS ** 2))
+# (e, z, w, g) of one block each, and whether it must take the fallback.
+BLOCK_CASES = {
+    "h=0": ((0.0, 0.0, 0.0, 0.0), True),
+    "g=0,z=+r": ((0.6, 1.0, 0.8, 0.0), True),
+    "g=0,z=-r": ((0.6, -1.0, 0.8, 0.0), True),
+    "w=0,crossing": ((E_CROSS, Z_CROSS, 0.0, G_CROSS), True),
+    "w=0,near-crossing": ((E_CROSS * (1 + 1e-6), Z_CROSS, 0.0, G_CROSS), True),
+    "w=0": ((0.7, -1.2, 0.0, 1.1), False),
+    "g=0": ((0.7, -1.2, 0.4, 0.0), False),
+    "w=0,g=0": ((0.7, -1.2, 0.0, 0.0), False),
+    "w=0,off-crossing": ((E_CROSS * 1.2, Z_CROSS, 0.0, G_CROSS), False),
+    "pulse": ((2.1, -0.3, 3.6, 4.75), False),
+}
+
+
+class TestClosedFormEigen:
+    """_eigh_blocks, the engine's closed-form diagonalisation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coeffs=arrays(np.float64, (6, 2, 4),
+                         elements=st.floats(-10.0, 10.0)),
+           duration=st.floats(0.0, 2.0))
+    def test_matches_expm(self, coeffs, duration):
+        h = blocks(*np.moveaxis(coeffs, -1, 0))
+        psi = random_states(np.random.default_rng(0), len(h))
+        got = block_kernel(_apply_eigen, psi, *_eigh_blocks(h), duration)
+        assert np.abs(got - dense(psi, h, duration)).max() <= TOLERANCE
+
+    def test_returns_eighs_layout(self, rng):
+        h = _frame_hamiltonians(make_params(), *environment(rng), -0.3,
+                                2.0 * math.pi * 1.5)
+        vals, vecs = _eigh_blocks(h)
+        want = np.linalg.eigh(h)[0]
+        assert vals.shape == want.shape and vecs.shape == h.shape
+        assert np.abs(vals - want).max() <= TOLERANCE
+        assert np.abs(h @ vecs - vecs * vals[..., None, :]).max() <= TOLERANCE
+        assert np.abs(np.swapaxes(vecs, -1, -2) @ vecs
+                      - np.eye(3)).max() <= TOLERANCE
+
+    def test_degenerate_blocks_take_the_fallback(self, rng, fallback_blocks):
+        cases = np.array([case for case, _ in BLOCK_CASES.values()])
+        degenerate = np.array([flag for _, flag in BLOCK_CASES.values()])
+        h = blocks(*np.repeat(cases.T[:, :, None], 2, axis=2))
+        psi = random_states(rng, len(h))
+        got = block_kernel(_apply_eigen, psi, *_eigh_blocks(h), 0.9)
+        assert np.abs(got - dense(psi, h, 0.9)).max() <= TOLERANCE
+        want = h[degenerate].reshape(-1, 3, 3)
+        assert np.array_equal(np.array(fallback_blocks), want)
 
 
 def dense_run(seq, params, db, dom, dt):
