@@ -32,6 +32,16 @@ closing pulses share one eigendecomposition.  _eigh_blocks diagonalises
 the pulse blocks in closed form (trigonometric roots of the cubic,
 eigenvectors from row cross products) and hands the few near-degenerate
 blocks, such as a level crossing at w = 0, to np.linalg.eigh.
+
+Both return real eigenvectors V, so a pulse propagator
+U(0) = V exp(-i L t) V^T is complex symmetric: its |0> column u
+(_pulse_column) is also its |0> row.  Only |0> is prepared and read out,
+so a pulse that opens a sequence sets the state from u alone, and a
+pulse that closes one forms only the readout amplitude from the same u;
+u is formed once per distinct strength and duration, so a Ramsey point
+takes one 3x3 product per block.  A pulse between the first and the last
+propagates the whole state.  One norm check sees the state the readout
+uses, plus a closing column that did not build it.
 """
 
 from __future__ import annotations
@@ -91,8 +101,9 @@ class MagneticPulse:
     phase: float = 0.0          # rad
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+        if not math.isfinite(self.omega_mag):
+            raise ValueError("omega_mag must be finite")
+        _check_duration(self.duration)
         if not math.isfinite(self.phase):
             raise ValueError("phase must be finite")
 
@@ -102,8 +113,19 @@ class FreeEvolution:
     duration: float  # us
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+        _check_duration(self.duration)
+
+
+def _check_duration(duration):
+    # written as "not in range" so that NaN, which fails every
+    # comparison, is rejected
+    if not 0 <= duration < math.inf:
+        raise ValueError("duration must be finite and >= 0")
+
+
+def _check_omega_mag(omega_mag):
+    if not 0 < omega_mag < math.inf:
+        raise ValueError("omega_mag must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -273,6 +295,20 @@ def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
     return (vecs @ coeff[..., None])[..., 0]
 
 
+def _pulse_column(vals: np.ndarray, vecs: np.ndarray,
+                  duration: float) -> np.ndarray:
+    """The |0> column u (n, 2, 3) of exp(-i h t), given h's block
+    eigendecomposition with real eigenvectors: u = V (V[|0>, :] *
+    exp(-i vals t)).  With V real the propagator V exp(-i vals t) V^T is
+    complex symmetric, so u is its |0> row as well."""
+    coeff = np.exp(-1j * vals * duration)
+    coeff *= vecs[..., 1, :]
+    # one real matmul on the (re, im) pairs: faster than casting vecs to
+    # complex for a complex one
+    pairs = vecs @ coeff.view(float).reshape(coeff.shape + (2,))
+    return pairs.view(complex)[..., 0]
+
+
 def _free_evolve(states: np.ndarray, h: np.ndarray,
                  duration: float) -> np.ndarray:
     """exp(-i h t) applied to block states (n, 2, 3) in closed form, for
@@ -298,33 +334,59 @@ def _run_batch(seq: PulseSequence, params: SystemParams,
                db, dom, dt) -> np.ndarray:
     """Run the sequence for stacked environment samples; returns P0 (n,).
 
-    Each shot starts in |0> with the 13C spin unpolarized.  Each distinct
-    pulse strength is diagonalised once, at phase 0, and a pulse of phase
-    phi is applied as P h(0) P^dagger.
+    Each shot starts in sqrt(1/2)|0> in each 13C block and is read out on
+    |0>.  A pulse of phase phi is P U(0) P^dagger with P = exp(i phi) on
+    |0>, and U(0)'s |0> column u is also its |0> row (_pulse_column), so
+    a first pulse leaves sqrt(1/2) (e^{-i phi} u+, u0, e^{-i phi} u-) and
+    a last pulse only forms the readout amplitude
+    u0 psi0 + e^{i phi} (u+ psi+ + u- psi-).  u is formed once per
+    distinct strength and duration, each strength diagonalised once at
+    phase 0; a pulse that is neither first nor last propagates the whole
+    state.
     """
     db = np.atleast_1d(np.asarray(db, dtype=float))
     states = np.zeros((db.shape[0], 2, 3), dtype=complex)
     states[:, :, 1] = math.sqrt(0.5)
-    eigen = {}
-    for seg in seq.segments:
-        if isinstance(seg, MagneticPulse):
-            if seg.omega_mag not in eigen:
-                eigen[seg.omega_mag] = _eigh_blocks(_frame_hamiltonians(
-                    params, db, dom, dt, seq.frame_detuning, seg.omega_mag))
-            rot = np.exp(1j * seg.phase)
+    eigen, columns = {}, {}
+    last = len(seq.segments) - 1
+    opening = readout = None
+    for k, seg in enumerate(seq.segments):
+        if not isinstance(seg, MagneticPulse):
+            states = _free_evolve(states, _frame_hamiltonians(
+                params, db, dom, dt, seq.frame_detuning), seg.duration)
+            continue
+        if seg.omega_mag not in eigen:
+            eigen[seg.omega_mag] = _eigh_blocks(_frame_hamiltonians(
+                params, db, dom, dt, seq.frame_detuning, seg.omega_mag))
+        rot = np.exp(1j * seg.phase)
+        if 0 < k < last:
             states[..., 1] *= rot.conjugate()
             states = _apply_eigen(states, *eigen[seg.omega_mag], seg.duration)
             states[..., 1] *= rot
+            continue
+        key = (seg.omega_mag, seg.duration)
+        if key not in columns:
+            columns[key] = _pulse_column(*eigen[seg.omega_mag], seg.duration)
+        u = columns[key]
+        if k == 0:
+            opening = key
+            states = math.sqrt(0.5) * u
+            states[..., ::2] *= rot.conjugate()
         else:
-            states = _free_evolve(states, _frame_hamiltonians(
-                params, db, dom, dt, seq.frame_detuning), seg.duration)
+            readout = u[..., 1] * states[..., 1] + rot * (
+                u[..., 0] * states[..., 0] + u[..., 2] * states[..., 2])
     # Every segment is unitary, so norm lost on the way cannot come back:
-    # one check at the end sees it.  NaN fails every comparison, so the
-    # test is written to pass only on finite norms.
+    # one check of the state the readout uses sees it, and a last pulse's
+    # column joins the check unless the state was built from it.  NaN
+    # fails every comparison, so the test is written to pass only on
+    # finite norms.
     norms = np.linalg.norm(states, axis=(1, 2))
+    if readout is not None and key != opening:
+        norms = np.append(norms, np.linalg.norm(u, axis=2))
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise NormLossError("propagation lost norm")
-    return np.abs(states[:, 0, 1]) ** 2 + np.abs(states[:, 1, 1]) ** 2
+    amp = states[..., 1] if readout is None else readout
+    return np.abs(amp[:, 0]) ** 2 + np.abs(amp[:, 1]) ** 2
 
 
 # Philox4x64-10 round multipliers and key increments, as in numpy's philox.h.
@@ -512,8 +574,12 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
     if kind not in RAMSEY_KINDS:
         raise ValueError(f"unknown Ramsey kind {kind!r}")
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if np.any(np.diff(tau_grid) <= 0):
+    if not np.all((tau_grid >= 0) & (tau_grid < np.inf)):
+        raise ValueError("tau_grid must be finite and >= 0")
+    if not np.all(np.diff(tau_grid) > 0):
         raise ValueError("tau_grid must be strictly ascending")
+    if omega_mag is not None:
+        _check_omega_mag(omega_mag)
     if kind == "undressed_0m1":
         params = params.with_omega(0.0)
     elif params.omega <= 0:
@@ -552,8 +618,11 @@ def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
     0<->-1 line; the returned Trace abscissa is in kHz.
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
-    if np.any(np.diff(detuning_grid) <= 0):
-        raise ValueError("detuning grid must be strictly ascending")
+    if not np.all(_abscissa_valid(detuning_grid)):
+        raise ValueError("detuning_grid must be finite")
+    if not np.all(np.diff(detuning_grid) > 0):
+        raise ValueError("detuning_grid must be strictly ascending")
+    _check_omega_mag(omega_mag)
     segments = (MagneticPulse(omega_mag, math.pi / omega_mag),)
     mean, stderr = _simulate(
         detuning_grid,

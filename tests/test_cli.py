@@ -310,29 +310,36 @@ class TestRamseyAndFit:
         assert result.exit_code == 2
         assert where in all_output(result)
 
+    # Every Ramsey kind and every spectrum takes its pulses through
+    # _pulse_column, whose output the engine's norm check must see.
+    ENGINE_RUNS = (["ramsey", "--tau-stop-us", "0.1"],
+                   ["spectra", "--omega-khz", "0"])
+
     def test_norm_loss_is_numerical_error(self, runner, tmp_path,
                                           monkeypatch):
         from nvcdd import pulse_sim
-        apply_eigen = pulse_sim._apply_eigen
-        monkeypatch.setattr(pulse_sim, "_apply_eigen",
-                            lambda *args: 1.01 * apply_eigen(*args))
-        result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
-                                 "ramsey", "--tau-stop-us", "0.1"])
-        assert result.exit_code == 3
-        assert "norm" in all_output(result)
+        column = pulse_sim._pulse_column
+        monkeypatch.setattr(pulse_sim, "_pulse_column",
+                            lambda *args: 1.01 * column(*args))
+        for command in self.ENGINE_RUNS:
+            result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
+                                     *command])
+            assert result.exit_code == 3, command
+            assert "norm" in all_output(result)
 
     def test_nan_state_is_numerical_error(self, runner, tmp_path,
                                           monkeypatch):
         # NaN fails every comparison, so a norm check written as "too far
         # from 1" would let it through to the trace as a config error
         from nvcdd import pulse_sim
-        apply_eigen = pulse_sim._apply_eigen
-        monkeypatch.setattr(pulse_sim, "_apply_eigen",
-                            lambda *args: np.nan * apply_eigen(*args))
-        result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
-                                 "ramsey", "--tau-stop-us", "0.1"])
-        assert result.exit_code == 3
-        assert "norm" in all_output(result)
+        column = pulse_sim._pulse_column
+        monkeypatch.setattr(pulse_sim, "_pulse_column",
+                            lambda *args: np.nan * column(*args))
+        for command in self.ENGINE_RUNS:
+            result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
+                                     *command])
+            assert result.exit_code == 3, command
+            assert "norm" in all_output(result)
 
     def test_fit_equal_abscissae_is_config_error(self, runner, tmp_path):
         # every step is 0: uniform, but no grid to take a spectrum of

@@ -191,6 +191,56 @@ class TestRunSequence:
             pytest.approx(1.0, abs=1e-12)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestEngineInputs:
+    """Non-finite and out-of-range engine inputs are a ValueError that
+    names the argument.  NaN fails every comparison, so each check must
+    be written to pass only on valid values."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: MagneticPulse(1.0, NAN),
+        lambda: MagneticPulse(1.0, INF),
+        lambda: MagneticPulse(1.0, -0.1),
+        lambda: FreeEvolution(NAN),
+        lambda: FreeEvolution(-INF),
+    ], ids=["pulse-nan", "pulse-inf", "pulse-negative", "free-nan",
+            "free-minus-inf"])
+    def test_segment_duration(self, make):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            make()
+
+    @pytest.mark.parametrize("omega_mag", [NAN, INF])
+    def test_segment_strength(self, omega_mag):
+        with pytest.raises(ValueError, match="omega_mag must be finite"):
+            MagneticPulse(omega_mag, 1.0)
+
+    @pytest.mark.parametrize("kind", ["dressed_mp", "dressed_0p"])
+    @pytest.mark.parametrize("tau", [[0.0, NAN, 1.0], [0.0, INF], [NAN],
+                                     [-0.5, 0.0]])
+    def test_ramsey_tau(self, nv2_params, kind, tau):
+        with pytest.raises(ValueError, match="tau_grid must be finite"):
+            simulate_ramsey(kind, tau, nv2_params, QUIET)
+
+    @pytest.mark.parametrize("omega_mag", [0.0, -1.0, NAN, INF])
+    def test_ramsey_strength(self, nv2_params, omega_mag):
+        with pytest.raises(ValueError, match="omega_mag must be finite"):
+            simulate_ramsey("dressed_mp", [0.0, 1.0], nv2_params, QUIET,
+                            omega_mag=omega_mag)
+
+    @pytest.mark.parametrize("detuning", [[0.0, NAN], [NAN], [-INF, 0.0]])
+    def test_spectrum_detuning(self, nv2_params, detuning):
+        with pytest.raises(ValueError, match="detuning_grid must be finite"):
+            simulate_spectrum(detuning, nv2_params, QUIET)
+
+    @pytest.mark.parametrize("omega_mag", [0.0, -1.0, NAN, INF])
+    def test_spectrum_strength(self, nv2_params, omega_mag):
+        with pytest.raises(ValueError, match="omega_mag must be finite"):
+            simulate_spectrum([0.0, 1.0], nv2_params, QUIET,
+                              omega_mag=omega_mag)
+
+
 class TestSimulateRamsey:
     def test_zero_noise_mp_matches_analytic(self, nv2_params):
         tau = np.arange(0.0, 20.0, 0.01)

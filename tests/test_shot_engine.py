@@ -2,12 +2,13 @@
 
 Every kernel of the engine -- the closed-form free evolution, the
 closed-form block eigendecomposition and its eigh fallback, propagation
-with phase conjugation, and the full _run_batch -- is compared with
-scipy.linalg.expm of the dense 6x6 Hamiltonians over random environment
-draws and random blocks.  The dense form exists only here: the blocks of
-_frame_hamiltonians are scattered into a 6x6 matrix, with the pulse phase
-put on its 0<->-1 element.  The vectorised sampler is compared with
-shot_rng, numpy's own generator, draw for draw.
+with phase conjugation, and the full _run_batch with a pulse at every
+segment position -- is compared with scipy.linalg.expm of the dense 6x6
+Hamiltonians over random environment draws and random blocks.  The dense
+form exists only here: the blocks of _frame_hamiltonians are scattered
+into a 6x6 matrix, with the pulse phase put on its 0<->-1 element.  The
+vectorised sampler is compared with shot_rng, numpy's own generator,
+draw for draw.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,9 @@ from nvcdd import pulse_sim
 from nvcdd.dephasing import FixedAmplitudeNoise, NoiseSpec, sigma_b_from_t2
 from nvcdd.pulse_sim import (
     RAMSEY_KINDS,
+    FreeEvolution,
     MagneticPulse,
+    PulseSequence,
     SimConfig,
     _apply_eigen,
     _eigh_blocks,
@@ -226,6 +229,30 @@ def recorded_batches(monkeypatch):
     return calls
 
 
+OM_A, OM_B = 2.0 * math.pi * 1.5, 2.0 * math.pi * 0.7
+# Sequences with a pulse at every position _run_batch tells apart: first
+# (acting on |0>), last (forming only the readout amplitude), both (a lone
+# pulse) and neither (whole-state propagation).
+SEQUENCES = {
+    "lone-pulse": (MagneticPulse(OM_A, 0.41, 0.3),),
+    "two-strengths": (MagneticPulse(OM_A, 0.33),
+                      MagneticPulse(OM_B, 0.52, 1.1)),
+    "closing-strength-differs": (MagneticPulse(OM_A, 0.33, -0.4),
+                                 FreeEvolution(1.7),
+                                 MagneticPulse(OM_B, 0.33, 2.2)),
+    "closing-duration-differs": (MagneticPulse(OM_A, 0.33),
+                                 FreeEvolution(0.9),
+                                 MagneticPulse(OM_A, 0.61, 0.8)),
+    "same-pulse-twice": (MagneticPulse(OM_A, 0.33, 0.5), FreeEvolution(2.3),
+                         MagneticPulse(OM_A, 0.33, 1.9)),
+    "free-only": (FreeEvolution(0.6), FreeEvolution(1.3)),
+    "free-then-pulse": (FreeEvolution(0.75), MagneticPulse(OM_B, 0.52, 0.9)),
+    "three-pulses": (MagneticPulse(OM_A, 0.33, 0.2), FreeEvolution(0.8),
+                     MagneticPulse(OM_A, 0.33, -1.3), FreeEvolution(0.5),
+                     MagneticPulse(OM_B, 0.47, 0.6)),
+}
+
+
 class TestRunBatch:
     @pytest.mark.parametrize("kind", RAMSEY_KINDS)
     def test_ramsey_matches_dense(self, recorded_batches, kind):
@@ -244,6 +271,36 @@ class TestRunBatch:
         assert len(recorded_batches) == 3
         for args, p0 in recorded_batches:
             assert np.abs(p0 - dense_run(*args)).max() <= TOLERANCE
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_segment_positions_match_dense(self, rng, name):
+        seq = PulseSequence(SEQUENCES[name], frame_detuning=0.4)
+        params, env = make_params(delta_khz=30.0), environment(rng)
+        got = pulse_sim._run_batch(seq, params, *env)
+        assert np.abs(got - dense_run(seq, params, *env)).max() <= TOLERANCE
+
+    @pytest.mark.parametrize("name", [name for name in SEQUENCES
+                                      if name != "free-only"])
+    def test_norm_check_sees_every_column(self, monkeypatch, rng, name):
+        # a wrong column is caught whether it built the state or only
+        # formed the readout amplitude
+        seq = PulseSequence(SEQUENCES[name])
+        params, env = make_params(), environment(rng)
+        column = pulse_sim._pulse_column
+        wrong, calls = 0, []
+
+        def corrupt(*args):
+            calls.append(column(*args))
+            return 1.01 * calls[-1] if len(calls) == wrong else calls[-1]
+
+        monkeypatch.setattr(pulse_sim, "_pulse_column", corrupt)
+        pulse_sim._run_batch(seq, params, *env)
+        n_columns = len(calls)
+        assert n_columns >= 1
+        for wrong in range(1, n_columns + 1):
+            calls.clear()
+            with pytest.raises(pulse_sim.NormLossError):
+                pulse_sim._run_batch(seq, params, *env)
 
 
 class TestSampler:
