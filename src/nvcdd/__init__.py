@@ -15,8 +15,7 @@ from .dephasing import (
 )
 from .errors import NumericalError
 from .pulse_sim import (
-    SimConfig, Trace, PulseSequence, MagneticPulse, FreeEvolution,
-    simulate_ramsey, simulate_spectrum, fourier_magnitude,
+    SimConfig, Trace, simulate_ramsey, simulate_spectrum, fourier_magnitude,
     write_trace_csv, read_trace_csv,
 )
 from .fitting import FitParam, FitOutcome, ModelFunction, nlls_fit, \
@@ -40,8 +39,7 @@ __all__ = [
     # errors
     "NumericalError",
     # pulse_sim
-    "SimConfig", "Trace", "PulseSequence", "MagneticPulse",
-    "FreeEvolution", "simulate_ramsey", "simulate_spectrum",
+    "SimConfig", "Trace", "simulate_ramsey", "simulate_spectrum",
     "fourier_magnitude", "write_trace_csv", "read_trace_csv",
     # fitting
     "FitParam", "FitOutcome", "ModelFunction", "nlls_fit", "format_fit_report",

@@ -268,6 +268,15 @@ def _section(res: dict, name: str, **flags) -> dict:
                    **flags)
 
 
+# Field-noise keys, each with its conversion to sigma_b in mG.  A config's
+# noise section names at most one (SCHEMA); each preset names exactly one.
+_SIGMA_B_MG = {
+    "sigma_b_mg": lambda mg: mg,
+    "gamma_sigma_b_khz": lambda khz: khz_to_angular(khz) / GAMMA,
+    "t2_0m1_us": sigma_b_from_t2,
+}
+
+
 def resolve_config(cfg: dict) -> dict:
     """Fill preset defaults and convert units; returns plain runtime values.
 
@@ -289,16 +298,9 @@ def resolve_config(cfg: dict) -> dict:
     )
 
     noise_cfg = _merged(SCHEMA["properties"]["noise"], cfg.get("noise", {}))
-    if "sigma_b_mg" in noise_cfg:
-        sigma_b = noise_cfg["sigma_b_mg"]
-    elif "gamma_sigma_b_khz" in noise_cfg:
-        sigma_b = khz_to_angular(noise_cfg["gamma_sigma_b_khz"]) / GAMMA
-    elif "t2_0m1_us" in noise_cfg:
-        sigma_b = sigma_b_from_t2(noise_cfg["t2_0m1_us"])
-    elif preset["gamma_sigma_b_khz"] is not None:
-        sigma_b = khz_to_angular(preset["gamma_sigma_b_khz"]) / GAMMA
-    else:
-        sigma_b = sigma_b_from_t2(preset["t2_0m1_us"])
+    source = noise_cfg if noise_cfg.keys() & _SIGMA_B_MG else preset
+    sigma_b = next(to_mg(source[key]) for key, to_mg in _SIGMA_B_MG.items()
+                   if key in source)
     sigma_t = noise_cfg.get("sigma_t_c", preset["sigma_t_c"])
     amp_cfg = _merged(_AMPLITUDE_SCHEMA, noise_cfg["amplitude"])
     if amp_cfg["mode"] == "fixed":

@@ -19,6 +19,7 @@ import numpy as np
 from .dephasing import envelope_max_protection
 from .fitting import FitParam, ModelFunction
 from .pulse_sim import OMEGA_ROT_KHZ, Trace, fourier_magnitude
+from .spin_model import _sublevel_splittings
 from .units import GAMMA, angular_to_khz, khz_to_angular
 
 _K = 2.0 * math.pi * 1e-3  # kHz -> rad/us
@@ -225,8 +226,7 @@ def mean_contrast(params) -> float:
     """Sublevel-averaged fringe contrast of the {m,p} qubit: the p0_ud
     the {m,p} models pin when none is given."""
     out = 0.0
-    for s in (+1.0, -1.0):
-        w = math.hypot(params.omega, params.delta + s * params.a_par)
+    for w in _sublevel_splittings(params):
         out += (params.omega / w) ** 2 if w else 1.0
     return 0.5 * out
 

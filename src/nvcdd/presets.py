@@ -16,8 +16,7 @@ Q_FACTOR = 2700.0
 PRESETS = {
     "nv1": {
         "a_par_khz": 145.0,
-        "t2_0m1_us": 5.9,
-        "gamma_sigma_b_khz": None,   # derived from t2_0m1
+        "t2_0m1_us": 5.9,            # field noise from the undressed T2*
         "sigma_t_c": 0.25,
         "omega_mech_mhz": 586.0,
         "q_factor": Q_FACTOR,
@@ -25,7 +24,6 @@ PRESETS = {
     },
     "nv2": {
         "a_par_khz": 150.0,
-        "t2_0m1_us": 5.4,
         "gamma_sigma_b_khz": 42.0,   # quoted calibration, pinned
         "sigma_t_c": 0.25,
         "omega_mech_mhz": 586.0,

@@ -18,30 +18,28 @@ ziggurat fast path run as numpy array operations, with numpy's tables
 redrawn by numpy through one re-keyed generator.
 
 The engine is batch-only: _simulate runs all shots of a grid point as one
-stack; a single shot is a batch of one.  Each shot starts in |0> with the
-13C spin unpolarized and ends with a readout of the |0> population; in
-between, a sequence holds only magnetic pulses and free evolution.  The
-Hamiltonian never couples the 13C index, so _frame_hamiltonians builds
-the two real 3x3 blocks, 13C up (basis states {0,2,4} of the six-level
-model) and down ({1,3,5}), each ordered (+1, 0, -1), and states
-propagate as two 3-level blocks.  Free evolution is closed-form (|0>
-only picks up a phase, the +-1 pair rotates), and each distinct pulse is
-diagonalised once per point at phase 0: a pulse of phase phi is
-h(phi) = P h(0) P^dagger with P = exp(i phi) on |0>, so opening and
-closing pulses share one eigendecomposition.  _eigh_blocks diagonalises
-the pulse blocks in closed form (trigonometric roots of the cubic,
-eigenvectors from row cross products) and hands the few near-degenerate
-blocks, such as a level crossing at w = 0, to np.linalg.eigh.
+stack; a single shot is a batch of one.  The program builds two kinds of
+grid point (_run_batch): a spectrum point is one pulse, and a Ramsey
+point is a pulse, free evolution tau and the same pulse at a closing
+phase.  Each shot starts in |0> with the 13C spin unpolarized and ends
+with a readout of the |0> population.  The Hamiltonian never couples the
+13C index, so _frame_hamiltonians builds the two real 3x3 blocks, 13C up
+(basis states {0,2,4} of the six-level model) and down ({1,3,5}), each
+ordered (+1, 0, -1), and states propagate as two 3-level blocks.  Free
+evolution is closed-form (|0> only picks up a phase, the +-1 pair
+rotates).  The pulse is diagonalised once per point at phase 0, in
+closed form by _eigh_blocks (trigonometric roots of the cubic,
+eigenvectors from row cross products), which hands the few
+near-degenerate blocks, such as a level crossing at w = 0, to
+np.linalg.eigh.
 
 Both return real eigenvectors V, so a pulse propagator
 U(0) = V exp(-i L t) V^T is complex symmetric: its |0> column u
 (_pulse_column) is also its |0> row.  Only |0> is prepared and read out,
-so a pulse that opens a sequence sets the state from u alone, and a
-pulse that closes one forms only the readout amplitude from the same u;
-u is formed once per distinct strength and duration, so a Ramsey point
-takes one 3x3 product per block.  A pulse between the first and the last
-propagates the whole state.  One norm check sees the state the readout
-uses, plus a closing column that did not build it.
+so the opening pulse sets the state from u alone and the closing pulse,
+P U(0) P^dagger with P = exp(i phi) on |0>, forms only the readout
+amplitude from the same u: a point takes one 3x3 product per block.  One
+norm check sees the state the readout uses.
 """
 
 from __future__ import annotations
@@ -56,7 +54,9 @@ import numpy as np
 
 from .dephasing import NoiseSpec
 from .errors import NumericalError
-from .spin_model import SystemParams, dressed_transition_offsets
+from .spin_model import (
+    SystemParams, _sublevel_splittings, dressed_transition_offsets,
+)
 from .units import DD_DT, GAMMA, angular_to_khz, khz_to_angular
 
 NORM_TOL = 1e-9
@@ -85,57 +85,14 @@ class NormLossError(NumericalError, RuntimeError):
     """Propagation changed a state's norm by more than NORM_TOL."""
 
 
-@dataclass(frozen=True)
-class MagneticPulse:
-    """Magnetic drive segment.
-
-    The drive couples |0> to |-1> only, so at the dressed-line midpoint it
-    addresses both 0<->m and 0<->p through their |-1> components.  The
-    0<->+1 element of a tone near the 0<->-1 splitting is detuned by the
-    full Zeeman splitting and is dropped, like every other counter-rotating
-    term in this frame.  The carrier sits at the sequence's frame detuning.
-    """
-
-    omega_mag: float            # Rabi strength, rad/us
-    duration: float             # us
-    phase: float = 0.0          # rad
-
-    def __post_init__(self):
-        if not math.isfinite(self.omega_mag):
-            raise ValueError("omega_mag must be finite")
-        _check_duration(self.duration)
-        if not math.isfinite(self.phase):
-            raise ValueError("phase must be finite")
-
-
-@dataclass(frozen=True)
-class FreeEvolution:
-    duration: float  # us
-
-    def __post_init__(self):
-        _check_duration(self.duration)
-
-
-def _check_duration(duration):
-    # written as "not in range" so that NaN, which fails every
-    # comparison, is rejected
-    if not 0 <= duration < math.inf:
-        raise ValueError("duration must be finite and >= 0")
-
-
-def _check_omega_mag(omega_mag):
-    if not 0 < omega_mag < math.inf:
+def _pulse_duration(angle, omega_mag):
+    """angle / omega_mag, the duration of a pulse of that rotation angle,
+    for a finite omega_mag > 0; a subnormal omega_mag overflows it."""
+    if not 0 < omega_mag < math.inf:   # NaN fails it too
         raise ValueError("omega_mag must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Ordered MagneticPulse and FreeEvolution segments, run from |0> with
-    the 13C spin unpolarized up to the |0> readout, plus the carrier frame
-    detuning that every segment shares."""
-
-    segments: tuple
-    frame_detuning: float = 0.0  # rad/us
+    if not angle / omega_mag < math.inf:
+        raise ValueError("duration must be finite and >= 0")
+    return angle / omega_mag
 
 
 @dataclass(frozen=True)
@@ -193,7 +150,10 @@ def _frame_hamiltonians(params: SystemParams, db, dom, dt,
     their two real 13C blocks: shape (n, 2, 3, 3), up block first, each
     ordered (+1, 0, -1).
 
-    db, dom, dt are environment arrays of shape (n,).
+    db, dom, dt are environment arrays of shape (n,).  The drive (carrier
+    at detuning_mag) couples |0> to |-1> only, addressing 0<->m and 0<->p
+    through their |-1> components; its 0<->+1 element, detuned by the full
+    Zeeman splitting, is dropped like every other counter-rotating term.
     """
     db = np.atleast_1d(np.asarray(db, dtype=float))
     dom = np.broadcast_to(np.asarray(dom, dtype=float), db.shape)
@@ -205,7 +165,7 @@ def _frame_hamiltonians(params: SystemParams, db, dom, dt,
     h[..., 1, 1] = (detuning_mag - DD_DT * dt)[:, None]
     h[..., 2, 2] = -h[..., 0, 0]
     h[..., 0, 2] = h[..., 2, 0] = 0.5 * (params.omega + dom)[:, None]
-    h[..., 1, 2] = h[..., 2, 1] = 0.5 * omega_mag   # 0<->-1, see MagneticPulse
+    h[..., 1, 2] = h[..., 2, 1] = 0.5 * omega_mag
     return h
 
 
@@ -277,22 +237,13 @@ def _eigh_blocks(h: np.ndarray):
         vals = e * (x * x - zc * zc) + z * y * y + 2.0 * zc * (w * x + g * y)
         ok = (gap > _GAP_FRACTION * 2.0 * r) & (r > 1.0 / _SPREAD_MAX) \
             & (r < _SPREAD_MAX) & np.isfinite(vals[0] + vals[1] + vals[2])
-    # eigh's layout, contiguous: _apply_eigen's matmuls run faster so
+    # eigh's layout, contiguous: _pulse_column's matmul runs faster so
     vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
     vecs = np.ascontiguousarray(np.transpose((x, y, zc), (2, 3, 0, 1)))
     if not ok.all():
         bad = ~ok
         vals[bad], vecs[bad] = np.linalg.eigh(h[bad])
     return vals, vecs
-
-
-def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-                 duration: float) -> np.ndarray:
-    """exp(-i h t) applied to block states (n, 2, 3), given h's block
-    eigendecomposition."""
-    coeff = (states[..., None, :] @ vecs.conj())[..., 0, :]
-    coeff *= np.exp(-1j * vals * duration)
-    return (vecs @ coeff[..., None])[..., 0]
 
 
 def _pulse_column(vals: np.ndarray, vecs: np.ndarray,
@@ -312,7 +263,7 @@ def _pulse_column(vals: np.ndarray, vecs: np.ndarray,
 def _free_evolve(states: np.ndarray, h: np.ndarray,
                  duration: float) -> np.ndarray:
     """exp(-i h t) applied to block states (n, 2, 3) in closed form, for
-    drive-free block Hamiltonians h (n, 2, 3, 3).
+    block Hamiltonians h (n, 2, 3, 3) with their drive elements ignored.
 
     |0> only picks up a phase.  In each block the +-1 pair rotates under
     e*sigma_z + w*sigma_x, whose propagator is
@@ -330,62 +281,33 @@ def _free_evolve(states: np.ndarray, h: np.ndarray,
     return out
 
 
-def _run_batch(seq: PulseSequence, params: SystemParams,
-               db, dom, dt) -> np.ndarray:
-    """Run the sequence for stacked environment samples; returns P0 (n,).
+def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
+    """P0 (n,) at one grid point, for stacked environment samples.
 
-    Each shot starts in sqrt(1/2)|0> in each 13C block and is read out on
-    |0>.  A pulse of phase phi is P U(0) P^dagger with P = exp(i phi) on
-    |0>, and U(0)'s |0> column u is also its |0> row (_pulse_column), so
-    a first pulse leaves sqrt(1/2) (e^{-i phi} u+, u0, e^{-i phi} u-) and
-    a last pulse only forms the readout amplitude
-    u0 psi0 + e^{i phi} (u+ psi+ + u- psi-).  u is formed once per
-    distinct strength and duration, each strength diagonalised once at
-    phase 0; a pulse that is neither first nor last propagates the whole
-    state.
+    point is (frame detuning, pulse strength, pulse duration, ramsey):
+    ramsey None is a spectrum point, one pulse; ramsey = (tau, phi) is a
+    Ramsey point, the pulse, free evolution tau, the pulse at phase phi.
+    Each 13C block starts in sqrt(1/2)|0>, so the opening pulse leaves
+    sqrt(1/2) u, u its |0> column; u is also its |0> row, so the closing
+    pulse P U(0) P^dagger (P = exp(i phi) on |0>) only forms the readout
+    amplitude u0 psi0 + e^{i phi} (u+ psi+ + u- psi-).
     """
-    db = np.atleast_1d(np.asarray(db, dtype=float))
-    states = np.zeros((db.shape[0], 2, 3), dtype=complex)
-    states[:, :, 1] = math.sqrt(0.5)
-    eigen, columns = {}, {}
-    last = len(seq.segments) - 1
-    opening = readout = None
-    for k, seg in enumerate(seq.segments):
-        if not isinstance(seg, MagneticPulse):
-            states = _free_evolve(states, _frame_hamiltonians(
-                params, db, dom, dt, seq.frame_detuning), seg.duration)
-            continue
-        if seg.omega_mag not in eigen:
-            eigen[seg.omega_mag] = _eigh_blocks(_frame_hamiltonians(
-                params, db, dom, dt, seq.frame_detuning, seg.omega_mag))
-        rot = np.exp(1j * seg.phase)
-        if 0 < k < last:
-            states[..., 1] *= rot.conjugate()
-            states = _apply_eigen(states, *eigen[seg.omega_mag], seg.duration)
-            states[..., 1] *= rot
-            continue
-        key = (seg.omega_mag, seg.duration)
-        if key not in columns:
-            columns[key] = _pulse_column(*eigen[seg.omega_mag], seg.duration)
-        u = columns[key]
-        if k == 0:
-            opening = key
-            states = math.sqrt(0.5) * u
-            states[..., ::2] *= rot.conjugate()
-        else:
-            readout = u[..., 1] * states[..., 1] + rot * (
-                u[..., 0] * states[..., 0] + u[..., 2] * states[..., 2])
-    # Every segment is unitary, so norm lost on the way cannot come back:
-    # one check of the state the readout uses sees it, and a last pulse's
-    # column joins the check unless the state was built from it.  NaN
-    # fails every comparison, so the test is written to pass only on
-    # finite norms.
+    frame, omega_mag, duration, ramsey = point
+    h = _frame_hamiltonians(params, db, dom, dt, frame, omega_mag)
+    u = _pulse_column(*_eigh_blocks(h), duration)
+    states = math.sqrt(0.5) * u
+    amp = states[..., 1]
+    if ramsey is not None:
+        tau, phi = ramsey
+        states = _free_evolve(states, h, tau)
+        amp = u[..., 1] * states[..., 1] + np.exp(1j * phi) * (
+            u[..., 0] * states[..., 0] + u[..., 2] * states[..., 2])
+    # Every step is unitary, so norm lost on the way cannot come back: one
+    # check of the state the readout uses, built from the one column, sees
+    # it.  The test is written so that a NaN norm fails it.
     norms = np.linalg.norm(states, axis=(1, 2))
-    if readout is not None and key != opening:
-        norms = np.append(norms, np.linalg.norm(u, axis=2))
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise NormLossError("propagation lost norm")
-    amp = states[..., 1] if readout is None else readout
     return np.abs(amp[:, 0]) ** 2 + np.abs(amp[:, 1]) ** 2
 
 
@@ -524,16 +446,9 @@ def _sample_block(noise: NoiseSpec, mean_omega: float, seed: int,
             draws[..., 2] * noise.sigma_t)
 
 
-def _mean_p_line(params: SystemParams) -> float:
-    """Frame position of the 0<->p line, averaged over 13C sublevels."""
-    up = 0.5 * math.hypot(params.omega, params.delta + params.a_par)
-    dn = 0.5 * math.hypot(params.omega, params.delta - params.a_par)
-    return 0.5 * (up + dn)
-
-
-def _simulate(grid, sequence_at, params: SystemParams, config: SimConfig):
+def _simulate(grid, point_at, params: SystemParams, config: SimConfig):
     """Mean P0 (clipped to [0, 1]) and its standard error at each grid
-    point, running the sequence sequence_at(x) for config.n_shots shots.
+    point x, running _run_batch on point_at(x) for config.n_shots shots.
 
     Environments are sampled for a block of whole points at a time, at
     most _BLOCK_SHOT_POINTS shot-points (at least one point) per block.
@@ -546,7 +461,7 @@ def _simulate(grid, sequence_at, params: SystemParams, config: SimConfig):
         points = range(first, min(first + per_block, len(grid)))
         env = _sample_block(config.noise, params.omega, config.seed, points, n)
         for i, db, dom, dt in zip(points, *env):
-            p0 = _run_batch(sequence_at(grid[i]), params, db, dom, dt)
+            p0 = _run_batch(point_at(grid[i]), params, db, dom, dt)
             mean[i] = p0.mean()
             stderr[i] = p0.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
     return np.clip(mean, 0.0, 1.0), stderr
@@ -578,8 +493,12 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
         raise ValueError("tau_grid must be finite and >= 0")
     if not np.all(np.diff(tau_grid) > 0):
         raise ValueError("tau_grid must be strictly ascending")
-    if omega_mag is not None:
-        _check_omega_mag(omega_mag)
+    # DQ pi pulses at the dressed-line midpoint with a fixed closing phase,
+    # or pi/2 pulses on one line whose closing phase advances with tau
+    dq = kind in ("dressed_mp", "max_protection")
+    if omega_mag is None:
+        omega_mag = DEFAULT_OMEGA_MAG_DQ if dq else DEFAULT_OMEGA_MAG_SQ
+    t_pulse = _pulse_duration(math.pi if dq else 0.5 * math.pi, omega_mag)
     if kind == "undressed_0m1":
         params = params.with_omega(0.0)
     elif params.omega <= 0:
@@ -587,23 +506,17 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
     if kind == "max_protection":
         params = params.with_delta(-abs(params.a_par))
     omega_rot = khz_to_angular(OMEGA_ROT_KHZ)
-    if kind in ("dressed_mp", "max_protection"):
-        # DQ pi pulses at the dressed-line midpoint; fixed closing phase
-        omega_mag = DEFAULT_OMEGA_MAG_DQ if omega_mag is None else omega_mag
-        frame, t_pulse, phase_rate = 0.0, math.pi / omega_mag, 0.0
-    else:
-        # pi/2 pulses on one line; the closing phase advances with tau
-        omega_mag = DEFAULT_OMEGA_MAG_SQ if omega_mag is None else omega_mag
-        frame = -0.5 * params.delta if kind == "undressed_0m1" \
-            else _mean_p_line(params)
-        t_pulse, phase_rate = 0.5 * math.pi / omega_mag, omega_rot
-    opening = MagneticPulse(omega_mag, t_pulse)
-
-    def sequence_at(tau):
-        closing = MagneticPulse(omega_mag, t_pulse, phase=phase_rate * tau)
-        return PulseSequence((opening, FreeEvolution(tau), closing), frame)
-
-    mean, stderr = _simulate(tau_grid, sequence_at, params, config)
+    phase_rate = 0.0 if dq else omega_rot
+    if dq:
+        frame = 0.0
+    elif kind == "undressed_0m1":
+        frame = -0.5 * params.delta
+    else:   # the 0<->p line, half the splitting, averaged over sublevels
+        frame = 0.25 * sum(_sublevel_splittings(params))
+    mean, stderr = _simulate(
+        tau_grid,
+        lambda tau: (frame, omega_mag, t_pulse, (tau, phase_rate * tau)),
+        params, config)
     metadata = _metadata(kind, "us", params, config, omega_mag,
                          omega_rot_khz=angular_to_khz(omega_rot))
     return Trace(tau_grid, mean, stderr, config.n_shots, metadata)
@@ -622,12 +535,11 @@ def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
         raise ValueError("detuning_grid must be finite")
     if not np.all(np.diff(detuning_grid) > 0):
         raise ValueError("detuning_grid must be strictly ascending")
-    _check_omega_mag(omega_mag)
-    segments = (MagneticPulse(omega_mag, math.pi / omega_mag),)
+    t_pulse = _pulse_duration(math.pi, omega_mag)
     mean, stderr = _simulate(
         detuning_grid,
-        lambda det_axis: PulseSequence(
-            segments, frame_detuning=det_axis - 0.5 * params.delta),
+        lambda det_axis: (det_axis - 0.5 * params.delta, omega_mag, t_pulse,
+                          None),
         params, config)
     offsets = dressed_transition_offsets(params.omega, params.delta)
     metadata = _metadata("spectrum", "khz", params, config, omega_mag,

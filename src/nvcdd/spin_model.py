@@ -30,6 +30,10 @@ class SystemParams:
     def __post_init__(self):
         if not self.q_factor > 0:
             raise ValueError(f"q_factor must be positive, got {self.q_factor}")
+        for name in ("omega", "delta", "a_par", "omega_mech"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:   # NaN fails it too
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.omega < 0:
             raise ValueError(f"omega must be non-negative, got {self.omega}")
 
@@ -40,6 +44,12 @@ class SystemParams:
 
     def with_omega(self, omega: float) -> "SystemParams":
         return replace(self, omega=omega)
+
+
+def _sublevel_splittings(params: SystemParams) -> tuple[float, float]:
+    """{m,p} splittings sqrt(omega^2 + (delta +- a_par)^2), 13C up, down."""
+    return (math.hypot(params.omega, params.delta + params.a_par),
+            math.hypot(params.omega, params.delta - params.a_par))
 
 
 def dressed_transition_offsets(omega: float, delta: float) -> tuple[float, float]:

@@ -4,8 +4,9 @@ No command, engine path or fit model runs this code.  It restates the
 paper's closed forms in their most direct form, so that the shot engine,
 the dephasing formulas and the fit models can be compared with them:
 the six-level Hamiltonians, the dressed energies and Larmor frequencies,
-the rate budget, a Monte-Carlo estimate of the second-order envelope and
-numpy's own per-shot generator.
+the rate budget, a Monte-Carlo estimate of the second-order envelope,
+whole-state propagation of the 13C blocks and numpy's own per-shot
+generator.
 
 Basis order of the six-level model: {+1 up, +1 down, 0 up, 0 down,
 -1 up, -1 down}, where up/down are the m_I = +-1/2 sublevels of the 13C
@@ -239,6 +240,16 @@ def mc_envelope_second_order(tau_grid, omega: float, sigma_b: float,
                               + (mean.imag * se_im) ** 2) / np.maximum(env, 1e-300),
                       np.hypot(se_re, se_im))
     return env, se
+
+
+def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                 duration: float) -> np.ndarray:
+    """exp(-i h t) applied to block states (n, 2, 3), given h's block
+    eigendecomposition: the whole-state propagation that the engine's
+    |0>-column form (pulse_sim._pulse_column) specialises."""
+    coeff = (states[..., None, :] @ vecs.conj())[..., 0, :]
+    coeff *= np.exp(-1j * vals * duration)
+    return (vecs @ coeff[..., None])[..., 0]
 
 
 def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generator:

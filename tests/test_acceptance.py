@@ -35,7 +35,6 @@ from nvcdd.models import (
 )
 from nvcdd.pulse_sim import (
     SimConfig,
-    _apply_eigen,
     _frame_hamiltonians,
     simulate_ramsey,
     simulate_spectrum,
@@ -55,6 +54,7 @@ from reference import (
     ZERO_ENV,
     EnvironmentSample,
     RateBudget,
+    _apply_eigen,
     build_rotating_hamiltonian,
     combine_rates,
     detuning_from_lines,

@@ -14,6 +14,7 @@ from nvcdd.dephasing import HorizonExceeded, ZeroRateError
 from nvcdd.errors import NumericalError
 from nvcdd.fitting import NonFiniteResidualsError
 from nvcdd.models import FIT_MODELS
+from nvcdd.presets import PRESETS
 from nvcdd.pulse_sim import NormLossError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -164,6 +165,16 @@ class TestConfigHandling:
             assert result.exit_code == 0, all_output(result)
         assert (tmp_path / "float" / "ramsey_dressed_mp.csv").read_bytes() \
             == (tmp_path / "int" / "ramsey_dressed_mp.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_names_one_field_noise_key(self, name):
+        keys = PRESETS[name].keys() & cli._SIGMA_B_MG
+        assert len(keys) == 1
+        key, = keys
+        # with no field-noise key in the config, the preset's applies
+        given = {"noise": {key: PRESETS[name][key]}}
+        assert resolve_config({"preset": name})["noise"].sigma_b \
+            == resolve_config(given)["noise"].sigma_b
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):

@@ -11,12 +11,8 @@ from nvcdd.dephasing import (
 )
 from nvcdd.pulse_sim import (
     DEFAULT_OMEGA_MAG_DQ,
-    FreeEvolution,
-    MagneticPulse,
-    PulseSequence,
     SimConfig,
     Trace,
-    _apply_eigen,
     _frame_hamiltonians,
     _run_batch,
     _sample_block,
@@ -32,6 +28,7 @@ from conftest import dense_hamiltonians, make_params
 from reference import (
     D0,
     EnvironmentSample,
+    _apply_eigen,
     build_rotating_hamiltonian,
     shot_rng,
     zeeman_frame_shift,
@@ -163,32 +160,23 @@ class TestPropagate:
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
     def test_resonant_pi_pulse_empties_zero(self):
+        # a spectrum point on resonance
         p = make_params(omega_khz=0.0, a_par_khz=0.0)
         om = khz_to_angular(696.0)
-        seq = PulseSequence((MagneticPulse(om, math.pi / om),))
-        assert _run_batch(seq, p, 0.0, 0.0, 0.0)[0] < 1e-6
+        point = (0.0, om, math.pi / om, None)
+        assert _run_batch(point, p, 0.0, 0.0, 0.0)[0] < 1e-6
 
     def test_undressed_double_pi_is_identity(self):
-        # back-to-back DQ pi pulses with the mechanical drive off are a
-        # 2pi rotation of the undressed {0,-1} qubit
+        # a Ramsey point of DQ pi pulses at tau = 0 with the mechanical
+        # drive off is a 2pi rotation of the undressed {0,-1} qubit
         p = make_params(omega_khz=0.0, a_par_khz=0.0)
         t_pi = math.pi / DEFAULT_OMEGA_MAG_DQ
-        seq = PulseSequence((MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi),
-                             MagneticPulse(DEFAULT_OMEGA_MAG_DQ, t_pi)))
-        assert _run_batch(seq, p, 0.0, 0.0, 0.0)[0] == pytest.approx(
+        point = (0.0, DEFAULT_OMEGA_MAG_DQ, t_pi, (0.0, 0.0))
+        assert _run_batch(point, p, 0.0, 0.0, 0.0)[0] == pytest.approx(
             1.0, abs=1e-9)
         # hyperfine detuning degrades it only at the % level
         p2 = make_params(omega_khz=0.0, a_par_khz=150.0)
-        assert _run_batch(seq, p2, 0.0, 0.0, 0.0)[0] > 0.99
-
-
-class TestRunSequence:
-    def test_reset_readout(self, nv2_params):
-        # every shot is reset into |0> and read out: with no segment in
-        # between, P0 is 1
-        seq = PulseSequence(())
-        assert _run_batch(seq, nv2_params, 0.0, 0.0, 0.0)[0] == \
-            pytest.approx(1.0, abs=1e-12)
+        assert _run_batch(point, p2, 0.0, 0.0, 0.0)[0] > 0.99
 
 
 NAN, INF = float("nan"), float("inf")
@@ -198,23 +186,6 @@ class TestEngineInputs:
     """Non-finite and out-of-range engine inputs are a ValueError that
     names the argument.  NaN fails every comparison, so each check must
     be written to pass only on valid values."""
-
-    @pytest.mark.parametrize("make", [
-        lambda: MagneticPulse(1.0, NAN),
-        lambda: MagneticPulse(1.0, INF),
-        lambda: MagneticPulse(1.0, -0.1),
-        lambda: FreeEvolution(NAN),
-        lambda: FreeEvolution(-INF),
-    ], ids=["pulse-nan", "pulse-inf", "pulse-negative", "free-nan",
-            "free-minus-inf"])
-    def test_segment_duration(self, make):
-        with pytest.raises(ValueError, match="duration must be finite"):
-            make()
-
-    @pytest.mark.parametrize("omega_mag", [NAN, INF])
-    def test_segment_strength(self, omega_mag):
-        with pytest.raises(ValueError, match="omega_mag must be finite"):
-            MagneticPulse(omega_mag, 1.0)
 
     @pytest.mark.parametrize("kind", ["dressed_mp", "dressed_0p"])
     @pytest.mark.parametrize("tau", [[0.0, NAN, 1.0], [0.0, INF], [NAN],
@@ -228,6 +199,19 @@ class TestEngineInputs:
         with pytest.raises(ValueError, match="omega_mag must be finite"):
             simulate_ramsey("dressed_mp", [0.0, 1.0], nv2_params, QUIET,
                             omega_mag=omega_mag)
+
+    @pytest.mark.parametrize("simulate", [
+        lambda p, om: simulate_ramsey("dressed_mp", [0.0], p, QUIET,
+                                      omega_mag=om),
+        lambda p, om: simulate_ramsey("dressed_0p", [0.0], p, QUIET,
+                                      omega_mag=om),
+        lambda p, om: simulate_spectrum([0.0], p, QUIET, omega_mag=om),
+    ], ids=["ramsey-pi", "ramsey-half-pi", "spectrum"])
+    def test_subnormal_strength_overflows_duration(self, nv2_params,
+                                                   simulate):
+        # finite and > 0, but the pulse duration angle / omega_mag is inf
+        with pytest.raises(ValueError, match="duration must be finite"):
+            simulate(nv2_params, 5e-324)
 
     @pytest.mark.parametrize("detuning", [[0.0, NAN], [NAN], [-INF, 0.0]])
     def test_spectrum_detuning(self, nv2_params, detuning):

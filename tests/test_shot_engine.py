@@ -2,8 +2,8 @@
 
 Every kernel of the engine -- the closed-form free evolution, the
 closed-form block eigendecomposition and its eigh fallback, propagation
-with phase conjugation, and the full _run_batch with a pulse at every
-segment position -- is compared with scipy.linalg.expm of the dense 6x6
+with phase conjugation, and the full _run_batch on spectrum and Ramsey
+points -- is compared with scipy.linalg.expm of the dense 6x6
 Hamiltonians over random environment draws and random blocks.  The dense
 form exists only here: the blocks of _frame_hamiltonians are scattered
 into a 6x6 matrix, with the pulse phase put on its 0<->-1 element.  The
@@ -27,11 +27,7 @@ from nvcdd import pulse_sim
 from nvcdd.dephasing import FixedAmplitudeNoise, NoiseSpec, sigma_b_from_t2
 from nvcdd.pulse_sim import (
     RAMSEY_KINDS,
-    FreeEvolution,
-    MagneticPulse,
-    PulseSequence,
     SimConfig,
-    _apply_eigen,
     _eigh_blocks,
     _frame_hamiltonians,
     _free_evolve,
@@ -41,7 +37,7 @@ from nvcdd.pulse_sim import (
 )
 
 from conftest import BLOCKS, dense_hamiltonians, make_params
-from reference import shot_rng
+from reference import _apply_eigen, shot_rng
 
 TOLERANCE = 1e-12
 N_DRAWS = 40
@@ -93,6 +89,14 @@ class TestFreeEvolution:
         got = block_kernel(_free_evolve, psi, h, 2.3)
         assert np.all(np.isfinite(got))
         assert np.abs(got - dense(psi, h, 2.3)).max() <= TOLERANCE
+
+    def test_norm_preserved(self, rng):
+        h = _frame_hamiltonians(make_params(delta_khz=40.0),
+                                *environment(rng), 0.8)
+        psi = random_states(rng)[:, BLOCKS]
+        for _ in range(100):
+            psi = _free_evolve(psi, h, 0.37)
+        assert np.abs(np.linalg.norm(psi, axis=(1, 2)) - 1.0).max() <= 1e-9
 
 
 class TestPulses:
@@ -199,19 +203,19 @@ class TestClosedFormEigen:
         assert np.array_equal(np.array(fallback_blocks), want)
 
 
-def dense_run(seq, params, db, dom, dt):
-    """Reference _run_batch: dense expm for every segment, from |0> with
-    the 13C spin unpolarized."""
+def dense_run(point, params, db, dom, dt):
+    """Reference _run_batch: dense expm for every step of the point, from
+    |0> with the 13C spin unpolarized, free evolution under the
+    drive-free Hamiltonian."""
+    frame, omega_mag, duration, ramsey = point
+    pulse = _frame_hamiltonians(params, db, dom, dt, frame, omega_mag)
     psi = np.zeros((len(db), 6), dtype=complex)
     psi[:, 2:4] = math.sqrt(0.5)
-    for seg in seq.segments:
-        if isinstance(seg, MagneticPulse):
-            h = _frame_hamiltonians(params, db, dom, dt, seq.frame_detuning,
-                                    seg.omega_mag)
-            psi = dense(psi, h, seg.duration, seg.phase)
-        else:
-            h = _frame_hamiltonians(params, db, dom, dt, seq.frame_detuning)
-            psi = dense(psi, h, seg.duration)
+    psi = dense(psi, pulse, duration)
+    if ramsey is not None:
+        tau, phase = ramsey
+        psi = dense(psi, _frame_hamiltonians(params, db, dom, dt, frame), tau)
+        psi = dense(psi, pulse, duration, phase)
     return np.abs(psi[:, 2]) ** 2 + np.abs(psi[:, 3]) ** 2
 
 
@@ -230,26 +234,13 @@ def recorded_batches(monkeypatch):
 
 
 OM_A, OM_B = 2.0 * math.pi * 1.5, 2.0 * math.pi * 0.7
-# Sequences with a pulse at every position _run_batch tells apart: first
-# (acting on |0>), last (forming only the readout amplitude), both (a lone
-# pulse) and neither (whole-state propagation).
-SEQUENCES = {
-    "lone-pulse": (MagneticPulse(OM_A, 0.41, 0.3),),
-    "two-strengths": (MagneticPulse(OM_A, 0.33),
-                      MagneticPulse(OM_B, 0.52, 1.1)),
-    "closing-strength-differs": (MagneticPulse(OM_A, 0.33, -0.4),
-                                 FreeEvolution(1.7),
-                                 MagneticPulse(OM_B, 0.33, 2.2)),
-    "closing-duration-differs": (MagneticPulse(OM_A, 0.33),
-                                 FreeEvolution(0.9),
-                                 MagneticPulse(OM_A, 0.61, 0.8)),
-    "same-pulse-twice": (MagneticPulse(OM_A, 0.33, 0.5), FreeEvolution(2.3),
-                         MagneticPulse(OM_A, 0.33, 1.9)),
-    "free-only": (FreeEvolution(0.6), FreeEvolution(1.3)),
-    "free-then-pulse": (FreeEvolution(0.75), MagneticPulse(OM_B, 0.52, 0.9)),
-    "three-pulses": (MagneticPulse(OM_A, 0.33, 0.2), FreeEvolution(0.8),
-                     MagneticPulse(OM_A, 0.33, -1.3), FreeEvolution(0.5),
-                     MagneticPulse(OM_B, 0.47, 0.6)),
+# Points of both shapes _run_batch runs: (frame detuning, pulse strength,
+# pulse duration, None or (tau, closing phase)).  A spectrum point is a
+# lone pulse; a Ramsey point is the same pulse twice around free evolution.
+POINTS = {
+    "lone-pulse": (0.4, OM_A, 0.41, None),
+    "same-pulse-twice": (0.4, OM_A, 0.33, (2.3, 1.9)),
+    "same-pulse-twice-tau-0": (-0.2, OM_B, 0.52, (0.0, -0.4)),
 }
 
 
@@ -272,35 +263,39 @@ class TestRunBatch:
         for args, p0 in recorded_batches:
             assert np.abs(p0 - dense_run(*args)).max() <= TOLERANCE
 
-    @pytest.mark.parametrize("name", SEQUENCES)
+    @pytest.mark.parametrize("name", POINTS)
     def test_segment_positions_match_dense(self, rng, name):
-        seq = PulseSequence(SEQUENCES[name], frame_detuning=0.4)
         params, env = make_params(delta_khz=30.0), environment(rng)
-        got = pulse_sim._run_batch(seq, params, *env)
-        assert np.abs(got - dense_run(seq, params, *env)).max() <= TOLERANCE
+        got = pulse_sim._run_batch(POINTS[name], params, *env)
+        assert np.abs(got - dense_run(POINTS[name], params, *env)).max() \
+            <= TOLERANCE
 
-    @pytest.mark.parametrize("name", [name for name in SEQUENCES
-                                      if name != "free-only"])
+    @pytest.mark.parametrize("name", POINTS)
     def test_norm_check_sees_every_column(self, monkeypatch, rng, name):
-        # a wrong column is caught whether it built the state or only
-        # formed the readout amplitude
-        seq = PulseSequence(SEQUENCES[name])
         params, env = make_params(), environment(rng)
         column = pulse_sim._pulse_column
-        wrong, calls = 0, []
+        monkeypatch.setattr(pulse_sim, "_pulse_column",
+                            lambda *args: 1.01 * column(*args))
+        with pytest.raises(pulse_sim.NormLossError):
+            pulse_sim._run_batch(POINTS[name], params, *env)
 
-        def corrupt(*args):
-            calls.append(column(*args))
-            return 1.01 * calls[-1] if len(calls) == wrong else calls[-1]
+    @pytest.mark.parametrize("kind", RAMSEY_KINDS)
+    def test_one_pulse_build_per_point(self, monkeypatch, kind):
+        # free evolution reads the pulse blocks' drive-free elements, so
+        # a Ramsey point builds, diagonalises and propagates one pulse
+        calls = []
+        for name in ("_frame_hamiltonians", "_eigh_blocks", "_pulse_column"):
+            kernel = getattr(pulse_sim, name)
 
-        monkeypatch.setattr(pulse_sim, "_pulse_column", corrupt)
-        pulse_sim._run_batch(seq, params, *env)
-        n_columns = len(calls)
-        assert n_columns >= 1
-        for wrong in range(1, n_columns + 1):
-            calls.clear()
-            with pytest.raises(pulse_sim.NormLossError):
-                pulse_sim._run_batch(seq, params, *env)
+            def spy(*args, name=name, kernel=kernel):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(pulse_sim, name, spy)
+        config = SimConfig(n_shots=4, seed=5, noise=NOISE)
+        simulate_ramsey(kind, [0.0, 0.85, 3.1], make_params(), config)
+        assert calls == ["_frame_hamiltonians", "_eigh_blocks",
+                         "_pulse_column"] * 3
 
 
 class TestSampler:

@@ -48,6 +48,13 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             nv2_params.with_omega(-1.0)
 
+    @pytest.mark.parametrize("field", ["omega", "delta", "a_par",
+                                       "omega_mech"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SystemParams(**{field: value})
+
 
 class TestLabHamiltonian:
     def test_drive_off_is_diagonal(self, nv2_params):
