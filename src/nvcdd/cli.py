@@ -518,12 +518,18 @@ def spectra(res, **flags):
     grid = khz_to_angular(_grid(section, "detuning_{}_khz"))
     kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
         if "omega_mag_khz" in section else {}
+    names = [f"spectrum_omega{om_khz:g}khz.csv"
+             for om_khz in section["omega_list_khz"]]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"spectra.omega_list_khz: two drives would "
+                              f"both write {name}")
     cfg = _sim_config(res)
     out = _out_dir(res)
-    for om_khz in section["omega_list_khz"]:
+    for om_khz, name in zip(section["omega_list_khz"], names):
         params = res["params"].with_omega(khz_to_angular(om_khz))
         trace = simulate_spectrum(grid, params, cfg, **kwargs)
-        path = out / f"spectrum_omega{om_khz:g}khz.csv"
+        path = out / name
         write_trace_csv(trace, path)
         click.echo(f"wrote {path}")
 

@@ -27,17 +27,16 @@ with a readout of the |0> population.  The Hamiltonian never couples the
 (basis states {0,2,4} of the six-level model) and down ({1,3,5}), each
 ordered (+1, 0, -1), and states propagate as two 3-level blocks.  Free
 evolution is closed-form (|0> only picks up a phase, the +-1 pair
-rotates).  The pulse is diagonalised once per point at phase 0, in
-closed form by _eigh_blocks (trigonometric roots of the cubic,
-eigenvectors from row cross products), which hands the few
-near-degenerate blocks, such as a level crossing at w = 0, to
+rotates).  Only |0> is prepared and read out, so a pulse needs only the
+|0> column u of its propagator U(0) = exp(-i h t) at phase 0, formed
+once per point by _newton_column from h's three eigenvalues alone
+(trigonometric roots of the cubic, Newton divided differences of
+exp(-i l t)); the rare block whose column is not finite goes to
 np.linalg.eigh.
 
-Both return real eigenvectors V, so a pulse propagator
-U(0) = V exp(-i L t) V^T is complex symmetric: its |0> column u
-(_pulse_column) is also its |0> row.  Only |0> is prepared and read out,
-so the opening pulse sets the state from u alone and the closing pulse,
-P U(0) P^dagger with P = exp(i phi) on |0>, forms only the readout
+h is real symmetric, so U(0) is complex symmetric: u is also its |0>
+row.  The opening pulse sets the state from u alone and the closing
+pulse, P U(0) P^dagger with P = exp(i phi) on |0>, forms only the readout
 amplitude from the same u: a point takes one 3x3 product per block.  One
 norm check sees the state the readout uses.
 """
@@ -60,16 +59,9 @@ from .spin_model import (
 from .units import DD_DT, GAMMA, angular_to_khz, khz_to_angular
 
 NORM_TOL = 1e-9
-# Smallest eigenvalue gap, as a fraction of the spread, that _eigh_blocks
-# solves in closed form; smaller gaps go to eigh.  The roots' error grows
-# as eps / gap, and a propagated state's error by about 1e-16 * r * t /
-# fraction (r the spread's half, t the duration): 1e-14 * r * t here,
-# about twice eigh's own.  The nv1/nv2 Ramsey kinds and spectra send about
-# 1 block in 2400 to eigh at this value.
-_GAP_FRACTION = 1e-2
-# Bound on r and 1/r for the closed form: the squared cross products scale
-# as r^4, and beyond it they would leave the normal doubles.
-_SPREAD_MAX = 1e50
+# Angles added to phi for the smallest and the largest root: l = m + 2r
+# cos(phi + turn).
+_ROOT_TURNS = np.array([2.0 * math.pi / 3.0, 0.0])[:, None, None]
 
 # Paper-grade default pulse strengths (angular rad/us).
 DEFAULT_OMEGA_MAG_SQ = 2.0 * math.pi * 0.696   # {0,p} pi/2 pulses, 696 kHz
@@ -169,95 +161,62 @@ def _frame_hamiltonians(params: SystemParams, db, dom, dt,
     return h
 
 
-def _eigh_blocks(h: np.ndarray):
-    """np.linalg.eigh of the stacked real blocks h (n, 2, 3, 3) of the form
-    [[e, 0, w], [0, z, g], [w, g, -e]], in closed form where that is
-    accurate and by eigh itself elsewhere; returns (vals, vecs) in eigh's
-    layout.
+def _newton_column(h: np.ndarray, duration: float) -> np.ndarray:
+    """The |0> column u (n, 2, 3) of exp(-i h t), for stacked real blocks h
+    (n, 2, 3, 3) of the form [[e, 0, w], [0, z, g], [w, g, -e]], from h's
+    three eigenvalues alone.
 
-    The eigenvalues are the trigonometric roots of the characteristic
-    polynomial l^3 - z l^2 - (e^2 + w^2 + g^2) l + z (e^2 + w^2) + g^2 e,
-    whose depressed form has spread 2r, r = sqrt(-p/3).  The outer two
-    eigenvectors are the largest of the three row cross products of h - l;
-    the outer pair is orthonormalised and the middle eigenvector is their
-    cross product.  Rayleigh quotients give the returned eigenvalues.
-    Blocks whose smallest eigenvalue gap is at most _GAP_FRACTION * 2r,
-    where the roots are too ill-conditioned, whose r or 1/r exceeds
-    _SPREAD_MAX, or whose result is not finite go to eigh.
+    u = p(h) e0, where p interpolates f(l) = exp(-i l t) at the eigenvalues
+    l1 <= l2 <= l3 in Newton form, f[l1] + f[l1,l2] (h - l1)
+    + f[l1,l2,l3] (h - l1)(h - l2), and (h - l1) e0 = (0, z - l1, g),
+    (h - l1)(h - l2) e0 = (wg, (z - l2)(z - l1) + g^2, g (z - l1 - e - l2)).
+    l1 and l3 are the trigonometric roots of the characteristic polynomial
+    l^3 - z l^2 - (e^2 + w^2 + g^2) l + z (e^2 + w^2) + g^2 e, whose
+    depressed form has spread 2r, and l2 = z - l1 - l3.  A two-node
+    difference is -i t exp(-i (a + b) t / 2) sinc((b - a) t / 2), stable at
+    any gap, and the three-node one divides by l3 - l1 >= 3r, so level
+    crossings and double roots need no special case.  Blocks whose column
+    is not finite (h = 0, or entries whose squares leave the double range)
+    go to np.linalg.eigh: u = V (V[|0>, :] * exp(-i vals t)).
     """
     # contiguous copies: arithmetic on them is faster than on views of h
     e, z, w, g = (h[..., i, j].copy() for i, j in ((0, 0), (1, 1), (0, 2),
                                                    (1, 2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g2, w2 = g * g, w * w
-        ew2 = e * e + w2
+    with np.errstate(all="ignore"):
+        g2 = g * g
         m = z / 3.0
-        r = np.sqrt((ew2 + g2) / 3.0 + m * m)
-        q = m * (2.0 * (ew2 - m * m) - g2) + g2 * e
-        # Rounding takes the cosine past +-1 only at a double root, whose
-        # NaN sends the block to eigh.
-        phi = np.arccos(-0.5 * q / r ** 3) / 3.0
-        cos, sin = np.cos(phi), np.sin(phi)
-        lam = np.empty((2,) + e.shape)          # smallest, largest
-        lam[0] = m - r * (cos + math.sqrt(3.0) * sin)
-        lam[1] = m + 2.0 * r * cos
-        mid = z - lam[0] - lam[1]
-        gap = np.minimum(mid - lam[0], lam[1] - mid)
-        # Rows of h - l are (a, 0, w), (0, c, g) and (w, g, d).  Their cross
-        # products, up to sign: (wc, ag, -ac), (cd - g^2, wg, -wc) and
-        # (-wg, w^2 - ad, ag).
-        a, c = e - lam, z - lam
-        d = -e - lam
-        wc, ag, wg, ac = w * c, a * g, w * g, a * c
-        x12, y02 = c * d - g2, w2 - a * d
-        wc2, ag2, wg2 = wc * wc, ag * ag, wg * wg
-        n01 = wc2 + ag2 + ac * ac
-        n12 = x12 * x12 + wg2 + wc2
-        n02 = wg2 + y02 * y02 + ag2
-        use12 = n12 > n01
-        best = np.where(use12, n12, n01)
-        use02 = n02 > best
-        scale = 1.0 / np.sqrt(np.where(use02, n02, best))
-        x, y, zc = (np.empty((3,) + e.shape) for _ in range(3))
-        x[::2] = np.where(use02, -wg, np.where(use12, x12, wc)) * scale
-        y[::2] = np.where(use02, y02, np.where(use12, wg, ag)) * scale
-        zc[::2] = np.where(use02, ag, np.where(use12, -wc, -ac)) * scale
-        x0, y0, z0, x2, y2, z2 = x[0], y[0], zc[0], x[2], y[2], zc[2]
-        dot = x0 * x2 + y0 * y2 + z0 * z2
-        x2 -= dot * x0
-        y2 -= dot * y0
-        z2 -= dot * z0
-        scale = 1.0 / np.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
-        x2 *= scale
-        y2 *= scale
-        z2 *= scale
-        np.subtract(y2 * z0, z2 * y0, out=x[1])
-        np.subtract(z2 * x0, x2 * z0, out=y[1])
-        np.subtract(x2 * y0, y2 * x0, out=zc[1])
-        vals = e * (x * x - zc * zc) + z * y * y + 2.0 * zc * (w * x + g * y)
-        ok = (gap > _GAP_FRACTION * 2.0 * r) & (r > 1.0 / _SPREAD_MAX) \
-            & (r < _SPREAD_MAX) & np.isfinite(vals[0] + vals[1] + vals[2])
-    # eigh's layout, contiguous: _pulse_column's matmul runs faster so
-    vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
-    vecs = np.ascontiguousarray(np.transpose((x, y, zc), (2, 3, 0, 1)))
-    if not ok.all():
-        bad = ~ok
-        vals[bad], vecs[bad] = np.linalg.eigh(h[bad])
-    return vals, vecs
-
-
-def _pulse_column(vals: np.ndarray, vecs: np.ndarray,
-                  duration: float) -> np.ndarray:
-    """The |0> column u (n, 2, 3) of exp(-i h t), given h's block
-    eigendecomposition with real eigenvectors: u = V (V[|0>, :] *
-    exp(-i vals t)).  With V real the propagator V exp(-i vals t) V^T is
-    complex symmetric, so u is its |0> row as well."""
-    coeff = np.exp(-1j * vals * duration)
-    coeff *= vecs[..., 1, :]
-    # one real matmul on the (re, im) pairs: faster than casting vecs to
-    # complex for a complex one
-    pairs = vecs @ coeff.view(float).reshape(coeff.shape + (2,))
-    return pairs.view(complex)[..., 0]
+        r = np.sqrt((e * e + w * w + g2) / 3.0 + m * m)
+        # cos(3 phi) = 4a^3 - 3a + (g/r)^2 (z - e) / 2r with a = m/r: each
+        # factor is O(1), so no power of r leaves the double range.
+        # Rounding past +-1 at a double root is clipped.
+        s = 1.0 / r
+        a = m * s
+        cos3 = (4.0 * a * a - 3.0) * a + 0.5 * (g2 * s * s) * ((z - e) * s)
+        phi = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
+        lam = np.empty((3,) + e.shape)
+        lam[::2] = m + 2.0 * r * np.cos(phi + _ROOT_TURNS)
+        lam[1] = z - lam[0] - lam[2]
+        half = np.exp((-0.5j * duration) * lam)     # f at half the time
+        # f[l1,l2] and f[l2,l3]
+        x = (0.5 * duration) * (lam[1:] - lam[:2])
+        sinc = np.sin(x)
+        sinc /= x
+        sinc[x == 0.0] = 1.0
+        f2 = half[:2] * half[1:]
+        f2 *= (-1j * duration) * sinc
+        f3 = (f2[1] - f2[0]) / (lam[2] - lam[0])
+        c1 = z - lam[0]
+        u = np.empty(e.shape + (3,), dtype=complex)
+        u[..., 0] = f3 * (w * g)
+        u[..., 1] = half[0] * half[0] + f2[0] * c1 \
+            + f3 * ((z - lam[1]) * c1 + g2)
+        u[..., 2] = g * (f2[0] + f3 * (c1 - e - lam[1]))
+    if not np.isfinite(u.sum()):    # NaN and inf reach the sum
+        bad = ~np.isfinite(u).all(axis=-1)
+        vals, vecs = np.linalg.eigh(h[bad])
+        coeff = np.exp(-1j * vals * duration) * vecs[..., 1, :]
+        u[bad] = (vecs @ coeff[..., None])[..., 0]
+    return u
 
 
 def _free_evolve(states: np.ndarray, h: np.ndarray,
@@ -294,7 +253,7 @@ def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
     """
     frame, omega_mag, duration, ramsey = point
     h = _frame_hamiltonians(params, db, dom, dt, frame, omega_mag)
-    u = _pulse_column(*_eigh_blocks(h), duration)
+    u = _newton_column(h, duration)
     states = math.sqrt(0.5) * u
     amp = states[..., 1]
     if ramsey is not None:
@@ -572,9 +531,9 @@ def write_trace_csv(trace: Trace, path) -> None:
     for x, m, s in zip(trace.abscissa, trace.mean_p0, trace.stderr):
         lines.append(f"{float(x)!r},{float(m)!r},{float(s)!r},{trace.n_shots}")
     path = str(path)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(path + ".meta.json", "w") as fh:
+    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(trace.metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -582,8 +541,14 @@ def write_trace_csv(trace: Trace, path) -> None:
 def read_trace_csv(path) -> Trace:
     """Re-ingest a trace CSV (and its sidecar, if present)."""
     path = str(path)
-    with open(path) as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    lines = []
+    for n, ln in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            ln = ln.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
+        if ln:
+            lines.append((n, ln))
     if not lines or lines[0][1] != "abscissa,mean_p0,stderr,n_shots":
         raise ValueError(f"{path}:1: expected header "
                          "'abscissa,mean_p0,stderr,n_shots'")
@@ -614,7 +579,9 @@ def read_trace_csv(path) -> Trace:
     metadata = {}
     if sidecar.exists():
         try:
-            metadata = json.loads(sidecar.read_text())
+            metadata = json.loads(sidecar.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{sidecar}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
         if not isinstance(metadata, dict):

@@ -246,7 +246,7 @@ def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
                  duration: float) -> np.ndarray:
     """exp(-i h t) applied to block states (n, 2, 3), given h's block
     eigendecomposition: the whole-state propagation that the engine's
-    |0>-column form (pulse_sim._pulse_column) specialises."""
+    |0>-column form (pulse_sim._newton_column) specialises."""
     coeff = (states[..., None, :] @ vecs.conj())[..., 0, :]
     coeff *= np.exp(-1j * vals * duration)
     return (vecs @ coeff[..., None])[..., 0]

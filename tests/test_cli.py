@@ -321,16 +321,35 @@ class TestRamseyAndFit:
         assert result.exit_code == 2
         assert where in all_output(result)
 
+    @pytest.mark.parametrize("broken,where", [
+        ("trace.csv", "trace.csv:3: 'utf-8' codec can't decode byte 0xff"),
+        ("trace.csv.meta.json",
+         "trace.csv.meta.json: 'utf-8' codec can't decode byte 0xff")])
+    def test_fit_undecodable_trace_names_file(self, runner, tmp_path, broken,
+                                              where):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"abscissa,mean_p0,stderr,n_shots\n"
+                         b"0.0,0.5,0.01,100\n0.1,0.5,0.01,100\n")
+        (tmp_path / "trace.csv.meta.json").write_bytes(b"{}")
+        target = tmp_path / broken
+        lines = target.read_bytes().splitlines(keepends=True)
+        lines[-1] = b"\xff" + lines[-1]
+        target.write_bytes(b"".join(lines))
+        result = invoke(runner, ["--out", str(tmp_path), "fit",
+                                 "--model", "ramsey_mp", "--input", str(path)])
+        assert result.exit_code == 2
+        assert where in all_output(result)
+
     # Every Ramsey kind and every spectrum takes its pulses through
-    # _pulse_column, whose output the engine's norm check must see.
+    # _newton_column, whose output the engine's norm check must see.
     ENGINE_RUNS = (["ramsey", "--tau-stop-us", "0.1"],
                    ["spectra", "--omega-khz", "0"])
 
     def test_norm_loss_is_numerical_error(self, runner, tmp_path,
                                           monkeypatch):
         from nvcdd import pulse_sim
-        column = pulse_sim._pulse_column
-        monkeypatch.setattr(pulse_sim, "_pulse_column",
+        column = pulse_sim._newton_column
+        monkeypatch.setattr(pulse_sim, "_newton_column",
                             lambda *args: 1.01 * column(*args))
         for command in self.ENGINE_RUNS:
             result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
@@ -343,8 +362,8 @@ class TestRamseyAndFit:
         # NaN fails every comparison, so a norm check written as "too far
         # from 1" would let it through to the trace as a config error
         from nvcdd import pulse_sim
-        column = pulse_sim._pulse_column
-        monkeypatch.setattr(pulse_sim, "_pulse_column",
+        column = pulse_sim._newton_column
+        monkeypatch.setattr(pulse_sim, "_newton_column",
                             lambda *args: np.nan * column(*args))
         for command in self.ENGINE_RUNS:
             result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
@@ -589,6 +608,24 @@ class TestSpectraAndEnvelope:
         assert result.exit_code == 0
         assert (tmp_path / "spectrum_omega0khz.csv").exists()
         assert (tmp_path / "spectrum_omega470khz.csv").exists()
+
+    @pytest.mark.parametrize("drives", [["470", "470.0001"], ["0", "0"]])
+    def test_colliding_drive_files_are_config_error(
+            self, runner, tmp_path, monkeypatch, drives):
+        # both drives would write one file, and one spectrum would be lost;
+        # rejected before anything is simulated or written
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(cli, "simulate_spectrum", no_simulation)
+        flags = [arg for om in drives for arg in ("--omega-khz", om)]
+        result = invoke(runner, ["--out", str(tmp_path / "o"), "--shots", "5",
+                                 "spectra", *flags])
+        assert result.exit_code == 2
+        assert f"both write spectrum_omega{drives[0]}khz.csv" \
+            in all_output(result)
+        assert "wrote" not in all_output(result)
+        assert not (tmp_path / "o").exists()
 
     def test_envelope_columns(self, runner, tmp_path):
         result = invoke(runner, ["--out", str(tmp_path), "envelope",

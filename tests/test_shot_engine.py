@@ -1,8 +1,8 @@
 """The block-diagonal shot engine against a dense reference.
 
-Every kernel of the engine -- the closed-form free evolution, the
-closed-form block eigendecomposition and its eigh fallback, propagation
-with phase conjugation, and the full _run_batch on spectrum and Ramsey
+Every kernel of the engine -- the closed-form free evolution, the pulse
+column from the eigenvalues and its eigh fallback, propagation with
+phase conjugation, and the full _run_batch on spectrum and Ramsey
 points -- is compared with scipy.linalg.expm of the dense 6x6
 Hamiltonians over random environment draws and random blocks.  The dense
 form exists only here: the blocks of _frame_hamiltonians are scattered
@@ -28,9 +28,9 @@ from nvcdd.dephasing import FixedAmplitudeNoise, NoiseSpec, sigma_b_from_t2
 from nvcdd.pulse_sim import (
     RAMSEY_KINDS,
     SimConfig,
-    _eigh_blocks,
     _frame_hamiltonians,
     _free_evolve,
+    _newton_column,
     _sample_block,
     simulate_ramsey,
     simulate_spectrum,
@@ -135,9 +135,17 @@ def blocks(e, z, w, g):
     return h
 
 
+def dense_column(h, duration):
+    """Reference |0> column of exp(-i h t) in each block (n, 2, 3): dense
+    expm applied to the |0> states of both 13C blocks at once."""
+    zero = np.zeros((len(h), 6), dtype=complex)
+    zero[:, 2:4] = 1.0
+    return dense(zero, h, duration)[:, BLOCKS]
+
+
 @pytest.fixture
 def fallback_blocks(monkeypatch):
-    """Every block _eigh_blocks hands to np.linalg.eigh."""
+    """Every block _newton_column hands to np.linalg.eigh."""
     seen = []
     eigh = np.linalg.eigh
 
@@ -153,23 +161,29 @@ def fallback_blocks(monkeypatch):
 # (e, decoupled) crosses it where 2 e^2 - 2 z e - g^2 = 0.
 Z_CROSS, G_CROSS = 0.4, 1.1
 E_CROSS = 0.5 * (Z_CROSS + math.sqrt(Z_CROSS ** 2 + 2.0 * G_CROSS ** 2))
-# (e, z, w, g) of one block each, and whether it must take the fallback.
+# (e, z, w, g) of one block each: degenerate and special blocks.
 BLOCK_CASES = {
-    "h=0": ((0.0, 0.0, 0.0, 0.0), True),
-    "g=0,z=+r": ((0.6, 1.0, 0.8, 0.0), True),
-    "g=0,z=-r": ((0.6, -1.0, 0.8, 0.0), True),
-    "w=0,crossing": ((E_CROSS, Z_CROSS, 0.0, G_CROSS), True),
-    "w=0,near-crossing": ((E_CROSS * (1 + 1e-6), Z_CROSS, 0.0, G_CROSS), True),
-    "w=0": ((0.7, -1.2, 0.0, 1.1), False),
-    "g=0": ((0.7, -1.2, 0.4, 0.0), False),
-    "w=0,g=0": ((0.7, -1.2, 0.0, 0.0), False),
-    "w=0,off-crossing": ((E_CROSS * 1.2, Z_CROSS, 0.0, G_CROSS), False),
-    "pulse": ((2.1, -0.3, 3.6, 4.75), False),
+    "h=0": (0.0, 0.0, 0.0, 0.0),
+    "g=0,z=+r": (0.6, 1.0, 0.8, 0.0),
+    "g=0,z=-r": (0.6, -1.0, 0.8, 0.0),
+    "w=0,crossing": (E_CROSS, Z_CROSS, 0.0, G_CROSS),
+    "w=0,near-crossing": (E_CROSS * (1 + 1e-6), Z_CROSS, 0.0, G_CROSS),
+    "w=0": (0.7, -1.2, 0.0, 1.1),
+    "g=0": (0.7, -1.2, 0.4, 0.0),
+    "w=0,g=0": (0.7, -1.2, 0.0, 0.0),
+    "w=0,off-crossing": (E_CROSS * 1.2, Z_CROSS, 0.0, G_CROSS),
+    "pulse": (2.1, -0.3, 3.6, 4.75),
 }
 
 
-class TestClosedFormEigen:
-    """_eigh_blocks, the engine's closed-form diagonalisation."""
+def case_blocks(scale):
+    """Every BLOCK_CASES block times scale, in both 13C blocks."""
+    cases = scale * np.array(list(BLOCK_CASES.values()))
+    return blocks(*np.repeat(cases.T[:, :, None], 2, axis=2))
+
+
+class TestNewtonColumn:
+    """_newton_column, the engine's pulse column from h's eigenvalues."""
 
     @settings(max_examples=150, deadline=None)
     @given(coeffs=arrays(np.float64, (6, 2, 4),
@@ -177,30 +191,29 @@ class TestClosedFormEigen:
            duration=st.floats(0.0, 2.0))
     def test_matches_expm(self, coeffs, duration):
         h = blocks(*np.moveaxis(coeffs, -1, 0))
-        psi = random_states(np.random.default_rng(0), len(h))
-        got = block_kernel(_apply_eigen, psi, *_eigh_blocks(h), duration)
-        assert np.abs(got - dense(psi, h, duration)).max() <= TOLERANCE
+        assert np.abs(_newton_column(h, duration)
+                      - dense_column(h, duration)).max() <= TOLERANCE
 
-    def test_returns_eighs_layout(self, rng):
-        h = _frame_hamiltonians(make_params(), *environment(rng), -0.3,
-                                2.0 * math.pi * 1.5)
-        vals, vecs = _eigh_blocks(h)
-        want = np.linalg.eigh(h)[0]
-        assert vals.shape == want.shape and vecs.shape == h.shape
-        assert np.abs(vals - want).max() <= TOLERANCE
-        assert np.abs(h @ vecs - vecs * vals[..., None, :]).max() <= TOLERANCE
-        assert np.abs(np.swapaxes(vecs, -1, -2) @ vecs
-                      - np.eye(3)).max() <= TOLERANCE
+    @pytest.mark.parametrize("scale", [1e-140, 1e-120, 1.0, 1e120, 1e140])
+    def test_block_cases_run_in_closed_form(self, fallback_blocks, scale):
+        # level crossings and double roots included; only h = 0 has no
+        # finite column
+        h = case_blocks(scale)
+        duration = 0.9 / max(scale, 1.0)
+        assert np.abs(_newton_column(h, duration)
+                      - dense_column(h, duration)).max() <= TOLERANCE
+        assert np.array_equal(np.array(fallback_blocks),
+                              np.zeros((2, 3, 3)))
 
-    def test_degenerate_blocks_take_the_fallback(self, rng, fallback_blocks):
-        cases = np.array([case for case, _ in BLOCK_CASES.values()])
-        degenerate = np.array([flag for _, flag in BLOCK_CASES.values()])
-        h = blocks(*np.repeat(cases.T[:, :, None], 2, axis=2))
-        psi = random_states(rng, len(h))
-        got = block_kernel(_apply_eigen, psi, *_eigh_blocks(h), 0.9)
-        assert np.abs(got - dense(psi, h, 0.9)).max() <= TOLERANCE
-        want = h[degenerate].reshape(-1, 3, 3)
-        assert np.array_equal(np.array(fallback_blocks), want)
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_extreme_blocks_take_the_fallback(self, fallback_blocks, scale):
+        # every square of an entry leaves the double range
+        h = case_blocks(scale)
+        duration = 0.9 / max(scale, 1.0)
+        assert np.abs(_newton_column(h, duration)
+                      - dense_column(h, duration)).max() <= TOLERANCE
+        assert np.array_equal(np.array(fallback_blocks),
+                              h.reshape(-1, 3, 3))
 
 
 def dense_run(point, params, db, dom, dt):
@@ -273,8 +286,8 @@ class TestRunBatch:
     @pytest.mark.parametrize("name", POINTS)
     def test_norm_check_sees_every_column(self, monkeypatch, rng, name):
         params, env = make_params(), environment(rng)
-        column = pulse_sim._pulse_column
-        monkeypatch.setattr(pulse_sim, "_pulse_column",
+        column = pulse_sim._newton_column
+        monkeypatch.setattr(pulse_sim, "_newton_column",
                             lambda *args: 1.01 * column(*args))
         with pytest.raises(pulse_sim.NormLossError):
             pulse_sim._run_batch(POINTS[name], params, *env)
@@ -282,9 +295,9 @@ class TestRunBatch:
     @pytest.mark.parametrize("kind", RAMSEY_KINDS)
     def test_one_pulse_build_per_point(self, monkeypatch, kind):
         # free evolution reads the pulse blocks' drive-free elements, so
-        # a Ramsey point builds, diagonalises and propagates one pulse
+        # a Ramsey point builds one pulse and forms one column
         calls = []
-        for name in ("_frame_hamiltonians", "_eigh_blocks", "_pulse_column"):
+        for name in ("_frame_hamiltonians", "_newton_column"):
             kernel = getattr(pulse_sim, name)
 
             def spy(*args, name=name, kernel=kernel):
@@ -294,8 +307,7 @@ class TestRunBatch:
             monkeypatch.setattr(pulse_sim, name, spy)
         config = SimConfig(n_shots=4, seed=5, noise=NOISE)
         simulate_ramsey(kind, [0.0, 0.85, 3.1], make_params(), config)
-        assert calls == ["_frame_hamiltonians", "_eigh_blocks",
-                         "_pulse_column"] * 3
+        assert calls == ["_frame_hamiltonians", "_newton_column"] * 3
 
 
 class TestSampler:
