@@ -3,13 +3,13 @@
 Every command is driven by a JSON config plus a few override flags. The
 config contract is ``SCHEMA`` below (JSON Schema draft 2020-12), the only
 copy of it: its preset, Ramsey-kind and fit-model enums come from the
-registries, and its ``default`` values are the CLI's defaults. A flag,
-if given, overrides the config key its Python name names.
-``configs/nv1.json`` and ``configs/nv2.json`` are examples.
-All frequencies in configs and reports are ordinary kHz, converted to
-angular units at the boundary.
-Outputs are plottable CSV artifacts plus text fit reports, deterministic
-for a given (config, seed).
+registries, its ``default`` values are the CLI's defaults, and
+``validate_config`` checks its keywords in-house, worded as jsonschema
+words them. A flag, if given, overrides the config key its Python name
+names. ``configs/nv1.json`` and ``configs/nv2.json`` are examples. All
+frequencies in configs and reports are ordinary kHz, converted to angular
+units at the boundary. Outputs are plottable CSV artifacts plus text fit
+reports, deterministic for a given (config, seed).
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
@@ -230,21 +230,65 @@ def load_config(path) -> dict:
     return cfg
 
 
-@functools.cache
-def _config_validator():
-    """SCHEMA's validator, built once: jsonschema.validate would check
-    SCHEMA against the metaschema on every call (a test does that once).
-    jsonschema is imported here, so runs without a config never load it."""
-    import jsonschema
-    return jsonschema.Draft202012Validator(SCHEMA)
+def _of_type(value, name: str) -> bool:
+    """Draft 2020-12's JSON types: a bool is no number, 3.0 is an integer."""
+    if name in ("number", "integer"):
+        return isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and (name == "number" or isinstance(value, int) or value.is_integer())
+    return isinstance(value, {"object": dict, "array": list, "string": str,
+                              "boolean": bool}[name])
+
+
+def _errors(rule: dict, value, path=()):
+    """Yield (path, message, value is of rule's type) for each way value
+    breaks rule, in jsonschema's order and wording: keywords and properties
+    as listed.  tests/test_cli.py fails on a keyword not handled here."""
+    typed = "type" in rule and _of_type(value, rule["type"])
+    obj, num = isinstance(value, dict), _of_type(value, "number")
+    for key, arg in rule.items():
+        if key == "type" and not typed:
+            yield path, f"{value!r} is not of type {arg!r}", typed
+        elif key == "enum" and value not in arg:
+            yield path, f"{value!r} is not one of {arg!r}", typed
+        elif key == "minimum" and num and value < arg:
+            yield path, f"{value!r} is less than the minimum of {arg!r}", typed
+        elif key == "exclusiveMinimum" and num and value <= arg:
+            yield (path, f"{value!r} is less than or equal to the minimum "
+                   f"of {arg!r}", typed)
+        elif key == "minItems" and isinstance(value, list) and len(value) < arg:
+            short = "should be non-empty" if arg == 1 else "is too short"
+            yield path, f"{value!r} {short}", typed
+        elif key == "items" and isinstance(value, list):
+            for index, item in enumerate(value):
+                yield from _errors(arg, item, (*path, index))
+        elif key == "properties" and obj:
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _errors(sub, value[name], (*path, name))
+        elif key == "required" and obj:
+            yield from ((path, f"{name!r} is a required property", typed)
+                        for name in arg if name not in value)
+        elif key == "additionalProperties" and obj and (extra := sorted(
+                value.keys() - rule.get("properties", {}).keys())):
+            verb = "was" if len(extra) == 1 else "were"
+            yield (path, "Additional properties are not allowed "
+                   f"({', '.join(map(repr, extra))} {verb} unexpected)", typed)
+        elif key == "allOf":
+            for sub in arg:
+                yield from _errors(sub, value, path)
+        elif key == "not" and next(_errors(arg, value, path), None) is None:
+            yield path, f"{value!r} should not be valid under {arg!r}", typed
 
 
 def validate_config(cfg: dict) -> None:
-    from jsonschema.exceptions import best_match
-    error = best_match(_config_validator().iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config key {error.json_path}: {error.message}") \
-            from error
+    """Raise a ConfigError naming the error jsonschema's best_match picks:
+    the shallowest, then the greatest path, then one whose value is not of
+    its rule's type (or whose rule has none); of equals, the first found."""
+    best = max(_errors(SCHEMA, cfg), default=None,
+               key=lambda error: (-len(error[0]), error[0], not error[2]))
+    if best is not None:
+        where = "".join(f"[{p}]" if isinstance(p, int) else "." + p for p in best[0])
+        raise ConfigError(f"config key ${where}: {best[1]}")
 
 
 def _given(**flags) -> dict:

@@ -542,7 +542,8 @@ def read_trace_csv(path) -> Trace:
     """Re-ingest a trace CSV (and its sidecar, if present)."""
     path = str(path)
     lines = []
-    for n, ln in enumerate(Path(path).read_bytes().splitlines(), 1):
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # UTF-8 BOM
+    for n, ln in enumerate(data.splitlines(), 1):
         try:
             ln = ln.decode("utf-8").strip()
         except UnicodeDecodeError as exc:

@@ -84,6 +84,41 @@ class TestRates:
             5.33, abs=0.05)
 
 
+# The keywords cli.validate_config checks, the types it knows and the
+# annotations it may skip.  The checker writes a key as ".name" in
+# "config key $.a.b[i]", as jsonschema does for identifier-like names.
+CHECKED_KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum", "minItems",
+                    "items", "properties", "required", "additionalProperties",
+                    "allOf", "not"}
+ANNOTATIONS = {"$schema", "title", "default"}
+CHECKED_TYPES = {"object", "array", "string", "boolean", "number", "integer"}
+
+
+def unchecked_rules(rule: dict, where: str = "$") -> list:
+    """Every place in a schema that cli.validate_config would not check
+    as jsonschema does, as "where: what" lines."""
+    problems = []
+    for key, arg in rule.items():
+        if key not in CHECKED_KEYWORDS | ANNOTATIONS:
+            problems.append(f"{where}: keyword {key!r}")
+        elif key == "type" and (not isinstance(arg, str)
+                                or arg not in CHECKED_TYPES):
+            problems.append(f"{where}: type {arg!r}")
+        elif key == "additionalProperties" and arg is not False:
+            problems.append(f"{where}: additionalProperties {arg!r}")
+        elif key == "properties":
+            for name, sub in arg.items():
+                if not re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", name):
+                    problems.append(f"{where}: property name {name!r}")
+                problems += unchecked_rules(sub, f"{where}.{name}")
+        elif key in ("items", "not"):
+            problems += unchecked_rules(arg, f"{where}/{key}")
+        elif key == "allOf":
+            for index, sub in enumerate(arg):
+                problems += unchecked_rules(sub, f"{where}/allOf[{index}]")
+    return problems
+
+
 class TestConfigHandling:
     def test_bad_type_reports_key_path(self, runner, tmp_path):
         cfg = write_config(tmp_path, {"system": {"omega_khz": "high"}})
@@ -136,6 +171,28 @@ class TestConfigHandling:
 
     def test_schema_is_valid_draft_2020_12(self):
         jsonschema.Draft202012Validator.check_schema(cli.SCHEMA)
+
+    def test_schema_uses_only_checked_keywords(self):
+        assert unchecked_rules(cli.SCHEMA) == []
+
+    def test_guard_sees_unchecked_keywords(self):
+        schema = {
+            "title": "synthetic", "type": "object",
+            "properties": {
+                "a": {"type": "number", "maximum": 3, "default": 1},
+                "b-c": {"type": ["number", "null"]},
+                "d": {"type": "array", "items": {"pattern": "x"}},
+            },
+            "allOf": [{"not": {"format": "email"}}],
+            "additionalProperties": {"type": "string"},
+        }
+        assert unchecked_rules(schema) == [
+            "$.a: keyword 'maximum'",
+            "$: property name 'b-c'",
+            "$.b-c: type ['number', 'null']",
+            "$.d/items: keyword 'pattern'",
+            "$/allOf[0]/not: keyword 'format'",
+            "$: additionalProperties {'type': 'string'}"]
 
     # Python's json reads NaN and +-Infinity, 1e400 as inf, and any integer.
     @pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400",
@@ -444,6 +501,26 @@ class TestFitModels:
         assert result.exit_code == 0, all_output(result)
         assert (tmp_path / f"fit_{model_name}.txt").read_bytes() \
             == (REPO_ROOT / reference).read_bytes()
+
+    def test_bom_prefixed_trace_fits_like_the_committed_one(self, runner,
+                                                           tmp_path):
+        # spreadsheet programs save CSVs with a UTF-8 byte-order mark
+        trace, _, reference = COMMITTED_FITS["ramsey_mp"]
+        source = REPO_ROOT / trace
+        copy = tmp_path / source.name
+        copy.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        sidecar = Path(f"{source}.meta.json")
+        Path(f"{copy}.meta.json").write_bytes(sidecar.read_bytes())
+        outputs = []
+        for path, out in ((source, tmp_path / "plain"), (copy, tmp_path / "bom")):
+            result = invoke(runner, ["--config", str(CONFIG_DIR / "nv2.json"),
+                                     "--out", str(out), "fit",
+                                     "--input", str(path)])
+            assert result.exit_code == 0, all_output(result)
+            assert (out / "fit_ramsey_mp.txt").read_bytes() \
+                == (REPO_ROOT / reference).read_bytes()
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1]
 
     def test_spectrum_joint_needs_undressed(self, runner, tmp_path):
         trace, _, _ = COMMITTED_FITS["spectrum_joint"]
