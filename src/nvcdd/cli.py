@@ -45,6 +45,7 @@ from .presets import PRESETS
 from .pulse_sim import (
     RAMSEY_KINDS,
     SimConfig,
+    _read_text,
     fourier_magnitude,
     read_trace_csv,
     simulate_ramsey,
@@ -187,15 +188,23 @@ class ConfigError(Exception):
     pass
 
 
-class _ConfigFloat(click.FloatRange):
-    """A float flag that overrides a config key: finite, and held to the
-    bound SCHEMA gives that key (or its items, for a list key)."""
+class _SchemaBound:
+    """Mixin for a click number range: a flag that overrides a config key
+    keeps the bound SCHEMA gives that key (or its items, for a list key)."""
 
     def __init__(self, section: str, key: str):
         rule = SCHEMA["properties"][section]["properties"][key]
         rule = rule.get("items", rule)
         super().__init__(rule.get("minimum", rule.get("exclusiveMinimum")),
                          min_open="exclusiveMinimum" in rule)
+
+
+class _ConfigInt(_SchemaBound, click.IntRange):
+    """An integer flag: --seed, --shots."""
+
+
+class _ConfigFloat(_SchemaBound, click.FloatRange):
+    """A float flag, which must be finite as well."""
 
     def convert(self, value, param, ctx):
         number = super().convert(value, param, ctx)
@@ -219,9 +228,8 @@ def load_config(path) -> dict:
         return hook
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_constant=finite(float),
-                            parse_float=finite(float), parse_int=finite(int))
+        cfg = json.loads(_read_text(path), parse_constant=finite(float),
+                         parse_float=finite(float), parse_int=finite(int))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -419,8 +427,8 @@ class _PipelineGroup(click.Group):
 @click.group(cls=_PipelineGroup)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON scenario config; defaults to the nv2 preset.")
-@click.option("--seed", type=int, default=None, help="Override RNG seed.")
-@click.option("--shots", type=int, default=None, help="Override shots per point.")
+@click.option("--seed", type=_ConfigInt("sim", "seed"), help="Override RNG seed.")
+@click.option("--shots", type=_ConfigInt("sim", "shots"), help="Override shots per point.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Override output directory.")
 @click.pass_context

@@ -114,26 +114,23 @@ class Trace:
         self.abscissa = np.asarray(self.abscissa, dtype=float)
         self.mean_p0 = np.asarray(self.mean_p0, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
-        if not np.all(_abscissa_valid(self.abscissa)):
-            raise ValueError("abscissa must be finite")
-        if not np.all(_mean_p0_valid(self.mean_p0)):
-            raise ValueError("mean_p0 must lie in [0, 1]")
-        if not np.all(_stderr_valid(self.stderr)):
-            raise ValueError("stderr must be finite and >= 0")
+        for column, test, rule in _ROW_RULES:
+            if not np.all(test(np.asarray(getattr(self, column), dtype=float))):
+                raise ValueError(rule)
 
 
-# Row checks shared by Trace and read_trace_csv, written so that NaN,
-# which fails every comparison, is rejected.
-def _abscissa_valid(abscissa):
-    return (abscissa > -np.inf) & (abscissa < np.inf)
-
-
-def _mean_p0_valid(mean_p0):
-    return (mean_p0 >= -1e-9) & (mean_p0 <= 1 + 1e-9)
-
-
-def _stderr_valid(stderr):
-    return (stderr >= 0) & (stderr < np.inf)
+# (column, test, rule) for each trace column, in CSV order: the rows that
+# Trace and read_trace_csv accept.  A test takes a float array; NaN fails it.
+_ROW_RULES = (
+    ("abscissa", np.isfinite, "abscissa must be finite"),
+    ("mean_p0", lambda p: (p >= -1e-9) & (p <= 1 + 1e-9),
+     "mean_p0 must lie in [0, 1]"),
+    ("stderr", lambda s: (s >= 0) & np.isfinite(s),
+     "stderr must be finite and >= 0"),
+    ("n_shots", lambda n: (n >= 1) & np.isfinite(n) & (np.floor(n) == n),
+     "n_shots must be an integer >= 1"),
+)
+_HEADER = ",".join(column for column, _, _ in _ROW_RULES)
 
 
 def _frame_hamiltonians(params: SystemParams, db, dom, dt,
@@ -490,7 +487,7 @@ def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
     0<->-1 line; the returned Trace abscissa is in kHz.
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
-    if not np.all(_abscissa_valid(detuning_grid)):
+    if not np.all(np.isfinite(detuning_grid)):
         raise ValueError("detuning_grid must be finite")
     if not np.all(np.diff(detuning_grid) > 0):
         raise ValueError("detuning_grid must be strictly ascending")
@@ -527,65 +524,66 @@ def fourier_magnitude(trace: Trace) -> tuple[np.ndarray, np.ndarray]:
 
 def write_trace_csv(trace: Trace, path) -> None:
     """CSV body plus a JSON metadata sidecar at <path>.meta.json."""
-    lines = ["abscissa,mean_p0,stderr,n_shots"]
-    for x, m, s in zip(trace.abscissa, trace.mean_p0, trace.stderr):
-        lines.append(f"{float(x)!r},{float(m)!r},{float(s)!r},{trace.n_shots}")
-    path = str(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(trace.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    rows = (f"{float(x)!r},{float(m)!r},{float(s)!r},{trace.n_shots}"
+            for x, m, s in zip(trace.abscissa, trace.mean_p0, trace.stderr))
+    Path(path).write_text("\n".join([_HEADER, *rows]) + "\n", encoding="utf-8")
+    meta = json.dumps(trace.metadata, indent=2, sort_keys=True)
+    Path(f"{path}.meta.json").write_text(meta + "\n", encoding="utf-8")
+
+
+def _read_text(path) -> str:
+    """The text of an input file: UTF-8 with any leading byte-order mark
+    dropped and line ends made "\n", as text-mode open makes them.  A
+    byte that is not UTF-8 is a ValueError naming path:line."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError:   # name the first line that does not decode
+        for n, line in enumerate(data.splitlines(), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
 
 
 def read_trace_csv(path) -> Trace:
-    """Re-ingest a trace CSV (and its sidecar, if present)."""
-    path = str(path)
-    lines = []
-    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # UTF-8 BOM
-    for n, ln in enumerate(data.splitlines(), 1):
-        try:
-            ln = ln.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}:{n}: {exc}") from None
-        if ln:
-            lines.append((n, ln))
-    if not lines or lines[0][1] != "abscissa,mean_p0,stderr,n_shots":
-        raise ValueError(f"{path}:1: expected header "
-                         "'abscissa,mean_p0,stderr,n_shots'")
+    """Re-ingest a trace CSV (and its sidecar, if present).  Of several
+    faults the first line's is reported: on one line, a parse fault, else
+    the first rule of _ROW_RULES broken, else an n_shots unlike the first
+    row's."""
+    lines = [(n, ln.strip()) for n, ln in
+             enumerate(_read_text(path).split("\n"), 1) if ln.strip()]
+    if not lines or lines[0][1] != _HEADER:
+        raise ValueError(f"{path}:1: expected header '{_HEADER}'")
     if len(lines) == 1:
         raise ValueError(f"{path}:{lines[0][0] + 1}: no data rows")
-    rows = []
+    rows, fault = [], None
     for lineno, ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
         try:
-            row = tuple(float(p) for p in parts)
+            if len(parts) != 4:
+                raise ValueError(f"expected 4 fields, got {len(parts)}")
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        abscissa, mean_p0, stderr, n_shots = row
-        if not _abscissa_valid(abscissa):
-            raise ValueError(f"{path}:{lineno}: abscissa must be finite")
-        if not _mean_p0_valid(mean_p0):
-            raise ValueError(f"{path}:{lineno}: mean_p0 must lie in [0, 1]")
-        if not _stderr_valid(stderr):
-            raise ValueError(f"{path}:{lineno}: stderr must be finite and >= 0")
-        if not (n_shots >= 1 and n_shots.is_integer()):
-            raise ValueError(f"{path}:{lineno}: n_shots must be an integer >= 1")
-        if rows and n_shots != rows[0][3]:
-            raise ValueError(f"{path}:{lineno}: n_shots differs from the first row")
-        rows.append(row)
-    sidecar = Path(path + ".meta.json")
+            fault = f"{path}:{lineno}: {exc}"
+            break
+    arr = np.array(rows).reshape(-1, 4)
+    ok = np.array([test(col) for (_, test, _), col in zip(_ROW_RULES, arr.T)]
+                  + [arr[:, 3] == arr[:1, 3]]).T
+    if not ok.all():
+        row, k = divmod(int(np.argmin(ok)), ok.shape[1])
+        rules = [rule for _, _, rule in _ROW_RULES]
+        rules.append("n_shots differs from the first row")
+        fault = f"{path}:{lines[1 + row][0]}: {rules[k]}"
+    if fault:
+        raise ValueError(fault)
+    sidecar = Path(f"{path}.meta.json")
     metadata = {}
     if sidecar.exists():
         try:
-            metadata = json.loads(sidecar.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{sidecar}: {exc}") from None
+            metadata = json.loads(_read_text(sidecar))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
         if not isinstance(metadata, dict):
             raise ValueError(f"{sidecar}:1: metadata must be a JSON object")
-    arr = np.array(rows)
     return Trace(arr[:, 0], arr[:, 1], arr[:, 2], int(arr[0, 3]), metadata)

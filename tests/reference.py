@@ -5,8 +5,8 @@ paper's closed forms in their most direct form, so that the shot engine,
 the dephasing formulas and the fit models can be compared with them:
 the six-level Hamiltonians, the dressed energies and Larmor frequencies,
 the rate budget, a Monte-Carlo estimate of the second-order envelope,
-whole-state propagation of the 13C blocks and numpy's own per-shot
-generator.
+whole-state propagation of the 13C blocks, numpy's own per-shot
+generator, and a trace CSV reader that checks one row at a time.
 
 Basis order of the six-level model: {+1 up, +1 down, 0 up, 0 down,
 -1 up, -1 down}, where up/down are the m_I = +-1/2 sublevels of the 13C
@@ -19,11 +19,14 @@ All frequencies are angular (rad/us), fields in mG, times in us.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from nvcdd.dephasing import ZeroRateError
+from nvcdd.pulse_sim import Trace
 from nvcdd.spin_model import SystemParams
 from nvcdd.units import DD_DT, GAMMA, TWO_PI
 
@@ -260,3 +263,58 @@ def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generato
                               counter=np.array([0, point_index, 0, 0],
                                                dtype=np.uint64))
     return np.random.Generator(bitgen)
+
+
+def read_trace_csv_per_row(path) -> Trace:
+    """A trace CSV (and its sidecar) read one row at a time, each row
+    checked in full before the next is read: the rows and messages that
+    pulse_sim.read_trace_csv must match, checking whole columns."""
+    path = str(path)
+    lines = []
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    for n, ln in enumerate(data.splitlines(), 1):
+        try:
+            ln = ln.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
+        if ln:
+            lines.append((n, ln))
+    if not lines or lines[0][1] != "abscissa,mean_p0,stderr,n_shots":
+        raise ValueError(f"{path}:1: expected header "
+                         "'abscissa,mean_p0,stderr,n_shots'")
+    if len(lines) == 1:
+        raise ValueError(f"{path}:{lines[0][0] + 1}: no data rows")
+    rows = []
+    for lineno, ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            row = tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        abscissa, mean_p0, stderr, n_shots = row
+        if not -math.inf < abscissa < math.inf:
+            raise ValueError(f"{path}:{lineno}: abscissa must be finite")
+        if not -1e-9 <= mean_p0 <= 1 + 1e-9:
+            raise ValueError(f"{path}:{lineno}: mean_p0 must lie in [0, 1]")
+        if not 0 <= stderr < math.inf:
+            raise ValueError(f"{path}:{lineno}: stderr must be finite and >= 0")
+        if not (n_shots >= 1 and n_shots.is_integer()):
+            raise ValueError(f"{path}:{lineno}: n_shots must be an integer >= 1")
+        if rows and n_shots != rows[0][3]:
+            raise ValueError(f"{path}:{lineno}: n_shots differs from the first row")
+        rows.append(row)
+    sidecar = Path(path + ".meta.json")
+    metadata = {}
+    if sidecar.exists():
+        try:
+            metadata = json.loads(sidecar.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{sidecar}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
+        if not isinstance(metadata, dict):
+            raise ValueError(f"{sidecar}:1: metadata must be a JSON object")
+    arr = np.array(rows)
+    return Trace(arr[:, 0], arr[:, 1], arr[:, 2], int(arr[0, 3]), metadata)

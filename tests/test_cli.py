@@ -150,6 +150,21 @@ class TestConfigHandling:
             resolved = resolve_config(cfg)
             assert resolved["shots"] > 0
 
+    def test_bom_prefixed_config_loads_the_same(self, tmp_path):
+        # editors on some platforms save JSON with a UTF-8 byte-order mark
+        source = CONFIG_DIR / "nv2.json"
+        copy = tmp_path / "nv2.json"
+        copy.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        assert load_config(copy) == load_config(source)
+
+    def test_undecodable_config_names_file_and_line(self, runner, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{\n  "out_dir": "\xff"\n}\n')
+        result = invoke(runner, ["--config", str(path), "rates"])
+        assert result.exit_code == 2
+        assert "cfg.json:2: 'utf-8' codec can't decode byte 0xff" \
+            in all_output(result)
+
     def test_config_round_trips_through_json(self):
         cfg = load_config(CONFIG_DIR / "nv2.json")
         again = json.loads(json.dumps(cfg))
@@ -381,7 +396,7 @@ class TestRamseyAndFit:
     @pytest.mark.parametrize("broken,where", [
         ("trace.csv", "trace.csv:3: 'utf-8' codec can't decode byte 0xff"),
         ("trace.csv.meta.json",
-         "trace.csv.meta.json: 'utf-8' codec can't decode byte 0xff")])
+         "trace.csv.meta.json:1: 'utf-8' codec can't decode byte 0xff")])
     def test_fit_undecodable_trace_names_file(self, runner, tmp_path, broken,
                                               where):
         path = tmp_path / "trace.csv"
@@ -502,15 +517,20 @@ class TestFitModels:
         assert (tmp_path / f"fit_{model_name}.txt").read_bytes() \
             == (REPO_ROOT / reference).read_bytes()
 
+    @pytest.mark.parametrize("bom_files", [("csv",), ("sidecar",),
+                                           ("csv", "sidecar")],
+                             ids=["csv", "sidecar", "csv_and_sidecar"])
     def test_bom_prefixed_trace_fits_like_the_committed_one(self, runner,
-                                                           tmp_path):
+                                                           tmp_path,
+                                                           bom_files):
         # spreadsheet programs save CSVs with a UTF-8 byte-order mark
         trace, _, reference = COMMITTED_FITS["ramsey_mp"]
         source = REPO_ROOT / trace
         copy = tmp_path / source.name
-        copy.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
-        sidecar = Path(f"{source}.meta.json")
-        Path(f"{copy}.meta.json").write_bytes(sidecar.read_bytes())
+        for name, suffix in (("csv", ""), ("sidecar", ".meta.json")):
+            bom = b"\xef\xbb\xbf" if name in bom_files else b""
+            Path(f"{copy}{suffix}").write_bytes(
+                bom + Path(f"{source}{suffix}").read_bytes())
         outputs = []
         for path, out in ((source, tmp_path / "plain"), (copy, tmp_path / "bom")):
             result = invoke(runner, ["--config", str(CONFIG_DIR / "nv2.json"),
@@ -650,8 +670,31 @@ FLOAT_FLAG_CASES = [
 ]
 
 
+# The global integer flags, given before the command.
+GLOBAL_FLAG_CASES = [
+    ("--shots", "0", "0 is not in the range x>=1."),
+    ("--shots", "-3", "-3 is not in the range x>=1."),
+    ("--seed", "-1", "-1 is not in the range x>=0."),
+]
+
+
 class TestFloatFlags:
     """A flag that overrides a config key obeys that key's schema bound."""
+
+    @pytest.mark.parametrize("flag,value,message", GLOBAL_FLAG_CASES,
+                             ids=[" ".join(case[:2])
+                                  for case in GLOBAL_FLAG_CASES])
+    def test_out_of_bound_global_flag_is_usage_error(self, runner, tmp_path,
+                                                     flag, value, message):
+        result = invoke(runner, ["--out", str(tmp_path), flag, value, "rates"])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}': {message}" in all_output(result)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_flag_takes_every_uint64_exactly(self):
+        # a float-based flag would round seeds above 2**53
+        flag = cli._ConfigInt("sim", "seed")
+        assert flag.convert(str(2 ** 64 - 1), None, None) == 2 ** 64 - 1
 
     @pytest.mark.parametrize("command,flag,value,message", FLOAT_FLAG_CASES,
                              ids=[" ".join(case[:3])

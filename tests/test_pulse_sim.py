@@ -395,6 +395,12 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="stderr"):
             Trace(tau, np.full(2, 0.5), np.array([0.01, bad]), 1, {})
 
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, math.nan, math.inf])
+    def test_trace_rejects_bad_shot_count(self, bad):
+        # write_trace_csv would write a file that read_trace_csv rejects
+        with pytest.raises(ValueError, match="n_shots must be an integer >= 1"):
+            Trace(np.array([0.0, 1.0]), np.full(2, 0.5), np.zeros(2), bad, {})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_abscissa_rejected(self, bad):
         with pytest.raises(ValueError, match="abscissa must be finite"):

@@ -12,17 +12,27 @@ not convergence, and a fit that never converges would otherwise run to
 its full budget of evaluations.  A numpy RuntimeWarning fails the test
 (pyproject.toml turns it into an error suite-wide): a bad trace must end
 in a documented exit code, not in a silent inf or NaN.
+
+The same drawn files, and pinned ones with several faults or other line
+ends, also go straight to `read_trace_csv`, which checks whole columns
+against one rule table, and to `reference.read_trace_csv_per_row`, which
+checks each row in full before reading the next: both must give the same
+Trace or the same error text.
 """
 
 import json
 
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from nvcdd import fitting
 from nvcdd.cli import main
 from nvcdd.models import FIT_MODELS
+from nvcdd.pulse_sim import read_trace_csv
+
+from reference import read_trace_csv_per_row
 
 HEADER = "abscissa,mean_p0,stderr,n_shots"
 
@@ -92,11 +102,7 @@ def trace_files(draw):
         max_size=3)))
 
 
-@pytest.mark.parametrize("model", list(FIT_MODELS))
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@given(trace=trace_files())
-def test_fit_exits_with_a_documented_code(model, trace, tmp_path_factory):
-    tmp = tmp_path_factory.getbasetemp()
+def write_trace(tmp, trace):
     csv, sidecar = trace
     path = tmp / "fuzz_trace.csv"
     path.write_text(csv, encoding="utf-8")
@@ -105,6 +111,15 @@ def test_fit_exits_with_a_documented_code(model, trace, tmp_path_factory):
         meta.unlink(missing_ok=True)
     else:
         meta.write_text(sidecar, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("model", list(FIT_MODELS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(trace=trace_files())
+def test_fit_exits_with_a_documented_code(model, trace, tmp_path_factory):
+    tmp = tmp_path_factory.getbasetemp()
+    path = write_trace(tmp, trace)
     args = ["--out", str(tmp / "fuzz_out"), "fit", "--model", model,
             "--input", str(path)]
     if model == "spectrum_joint":
@@ -113,3 +128,62 @@ def test_fit_exits_with_a_documented_code(model, trace, tmp_path_factory):
         patch.setattr(fitting, "MAX_ITER", 3)
         result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3, 4), (result.output, result.exception)
+
+
+def read_or_message(reader, path):
+    try:
+        return reader(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def text(*rows):
+    return "\n".join([HEADER, *rows]) + "\n"
+
+
+# Files with several faults: the first faulty line wins, and on one line
+# a parse fault, then the column rules in order, then a changed n_shots.
+MANY_FAULTS = [
+    text("0,0.5,0.1,10", "0,1.5,0.1,10", "0,x,0.1,10"),
+    text("0,0.5,0.1,10", "0,0.5", "nan,0.5,0.1,10"),
+    text("0,0.5,0.1,10", "inf,nan,-1,2.5"),
+    text("0,0.5,0.1,10", "0,1.5,-1,2.5"),
+    text("0,0.5,0.1,10", "0,0.5,-1,2.5"),
+    text("0,0.5,0.1,10", "0,0.5,inf,11", "0,0.5,0.1,10,0"),
+    text("0,0.5,0.1,10", "0,0.5,0.1,2.5"),
+    text("0,0.5,0.1,nan", "0,0.5,0.1,10"),
+    text("0,0.5,0.1,10", "0,0.5,0.1,11", "nan,0.5,0.1,10"),
+    text("0,0.5,0.1,inf", "0,0.5,0.1,inf"),
+    text("1e400,2,0.1,0", "0,0.5,0.1,10"),
+]
+# (CSV, sidecar) with line ends other than "\n", which number lines alike.
+LINE_ENDS = [(text("0,0.5,0.1,10", "1,0.5,0.1,10").replace("\n", end), None)
+             for end in ("\r\n", "\r")] + [
+    (text("0,0.5,0.1,10", "x", "0,0.5,0.1,10").replace("\n", "\r"), None),
+    (text("0,0.5,0.1,10"), '{\r"kind":\r\r'),
+    (text("0,0.5,0.1,10"), '{\r\n"kind": 1\r\n}\r\n')]
+
+
+def assert_readers_agree(path):
+    new, old = (read_or_message(reader, path)
+                for reader in (read_trace_csv, read_trace_csv_per_row))
+    if isinstance(old, str):
+        assert new == old
+        return
+    assert not isinstance(new, str), new
+    for column in ("abscissa", "mean_p0", "stderr"):
+        assert np.array_equal(getattr(new, column), getattr(old, column))
+    assert (new.n_shots, new.metadata) == (old.n_shots, old.metadata)
+    assert type(new.n_shots) is int
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(trace=trace_files())
+def test_reader_matches_the_per_row_reader(trace, tmp_path_factory):
+    assert_readers_agree(write_trace(tmp_path_factory.getbasetemp(), trace))
+
+
+@pytest.mark.parametrize("trace", [(csv, None) for csv in MANY_FAULTS]
+                         + LINE_ENDS)
+def test_reader_matches_the_per_row_reader_on_pinned_files(trace, tmp_path):
+    assert_readers_agree(write_trace(tmp_path, trace))
