@@ -17,19 +17,22 @@ ziggurat fast path run as numpy array operations, with numpy's tables
 (ziggurat_double.bin), and the few shots that miss the fast path are
 redrawn by numpy through one re-keyed generator.
 
-The engine is batch-only: _simulate runs all shots of a grid point as one
-stack; a single shot is a batch of one.  The program builds two kinds of
-grid point (_run_batch): a spectrum point is one pulse, and a Ramsey
-point is a pulse, free evolution tau and the same pulse at a closing
-phase.  Each shot starts in |0> with the 13C spin unpolarized and ends
-with a readout of the |0> population.  The Hamiltonian never couples the
-13C index, so _frame_hamiltonians builds the two real 3x3 blocks, 13C up
-(basis states {0,2,4} of the six-level model) and down ({1,3,5}), each
-ordered (+1, 0, -1), and states propagate as two 3-level blocks.  Free
-evolution is closed-form (|0> only picks up a phase, the +-1 pair
-rotates).  Only |0> is prepared and read out, so a pulse needs only the
-|0> column u of its propagator U(0) = exp(-i h t) at phase 0, formed
-once per point by _newton_column from h's three eigenvalues alone
+The engine is batch-only.  The program builds two kinds of grid point: a
+spectrum point is one pulse, and a Ramsey point is a pulse, free
+evolution tau and the same pulse at a closing phase.  Each shot starts in
+|0> with the 13C spin unpolarized and ends with a readout of the |0>
+population.  _simulate splits each sampled block into chunks of whole
+points, at most _CHUNK_SHOT_POINTS shot-points each, and runs a chunk as
+one _run_batch call with one frame detuning, tau and closing phase per
+shot-point.
+
+The Hamiltonian never couples the 13C index: it is two real 3x3 blocks,
+13C up (basis states {0,2,4} of the six-level model) and down ({1,3,5}),
+each [[e, 0, w], [0, z, g], [w, g, -e]] in the order (+1, 0, -1).
+_run_batch forms only these entries, e per block, z and w per shot and g
+per call; no matrix is built.  Only |0> is prepared and read out, so a
+pulse needs only the |0> column u of its propagator U(0) = exp(-i h t) at
+phase 0, formed by _newton_column from h's three eigenvalues alone
 (trigonometric roots of the cubic, Newton divided differences of
 exp(-i l t)); the rare block whose column is not finite goes to
 np.linalg.eigh.
@@ -37,8 +40,11 @@ np.linalg.eigh.
 h is real symmetric, so U(0) is complex symmetric: u is also its |0>
 row.  The opening pulse sets the state from u alone and the closing
 pulse, P U(0) P^dagger with P = exp(i phi) on |0>, forms only the readout
-amplitude from the same u: a point takes one 3x3 product per block.  One
-norm check sees the state the readout uses.
+amplitude from the same u.  Free evolution between them is closed form
+(|0> only picks up a phase, the +-1 pair rotates), so a Ramsey point's
+amplitude is one expression in u, e, w, z, tau and phi, with sin and cos
+taken of the same angle.  One norm check of u, and a check that the
+readout is finite, see every loss.
 """
 
 from __future__ import annotations
@@ -94,10 +100,23 @@ class SimConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
+        for name in ("n_shots", "seed"):   # numpy integers become ints
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
         if not 0 <= self.seed < 2 ** 64:   # Philox keys are uint64
             raise ValueError("seed must lie in [0, 2**64)")
+
+
+def _whole(name: str, value) -> int:
+    """value as an int, if it is a whole number and not a bool."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer")
+    return whole
 
 
 @dataclass
@@ -114,6 +133,8 @@ class Trace:
         self.abscissa = np.asarray(self.abscissa, dtype=float)
         self.mean_p0 = np.asarray(self.mean_p0, dtype=float)
         self.stderr = np.asarray(self.stderr, dtype=float)
+        if not self.abscissa.size:
+            raise ValueError(_NO_ROWS)
         for column, test, rule in _ROW_RULES:
             if not np.all(test(np.asarray(getattr(self, column), dtype=float))):
                 raise ValueError(rule)
@@ -130,38 +151,17 @@ _ROW_RULES = (
     ("n_shots", lambda n: (n >= 1) & np.isfinite(n) & (np.floor(n) == n),
      "n_shots must be an integer >= 1"),
 )
+# The rule on the rows as a whole, which Trace and read_trace_csv share:
+# a trace needs at least one row.
+_NO_ROWS = "no data rows"
 _HEADER = ",".join(column for column, _, _ in _ROW_RULES)
 
 
-def _frame_hamiltonians(params: SystemParams, db, dom, dt,
-                        detuning_mag, omega_mag=0.0) -> np.ndarray:
-    """Stacked doubly-rotating-frame Hamiltonians at pulse phase 0, as
-    their two real 13C blocks: shape (n, 2, 3, 3), up block first, each
-    ordered (+1, 0, -1).
-
-    db, dom, dt are environment arrays of shape (n,).  The drive (carrier
-    at detuning_mag) couples |0> to |-1> only, addressing 0<->m and 0<->p
-    through their |-1> components; its 0<->+1 element, detuned by the full
-    Zeeman splitting, is dropped like every other counter-rotating term.
-    """
-    db = np.atleast_1d(np.asarray(db, dtype=float))
-    dom = np.broadcast_to(np.asarray(dom, dtype=float), db.shape)
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), db.shape)
-    h = np.zeros((db.shape[0], 2, 3, 3))
-    gdb = GAMMA * db[:, None]
-    a = params.a_par
-    h[..., 0, 0] = gdb + 0.5 * np.array([params.delta + a, params.delta - a])
-    h[..., 1, 1] = (detuning_mag - DD_DT * dt)[:, None]
-    h[..., 2, 2] = -h[..., 0, 0]
-    h[..., 0, 2] = h[..., 2, 0] = 0.5 * (params.omega + dom)[:, None]
-    h[..., 1, 2] = h[..., 2, 1] = 0.5 * omega_mag
-    return h
-
-
-def _newton_column(h: np.ndarray, duration: float) -> np.ndarray:
-    """The |0> column u (n, 2, 3) of exp(-i h t), for stacked real blocks h
-    (n, 2, 3, 3) of the form [[e, 0, w], [0, z, g], [w, g, -e]], from h's
-    three eigenvalues alone.
+def _newton_column(e, z, w, g, duration: float) -> np.ndarray:
+    """The |0> column of exp(-i h t), shape (3,) + block shape, components
+    in the order (+1, 0, -1), for real blocks h = [[e, 0, w], [0, z, g],
+    [w, g, -e]] given by their broadcastable entries, from h's three
+    eigenvalues alone.
 
     u = p(h) e0, where p interpolates f(l) = exp(-i l t) at the eigenvalues
     l1 <= l2 <= l3 in Newton form, f[l1] + f[l1,l2] (h - l1)
@@ -174,11 +174,9 @@ def _newton_column(h: np.ndarray, duration: float) -> np.ndarray:
     any gap, and the three-node one divides by l3 - l1 >= 3r, so level
     crossings and double roots need no special case.  Blocks whose column
     is not finite (h = 0, or entries whose squares leave the double range)
-    go to np.linalg.eigh: u = V (V[|0>, :] * exp(-i vals t)).
+    go to np.linalg.eigh, the one place the 3x3 matrices are built:
+    u = V (V[|0>, :] * exp(-i vals t)).
     """
-    # contiguous copies: arithmetic on them is faster than on views of h
-    e, z, w, g = (h[..., i, j].copy() for i, j in ((0, 0), (1, 1), (0, 2),
-                                                   (1, 2)))
     with np.errstate(all="ignore"):
         g2 = g * g
         m = z / 3.0
@@ -190,7 +188,7 @@ def _newton_column(h: np.ndarray, duration: float) -> np.ndarray:
         a = m * s
         cos3 = (4.0 * a * a - 3.0) * a + 0.5 * (g2 * s * s) * ((z - e) * s)
         phi = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
-        lam = np.empty((3,) + e.shape)
+        lam = np.empty((3,) + phi.shape)
         lam[::2] = m + 2.0 * r * np.cos(phi + _ROOT_TURNS)
         lam[1] = z - lam[0] - lam[2]
         half = np.exp((-0.5j * duration) * lam)     # f at half the time
@@ -203,68 +201,79 @@ def _newton_column(h: np.ndarray, duration: float) -> np.ndarray:
         f2 *= (-1j * duration) * sinc
         f3 = (f2[1] - f2[0]) / (lam[2] - lam[0])
         c1 = z - lam[0]
-        u = np.empty(e.shape + (3,), dtype=complex)
-        u[..., 0] = f3 * (w * g)
-        u[..., 1] = half[0] * half[0] + f2[0] * c1 \
-            + f3 * ((z - lam[1]) * c1 + g2)
-        u[..., 2] = g * (f2[0] + f3 * (c1 - e - lam[1]))
+        u = np.empty(lam.shape, dtype=complex)
+        u[0] = f3 * (w * g)
+        u[1] = half[0] * half[0] + f2[0] * c1 + f3 * ((z - lam[1]) * c1 + g2)
+        u[2] = g * (f2[0] + f3 * (c1 - e - lam[1]))
     if not np.isfinite(u.sum()):    # NaN and inf reach the sum
-        bad = ~np.isfinite(u).all(axis=-1)
-        vals, vecs = np.linalg.eigh(h[bad])
+        bad = ~np.isfinite(u).all(axis=0)
+        e, z, w, g = (np.broadcast_to(v, bad.shape)[bad] for v in (e, z, w, g))
+        h = np.zeros(e.shape + (3, 3))
+        h[:, 0, 0], h[:, 1, 1], h[:, 2, 2] = e, z, -e
+        h[:, 0, 2] = h[:, 2, 0] = w
+        h[:, 1, 2] = h[:, 2, 1] = g
+        vals, vecs = np.linalg.eigh(h)
         coeff = np.exp(-1j * vals * duration) * vecs[..., 1, :]
-        u[bad] = (vecs @ coeff[..., None])[..., 0]
+        u[:, bad] = (vecs @ coeff[..., None])[..., 0].T
     return u
 
 
-def _free_evolve(states: np.ndarray, h: np.ndarray,
-                 duration: float) -> np.ndarray:
-    """exp(-i h t) applied to block states (n, 2, 3) in closed form, for
-    block Hamiltonians h (n, 2, 3, 3) with their drive elements ignored.
-
-    |0> only picks up a phase.  In each block the +-1 pair rotates under
-    e*sigma_z + w*sigma_x, whose propagator is
-    cos(rt) - i sin(rt)/r (e*sigma_z + w*sigma_x) with r = hypot(e, w).
-    """
-    e, w = h[..., 0, 0], h[..., 0, 2]
-    r = np.hypot(e, w)
-    cos = np.cos(r * duration)
-    sin_r = duration * np.sinc(r * duration / math.pi)   # sin(rt)/r
-    plus, minus = states[..., 0], states[..., 2]
-    out = np.empty_like(states)
-    out[..., 0] = (cos - 1j * sin_r * e) * plus - 1j * sin_r * w * minus
-    out[..., 1] = np.exp(-1j * h[..., 1, 1] * duration) * states[..., 1]
-    out[..., 2] = (cos + 1j * sin_r * e) * minus - 1j * sin_r * w * plus
-    return out
-
-
 def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
-    """P0 (n,) at one grid point, for stacked environment samples.
+    """P0 (n,) of n shot-points, for stacked environment samples db, dom,
+    dt (n,) or scalars.
 
-    point is (frame detuning, pulse strength, pulse duration, ramsey):
-    ramsey None is a spectrum point, one pulse; ramsey = (tau, phi) is a
-    Ramsey point, the pulse, free evolution tau, the pulse at phase phi.
-    Each 13C block starts in sqrt(1/2)|0>, so the opening pulse leaves
+    point is (frame detuning, pulse strength, pulse duration, ramsey),
+    where the frame detuning and ramsey's entries are scalars or arrays
+    (n,), one value per shot-point: ramsey None is a spectrum point, one
+    pulse; ramsey = (tau, phi) is a Ramsey point, the pulse, free
+    evolution tau, the pulse at phase phi.  The doubly rotating frame
+    Hamiltonian at pulse phase 0 is two real 3x3 blocks, 13C up then
+    down, each [[e, 0, w], [0, z, g], [w, g, -e]] in the order
+    (+1, 0, -1): e = GAMMA db + (delta +- a_par)/2 per block,
+    z = frame - DD_DT dt and w = (omega + dom)/2 per shot, and
+    g = omega_mag/2.  The drive
+    couples |0> to |-1> only, addressing 0<->m and 0<->p through their
+    |-1> components; its 0<->+1 element, detuned by the full Zeeman
+    splitting, is dropped like every other counter-rotating term.
+
+    Each block starts in sqrt(1/2)|0>, so the opening pulse leaves
     sqrt(1/2) u, u its |0> column; u is also its |0> row, so the closing
     pulse P U(0) P^dagger (P = exp(i phi) on |0>) only forms the readout
-    amplitude u0 psi0 + e^{i phi} (u+ psi+ + u- psi-).
+    amplitude.  Free evolution is drive-free: |0> picks up exp(-i z tau)
+    and the +-1 pair rotates under e sigma_z + w sigma_x, at rate
+    r = hypot(e, w), so the amplitude is sqrt(1/2) times
+    u0^2 exp(-i z tau) + exp(i phi) [cos(r tau) (u+^2 + u-^2)
+    - i sin(r tau)/r (e (u+^2 - u-^2) + 2 w u+ u-)].
     """
     frame, omega_mag, duration, ramsey = point
-    h = _frame_hamiltonians(params, db, dom, dt, frame, omega_mag)
-    u = _newton_column(h, duration)
-    states = math.sqrt(0.5) * u
-    amp = states[..., 1]
+    a = params.a_par
+    e = GAMMA * np.reshape(db, (-1, 1)) + 0.5 * np.array([params.delta + a,
+                                                          params.delta - a])
+    z = np.reshape(frame - DD_DT * np.asarray(dt), (-1, 1))
+    w = np.reshape(0.5 * (params.omega + np.asarray(dom)), (-1, 1))
+    u = _newton_column(e, z, w, 0.5 * omega_mag, duration)
+    amp = u[1]
     if ramsey is not None:
-        tau, phi = ramsey
-        states = _free_evolve(states, h, tau)
-        amp = u[..., 1] * states[..., 1] + np.exp(1j * phi) * (
-            u[..., 0] * states[..., 0] + u[..., 2] * states[..., 2])
-    # Every step is unitary, so norm lost on the way cannot come back: one
-    # check of the state the readout uses, built from the one column, sees
-    # it.  The test is written so that a NaN norm fails it.
-    norms = np.linalg.norm(states, axis=(1, 2))
-    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
+        tau, phi = (np.asarray(v, dtype=float)[..., None] for v in ramsey)
+        plus2, minus2 = u[0] * u[0], u[2] * u[2]
+        r = np.hypot(e, w)
+        # a non-finite angle fails the check below; sin(r tau)/r is tau
+        # at r = 0
+        with np.errstate(all="ignore"):
+            angle = r * tau
+            sin_r = np.where(r > 0.0, np.sin(angle) / r, tau)
+            amp = u[1] * u[1] * np.exp(-1j * z * tau) + np.exp(1j * phi) * (
+                np.cos(angle) * (plus2 + minus2)
+                - 1j * sin_r * (e * (plus2 - minus2) + 2.0 * w * u[0] * u[2]))
+    p0 = 0.5 * (amp.real ** 2 + amp.imag ** 2).sum(axis=1)
+    # Every step is unitary: one check of the column's norm, and of the
+    # readout being finite, sees every loss.  The test is written so that
+    # NaN fails it.
+    norms = np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
+    if not (np.all(np.abs(norms - 1.0) <= NORM_TOL)
+            and np.isfinite(p0.sum())):
         raise NormLossError("propagation lost norm")
-    return np.abs(amp[:, 0]) ** 2 + np.abs(amp[:, 1]) ** 2
+    return p0
 
 
 # Philox4x64-10 round multipliers and key increments, as in numpy's philox.h.
@@ -276,6 +285,13 @@ _LO32 = np.uint64(0xFFFFFFFF)
 # numpy's per-call overhead, few enough that each uint64 temporary (32 KiB)
 # stays small and peak memory does not grow with the grid.
 _BLOCK_SHOT_POINTS = 4096
+# Shot-points per _run_batch call, in whole points.  nvbench sweep on a
+# shared 2-core x86-64 VM: one point per call gained nothing on spectra,
+# 1024 was fastest there (wall_s -30%) at +0.2 MB peak RSS, and 2048 and
+# 4096 were no faster but cost +0.9 and +2.2 MB (+5.5%).  Smaller
+# sampler blocks were slower, and a thread pool over blocks gained no
+# wall time.
+_CHUNK_SHOT_POINTS = 1024
 # Shots (seed 0, point 0) the first-use self-check compares with numpy;
 # between them they take every ziggurat layer with a fast path (all but
 # layer 1) on it.
@@ -404,22 +420,31 @@ def _sample_block(noise: NoiseSpec, mean_omega: float, seed: int,
 
 def _simulate(grid, point_at, params: SystemParams, config: SimConfig):
     """Mean P0 (clipped to [0, 1]) and its standard error at each grid
-    point x, running _run_batch on point_at(x) for config.n_shots shots.
+    point x, over config.n_shots shots of point_at(x).
 
     Environments are sampled for a block of whole points at a time, at
-    most _BLOCK_SHOT_POINTS shot-points (at least one point) per block.
+    most _BLOCK_SHOT_POINTS shot-points (at least one point) per block,
+    and each block runs through _run_batch in chunks of whole points, at
+    most _CHUNK_SHOT_POINTS shot-points (at least one point) per call:
+    point_at takes the chunk's grid values, one per shot-point.
     """
     n = config.n_shots
     mean = np.empty(len(grid))
     stderr = np.empty(len(grid))
     per_block = max(1, _BLOCK_SHOT_POINTS // n)
+    per_chunk = max(1, _CHUNK_SHOT_POINTS // n)
     for first in range(0, len(grid), per_block):
         points = range(first, min(first + per_block, len(grid)))
         env = _sample_block(config.noise, params.omega, config.seed, points, n)
-        for i, db, dom, dt in zip(points, *env):
-            p0 = _run_batch(point_at(grid[i]), params, db, dom, dt)
-            mean[i] = p0.mean()
-            stderr[i] = p0.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        for start in range(0, len(points), per_chunk):
+            rows = slice(first + start, min(first + start + per_chunk,
+                                            points.stop))
+            chunk = slice(start, start + per_chunk)
+            p0 = _run_batch(point_at(np.repeat(grid[rows], n)), params,
+                            *(x[chunk].ravel() for x in env)).reshape(-1, n)
+            mean[rows] = p0.mean(axis=1)
+            stderr[rows] = p0.std(axis=1, ddof=1) / math.sqrt(n) \
+                if n > 1 else 0.0
     return np.clip(mean, 0.0, 1.0), stderr
 
 
@@ -445,6 +470,8 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
     if kind not in RAMSEY_KINDS:
         raise ValueError(f"unknown Ramsey kind {kind!r}")
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if not tau_grid.size:
+        raise ValueError("tau_grid needs at least one point")
     if not np.all((tau_grid >= 0) & (tau_grid < np.inf)):
         raise ValueError("tau_grid must be finite and >= 0")
     if not np.all(np.diff(tau_grid) > 0):
@@ -487,6 +514,8 @@ def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
     0<->-1 line; the returned Trace abscissa is in kHz.
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
+    if not detuning_grid.size:
+        raise ValueError("detuning_grid needs at least one point")
     if not np.all(np.isfinite(detuning_grid)):
         raise ValueError("detuning_grid must be finite")
     if not np.all(np.diff(detuning_grid) > 0):
@@ -556,7 +585,7 @@ def read_trace_csv(path) -> Trace:
     if not lines or lines[0][1] != _HEADER:
         raise ValueError(f"{path}:1: expected header '{_HEADER}'")
     if len(lines) == 1:
-        raise ValueError(f"{path}:{lines[0][0] + 1}: no data rows")
+        raise ValueError(f"{path}:{lines[0][0] + 1}: {_NO_ROWS}")
     rows, fault = [], None
     for lineno, ln in lines[1:]:
         parts = ln.split(",")

@@ -46,11 +46,12 @@ BLOCKS = np.array([[0, 2, 4], [1, 3, 5]])
 def dense_hamiltonians(h: np.ndarray, phase=0.0) -> np.ndarray:
     """The dense (n, 6, 6) form of block Hamiltonians h (n, 2, 3, 3) built
     at pulse phase 0, with the drive's 0<->-1 element 1/2 Omega put at
-    phase phi: 1/2 Omega exp(i phi)."""
+    phase phi: 1/2 Omega exp(i phi), for a scalar phi or one per matrix."""
     out = np.zeros((len(h), 6, 6), dtype=complex)
     out[:, BLOCKS[:, :, None], BLOCKS[:, None, :]] = h
-    out[:, [2, 3], [4, 5]] *= np.exp(1j * phase)
-    out[:, [4, 5], [2, 3]] *= np.exp(-1j * phase)
+    rot = np.exp(1j * np.asarray(phase))[..., None]
+    out[:, [2, 3], [4, 5]] *= rot
+    out[:, [4, 5], [2, 3]] *= rot.conj()
     return out
 
 

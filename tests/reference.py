@@ -3,10 +3,11 @@
 No command, engine path or fit model runs this code.  It restates the
 paper's closed forms in their most direct form, so that the shot engine,
 the dephasing formulas and the fit models can be compared with them:
-the six-level Hamiltonians, the dressed energies and Larmor frequencies,
-the rate budget, a Monte-Carlo estimate of the second-order envelope,
-whole-state propagation of the 13C blocks, numpy's own per-shot
-generator, and a trace CSV reader that checks one row at a time.
+the six-level Hamiltonians and their 3x3 13C blocks, the dressed
+energies and Larmor frequencies, the rate budget, a Monte-Carlo estimate
+of the second-order envelope, whole-state propagation of the 13C blocks,
+numpy's own per-shot generator, and a trace CSV reader that checks one
+row at a time.
 
 Basis order of the six-level model: {+1 up, +1 down, 0 up, 0 down,
 -1 up, -1 down}, where up/down are the m_I = +-1/2 sublevels of the 13C
@@ -127,6 +128,32 @@ def zeeman_frame_shift(params: SystemParams) -> np.ndarray:
     """
     gb = GAMMA * bias_field(params)
     return np.diag([gb, gb, 0.0, 0.0, -gb, -gb]).astype(complex)
+
+
+def frame_hamiltonians(params: SystemParams, db, dom, dt,
+                       detuning_mag, omega_mag=0.0) -> np.ndarray:
+    """Stacked doubly-rotating-frame Hamiltonians at pulse phase 0, as
+    their two real 13C blocks: shape (n, 2, 3, 3), up block first, each
+    ordered (+1, 0, -1).  pulse_sim._run_batch forms only their entries.
+
+    db, dom, dt are environment arrays of shape (n,), and detuning_mag a
+    scalar or an array (n,).  The drive (carrier at detuning_mag) couples
+    |0> to |-1> only, addressing 0<->m and 0<->p through their |-1>
+    components; its 0<->+1 element, detuned by the full Zeeman splitting,
+    is dropped like every other counter-rotating term.
+    """
+    db = np.atleast_1d(np.asarray(db, dtype=float))
+    dom = np.broadcast_to(np.asarray(dom, dtype=float), db.shape)
+    dt = np.broadcast_to(np.asarray(dt, dtype=float), db.shape)
+    h = np.zeros((db.shape[0], 2, 3, 3))
+    gdb = GAMMA * db[:, None]
+    a = params.a_par
+    h[..., 0, 0] = gdb + 0.5 * np.array([params.delta + a, params.delta - a])
+    h[..., 1, 1] = (detuning_mag - DD_DT * dt)[:, None]
+    h[..., 2, 2] = -h[..., 0, 0]
+    h[..., 0, 2] = h[..., 2, 0] = 0.5 * (params.omega + dom)[:, None]
+    h[..., 1, 2] = h[..., 2, 1] = 0.5 * omega_mag
+    return h
 
 
 def xi(params: SystemParams, env: EnvironmentSample, sublevel: str) -> float:

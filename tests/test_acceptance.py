@@ -35,7 +35,6 @@ from nvcdd.models import (
 )
 from nvcdd.pulse_sim import (
     SimConfig,
-    _frame_hamiltonians,
     simulate_ramsey,
     simulate_spectrum,
     write_trace_csv,
@@ -60,6 +59,7 @@ from reference import (
     detuning_from_lines,
     diagonalize,
     dressed_energies,
+    frame_hamiltonians,
     larmor_frequency,
     mc_envelope_second_order,
     zeeman_frame_shift,
@@ -224,7 +224,7 @@ def test_property_suite(tmp_path):
     params = make_params(omega_khz=581.0)
     psi = (rng.normal(size=6) + 1j * rng.normal(size=6)).reshape(2, 3)
     psi /= np.linalg.norm(psi)
-    h = _frame_hamiltonians(params, [5.0], [0.0], [0.0], 0.0, 2.0)[0]
+    h = frame_hamiltonians(params, [5.0], [0.0], [0.0], 0.0, 2.0)[0]
     phase = np.diag([1.0, np.exp(0.7j), 1.0])  # P h(0) P^dagger, 0.7 rad
     vals, vecs = np.linalg.eigh(phase @ h @ phase.conj().T)
     for _ in range(100):

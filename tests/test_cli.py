@@ -443,6 +443,19 @@ class TestRamseyAndFit:
             assert result.exit_code == 3, command
             assert "norm" in all_output(result)
 
+    def test_long_tau_ramsey_keeps_norm(self, runner, tmp_path):
+        # the free rotation's sine and cosine are taken of one angle, so
+        # out to tau = 1e8 us the readout loses no norm (np.sinc took the
+        # sine at a slightly different angle, and this run exited 3)
+        result = invoke(runner, ["--config", str(CONFIG_DIR / "nv2.json"),
+                                 "--out", str(tmp_path), "--shots", "20",
+                                 "ramsey", "--tau-stop-us", "1e8",
+                                 "--tau-step-us", "1e7"])
+        assert result.exit_code == 0, all_output(result)
+        trace = np.loadtxt(tmp_path / "ramsey_dressed_mp.csv", delimiter=",",
+                           skiprows=1)
+        assert len(trace) == 11 and np.all(trace[:, 1] <= 1.0)
+
     def test_fit_equal_abscissae_is_config_error(self, runner, tmp_path):
         # every step is 0: uniform, but no grid to take a spectrum of
         path = tmp_path / "flat.csv"

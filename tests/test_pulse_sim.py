@@ -13,7 +13,6 @@ from nvcdd.pulse_sim import (
     DEFAULT_OMEGA_MAG_DQ,
     SimConfig,
     Trace,
-    _frame_hamiltonians,
     _run_batch,
     _sample_block,
     fourier_magnitude,
@@ -30,6 +29,7 @@ from reference import (
     EnvironmentSample,
     _apply_eigen,
     build_rotating_hamiltonian,
+    frame_hamiltonians,
     shot_rng,
     zeeman_frame_shift,
 )
@@ -98,6 +98,26 @@ class TestSampling:
         with pytest.raises(ValueError, match="seed"):
             SimConfig(seed=seed)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_shots", 2.5), ("seed", 1.5), ("n_shots", True), ("seed", False),
+        ("seed", np.True_), ("n_shots", math.nan), ("seed", math.inf),
+        ("n_shots", "3"), ("n_shots", None)])
+    def test_non_integer_shots_or_seed_rejected(self, field, value):
+        # a bool or a fraction used to construct and fail later in the
+        # engine with a bare TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.uint64(3), 3.0])
+    def test_whole_numbers_become_ints(self, tmp_path, nv2_params, value):
+        config = SimConfig(n_shots=value, seed=value, noise=NV2_NOISE)
+        assert type(config.n_shots) is int and type(config.seed) is int
+        assert config == SimConfig(n_shots=3, seed=3, noise=NV2_NOISE)
+        # the sidecar records them as JSON numbers
+        trace = simulate_spectrum([0.0, 1.0], nv2_params, config)
+        write_trace_csv(trace, tmp_path / "t.csv")
+        assert read_trace_csv(tmp_path / "t.csv").metadata["seed"] == 3
+
 
 class TestHamiltonians:
     def test_free_matches_rotating_frame_up_to_carrier(self, nv2_params):
@@ -105,7 +125,7 @@ class TestHamiltonians:
         # static Zeeman offset and the absorbed carrier are put back
         env = EnvironmentSample(delta_b=7.0, delta_omega=0.3, delta_t=0.4)
         for det in (0.0, khz_to_angular(-75.0)):
-            h = _frame_hamiltonians(nv2_params, [7.0], [0.3], [0.4], det)
+            h = frame_hamiltonians(nv2_params, [7.0], [0.3], [0.4], det)
             href = build_rotating_hamiltonian(nv2_params, env)
             carrier = (D0 + det) * np.diag([0, 0, 1, 1, 0, 0])
             np.testing.assert_allclose(dense_hamiltonians(h)[0],
@@ -116,8 +136,8 @@ class TestHamiltonians:
         p = nv2_params
         omega_mag = khz_to_angular(80.0)
         detuning_mag = khz_to_angular(-10.0)
-        h = _frame_hamiltonians(p, [0.0], [0.0], [0.0], detuning_mag,
-                                omega_mag)[0]
+        h = frame_hamiltonians(p, [0.0], [0.0], [0.0], detuning_mag,
+                               omega_mag)[0]
         assert h.dtype == float and np.array_equal(h, h.swapaxes(-1, -2))
         # up-sublevel block in {+1, 0, -1}, at pulse phase 0
         g = 0.5 * omega_mag
@@ -129,7 +149,7 @@ class TestHamiltonians:
         np.testing.assert_allclose(h[0], expected, atol=1e-12)
 
     def test_no_crosstalk_to_plus_one(self, nv2_params):
-        h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0, 1.0)[0]
+        h = frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0, 1.0)[0]
         assert np.all(h[:, 0, 1] == 0.0) and np.all(h[:, 1, 0] == 0.0)
 
 
@@ -141,7 +161,7 @@ def random_block_state(rng):
 
 class TestPropagate:
     def test_zero_duration_identity(self, nv2_params, rng):
-        h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0)
+        h = frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0)
         psi = random_block_state(rng)
         np.testing.assert_allclose(
             _apply_eigen(psi[None], *np.linalg.eigh(h), 0.0)[0], psi,
@@ -149,7 +169,7 @@ class TestPropagate:
 
     def test_norm_preserved(self, nv2_params, rng):
         psi = random_block_state(rng)
-        h = _frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0, 2.0)
+        h = frame_hamiltonians(nv2_params, [0.0], [0.0], [0.0], 0.0, 2.0)
         h = h.astype(complex)
         # phase 0.3, applied as P h(0) P^dagger with P = exp(0.3i) on |0>
         h[..., 1, 2] *= np.exp(0.3j)
@@ -217,6 +237,17 @@ class TestEngineInputs:
     def test_spectrum_detuning(self, nv2_params, detuning):
         with pytest.raises(ValueError, match="detuning_grid must be finite"):
             simulate_spectrum(detuning, nv2_params, QUIET)
+
+    @pytest.mark.parametrize("simulate", [
+        lambda p: simulate_ramsey("dressed_mp", [], p, QUIET),
+        lambda p: simulate_ramsey("undressed_0m1", np.empty(0), p, QUIET),
+        lambda p: simulate_spectrum([], p, QUIET),
+    ], ids=["ramsey", "ramsey-undressed", "spectrum"])
+    def test_empty_grid(self, nv2_params, simulate):
+        # an empty grid used to give a header-only CSV that
+        # read_trace_csv rejects
+        with pytest.raises(ValueError, match="grid needs at least one point"):
+            simulate(nv2_params)
 
     @pytest.mark.parametrize("omega_mag", [0.0, -1.0, NAN, INF])
     def test_spectrum_strength(self, nv2_params, omega_mag):
@@ -405,6 +436,11 @@ class TestTraceIO:
     def test_non_finite_abscissa_rejected(self, bad):
         with pytest.raises(ValueError, match="abscissa must be finite"):
             Trace(np.array([0.0, bad]), np.full(2, 0.5), np.zeros(2), 1, {})
+
+    def test_empty_trace_rejected(self):
+        # the rule the reader states for a header-only file
+        with pytest.raises(ValueError, match="^no data rows$"):
+            Trace([], [], [], 3, {})
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,14 +1,15 @@
 """The block-diagonal shot engine against a dense reference.
 
-Every kernel of the engine -- the closed-form free evolution, the pulse
-column from the eigenvalues and its eigh fallback, propagation with
-phase conjugation, and the full _run_batch on spectrum and Ramsey
-points -- is compared with scipy.linalg.expm of the dense 6x6
-Hamiltonians over random environment draws and random blocks.  The dense
-form exists only here: the blocks of _frame_hamiltonians are scattered
-into a 6x6 matrix, with the pulse phase put on its 0<->-1 element.  The
-vectorised sampler is compared with shot_rng, numpy's own generator,
-draw for draw.
+Every kernel of the engine -- the pulse column from the eigenvalues and
+its eigh fallback, and the full _run_batch on spectrum and Ramsey points,
+whose fused closed-form readout holds the free evolution, with a frame
+detuning, tau and closing phase per shot-point -- is compared with
+scipy.linalg.expm of the dense 6x6 Hamiltonians over random environment
+draws and random blocks.  The dense form exists only here: the blocks of
+reference.frame_hamiltonians are scattered into a 6x6 matrix, with the
+pulse phase put on its 0<->-1 element.  The vectorised sampler is
+compared with shot_rng, numpy's own generator, draw for draw, and traces
+are checked not to depend on how grid points are chunked.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -28,16 +29,16 @@ from nvcdd.dephasing import FixedAmplitudeNoise, NoiseSpec, sigma_b_from_t2
 from nvcdd.pulse_sim import (
     RAMSEY_KINDS,
     SimConfig,
-    _frame_hamiltonians,
-    _free_evolve,
     _newton_column,
+    _run_batch,
     _sample_block,
     simulate_ramsey,
     simulate_spectrum,
+    write_trace_csv,
 )
 
 from conftest import BLOCKS, dense_hamiltonians, make_params
-from reference import _apply_eigen, shot_rng
+from reference import _apply_eigen, frame_hamiltonians, shot_rng
 
 TOLERANCE = 1e-12
 N_DRAWS = 40
@@ -57,7 +58,9 @@ def random_states(rng, n=N_DRAWS):
 
 def dense(states, h, duration, phase=0.0):
     """Reference propagation of stacked 6-states: expm of each dense 6x6
-    form of the block Hamiltonians h."""
+    form of the block Hamiltonians h, for a scalar duration and phase or
+    one per state."""
+    duration = np.asarray(duration)[..., None, None]
     return np.einsum("nij,nj->ni",
                      expm(-1j * duration * dense_hamiltonians(h, phase)),
                      states)
@@ -70,40 +73,11 @@ def block_kernel(kernel, states, *args):
     return out
 
 
-class TestFreeEvolution:
-    @pytest.mark.parametrize("duration", [0.0, 0.37, 4.1])
-    def test_matches_expm(self, rng, duration):
-        params = make_params(delta_khz=40.0)
-        h = _frame_hamiltonians(params, *environment(rng), 0.8)
-        psi = random_states(rng)
-        assert np.abs(block_kernel(_free_evolve, psi, h, duration)
-                      - dense(psi, h, duration)).max() <= TOLERANCE
-
-    def test_zero_rotation_rate(self, rng):
-        # omega + delta_omega = 0 and e = 0 in both blocks: r = 0
-        params = make_params(omega_khz=581.0, a_par_khz=0.0)
-        h = _frame_hamiltonians(params, np.zeros(3), np.full(3, -params.omega),
-                                np.zeros(3), 0.5)
-        assert np.all(h[..., 0, [0, 2]] == 0.0)
-        psi = random_states(rng, 3)
-        got = block_kernel(_free_evolve, psi, h, 2.3)
-        assert np.all(np.isfinite(got))
-        assert np.abs(got - dense(psi, h, 2.3)).max() <= TOLERANCE
-
-    def test_norm_preserved(self, rng):
-        h = _frame_hamiltonians(make_params(delta_khz=40.0),
-                                *environment(rng), 0.8)
-        psi = random_states(rng)[:, BLOCKS]
-        for _ in range(100):
-            psi = _free_evolve(psi, h, 0.37)
-        assert np.abs(np.linalg.norm(psi, axis=(1, 2)) - 1.0).max() <= 1e-9
-
-
 class TestPulses:
     @pytest.mark.parametrize("phase", [0.0])
     def test_block_propagation_matches_expm(self, rng, phase):
-        h = _frame_hamiltonians(make_params(), *environment(rng), -0.3,
-                                2.0 * math.pi * 1.5)
+        h = frame_hamiltonians(make_params(), *environment(rng), -0.3,
+                               2.0 * math.pi * 1.5)
         psi = random_states(rng)
         got = block_kernel(_apply_eigen, psi, *np.linalg.eigh(h), 0.33)
         assert np.abs(got - dense(psi, h, 0.33, phase)).max() <= TOLERANCE
@@ -111,8 +85,8 @@ class TestPulses:
     @pytest.mark.parametrize("phase", [0.9, -2.4])
     def test_phase_by_conjugating_phase_zero(self, rng, phase):
         # h(phi) = P h(0) P^dagger with P = exp(i phi) on |0>
-        h0 = _frame_hamiltonians(make_params(), *environment(rng), -0.3,
-                                 2.0 * math.pi * 1.5)
+        h0 = frame_hamiltonians(make_params(), *environment(rng), -0.3,
+                                2.0 * math.pi * 1.5)
         vals, vecs = np.linalg.eigh(h0)
         psi = random_states(rng)
         rot = np.exp(1j * phase)
@@ -141,6 +115,13 @@ def dense_column(h, duration):
     zero = np.zeros((len(h), 6), dtype=complex)
     zero[:, 2:4] = 1.0
     return dense(zero, h, duration)[:, BLOCKS]
+
+
+def column(h, duration):
+    """_newton_column of stacked blocks h (..., 3, 3), shaped (..., 3)."""
+    u = _newton_column(h[..., 0, 0], h[..., 1, 1], h[..., 0, 2], h[..., 1, 2],
+                       duration)
+    return np.moveaxis(u, 0, -1)
 
 
 @pytest.fixture
@@ -191,8 +172,19 @@ class TestNewtonColumn:
            duration=st.floats(0.0, 2.0))
     def test_matches_expm(self, coeffs, duration):
         h = blocks(*np.moveaxis(coeffs, -1, 0))
-        assert np.abs(_newton_column(h, duration)
+        assert np.abs(column(h, duration)
                       - dense_column(h, duration)).max() <= TOLERANCE
+
+    def test_broadcast_entries_match_whole_blocks(self, rng):
+        # the engine passes z and w per shot (n, 1) and g as a scalar
+        e, z, w = rng.normal(size=(3, N_DRAWS, 2))
+        z[:, 1], w[:, 1] = z[:, 0], w[:, 0]
+        whole = _newton_column(e, z, w, np.full_like(e, 1.3), 0.41)
+        assert np.array_equal(
+            _newton_column(e, z[:, :1], w[:, :1], 1.3, 0.41), whole)
+        assert np.abs(np.moveaxis(whole, 0, -1)
+                      - dense_column(blocks(e, z, w, 1.3), 0.41)).max() \
+            <= TOLERANCE
 
     @pytest.mark.parametrize("scale", [1e-140, 1e-120, 1.0, 1e120, 1e140])
     def test_block_cases_run_in_closed_form(self, fallback_blocks, scale):
@@ -200,7 +192,7 @@ class TestNewtonColumn:
         # finite column
         h = case_blocks(scale)
         duration = 0.9 / max(scale, 1.0)
-        assert np.abs(_newton_column(h, duration)
+        assert np.abs(column(h, duration)
                       - dense_column(h, duration)).max() <= TOLERANCE
         assert np.array_equal(np.array(fallback_blocks),
                               np.zeros((2, 3, 3)))
@@ -210,7 +202,7 @@ class TestNewtonColumn:
         # every square of an entry leaves the double range
         h = case_blocks(scale)
         duration = 0.9 / max(scale, 1.0)
-        assert np.abs(_newton_column(h, duration)
+        assert np.abs(column(h, duration)
                       - dense_column(h, duration)).max() <= TOLERANCE
         assert np.array_equal(np.array(fallback_blocks),
                               h.reshape(-1, 3, 3))
@@ -221,13 +213,13 @@ def dense_run(point, params, db, dom, dt):
     |0> with the 13C spin unpolarized, free evolution under the
     drive-free Hamiltonian."""
     frame, omega_mag, duration, ramsey = point
-    pulse = _frame_hamiltonians(params, db, dom, dt, frame, omega_mag)
+    pulse = frame_hamiltonians(params, db, dom, dt, frame, omega_mag)
     psi = np.zeros((len(db), 6), dtype=complex)
     psi[:, 2:4] = math.sqrt(0.5)
     psi = dense(psi, pulse, duration)
     if ramsey is not None:
         tau, phase = ramsey
-        psi = dense(psi, _frame_hamiltonians(params, db, dom, dt, frame), tau)
+        psi = dense(psi, frame_hamiltonians(params, db, dom, dt, frame), tau)
         psi = dense(psi, pulse, duration, phase)
     return np.abs(psi[:, 2]) ** 2 + np.abs(psi[:, 3]) ** 2
 
@@ -257,13 +249,57 @@ POINTS = {
 }
 
 
+class TestFreeEvolution:
+    """Free evolution, which _run_batch folds into a Ramsey point's
+    closed-form readout, against dense expm, with one frame detuning, tau
+    and closing phase per shot-point."""
+
+    @pytest.mark.parametrize("duration", [0.0, 0.37, 4.1])
+    def test_matches_expm(self, rng, duration):
+        params, env = make_params(delta_khz=40.0), environment(rng)
+        frame = rng.normal(0.0, 0.8, N_DRAWS)
+        tau = duration * rng.uniform(0.5, 1.5, N_DRAWS)
+        tau[::4] = 0.0
+        phase = rng.uniform(-math.pi, math.pi, N_DRAWS)
+        point = (frame, OM_A, 0.33, (tau, phase))
+        assert np.abs(_run_batch(point, params, *env)
+                      - dense_run(point, params, *env)).max() <= TOLERANCE
+
+    def test_zero_rotation_rate(self):
+        # omega + delta_omega = 0 and e = 0 in both blocks: r = 0
+        params = make_params(omega_khz=581.0, a_par_khz=0.0)
+        env = (np.zeros(3), np.full(3, -params.omega), np.zeros(3))
+        h = frame_hamiltonians(params, *env, 0.5)
+        assert np.all(h[..., 0, [0, 2]] == 0.0)
+        point = (0.5, OM_B, 0.52, (np.array([0.0, 2.3, 40.0]),
+                                   np.array([0.3, -1.2, 2.0])))
+        got = _run_batch(point, params, *env)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - dense_run(point, params, *env)).max() <= TOLERANCE
+
+    def test_norm_preserved(self, rng):
+        # sin and cos are taken of one angle, so out to tau = 1e8 us, a
+        # rotation angle of ~2e8 rad, P0 stays a probability and the
+        # readout loses no norm
+        params, env = make_params(delta_khz=40.0), environment(rng)
+        tau = np.geomspace(1e3, 1e8, N_DRAWS)
+        got = _run_batch((0.4, OM_A, 0.33, (tau, 0.7 * tau)), params, *env)
+        assert np.all((got >= 0.0) & (got <= 1.0 + 1e-12))
+
+    def test_non_finite_readout_is_norm_loss(self, rng):
+        # r tau overflows, and the sine and cosine of inf are NaN
+        params, env = make_params(), environment(rng)
+        with pytest.raises(pulse_sim.NormLossError):
+            _run_batch((0.4, OM_A, 0.33, (1e308, 0.0)), params, *env)
+
+
 class TestRunBatch:
     @pytest.mark.parametrize("kind", RAMSEY_KINDS)
     def test_ramsey_matches_dense(self, recorded_batches, kind):
         config = SimConfig(n_shots=N_DRAWS, seed=5, noise=NOISE)
         simulate_ramsey(kind, [0.0, 0.85, 3.1], make_params(delta_khz=30.0),
                         config)
-        assert len(recorded_batches) == 3
+        assert len(recorded_batches) == 1    # the three points in one chunk
         for args, p0 in recorded_batches:
             assert np.abs(p0 - dense_run(*args)).max() <= TOLERANCE
 
@@ -272,7 +308,7 @@ class TestRunBatch:
         config = SimConfig(n_shots=N_DRAWS, seed=5, noise=NOISE)
         detunings = 2.0 * math.pi * np.array([-0.24, 0.0, 0.31])
         simulate_spectrum(detunings, make_params(omega_khz=omega_khz), config)
-        assert len(recorded_batches) == 3
+        assert len(recorded_batches) == 1
         for args, p0 in recorded_batches:
             assert np.abs(p0 - dense_run(*args)).max() <= TOLERANCE
 
@@ -294,20 +330,21 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("kind", RAMSEY_KINDS)
     def test_one_pulse_build_per_point(self, monkeypatch, kind):
-        # free evolution reads the pulse blocks' drive-free elements, so
-        # a Ramsey point builds one pulse and forms one column
-        calls = []
-        for name in ("_frame_hamiltonians", "_newton_column"):
-            kernel = getattr(pulse_sim, name)
+        # free evolution reads the pulse's own block entries, so a Ramsey
+        # point forms one column, and a chunk of points forms theirs in
+        # one call: 3 points of 4 shots at 8 shot-points per chunk
+        columns = []
+        column = pulse_sim._newton_column
 
-            def spy(*args, name=name, kernel=kernel):
-                calls.append(name)
-                return kernel(*args)
+        def spy(*args):
+            columns.append(column(*args))
+            return columns[-1]
 
-            monkeypatch.setattr(pulse_sim, name, spy)
+        monkeypatch.setattr(pulse_sim, "_newton_column", spy)
+        monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", 8)
         config = SimConfig(n_shots=4, seed=5, noise=NOISE)
         simulate_ramsey(kind, [0.0, 0.85, 3.1], make_params(), config)
-        assert calls == ["_frame_hamiltonians", "_newton_column"] * 3
+        assert [u.shape for u in columns] == [(3, 8, 2), (3, 4, 2)]
 
 
 class TestSampler:
@@ -422,10 +459,79 @@ class TestVectorisedSampler:
         per_block = max(1, cap // n_shots)
         assert blocks == [range(first, min(first + per_block, n_points))
                           for first in range(0, n_points, per_block)]
-        assert len(recorded_batches) == n_points
-        for point, (args, _) in enumerate(recorded_batches):
-            want = sample(NOISE, params.omega, 5, point, n_shots)
-            assert all(np.array_equal(g, w) for g, w in zip(args[2:], want))
+        assert_chunks(recorded_batches, blocks, params, n_shots)
+
+
+def assert_chunks(batches, blocks, params, n_shots):
+    """The recorded _run_batch calls of a spectrum run split each sampled
+    block into chunks of whole points, at most _CHUNK_SHOT_POINTS
+    shot-points (at least one point) each, and carry each point's own
+    environment draws."""
+    per_chunk = max(1, pulse_sim._CHUNK_SHOT_POINTS // n_shots)
+    chunks = [range(first, min(first + per_chunk, block.stop))
+              for block in blocks
+              for first in range(block.start, block.stop, per_chunk)]
+    assert len(batches) == len(chunks)
+    for chunk, (args, p0) in zip(chunks, batches):
+        assert len(p0) == len(chunk) * n_shots
+        want = zip(*(_sample_block(NOISE, params.omega, 5, point, n_shots)
+                     for point in chunk))
+        assert all(np.array_equal(g, np.concatenate(w))
+                   for g, w in zip(args[2:], want, strict=True))
+
+
+GRID_POINTS = 60
+
+
+def simulated_files(tmp_path, kind, n_shots):
+    """The CSV and sidecar bytes of a GRID_POINTS-point trace of kind (a
+    Ramsey kind or "spectrum")."""
+    params = make_params(delta_khz=30.0)
+    config = SimConfig(n_shots=n_shots, seed=5, noise=NOISE)
+    if kind == "spectrum":
+        trace = simulate_spectrum(
+            2.0 * math.pi * np.linspace(-0.6, 0.6, GRID_POINTS), params,
+            config)
+    else:
+        trace = simulate_ramsey(kind, np.linspace(0.0, 3.0, GRID_POINTS),
+                                params, config)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    return path.read_bytes(), Path(f"{path}.meta.json").read_bytes()
+
+
+class TestChunks:
+    """_simulate runs each sampled block through _run_batch in chunks of
+    whole points; the chunk size changes no byte of a trace."""
+
+    @pytest.mark.parametrize("n_shots", [1, 37])
+    @pytest.mark.parametrize("kind", RAMSEY_KINDS + ("spectrum",))
+    def test_traces_do_not_depend_on_chunk_size(self, monkeypatch, tmp_path,
+                                                kind, n_shots):
+        want = simulated_files(tmp_path, kind, n_shots)
+        # one point per call, chunks that 37 shots do not divide, and the
+        # whole grid (one sampled block) in one call
+        for cap in (1, 100, GRID_POINTS * n_shots):
+            monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", cap)
+            assert simulated_files(tmp_path, kind, n_shots) == want, cap
+
+    @pytest.mark.parametrize("chunk_cap", [1, 60, 89, 1000])
+    def test_chunks_hold_whole_points(self, monkeypatch, recorded_batches,
+                                      chunk_cap):
+        # 30 shots, 3 points per sampled block: chunks of 1, 2, 2 and 3
+        # points, never across a block boundary
+        monkeypatch.setattr(pulse_sim, "_BLOCK_SHOT_POINTS", 100)
+        monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", chunk_cap)
+        params = make_params(omega_khz=470.0)
+        grid = 2.0 * math.pi * np.linspace(-0.3, 0.3, 7)
+        simulate_spectrum(grid, params, SimConfig(n_shots=30, seed=5,
+                                                  noise=NOISE))
+        blocks = [range(0, 3), range(3, 6), range(6, 7)]
+        assert_chunks(recorded_batches, blocks, params, 30)
+        # one frame detuning per shot-point
+        frames = np.concatenate([args[0][0] for args, _ in recorded_batches])
+        assert np.array_equal(frames,
+                              np.repeat(grid, 30) - 0.5 * params.delta)
 
 
 @pytest.fixture
