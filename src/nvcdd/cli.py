@@ -6,7 +6,8 @@ copy of it: its preset, Ramsey-kind and fit-model enums come from the
 registries, its ``default`` values are the CLI's defaults, and
 ``validate_config`` checks its keywords in-house, worded as jsonschema
 words them. A flag, if given, overrides the config key its Python name
-names. ``configs/nv1.json`` and ``configs/nv2.json`` are examples. All
+names (under ``sim`` for ``--seed`` and ``--shots``) before the config is
+resolved. ``configs/nv1.json`` and ``configs/nv2.json`` are examples. All
 frequencies in configs and reports are ordinary kHz, converted to angular
 units at the boundary. Outputs are plottable CSV artifacts plus text fit
 reports, deterministic for a given (config, seed).
@@ -17,6 +18,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -120,7 +122,8 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "shots": {"type": "integer", "minimum": 1, "default": 1000},
-                "seed": {"type": "integer", "minimum": 0, "default": 0},
+                "seed": {"type": "integer", "minimum": 0,
+                         "maximum": 2 ** 64 - 1, "default": 0},
             },
             "additionalProperties": False,
         },
@@ -190,12 +193,13 @@ class ConfigError(Exception):
 
 class _SchemaBound:
     """Mixin for a click number range: a flag that overrides a config key
-    keeps the bound SCHEMA gives that key (or its items, for a list key)."""
+    keeps the bounds SCHEMA gives that key (or its items, for a list key)."""
 
     def __init__(self, section: str, key: str):
         rule = SCHEMA["properties"][section]["properties"][key]
         rule = rule.get("items", rule)
         super().__init__(rule.get("minimum", rule.get("exclusiveMinimum")),
+                         rule.get("maximum"),
                          min_open="exclusiveMinimum" in rule)
 
 
@@ -260,6 +264,8 @@ def _errors(rule: dict, value, path=()):
             yield path, f"{value!r} is not one of {arg!r}", typed
         elif key == "minimum" and num and value < arg:
             yield path, f"{value!r} is less than the minimum of {arg!r}", typed
+        elif key == "maximum" and num and value > arg:
+            yield path, f"{value!r} is greater than the maximum of {arg!r}", typed
         elif key == "exclusiveMinimum" and num and value <= arg:
             yield (path, f"{value!r} is less than or equal to the minimum "
                    f"of {arg!r}", typed)
@@ -330,10 +336,11 @@ _SIGMA_B_MG = {
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Fill preset defaults and convert units; returns plain runtime values.
+    """Fill preset defaults and convert units: the run cfg describes.
 
-    Resulting dict holds the SystemParams (angular units), a NoiseSpec,
-    shot/seed counts, and the raw per-command sections.
+    The dict holds the SystemParams (angular units) as "params", the
+    SimConfig with its NoiseSpec as "sim", the "out_dir", and cfg itself
+    as "raw", whose sections the commands read.
     """
     top = _merged(SCHEMA, cfg)
     preset = PRESETS.get(top["preset"])
@@ -354,9 +361,15 @@ def resolve_config(cfg: dict) -> dict:
     sigma_b = next(to_mg(source[key]) for key, to_mg in _SIGMA_B_MG.items()
                    if key in source)
     sigma_t = noise_cfg.get("sigma_t_c", preset["sigma_t_c"])
-    amp_cfg = _merged(_AMPLITUDE_SCHEMA, noise_cfg["amplitude"])
-    if amp_cfg["mode"] == "fixed":
-        amplitude = FixedAmplitudeNoise(khz_to_angular(amp_cfg["sigma_omega_khz"]))
+    amp_cfg = noise_cfg["amplitude"]   # as written, without its defaults
+    mode = amp_cfg["mode"]
+    own = {"sigma_omega_khz"} if mode == "fixed" else {"eta", "alpha_khz"}
+    if stray := sorted(amp_cfg.keys() - own - {"mode"}):
+        raise ConfigError(f"config key $.noise.amplitude: {mode} mode takes "
+                          f"no {', '.join(map(repr, stray))}")
+    if mode == "fixed":
+        amplitude = FixedAmplitudeNoise(khz_to_angular(
+            _merged(_AMPLITUDE_SCHEMA, amp_cfg)["sigma_omega_khz"]))
     else:
         if "eta" not in amp_cfg or "alpha_khz" not in amp_cfg:
             raise ConfigError(
@@ -368,9 +381,9 @@ def resolve_config(cfg: dict) -> dict:
     noise = NoiseSpec(sigma_b=sigma_b, sigma_t=sigma_t, amplitude_noise=amplitude)
 
     sim = _merged(SCHEMA["properties"]["sim"], cfg.get("sim", {}))
-    # The schema's "integer" also admits integral floats such as 3.0.
-    return {"params": params, "noise": noise, "shots": int(sim["shots"]),
-            "seed": int(sim["seed"]), "out_dir": top["out_dir"], "raw": cfg}
+    return {"params": params,
+            "sim": SimConfig(n_shots=sim["shots"], seed=sim["seed"], noise=noise),
+            "out_dir": top["out_dir"], "raw": cfg}
 
 
 def _grid(section: dict, key: str):
@@ -432,21 +445,18 @@ class _PipelineGroup(click.Group):
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Override output directory.")
 @click.pass_context
-def main(ctx, config_path, **flags):
+def main(ctx, config_path, out_dir, **sim):
     """Continuous-dynamical-decoupling simulation and analysis pipelines."""
     cfg = load_config(config_path) if config_path else {}
-    # the flags override the resolved sim.seed, sim.shots and out_dir
-    ctx.obj = {**resolve_config(cfg), **_given(**flags)}
+    cfg = {**cfg, **_given(out_dir=out_dir),
+           "sim": {**cfg.get("sim", {}), **_given(**sim)}}
+    ctx.obj = resolve_config(cfg)
 
 
 def _out_dir(res: dict) -> Path:
     path = Path(res["out_dir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _sim_config(res: dict) -> SimConfig:
-    return SimConfig(n_shots=res["shots"], seed=res["seed"], noise=res["noise"])
 
 
 def _short(value: float, spec: str = "10.2f") -> str:
@@ -463,7 +473,7 @@ def _short(value: float, spec: str = "10.2f") -> str:
 def rates(res):
     """Print the dephasing-rate budget and predicted coherence times."""
     params = res["params"]
-    noise = res["noise"]
+    noise = res["sim"].noise
     sigma_omega = noise.sigma_omega(params.omega)
     gsb_khz = angular_to_khz(GAMMA * noise.sigma_b)
     thermal_t2 = math.sqrt(2.0) / (abs(DD_DT) * noise.sigma_t) \
@@ -505,7 +515,7 @@ def t2scan(res, **flags):
     """Scan T2* of the {m,p} qubit against the mechanical drive strength."""
     section = _section(res, "t2scan", **flags)
     tau = _grid(section, "tau_{}_us")
-    noise = res["noise"]
+    noise = res["sim"].noise
     if section["power_leveled"]:
         noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))
     a_par = res["params"].a_par
@@ -521,8 +531,8 @@ def t2scan(res, **flags):
         t2_mc, mc_err = math.nan, math.nan
         if section["mc"]:
             params = res["params"].with_omega(omega)
-            cfg = SimConfig(n_shots=res["shots"], seed=res["seed"], noise=noise)
-            trace = simulate_ramsey("dressed_mp", tau, params, cfg)
+            sim = dataclasses.replace(res["sim"], noise=noise)
+            trace = simulate_ramsey("dressed_mp", tau, params, sim)
             model, data = FIT_MODELS["ramsey_mp"](trace, None, params,
                                                   gsb_khz, None)
             outcome = nlls_fit(model, data)
@@ -549,7 +559,7 @@ def ramsey(res, **flags):
     # without omega_mag_khz the simulator picks the kind's pulse strength
     kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
         if "omega_mag_khz" in section else {}
-    trace = simulate_ramsey(kind, tau, res["params"], _sim_config(res), **kwargs)
+    trace = simulate_ramsey(kind, tau, res["params"], res["sim"], **kwargs)
     out = _out_dir(res)
     trace_path = out / f"ramsey_{kind}.csv"
     write_trace_csv(trace, trace_path)
@@ -576,11 +586,10 @@ def spectra(res, **flags):
         if name in names[:i]:
             raise ConfigError(f"spectra.omega_list_khz: two drives would "
                               f"both write {name}")
-    cfg = _sim_config(res)
     out = _out_dir(res)
     for om_khz, name in zip(section["omega_list_khz"], names):
         params = res["params"].with_omega(khz_to_angular(om_khz))
-        trace = simulate_spectrum(grid, params, cfg, **kwargs)
+        trace = simulate_spectrum(grid, params, res["sim"], **kwargs)
         path = out / name
         write_trace_csv(trace, path)
         click.echo(f"wrote {path}")
@@ -592,7 +601,7 @@ def spectra(res, **flags):
 def envelope(res, **flags):
     """Tabulate the analytic envelopes against their Gaussian references."""
     tau = _grid(_section(res, "envelope", **flags), "tau_{}_us")
-    noise = res["noise"]
+    noise = res["sim"].noise
     params = res["params"]
     f = envelope_second_order(tau, params.omega, noise.sigma_b, params.a_par)
     h = envelope_max_protection(tau, params.omega, noise.sigma_b)
@@ -621,7 +630,7 @@ def fit(res, **flags):
     trace = read_trace_csv(input_csv)
     undressed_csv = section.get("undressed_csv")
     undressed = read_trace_csv(undressed_csv) if undressed_csv else None
-    gsb_khz = angular_to_khz(GAMMA * res["noise"].sigma_b)
+    gsb_khz = angular_to_khz(GAMMA * res["sim"].noise.sigma_b)
     try:
         model, data = FIT_MODELS[model_name](trace, undressed, res["params"],
                                              gsb_khz, section.get("p0_ud"))

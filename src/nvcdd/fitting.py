@@ -155,8 +155,8 @@ def nlls_fit(model: ModelFunction, data, sigma=None) -> FitOutcome:
 
     jac = result.jac
     jtj = jac.T @ jac
-    sv = np.linalg.svd(jac, compute_uv=False) if jac.size else np.array([0.0])
-    degenerate = sv.size == 0 or sv[0] == 0 or (sv[-1] / sv[0]) < 1e-10
+    sv = np.linalg.svd(jac, compute_uv=False)
+    degenerate = sv[0] == 0 or (sv[-1] / sv[0]) < 1e-10
     if degenerate:
         flags.append("degenerate")
         converged = False

@@ -135,6 +135,9 @@ class Trace:
         self.stderr = np.asarray(self.stderr, dtype=float)
         if not self.abscissa.size:
             raise ValueError(_NO_ROWS)
+        if {self.abscissa.shape, self.mean_p0.shape, self.stderr.shape} \
+                != {(self.abscissa.size,)}:
+            raise ValueError("a trace needs 1-D columns of one length")
         for column, test, rule in _ROW_RULES:
             if not np.all(test(np.asarray(getattr(self, column), dtype=float))):
                 raise ValueError(rule)

@@ -87,9 +87,9 @@ class TestRates:
 # The keywords cli.validate_config checks, the types it knows and the
 # annotations it may skip.  The checker writes a key as ".name" in
 # "config key $.a.b[i]", as jsonschema does for identifier-like names.
-CHECKED_KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum", "minItems",
-                    "items", "properties", "required", "additionalProperties",
-                    "allOf", "not"}
+CHECKED_KEYWORDS = {"type", "enum", "minimum", "maximum", "exclusiveMinimum",
+                    "minItems", "items", "properties", "required",
+                    "additionalProperties", "allOf", "not"}
 ANNOTATIONS = {"$schema", "title", "default"}
 CHECKED_TYPES = {"object", "array", "string", "boolean", "number", "integer"}
 
@@ -148,7 +148,7 @@ class TestConfigHandling:
         for name in ("nv1.json", "nv2.json"):
             cfg = load_config(CONFIG_DIR / name)
             resolved = resolve_config(cfg)
-            assert resolved["shots"] > 0
+            assert resolved["sim"].n_shots > 0
 
     def test_bom_prefixed_config_loads_the_same(self, tmp_path):
         # editors on some platforms save JSON with a UTF-8 byte-order mark
@@ -177,7 +177,22 @@ class TestConfigHandling:
         # several errors: best_match picks the shallowest one
         ({"turbo": True, "sim": {"shots": 0}},
          "config error: config key $: Additional properties are not "
-         "allowed ('turbo' was unexpected)")], ids=["type", "best_match"])
+         "allowed ('turbo' was unexpected)"),
+        # Philox keys are uint64
+        ({"sim": {"seed": 2**64}},
+         f"config error: config key $.sim.seed: {2**64} is greater than "
+         f"the maximum of {2**64 - 1}"),
+        # a key of the other amplitude-noise mode would be silently ignored
+        ({"noise": {"amplitude": {"mode": "fixed", "eta": 0.3,
+                                  "alpha_khz": -100}}},
+         "config error: config key $.noise.amplitude: fixed mode takes no "
+         "'alpha_khz', 'eta'"),
+        ({"noise": {"amplitude": {"mode": "reflectometer", "eta": 0.3,
+                                  "alpha_khz": -100, "sigma_omega_khz": 5}}},
+         "config error: config key $.noise.amplitude: reflectometer mode "
+         "takes no 'sigma_omega_khz'"),
+    ], ids=["type", "best_match", "seed_maximum", "fixed_mode_eta",
+            "reflectometer_mode_sigma_omega"])
     def test_error_line_is_exact(self, runner, tmp_path, payload, line):
         cfg = write_config(tmp_path, payload)
         result = invoke(runner, ["--config", cfg, "rates"])
@@ -194,7 +209,7 @@ class TestConfigHandling:
         schema = {
             "title": "synthetic", "type": "object",
             "properties": {
-                "a": {"type": "number", "maximum": 3, "default": 1},
+                "a": {"type": "number", "exclusiveMaximum": 3, "default": 1},
                 "b-c": {"type": ["number", "null"]},
                 "d": {"type": "array", "items": {"pattern": "x"}},
             },
@@ -202,7 +217,7 @@ class TestConfigHandling:
             "additionalProperties": {"type": "string"},
         }
         assert unchecked_rules(schema) == [
-            "$.a: keyword 'maximum'",
+            "$.a: keyword 'exclusiveMaximum'",
             "$: property name 'b-c'",
             "$.b-c: type ['number', 'null']",
             "$.d/items: keyword 'pattern'",
@@ -225,7 +240,7 @@ class TestConfigHandling:
 
     def test_largest_seed_loads(self, tmp_path):
         cfg = write_config(tmp_path, {"sim": {"seed": 2**64 - 1}})
-        assert resolve_config(load_config(cfg))["seed"] == 2**64 - 1
+        assert resolve_config(load_config(cfg))["sim"].seed == 2**64 - 1
 
     def test_integral_float_seed_and_shots_run(self, runner, tmp_path):
         args = ["ramsey", "--tau-stop-us", "0.1"]
@@ -245,8 +260,8 @@ class TestConfigHandling:
         key, = keys
         # with no field-noise key in the config, the preset's applies
         given = {"noise": {key: PRESETS[name][key]}}
-        assert resolve_config({"preset": name})["noise"].sigma_b \
-            == resolve_config(given)["noise"].sigma_b
+        assert resolve_config({"preset": name})["sim"].noise.sigma_b \
+            == resolve_config(given)["sim"].noise.sigma_b
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
@@ -687,7 +702,8 @@ FLOAT_FLAG_CASES = [
 GLOBAL_FLAG_CASES = [
     ("--shots", "0", "0 is not in the range x>=1."),
     ("--shots", "-3", "-3 is not in the range x>=1."),
-    ("--seed", "-1", "-1 is not in the range x>=0."),
+    ("--seed", "-1", f"-1 is not in the range 0<=x<={2**64 - 1}."),
+    ("--seed", str(2**64), f"{2**64} is not in the range 0<=x<={2**64 - 1}."),
 ]
 
 
@@ -829,13 +845,14 @@ FLAG_OVERRIDES = [
      "b.csv"),
 ]
 
-# Global flag, its value, the resolved key it overrides, a config that
-# sets that key and the flag's value.
+# Global flag, its value, a reader of the resolved setting it overrides,
+# a config that sets that key and the flag's value.
 GLOBAL_OVERRIDES = [
-    ("--seed", "5", "seed", {"sim": {"seed": 9}}, 9, 5),
-    ("--shots", "7", "shots", {"sim": {"shots": 9}}, 9, 7),
-    ("--out", "flag_dir", "out_dir", {"out_dir": "config_dir"},
-     "config_dir", "flag_dir"),
+    ("--seed", "5", lambda res: res["sim"].seed, {"sim": {"seed": 9}}, 9, 5),
+    ("--shots", "7", lambda res: res["sim"].n_shots, {"sim": {"shots": 9}},
+     9, 7),
+    ("--out", "flag_dir", lambda res: res["out_dir"],
+     {"out_dir": "config_dir"}, "config_dir", "flag_dir"),
 ]
 
 
@@ -855,20 +872,20 @@ class TestSettingsMerge:
         assert from_config[key] == config_value
         assert from_flag[key] == flag_value
 
-    @pytest.mark.parametrize("flag,value,key,payload,config_value,flag_value",
+    @pytest.mark.parametrize("flag,value,read,payload,config_value,flag_value",
                              GLOBAL_OVERRIDES,
                              ids=[case[0] for case in GLOBAL_OVERRIDES])
     def test_global_flag_overrides_its_config_key(self, runner, monkeypatch,
-                                                  tmp_path, flag, value, key,
+                                                  tmp_path, flag, value, read,
                                                   payload, config_value,
                                                   flag_value):
         cfg = write_config(tmp_path, payload)
         res, _ = settings_of(runner, monkeypatch,
                              ["--config", cfg, "envelope"])
-        assert res[key] == config_value
+        assert read(res) == config_value
         res, _ = settings_of(runner, monkeypatch,
                              ["--config", cfg, flag, value, "envelope"])
-        assert res[key] == flag_value
+        assert read(res) == flag_value
 
     @pytest.mark.parametrize("name", ["ramsey", "spectra", "t2scan",
                                       "envelope", "fit"])
@@ -877,7 +894,8 @@ class TestSettingsMerge:
         rules = cli.SCHEMA["properties"][name]["properties"]
         assert section == {key: rule["default"] for key, rule in rules.items()
                            if "default" in rule}
-        assert (res["seed"], res["shots"], res["out_dir"]) == (0, 1000, "out")
+        assert (res["sim"].seed, res["sim"].n_shots, res["out_dir"]) \
+            == (0, 1000, "out")
 
     def test_section_copies_schema_lists(self):
         rule = cli.SCHEMA["properties"]["t2scan"]["properties"][

@@ -148,6 +148,7 @@ def oracle_message(cfg, oracle=ORACLE):
 @example(config={"noise": {"amplitude": {"eta": -1}}})
 @example(config={"spectra": {"omega_list_khz": [1, -1, True]}})
 @example(config={"t2scan": {"omega_list_khz": []}, "sim": {"seed": 2.5}})
+@example(config={"sim": {"seed": 2**64}})
 def test_validator_matches_jsonschema(config):
     assert_same_verdict(config, oracle_message(config))
 

@@ -145,7 +145,7 @@ class TestDressed0pFit:
         params = res["params"]
         trace = simulate_ramsey(
             "dressed_0p", np.arange(0.0, 10.01, 0.02), params,
-            SimConfig(n_shots=20, seed=3, noise=res["noise"]))
+            SimConfig(n_shots=20, seed=3, noise=res["sim"].noise))
         rng = np.random.default_rng(1)
         fitted = []
         for k in range(6):

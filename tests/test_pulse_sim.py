@@ -442,6 +442,16 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="^no data rows$"):
             Trace([], [], [], 3, {})
 
+    @pytest.mark.parametrize("columns", [
+        ([0.0, 1.0, 2.0], [0.5], [0.1, 0.1]),
+        ([0.0, 1.0], [0.5, 0.5], [0.1, 0.1, 0.1]),
+        ([[0.0, 1.0]], [[0.5, 0.5]], [[0.1, 0.1]]),
+    ], ids=["short_mean_p0", "long_stderr", "two_d"])
+    def test_unequal_or_nested_columns_rejected(self, columns):
+        # write_trace_csv would write only as many rows as the shortest
+        with pytest.raises(ValueError, match="1-D columns of one length"):
+            Trace(*columns, 3, {})
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("abscissa,mean_p0,stderr,n_shots\n")
