@@ -6,11 +6,12 @@ copy of it: its preset, Ramsey-kind and fit-model enums come from the
 registries, its ``default`` values are the CLI's defaults, and
 ``validate_config`` checks its keywords in-house, worded as jsonschema
 words them. A flag, if given, overrides the config key its Python name
-names (under ``sim`` for ``--seed`` and ``--shots``) before the config is
-resolved. ``configs/nv1.json`` and ``configs/nv2.json`` are examples. All
-frequencies in configs and reports are ordinary kHz, converted to angular
-units at the boundary. Outputs are plottable CSV artifacts plus text fit
-reports, deterministic for a given (config, seed).
+names (under ``sim`` for ``--seed`` and ``--shots``); a number flag is
+read as that key's JSON literal and checked by that key's rule, so a flag
+and its key fail alike. ``configs/nv1.json`` and ``configs/nv2.json`` are
+examples. All frequencies in configs and reports are ordinary kHz,
+converted to angular units at the boundary. Outputs are plottable CSV
+artifacts plus text fit reports, deterministic for a given (config, seed).
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
@@ -112,16 +113,14 @@ SCHEMA = {
                 "sigma_t_c": {"type": "number", "minimum": 0},
                 "amplitude": _AMPLITUDE_SCHEMA,
             },
-            # field noise takes at most one key; the preset fills it otherwise
-            "allOf": [{"not": {"required": pair}} for pair in (
-                ["sigma_b_mg", "gamma_sigma_b_khz"], ["sigma_b_mg", "t2_0m1_us"],
-                ["gamma_sigma_b_khz", "t2_0m1_us"])],
             "additionalProperties": False,
         },
         "sim": {
             "type": "object",
             "properties": {
-                "shots": {"type": "integer", "minimum": 1, "default": 1000},
+                # a grid point's shots are sampled in one array
+                "shots": {"type": "integer", "minimum": 1, "maximum": 10**6,
+                          "default": 1000},
                 "seed": {"type": "integer", "minimum": 0,
                          "maximum": 2 ** 64 - 1, "default": 0},
             },
@@ -191,55 +190,50 @@ class ConfigError(Exception):
     pass
 
 
-class _SchemaBound:
-    """Mixin for a click number range: a flag that overrides a config key
-    keeps the bounds SCHEMA gives that key (or its items, for a list key)."""
+def _json(text: str):
+    """json.loads, except that every number must be finite as a float:
+    NaN, +-Infinity and literals that overflow a float (``1e400``, a
+    400-digit integer) are ConfigErrors that show the literal."""
+    def finite(parse):
+        def hook(literal):
+            if not math.isfinite(float(literal)):
+                shown = literal if len(literal) <= 20 else literal[:17] + "..."
+                raise ConfigError(f"{shown} is not a finite number")
+            return parse(literal)
+        return hook
 
-    def __init__(self, section: str, key: str):
-        rule = SCHEMA["properties"][section]["properties"][key]
-        rule = rule.get("items", rule)
-        super().__init__(rule.get("minimum", rule.get("exclusiveMinimum")),
-                         rule.get("maximum"),
-                         min_open="exclusiveMinimum" in rule)
-
-
-class _ConfigInt(_SchemaBound, click.IntRange):
-    """An integer flag: --seed, --shots."""
-
-
-class _ConfigFloat(_SchemaBound, click.FloatRange):
-    """A float flag, which must be finite as well."""
-
-    def convert(self, value, param, ctx):
-        number = super().convert(value, param, ctx)
-        if not math.isfinite(number):
-            self.fail(f"{value} is not a finite number", param, ctx)
-        return number
+    return json.loads(text, parse_constant=finite(float),
+                      parse_float=finite(float), parse_int=finite(int))
 
 
 def load_config(path) -> dict:
-    """Read and schema-validate a JSON scenario config.
-
-    Every number must be finite as a float: NaN, +-Infinity and literals
-    that overflow a float (``1e400``, a 400-digit integer) are config errors.
-    """
-    def finite(parse):
-        def hook(text):
-            if not math.isfinite(float(text)):
-                shown = text if len(text) <= 20 else text[:17] + "..."
-                raise ConfigError(f"{path}: {shown} is not a finite number")
-            return parse(text)
-        return hook
-
+    """Parse a JSON scenario config; resolve_config checks it."""
     try:
-        cfg = json.loads(_read_text(path), parse_constant=finite(float),
-                         parse_float=finite(float), parse_int=finite(int))
+        return _json(_read_text(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    validate_config(cfg)
-    return cfg
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+class _JsonNumber(click.ParamType):
+    """A number flag: the JSON literal of the config key it sets, which
+    resolve_config or _section checks by that key's rule."""
+
+    name = "number"
+
+    def convert(self, value, param, ctx):
+        try:
+            number = _json(value)
+        except ConfigError as exc:
+            self.fail(str(exc), param, ctx)
+        except json.JSONDecodeError:
+            number = None
+        if not _of_type(number, "number"):
+            self.fail(f"{value!r} is not a JSON number", param, ctx)
+        return number
 
 
 def _of_type(value, name: str) -> bool:
@@ -252,26 +246,24 @@ def _of_type(value, name: str) -> bool:
 
 
 def _errors(rule: dict, value, path=()):
-    """Yield (path, message, value is of rule's type) for each way value
-    breaks rule, in jsonschema's order and wording: keywords and properties
-    as listed.  tests/test_cli.py fails on a keyword not handled here."""
-    typed = "type" in rule and _of_type(value, rule["type"])
+    """Yield (path, message) for each way value breaks rule, in
+    jsonschema's order and wording: keywords and properties as listed.
+    tests/test_cli.py fails on a keyword not handled here."""
     obj, num = isinstance(value, dict), _of_type(value, "number")
     for key, arg in rule.items():
-        if key == "type" and not typed:
-            yield path, f"{value!r} is not of type {arg!r}", typed
+        if key == "type" and not _of_type(value, arg):
+            yield path, f"{value!r} is not of type {arg!r}"
         elif key == "enum" and value not in arg:
-            yield path, f"{value!r} is not one of {arg!r}", typed
+            yield path, f"{value!r} is not one of {arg!r}"
         elif key == "minimum" and num and value < arg:
-            yield path, f"{value!r} is less than the minimum of {arg!r}", typed
+            yield path, f"{value!r} is less than the minimum of {arg!r}"
         elif key == "maximum" and num and value > arg:
-            yield path, f"{value!r} is greater than the maximum of {arg!r}", typed
+            yield path, f"{value!r} is greater than the maximum of {arg!r}"
         elif key == "exclusiveMinimum" and num and value <= arg:
-            yield (path, f"{value!r} is less than or equal to the minimum "
-                   f"of {arg!r}", typed)
+            yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
         elif key == "minItems" and isinstance(value, list) and len(value) < arg:
             short = "should be non-empty" if arg == 1 else "is too short"
-            yield path, f"{value!r} {short}", typed
+            yield path, f"{value!r} {short}"
         elif key == "items" and isinstance(value, list):
             for index, item in enumerate(value):
                 yield from _errors(arg, item, (*path, index))
@@ -280,26 +272,21 @@ def _errors(rule: dict, value, path=()):
                 if name in value:
                     yield from _errors(sub, value[name], (*path, name))
         elif key == "required" and obj:
-            yield from ((path, f"{name!r} is a required property", typed)
+            yield from ((path, f"{name!r} is a required property")
                         for name in arg if name not in value)
         elif key == "additionalProperties" and obj and (extra := sorted(
                 value.keys() - rule.get("properties", {}).keys())):
             verb = "was" if len(extra) == 1 else "were"
             yield (path, "Additional properties are not allowed "
-                   f"({', '.join(map(repr, extra))} {verb} unexpected)", typed)
-        elif key == "allOf":
-            for sub in arg:
-                yield from _errors(sub, value, path)
-        elif key == "not" and next(_errors(arg, value, path), None) is None:
-            yield path, f"{value!r} should not be valid under {arg!r}", typed
+                   f"({', '.join(map(repr, extra))} {verb} unexpected)")
 
 
 def validate_config(cfg: dict) -> None:
     """Raise a ConfigError naming the error jsonschema's best_match picks:
-    the shallowest, then the greatest path, then one whose value is not of
-    its rule's type (or whose rule has none); of equals, the first found."""
+    the shallowest, then the greatest path; of equals, the first found.
+    Each path has one rule, so the rest of best_match's key ties."""
     best = max(_errors(SCHEMA, cfg), default=None,
-               key=lambda error: (-len(error[0]), error[0], not error[2]))
+               key=lambda error: (-len(error[0]), error[0]))
     if best is not None:
         where = "".join(f"[{p}]" if isinstance(p, int) else "." + p for p in best[0])
         raise ConfigError(f"config key ${where}: {best[1]}")
@@ -321,13 +308,18 @@ def _merged(rule: dict, section: dict, **flags) -> dict:
 
 
 def _section(res: dict, name: str, **flags) -> dict:
-    """The settings of one command: see _merged."""
+    """The settings of one command (see _merged), once the flags given pass
+    their keys' rules; resolve_config checked the config itself."""
+    given = {key: list(value) if isinstance(value, tuple) else value
+             for key, value in _given(**flags).items()}   # JSON arrays
+    validate_config({name: given})
     return _merged(SCHEMA["properties"][name], res["raw"].get(name, {}),
                    **flags)
 
 
 # Field-noise keys, each with its conversion to sigma_b in mG.  A config's
-# noise section names at most one (SCHEMA); each preset names exactly one.
+# noise section names at most one (resolve_config); each preset names
+# exactly one.
 _SIGMA_B_MG = {
     "sigma_b_mg": lambda mg: mg,
     "gamma_sigma_b_khz": lambda khz: khz_to_angular(khz) / GAMMA,
@@ -336,16 +328,16 @@ _SIGMA_B_MG = {
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Fill preset defaults and convert units: the run cfg describes.
+    """Check cfg against SCHEMA, fill preset defaults and convert units:
+    the run cfg describes.
 
     The dict holds the SystemParams (angular units) as "params", the
     SimConfig with its NoiseSpec as "sim", the "out_dir", and cfg itself
     as "raw", whose sections the commands read.
     """
+    validate_config(cfg)
     top = _merged(SCHEMA, cfg)
-    preset = PRESETS.get(top["preset"])
-    if preset is None:
-        raise ConfigError(f"unknown preset {top['preset']!r}")
+    preset = PRESETS[top["preset"]]
     system = {**preset, **_merged(SCHEMA["properties"]["system"],
                                   cfg.get("system", {}))}
     params = SystemParams(
@@ -357,7 +349,13 @@ def resolve_config(cfg: dict) -> dict:
     )
 
     noise_cfg = _merged(SCHEMA["properties"]["noise"], cfg.get("noise", {}))
-    source = noise_cfg if noise_cfg.keys() & _SIGMA_B_MG else preset
+    named = [key for key in _SIGMA_B_MG if key in noise_cfg]
+    if len(named) > 1:
+        raise ConfigError(
+            f"config key $.noise: {' and '.join(map(repr, named))} "
+            f"{'both' if len(named) == 2 else 'all'} set the field noise; "
+            "give at most one")
+    source = noise_cfg if named else preset
     sigma_b = next(to_mg(source[key]) for key, to_mg in _SIGMA_B_MG.items()
                    if key in source)
     sigma_t = noise_cfg.get("sigma_t_c", preset["sigma_t_c"])
@@ -440,16 +438,18 @@ class _PipelineGroup(click.Group):
 @click.group(cls=_PipelineGroup)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON scenario config; defaults to the nv2 preset.")
-@click.option("--seed", type=_ConfigInt("sim", "seed"), help="Override RNG seed.")
-@click.option("--shots", type=_ConfigInt("sim", "shots"), help="Override shots per point.")
+@click.option("--seed", type=_JsonNumber(), help="Override RNG seed.")
+@click.option("--shots", type=_JsonNumber(), help="Override shots per point.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Override output directory.")
 @click.pass_context
 def main(ctx, config_path, out_dir, **sim):
     """Continuous-dynamical-decoupling simulation and analysis pipelines."""
     cfg = load_config(config_path) if config_path else {}
-    cfg = {**cfg, **_given(out_dir=out_dir),
-           "sim": {**cfg.get("sim", {}), **_given(**sim)}}
+    # a cfg or sim that is no object takes no flag; resolve_config says so
+    if isinstance(cfg, dict) and isinstance(cfg.get("sim", {}), dict):
+        cfg = {**cfg, **_given(out_dir=out_dir),
+               "sim": {**cfg.get("sim", {}), **_given(**sim)}}
     ctx.obj = resolve_config(cfg)
 
 
@@ -506,7 +506,7 @@ def rates(res):
 
 @main.command()
 @click.option("--omega-khz", "omega_list_khz", multiple=True,
-              type=_ConfigFloat("t2scan", "omega_list_khz"),
+              type=_JsonNumber(),
               help="Override the mechanical Rabi scan list.")
 @click.option("--mc/--no-mc", default=None,
               help="Toggle the Monte-Carlo simulate-and-fit column.")
@@ -547,9 +547,9 @@ def t2scan(res, **flags):
 
 @main.command()
 @click.option("--kind", type=click.Choice(RAMSEY_KINDS))
-@click.option("--tau-stop-us", type=_ConfigFloat("ramsey", "tau_stop_us"))
-@click.option("--tau-step-us", type=_ConfigFloat("ramsey", "tau_step_us"))
-@click.option("--omega-mag-khz", type=_ConfigFloat("ramsey", "omega_mag_khz"))
+@click.option("--tau-stop-us", type=_JsonNumber())
+@click.option("--tau-step-us", type=_JsonNumber())
+@click.option("--omega-mag-khz", type=_JsonNumber())
 @click.pass_obj
 def ramsey(res, **flags):
     """Simulate a Ramsey trace; writes the trace and its Fourier magnitude."""
@@ -571,7 +571,7 @@ def ramsey(res, **flags):
 
 @main.command()
 @click.option("--omega-khz", "omega_list_khz", multiple=True,
-              type=_ConfigFloat("spectra", "omega_list_khz"),
+              type=_JsonNumber(),
               help="Override the drive list; 0 means undressed.")
 @click.pass_obj
 def spectra(res, **flags):
@@ -596,7 +596,7 @@ def spectra(res, **flags):
 
 
 @main.command()
-@click.option("--tau-stop-us", type=_ConfigFloat("envelope", "tau_stop_us"))
+@click.option("--tau-stop-us", type=_JsonNumber())
 @click.pass_obj
 def envelope(res, **flags):
     """Tabulate the analytic envelopes against their Gaussian references."""

@@ -58,8 +58,6 @@ class ReflectometerNoise:
             raise ValueError("eta must be in [0, 1)")
 
     def resolve(self, mean_omega: float) -> float:
-        if mean_omega == 0.0:
-            return 0.0  # drive off: nothing for the loop to fluctuate
         return sigma_omega_from_reflectometer(mean_omega, self.eta,
                                               self.alpha_diode)
 
@@ -78,6 +76,8 @@ class NoiseSpec:
             raise ValueError("noise standard deviations must be >= 0")
 
     def sigma_omega(self, mean_omega: float) -> float:
+        if mean_omega == 0.0:
+            return 0.0  # drive off: no amplitude to fluctuate, in either mode
         return self.amplitude_noise.resolve(mean_omega)
 
 

@@ -2,7 +2,6 @@ import json
 import re
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -10,12 +9,18 @@ import jsonschema
 
 from nvcdd import cli
 from nvcdd.cli import ConfigError, load_config, main, resolve_config
-from nvcdd.dephasing import HorizonExceeded, ZeroRateError
+from nvcdd.dephasing import (
+    HorizonExceeded,
+    ZeroRateError,
+    predicted_t2_mp,
+    sigma_omega_from_reflectometer,
+)
 from nvcdd.errors import NumericalError
 from nvcdd.fitting import NonFiniteResidualsError
 from nvcdd.models import FIT_MODELS
 from nvcdd.presets import PRESETS
 from nvcdd.pulse_sim import NormLossError
+from nvcdd.units import GAMMA, khz_to_angular
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -89,7 +94,7 @@ class TestRates:
 # "config key $.a.b[i]", as jsonschema does for identifier-like names.
 CHECKED_KEYWORDS = {"type", "enum", "minimum", "maximum", "exclusiveMinimum",
                     "minItems", "items", "properties", "required",
-                    "additionalProperties", "allOf", "not"}
+                    "additionalProperties"}
 ANNOTATIONS = {"$schema", "title", "default"}
 CHECKED_TYPES = {"object", "array", "string", "boolean", "number", "integer"}
 
@@ -111,11 +116,8 @@ def unchecked_rules(rule: dict, where: str = "$") -> list:
                 if not re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", name):
                     problems.append(f"{where}: property name {name!r}")
                 problems += unchecked_rules(sub, f"{where}.{name}")
-        elif key in ("items", "not"):
-            problems += unchecked_rules(arg, f"{where}/{key}")
-        elif key == "allOf":
-            for index, sub in enumerate(arg):
-                problems += unchecked_rules(sub, f"{where}/allOf[{index}]")
+        elif key == "items":
+            problems += unchecked_rules(arg, f"{where}/items")
     return problems
 
 
@@ -221,7 +223,7 @@ class TestConfigHandling:
             "$: property name 'b-c'",
             "$.b-c: type ['number', 'null']",
             "$.d/items: keyword 'pattern'",
-            "$/allOf[0]/not: keyword 'format'",
+            "$: keyword 'allOf'",
             "$: additionalProperties {'type': 'string'}"]
 
     # Python's json reads NaN and +-Infinity, 1e400 as inf, and any integer.
@@ -294,6 +296,45 @@ class TestT2Scan:
         rows = (tmp_path / "t2scan.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] \
             == [230.0, 348.0, 470.0, 581.0]
+
+    def test_mc_column(self, runner, tmp_path):
+        # the simulate-and-fit column, small: one drive, 20 shots, 101 taus
+        cfg = write_config(tmp_path, {"t2scan": {"tau_stop_us": 10.0,
+                                                 "tau_step_us": 0.1}})
+        rows = []
+        for out in ("a", "b"):
+            result = invoke(runner, ["--config", cfg, "--shots", "20", "--out",
+                                     str(tmp_path / out), "t2scan",
+                                     "--omega-khz", "581", "--mc"])
+            assert result.exit_code == 0, all_output(result)
+            rows.append((tmp_path / out / "t2scan.csv").read_text())
+        assert rows[0] == rows[1]
+        _, _, second, mc, err = (float(v) for v in
+                                 rows[0].splitlines()[1].split(","))
+        assert np.isfinite(mc) and np.isfinite(err) and err > 0
+        assert mc == pytest.approx(second, rel=0.3)
+
+    def test_drive_noise_without_power_levelling(self, runner, tmp_path):
+        # the reflectometer's sigma_Omega grows with the drive, and the
+        # scan's first-order T2* takes it in
+        cfg = load_config(CONFIG_DIR / "nv2.json")
+        cfg["t2scan"]["power_leveled"] = False
+        result = invoke(runner, ["--config", write_config(tmp_path, cfg),
+                                 "--out", str(tmp_path), "t2scan",
+                                 "--omega-khz", "581", "--no-mc"])
+        assert result.exit_code == 0, all_output(result)
+        row = (tmp_path / "t2scan.csv").read_text().splitlines()[1]
+        first = float(row.split(",")[1])
+        omega = khz_to_angular(581.0)
+        amplitude = cfg["noise"]["amplitude"]
+        sigma_omega = sigma_omega_from_reflectometer(
+            omega, amplitude["eta"], khz_to_angular(amplitude["alpha_khz"]))
+        want = predicted_t2_mp(
+            omega, khz_to_angular(PRESETS["nv2"]["a_par_khz"]),
+            khz_to_angular(cfg["noise"]["gamma_sigma_b_khz"]) / GAMMA,
+            sigma_omega, order="first")
+        assert first == float(f"{want:.10g}")
+        assert first < 10.0   # power-levelled, it reads 10.72
 
     def test_numerical_failure_exit_code(self, runner, tmp_path):
         # no field noise and power-levelled drive: every rate is zero
@@ -682,67 +723,161 @@ class TestPipeline:
         assert all_output(result).startswith("numerical failure: ")
 
 
-FLOAT_FLAG_CASES = [
-    ("ramsey", "--tau-stop-us", "0", "0.0 is not in the range x>0."),
-    ("ramsey", "--tau-step-us", "0", "0.0 is not in the range x>0."),
-    ("ramsey", "--tau-step-us", "nan", "nan is not a finite number"),
-    ("ramsey", "--omega-mag-khz", "0", "0.0 is not in the range x>0."),
-    ("ramsey", "--omega-mag-khz", "inf", "inf is not a finite number"),
-    ("envelope", "--tau-stop-us", "-1", "-1.0 is not in the range x>0."),
-    ("envelope", "--tau-stop-us", "-inf", "-inf is not in the range x>0."),
-    ("t2scan", "--omega-khz", "-3", "-3.0 is not in the range x>0."),
-    ("t2scan", "--omega-khz", "0", "0.0 is not in the range x>0."),
-    ("t2scan", "--omega-khz", "nan", "nan is not a finite number"),
-    ("spectra", "--omega-khz", "-1", "-1.0 is not in the range x>=0."),
+# Every number flag (command None for a global flag), a value that
+# breaks its config key's rule, the config that writes that value into
+# the key, and the error line both give.
+NUMBER_FLAG_CASES = [
+    (None, "--shots", "0", {"sim": {"shots": 0}},
+     "$.sim.shots: 0 is less than the minimum of 1"),
+    (None, "--shots", "-3", {"sim": {"shots": -3}},
+     "$.sim.shots: -3 is less than the minimum of 1"),
+    (None, "--shots", "1000001", {"sim": {"shots": 1000001}},
+     "$.sim.shots: 1000001 is greater than the maximum of 1000000"),
+    (None, "--shots", "2.5", {"sim": {"shots": 2.5}},
+     "$.sim.shots: 2.5 is not of type 'integer'"),
+    (None, "--seed", "-1", {"sim": {"seed": -1}},
+     "$.sim.seed: -1 is less than the minimum of 0"),
+    (None, "--seed", str(2**64), {"sim": {"seed": 2**64}},
+     f"$.sim.seed: {2**64} is greater than the maximum of {2**64 - 1}"),
+    ("ramsey", "--tau-stop-us", "0", {"ramsey": {"tau_stop_us": 0}},
+     "$.ramsey.tau_stop_us: 0 is less than or equal to the minimum of 0"),
+    ("ramsey", "--tau-step-us", "0", {"ramsey": {"tau_step_us": 0}},
+     "$.ramsey.tau_step_us: 0 is less than or equal to the minimum of 0"),
+    ("ramsey", "--omega-mag-khz", "0", {"ramsey": {"omega_mag_khz": 0}},
+     "$.ramsey.omega_mag_khz: 0 is less than or equal to the minimum of 0"),
+    ("envelope", "--tau-stop-us", "-1", {"envelope": {"tau_stop_us": -1}},
+     "$.envelope.tau_stop_us: -1 is less than or equal to the minimum of 0"),
+    ("t2scan", "--omega-khz", "-3", {"t2scan": {"omega_list_khz": [-3]}},
+     "$.t2scan.omega_list_khz[0]: -3 is less than or equal to the minimum "
+     "of 0"),
+    ("t2scan", "--omega-khz", "0", {"t2scan": {"omega_list_khz": [0]}},
+     "$.t2scan.omega_list_khz[0]: 0 is less than or equal to the minimum "
+     "of 0"),
+    ("spectra", "--omega-khz", "-1", {"spectra": {"omega_list_khz": [-1]}},
+     "$.spectra.omega_list_khz[0]: -1 is less than the minimum of 0"),
+]
+
+# Flag values that are no finite JSON number, given before the command
+# (global flags) and after it, and click's message for each.
+NON_NUMBER_CASES = [
+    (None, "--shots", "NaN", "NaN is not a finite number"),
+    (None, "--seed", "1e400", "1e400 is not a finite number"),
+    (None, "--shots", "abc", "'abc' is not a JSON number"),
+    (None, "--seed", "true", "'true' is not a JSON number"),
+    ("ramsey", "--tau-step-us", "Infinity", "Infinity is not a finite number"),
+    ("ramsey", "--tau-step-us", "nan", "'nan' is not a JSON number"),
+    ("ramsey", "--omega-mag-khz", "inf", "'inf' is not a JSON number"),
+    ("envelope", "--tau-stop-us", "-inf", "'-inf' is not a JSON number"),
+    ("t2scan", "--omega-khz", "nan", "'nan' is not a JSON number"),
+    ("t2scan", "--omega-khz", '"5"', "'\"5\"' is not a JSON number"),
     ("spectra", "--omega-khz", "NaN", "NaN is not a finite number"),
 ]
 
 
-# The global integer flags, given before the command.
-GLOBAL_FLAG_CASES = [
-    ("--shots", "0", "0 is not in the range x>=1."),
-    ("--shots", "-3", "-3 is not in the range x>=1."),
-    ("--seed", "-1", f"-1 is not in the range 0<=x<={2**64 - 1}."),
-    ("--seed", str(2**64), f"{2**64} is not in the range 0<=x<={2**64 - 1}."),
-]
+def case_id(case):
+    return " ".join(part for part in case[:3] if part)
+
+
+def flag_argv(command, flag, value):
+    """A global flag goes before the command (rates), a command's after."""
+    return [flag, value, "rates"] if command is None \
+        else [command, flag, value]
 
 
 class TestFloatFlags:
-    """A flag that overrides a config key obeys that key's schema bound."""
+    """A number flag is the JSON literal of the config key it sets, and
+    the config's checker checks it."""
 
-    @pytest.mark.parametrize("flag,value,message", GLOBAL_FLAG_CASES,
-                             ids=[" ".join(case[:2])
-                                  for case in GLOBAL_FLAG_CASES])
-    def test_out_of_bound_global_flag_is_usage_error(self, runner, tmp_path,
-                                                     flag, value, message):
-        result = invoke(runner, ["--out", str(tmp_path), flag, value, "rates"])
-        assert result.exit_code == 2
-        assert f"Invalid value for '{flag}': {message}" in all_output(result)
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize("command,flag,value,payload,message",
+                             NUMBER_FLAG_CASES,
+                             ids=map(case_id, NUMBER_FLAG_CASES))
+    def test_flag_fails_as_its_config_key_does(self, runner, tmp_path,
+                                               command, flag, value, payload,
+                                               message):
+        from_flag = invoke(runner, ["--out", str(tmp_path / "o"),
+                                    *flag_argv(command, flag, value)])
+        from_config = invoke(runner, ["--config",
+                                      write_config(tmp_path, payload),
+                                      "--out", str(tmp_path / "o"),
+                                      command or "rates"])
+        for result in (from_flag, from_config):
+            assert result.exit_code == 2
+            assert result.stderr.splitlines() \
+                == [f"config error: config key {message}"]
+        assert not (tmp_path / "o").exists()
 
-    def test_seed_flag_takes_every_uint64_exactly(self):
-        # a float-based flag would round seeds above 2**53
-        flag = cli._ConfigInt("sim", "seed")
-        assert flag.convert(str(2 ** 64 - 1), None, None) == 2 ** 64 - 1
-
-    @pytest.mark.parametrize("command,flag,value,message", FLOAT_FLAG_CASES,
-                             ids=[" ".join(case[:3])
-                                  for case in FLOAT_FLAG_CASES])
+    @pytest.mark.parametrize("command,flag,value,message", NON_NUMBER_CASES,
+                             ids=map(case_id, NON_NUMBER_CASES))
     def test_out_of_bound_flag_is_usage_error(self, runner, tmp_path, command,
                                               flag, value, message):
-        result = invoke(runner, ["--out", str(tmp_path), command, flag, value])
+        # not a number at all: click rejects it while parsing, before
+        # any config is read or command run
+        result = invoke(runner, ["--out", str(tmp_path),
+                                 *flag_argv(command, flag, value)])
         assert result.exit_code == 2
         assert f"Invalid value for '{flag}': {message}" in all_output(result)
         assert list(tmp_path.iterdir()) == []
 
-    def test_bounds_come_from_the_schema(self, monkeypatch):
+    def test_seed_flag_takes_every_uint64_exactly(self, runner, monkeypatch):
+        # a float-based flag would round seeds above 2**53
+        res, _ = settings_of(runner, monkeypatch,
+                             ["--seed", str(2 ** 64 - 1), "envelope"])
+        assert res["sim"].seed == 2 ** 64 - 1
+
+    def test_integral_float_flags_count_as_integers(self, runner,
+                                                    monkeypatch):
+        # 3.0 is an integer to the config's checker, in a file or a flag
+        res, _ = settings_of(runner, monkeypatch,
+                             ["--shots", "3.0", "--seed", "4.0", "envelope"])
+        assert (res["sim"].n_shots, res["sim"].seed) == (3, 4)
+
+    def test_bounds_come_from_the_schema(self, runner, monkeypatch, tmp_path):
         rule = cli.SCHEMA["properties"]["spectra"]["properties"][
             "omega_list_khz"]["items"]
         monkeypatch.setitem(rule, "minimum", 5)
-        flag = cli._ConfigFloat("spectra", "omega_list_khz")
-        assert flag.convert("5", None, None) == 5.0
-        with pytest.raises(click.BadParameter, match="range x>=5"):
-            flag.convert("4", None, None)
+        result = invoke(runner, ["--out", str(tmp_path), "spectra",
+                                 "--omega-khz", "4"])
+        assert result.exit_code == 2
+        assert "config error: config key $.spectra.omega_list_khz[0]: 4 is " \
+            "less than the minimum of 5" in all_output(result).splitlines()
+        _, section = settings_of(runner, monkeypatch,
+                                 ["spectra", "--omega-khz", "5"])
+        assert section["omega_list_khz"] == (5,)
+
+    @pytest.mark.parametrize("shots", ["1000001", "1000000000000"])
+    def test_too_many_shots_sample_nothing(self, runner, tmp_path,
+                                           monkeypatch, shots):
+        # a grid point's shots are sampled in one array: 1e12 would ask
+        # for terabytes
+        from nvcdd import pulse_sim
+
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(pulse_sim, "_sample_block", no_sampling)
+        cfg = write_config(tmp_path, {"sim": {"shots": int(shots)}})
+        for head in (["--shots", shots], ["--config", cfg]):
+            result = invoke(runner, [*head, "--out", str(tmp_path / "o"),
+                                     "ramsey", "--tau-stop-us", "0.1"])
+            assert result.exit_code == 2
+            assert f"config error: config key $.sim.shots: {shots} is " \
+                "greater than the maximum of 1000000" \
+                in all_output(result).splitlines()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("payload,message", [
+        ([], "$: [] is not of type 'object'"),
+        ({"sim": 5}, "$.sim: 5 is not of type 'object'"),
+    ], ids=["config", "sim"])
+    def test_flags_over_a_config_of_the_wrong_type(self, runner, tmp_path,
+                                                   payload, message):
+        # no flag can go into a config or section that is no object
+        result = invoke(runner, ["--config", write_config(tmp_path, payload),
+                                 "--shots", "3", "--out", str(tmp_path / "o"),
+                                 "rates"])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() \
+            == [f"config error: config key {message}"]
 
 
 class TestSpectraAndEnvelope:
@@ -784,6 +919,21 @@ class TestSpectraAndEnvelope:
         assert lines[0] == "tau_us,second_order,max_protection,gaussian_first"
         first_row = [float(v) for v in lines[1].split(",")]
         assert first_row[1] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("command,payload,line", [
+        ("ramsey", {"ramsey": {"tau_start_us": 5.0, "tau_stop_us": 5.0}},
+         "config error: tau_stop_us must exceed tau_start_us"),
+        ("spectra", {"spectra": {"detuning_start_khz": 100.0,
+                                 "detuning_stop_khz": -100.0}},
+         "config error: detuning_stop_khz must exceed detuning_start_khz"),
+    ], ids=["tau", "detuning"])
+    def test_empty_grid_is_config_error(self, runner, tmp_path, command,
+                                        payload, line):
+        result = invoke(runner, ["--config", write_config(tmp_path, payload),
+                                 "--out", str(tmp_path / "o"), command])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [line]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("args,section", [
         (["envelope", "--tau-stop-us", "1e12"], None),
@@ -924,11 +1074,15 @@ class TestSettingsMerge:
          "config error: config key $.spectra.omega_list_khz: [] should be "
          "non-empty"),
         ({"noise": {"sigma_b_mg": 1.0, "t2_0m1_us": 5.0}},
-         "config error: config key $.noise: {'sigma_b_mg': 1.0, 't2_0m1_us': "
-         "5.0} should not be valid under {'required': ['sigma_b_mg', "
-         "'t2_0m1_us']}"),
+         "config error: config key $.noise: 'sigma_b_mg' and 't2_0m1_us' "
+         "both set the field noise; give at most one"),
+        ({"noise": {"t2_0m1_us": 5.0, "gamma_sigma_b_khz": 40.0,
+                    "sigma_b_mg": 1.0}},
+         "config error: config key $.noise: 'sigma_b_mg' and "
+         "'gamma_sigma_b_khz' and 't2_0m1_us' all set the field noise; "
+         "give at most one"),
     ], ids=["omega_rot_khz", "closing_phase_rad", "empty_spectra_list",
-            "two_field_noise_keys"])
+            "two_field_noise_keys", "three_field_noise_keys"])
     def test_rejected_config_exits_2(self, runner, tmp_path, payload,
                                      message):
         cfg = write_config(tmp_path, payload)

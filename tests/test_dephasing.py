@@ -184,6 +184,7 @@ class TestReflectometer:
     def test_noise_spec_resolves_modes(self):
         fixed = NoiseSpec(amplitude_noise=FixedAmplitudeNoise(0.25))
         assert fixed.sigma_omega(1.0) == 0.25
+        assert fixed.sigma_omega(0.0) == 0.0  # drive off -> no amplitude noise
         refl = NoiseSpec(amplitude_noise=ReflectometerNoise(
             0.049, khz_to_angular(-133.0)))
         assert refl.sigma_omega(0.0) == 0.0  # drive off -> no loop noise

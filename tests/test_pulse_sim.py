@@ -337,6 +337,19 @@ class TestSimulateSpectrum:
         assert lo == pytest.approx(-235.0, abs=6.0)
         assert hi == pytest.approx(235.0, abs=6.0)
 
+    def test_no_amplitude_noise_with_the_drive_off(self):
+        # at omega = 0 there is no drive to fluctuate, so a fixed
+        # sigma_Omega of 200 kHz, which would deepen the undressed dip's
+        # wings at -200 kHz, changes nothing
+        p = make_params(omega_khz=0.0)
+        grid = khz_to_angular(np.arange(-300.0, 300.0, 20.0))
+        quiet, noisy = (simulate_spectrum(grid, p, SimConfig(
+            n_shots=50, seed=3, noise=NoiseSpec(amplitude_noise=(
+                FixedAmplitudeNoise(khz_to_angular(sigma_khz))))))
+            for sigma_khz in (0.0, 200.0))
+        assert np.array_equal(noisy.mean_p0, quiet.mean_p0)
+        assert np.array_equal(noisy.stderr, quiet.stderr)
+
     def test_splitting_monotone_in_omega(self):
         grid = khz_to_angular(np.arange(-500.0, 500.0, 4.0))
         seps = []

@@ -352,7 +352,7 @@ class TestSampler:
     def test_bit_identical_to_shot_rng(self, seed, point):
         noise = NoiseSpec(sigma_b=1.0, sigma_t=1.0,
                           amplitude_noise=FixedAmplitudeNoise(1.0))
-        got = np.stack(_sample_block(noise, 0.0, seed, point, 30), axis=1)
+        got = np.stack(_sample_block(noise, 1.0, seed, point, 30), axis=1)
         want = np.stack([shot_rng(seed, shot, point).standard_normal(3)
                          for shot in range(30)])
         assert np.array_equal(got, want)
@@ -388,8 +388,9 @@ UNIT_NOISE = NoiseSpec(sigma_b=1.0, sigma_t=1.0,
 
 
 def sampled(seed, point_index, n_shots):
-    """Unscaled _sample_block draws, shape (..., n_shots, 3)."""
-    return np.stack(_sample_block(UNIT_NOISE, 0.0, seed, point_index,
+    """Unscaled _sample_block draws, shape (..., n_shots, 3); the drive is
+    on, since with it off there are no amplitude draws."""
+    return np.stack(_sample_block(UNIT_NOISE, 1.0, seed, point_index,
                                   n_shots), axis=-1)
 
 
