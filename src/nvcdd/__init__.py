@@ -22,7 +22,7 @@ from .fitting import FitParam, FitOutcome, ModelFunction, nlls_fit, \
     format_fit_report
 from .models import (
     model_undressed_ramsey, model_ramsey_0p, model_ramsey_mp,
-    model_max_protection, model_spectrum_joint, stack_spectra,
+    model_max_protection, model_spectrum_joint, fit_points,
 )
 from . import units, presets
 
@@ -45,7 +45,7 @@ __all__ = [
     "FitParam", "FitOutcome", "ModelFunction", "nlls_fit", "format_fit_report",
     # models
     "model_undressed_ramsey", "model_ramsey_0p", "model_ramsey_mp",
-    "model_max_protection", "model_spectrum_joint", "stack_spectra",
+    "model_max_protection", "model_spectrum_joint", "fit_points",
     # submodules
     "units", "presets",
 ]

@@ -69,7 +69,7 @@ _AMPLITUDE_SCHEMA = {
     "properties": {
         "mode": {"enum": ["fixed", "reflectometer"]},
         "sigma_omega_khz": {"type": "number", "minimum": 0, "default": 0.0},
-        "eta": {"type": "number", "minimum": 0},
+        "eta": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
         "alpha_khz": {"type": "number"},
     },
     "required": ["mode"],
@@ -261,6 +261,8 @@ def _errors(rule: dict, value, path=()):
             yield path, f"{value!r} is greater than the maximum of {arg!r}"
         elif key == "exclusiveMinimum" and num and value <= arg:
             yield path, f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif key == "exclusiveMaximum" and num and value >= arg:
+            yield path, f"{value!r} is greater than or equal to the maximum of {arg!r}"
         elif key == "minItems" and isinstance(value, list) and len(value) < arg:
             short = "should be non-empty" if arg == 1 else "is too short"
             yield path, f"{value!r} {short}"
@@ -384,6 +386,21 @@ def resolve_config(cfg: dict) -> dict:
             "out_dir": top["out_dir"], "raw": cfg}
 
 
+def _check_drives(noise: NoiseSpec, omegas) -> None:
+    """Raise a ConfigError, before a command simulates or writes anything,
+    if reflectometer amplitude noise is undefined at a drive (rad/us) it
+    uses."""
+    for omega in omegas:
+        try:
+            noise.sigma_omega(omega)
+        except ValueError:
+            raise ConfigError(
+                "config key $.noise.amplitude.alpha_khz: the drive "
+                f"{angular_to_khz(omega):g} kHz plus alpha_khz "
+                f"{angular_to_khz(noise.amplitude_noise.alpha_diode):g} kHz "
+                "must be positive for reflectometer amplitude noise") from None
+
+
 def _grid(section: dict, key: str):
     """Evenly spaced grid, stop included, from the section keys
     key.format("start"/"stop"/"step").  Grids of more than
@@ -474,6 +491,7 @@ def rates(res):
     """Print the dephasing-rate budget and predicted coherence times."""
     params = res["params"]
     noise = res["sim"].noise
+    _check_drives(noise, [params.omega])
     sigma_omega = noise.sigma_omega(params.omega)
     gsb_khz = angular_to_khz(GAMMA * noise.sigma_b)
     thermal_t2 = math.sqrt(2.0) / (abs(DD_DT) * noise.sigma_t) \
@@ -518,8 +536,8 @@ def t2scan(res, **flags):
     noise = res["sim"].noise
     if section["power_leveled"]:
         noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))
+    _check_drives(noise, map(khz_to_angular, section["omega_list_khz"]))
     a_par = res["params"].a_par
-    gsb_khz = angular_to_khz(GAMMA * noise.sigma_b)
     rows = []
     for om_khz in section["omega_list_khz"]:
         omega = khz_to_angular(om_khz)
@@ -533,9 +551,9 @@ def t2scan(res, **flags):
             params = res["params"].with_omega(omega)
             sim = dataclasses.replace(res["sim"], noise=noise)
             trace = simulate_ramsey("dressed_mp", tau, params, sim)
-            model, data = FIT_MODELS["ramsey_mp"](trace, None, params,
-                                                  gsb_khz, None)
-            outcome = nlls_fit(model, data)
+            model, points, _ = FIT_MODELS["ramsey_mp"](trace, None, params,
+                                                       noise, None)
+            outcome = nlls_fit(model, points)
             t2_mc = outcome.params["t2_us"]
             mc_err = outcome.ci_halfwidth("t2_us")
         rows.append((om_khz, t2_first, t2_second, t2_mc, mc_err))
@@ -559,6 +577,8 @@ def ramsey(res, **flags):
     # without omega_mag_khz the simulator picks the kind's pulse strength
     kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
         if "omega_mag_khz" in section else {}
+    if kind != "undressed_0m1":   # which runs with the drive off
+        _check_drives(res["sim"].noise, [res["params"].omega])
     trace = simulate_ramsey(kind, tau, res["params"], res["sim"], **kwargs)
     out = _out_dir(res)
     trace_path = out / f"ramsey_{kind}.csv"
@@ -586,6 +606,8 @@ def spectra(res, **flags):
         if name in names[:i]:
             raise ConfigError(f"spectra.omega_list_khz: two drives would "
                               f"both write {name}")
+    _check_drives(res["sim"].noise,
+                  map(khz_to_angular, section["omega_list_khz"]))
     out = _out_dir(res)
     for om_khz, name in zip(section["omega_list_khz"], names):
         params = res["params"].with_omega(khz_to_angular(om_khz))
@@ -630,19 +652,14 @@ def fit(res, **flags):
     trace = read_trace_csv(input_csv)
     undressed_csv = section.get("undressed_csv")
     undressed = read_trace_csv(undressed_csv) if undressed_csv else None
-    gsb_khz = angular_to_khz(GAMMA * res["sim"].noise.sigma_b)
     try:
-        model, data = FIT_MODELS[model_name](trace, undressed, res["params"],
-                                             gsb_khz, section.get("p0_ud"))
+        model, points, stderr = FIT_MODELS[model_name](
+            trace, undressed, res["params"], res["sim"].noise,
+            section.get("p0_ud"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    sigma = None
-    if section["use_stderr_weights"]:
-        if data is not trace:   # spectrum_joint fits two stacked traces
-            raise ConfigError(f"fit.use_stderr_weights does not apply to "
-                              f"the {model_name} model")
-        sigma = trace.stderr
-    outcome = nlls_fit(model, data, sigma)
+    outcome = nlls_fit(model, points,
+                       stderr if section["use_stderr_weights"] else None)
 
     report = format_fit_report(model, outcome)
     click.echo(report)

@@ -92,18 +92,12 @@ class FitOutcome:
         return 0.5 * (hi - lo)
 
 
-def nlls_fit(model: ModelFunction, data, sigma=None) -> FitOutcome:
-    """Fit a model to a Trace (or an (x, y) pair).
+def nlls_fit(model: ModelFunction, points, sigma=None) -> FitOutcome:
+    """Fit a model to its (x, y) points.
 
     sigma: optional per-point standard deviations used as weights.
     """
-    if hasattr(data, "abscissa"):
-        x = np.asarray(data.abscissa, dtype=float)
-        y = np.asarray(data.mean_p0, dtype=float)
-    else:
-        x, y = data
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    x, y = (np.asarray(column, dtype=float) for column in points)
     weights = None
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)

@@ -6,8 +6,8 @@ internally.
 
 ``FIT_MODELS`` is the one place a fit model is registered: it maps each
 model name to its seed rule, which builds the model with data-driven
-initial values.  The CLI's config schema, its ``fit --model`` choices,
-``fit`` itself and ``t2scan --mc`` all read it.
+initial values and lays out its points.  The CLI's config schema, its
+``fit --model`` choices, ``fit`` itself and ``t2scan --mc`` all read it.
 """
 
 from __future__ import annotations
@@ -178,12 +178,12 @@ def model_spectrum_joint(n_dressed: int) -> ModelFunction:
     )
 
 
-def stack_spectra(dressed: Trace, undressed: Trace):
-    """Concatenate dressed and undressed spectra for the joint model.
-    Returns (x, y, n_dressed)."""
-    x = np.concatenate([dressed.abscissa, undressed.abscissa])
-    y = np.concatenate([dressed.mean_p0, undressed.mean_p0])
-    return x, y, len(dressed.abscissa)
+def fit_points(*traces):
+    """The (x, y) points a model fits and each point's stderr: the traces'
+    rows, concatenated in order (spectrum_joint: dressed, then undressed)."""
+    def column(name):
+        return np.concatenate([getattr(t, name) for t in traces])
+    return (column("abscissa"), column("mean_p0")), column("stderr")
 
 
 def guess_ramsey_frequency_khz(trace: Trace) -> float:
@@ -229,24 +229,24 @@ def mean_contrast(params) -> float:
     return 0.5 * out
 
 
-# Seed rules: (trace, undressed trace or None, resolved SystemParams,
-# gamma*sigma_b in kHz, p0_ud or None for mean_contrast) -> (model with
-# data-driven initial values, data to fit).  A rule raises ValueError when
-# its inputs cannot seed the model; the CLI reports that as a config error.
+# Seed rules: (trace, undressed trace or None, SystemParams, NoiseSpec,
+# p0_ud or None for mean_contrast) -> (model with data-driven initial
+# values, its (x, y) points, their stderr).  A rule raises ValueError when
+# its inputs cannot seed the model; the CLI reports it as a config error.
 
-def _seed_undressed_ramsey(trace, undressed, params, gsb_khz, p0_ud):
+def _seed_undressed_ramsey(trace, undressed, params, noise, p0_ud):
     model = model_undressed_ramsey().with_initials(
         c=float(trace.mean_p0.mean()), t2_us=guess_envelope_t2_us(trace))
-    return model, trace
+    return model, *fit_points(trace)
 
 
-def _seed_ramsey_0p(trace, undressed, params, gsb_khz, p0_ud):
+def _seed_ramsey_0p(trace, undressed, params, noise, p0_ud):
     model = model_ramsey_0p(angular_to_khz(params.a_par)).with_initials(
         c=float(trace.mean_p0.mean()), t2_us=guess_envelope_t2_us(trace))
-    return model, trace
+    return model, *fit_points(trace)
 
 
-def _seed_ramsey_mp(trace, undressed, params, gsb_khz, p0_ud):
+def _seed_ramsey_mp(trace, undressed, params, noise, p0_ud):
     a_par_khz = angular_to_khz(params.a_par)
     if p0_ud is None:
         p0_ud = mean_contrast(params)
@@ -255,25 +255,25 @@ def _seed_ramsey_mp(trace, undressed, params, gsb_khz, p0_ud):
         omega_khz=max(math.sqrt(max(
             guess_ramsey_frequency_khz(trace) ** 2 - a_par_khz ** 2, 1.0)), 1.0),
         t2_us=guess_envelope_t2_us(trace))
-    return model, trace
+    return model, *fit_points(trace)
 
 
-def _seed_max_protection(trace, undressed, params, gsb_khz, p0_ud):
+def _seed_max_protection(trace, undressed, params, noise, p0_ud):
     if p0_ud is None:
         p0_ud = mean_contrast(params)
+    gsb_khz = angular_to_khz(GAMMA * noise.sigma_b)
     model = model_max_protection(angular_to_khz(params.a_par), gsb_khz, p0_ud) \
         .with_initials(c=float(trace.mean_p0.mean()),
                        omega_khz=max(guess_ramsey_frequency_khz(trace), 10.0))
-    return model, trace
+    return model, *fit_points(trace)
 
 
-def _seed_spectrum_joint(trace, undressed, params, gsb_khz, p0_ud):
+def _seed_spectrum_joint(trace, undressed, params, noise, p0_ud):
     if undressed is None:
         raise ValueError("spectrum_joint needs an undressed CSV too")
-    x, y, n_dressed = stack_spectra(trace, undressed)
     lo, hi = guess_spectrum_dips_khz(trace)
     depth = float(trace.mean_p0.max() - trace.mean_p0.min())
-    model = model_spectrum_joint(n_dressed).with_initials(
+    model = model_spectrum_joint(len(trace.abscissa)).with_initials(
         omega_khz=max(hi - lo, 10.0),
         delta_khz=0.0,
         w01_khz=float(undressed.abscissa[np.argmin(undressed.mean_p0)]),
@@ -283,7 +283,7 @@ def _seed_spectrum_joint(trace, undressed, params, gsb_khz, p0_ud):
         a_d2=depth,
         a_ud=float(undressed.mean_p0.max() - undressed.mean_p0.min()),
     )
-    return model, (x, y)
+    return model, *fit_points(trace, undressed)
 
 
 FIT_MODELS = {

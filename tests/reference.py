@@ -6,8 +6,9 @@ the dephasing formulas and the fit models can be compared with them:
 the six-level Hamiltonians and their 3x3 13C blocks, the dressed
 energies and Larmor frequencies, the rate budget, a Monte-Carlo estimate
 of the second-order envelope, whole-state propagation of the 13C blocks,
-numpy's own per-shot generator, and a trace CSV reader that checks one
-row at a time.
+numpy's own per-shot generator, the exact ensemble mean of a simulated
+trace by quadrature, and a trace CSV reader that checks one row at a
+time.
 
 Basis order of the six-level model: {+1 up, +1 down, 0 up, 0 down,
 -1 up, -1 down}, where up/down are the m_I = +-1/2 sublevels of the 13C
@@ -23,9 +24,11 @@ from dataclasses import dataclass
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from nvcdd import pulse_sim
 from nvcdd.dephasing import ZeroRateError
 from nvcdd.pulse_sim import Trace
 from nvcdd.spin_model import SystemParams
@@ -290,6 +293,39 @@ def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generato
                               counter=np.array([0, point_index, 0, 0],
                                                dtype=np.uint64))
     return np.random.Generator(bitgen)
+
+
+def exact_mean_trace(simulate, *args, nodes=(48, 12, 6), **kwargs) -> Trace:
+    """The trace whose mean P0 the Monte Carlo of simulate(*args, **kwargs)
+    estimates, simulate being pulse_sim.simulate_ramsey or
+    simulate_spectrum, computed without sampling: every noise is
+    quasi-static and Gaussian, so the mean is a 3-D Gaussian integral over
+    delta_b, delta_Omega and delta_T, taken here by tensor Gauss-Hermite
+    quadrature with nodes[i] nodes on each axis (one on an axis whose sigma
+    is zero).  pulse_sim._simulate is swapped out while simulate runs, so
+    the simulator's own point_at and pulse_sim._run_batch give P0 at every
+    node.  The trace's stderr is zero."""
+    def quadrature(grid, point_at, params, config):
+        noise = config.noise
+        sigmas = (noise.sigma_b, noise.sigma_omega(params.omega), noise.sigma_t)
+        axes = [np.polynomial.hermite_e.hermegauss(n if sigma else 1)
+                for n, sigma in zip(nodes, sigmas)]
+        env = [x.ravel() for x in np.meshgrid(
+            *(sigma * x for sigma, (x, _) in zip(sigmas, axes)), indexing="ij")]
+        weights = math.prod(np.ix_(*(w / w.sum() for _, w in axes))).ravel()
+        n = len(weights)
+        mean = np.empty(len(grid))
+        per_call = max(1, 2**16 // n)
+        for first in range(0, len(grid), per_call):
+            rows = slice(first, first + per_call)
+            count = len(grid[rows])
+            p0 = pulse_sim._run_batch(point_at(np.repeat(grid[rows], n)),
+                                      params, *(np.tile(x, count) for x in env))
+            mean[rows] = p0.reshape(count, n) @ weights
+        return np.clip(mean, 0.0, 1.0), np.zeros(len(grid))
+
+    with mock.patch.object(pulse_sim, "_simulate", quadrature):
+        return simulate(*args, **kwargs)
 
 
 def read_trace_csv_per_row(path) -> Trace:

@@ -30,8 +30,8 @@ from nvcdd.models import (
     mean_contrast,
     model_max_protection,
     model_ramsey_mp,
+    fit_points,
     model_spectrum_joint,
-    stack_spectra,
 )
 from nvcdd.pulse_sim import (
     SimConfig,
@@ -121,8 +121,9 @@ def test_amplitude_noise_budget_and_mc_fit():
     tau = np.arange(0.0, 20.0, 0.1)
     trace = simulate_ramsey("dressed_mp", tau, params, cfg)
     # the CLI's fit rule: FIT_MODELS seeds the model, mean_contrast pins p0_ud
-    model, data = FIT_MODELS["ramsey_mp"](trace, None, params, None, None)
-    outcome = nlls_fit(model, data)
+    model, points, _ = FIT_MODELS["ramsey_mp"](trace, None, params, noise,
+                                               None)
+    outcome = nlls_fit(model, points)
     assert outcome.converged
     predicted = predicted_t2_mp(OMEGA_581, A_PAR, SIGMA_B_42, sigma_omega,
                                 order="second")
@@ -156,7 +157,7 @@ def test_max_protection_point():
     for start in (guess - 20.0, guess, guess + 20.0, guess + 40.0):
         model = base.with_initials(c=float(trace.mean_p0.mean()),
                                    omega_khz=max(start, 10.0))
-        candidate = nlls_fit(model, trace)
+        candidate = nlls_fit(model, fit_points(trace)[0])
         if candidate.converged and (outcome is None
                                     or candidate.rss < outcome.rss):
             outcome = candidate
@@ -176,9 +177,9 @@ def test_spectroscopy_joint_fit():
     dressed = simulate_spectrum(grid, dressed_params, cfg)
     undressed = simulate_spectrum(grid, undressed_params, cfg)
 
-    x, y, n_dressed = stack_spectra(dressed, undressed)
+    points, _ = fit_points(dressed, undressed)
     lo, hi = guess_spectrum_dips_khz(dressed)
-    model = model_spectrum_joint(n_dressed).with_initials(
+    model = model_spectrum_joint(len(dressed.abscissa)).with_initials(
         omega_khz=max(hi - lo, 10.0),
         delta_khz=0.0,
         w01_khz=float(undressed.abscissa[np.argmin(undressed.mean_p0)]),
@@ -188,7 +189,7 @@ def test_spectroscopy_joint_fit():
         a_d2=float(dressed.mean_p0.max() - dressed.mean_p0.min()),
         a_ud=float(undressed.mean_p0.max() - undressed.mean_p0.min()),
     )
-    outcome = nlls_fit(model, (x, y))
+    outcome = nlls_fit(model, points)
     assert outcome.converged
     assert outcome.params["omega_khz"] == pytest.approx(470.0, rel=0.03)
     assert abs(outcome.params["delta_khz"]) < 5.0

@@ -93,8 +93,8 @@ class TestRates:
 # annotations it may skip.  The checker writes a key as ".name" in
 # "config key $.a.b[i]", as jsonschema does for identifier-like names.
 CHECKED_KEYWORDS = {"type", "enum", "minimum", "maximum", "exclusiveMinimum",
-                    "minItems", "items", "properties", "required",
-                    "additionalProperties"}
+                    "exclusiveMaximum", "minItems", "items", "properties",
+                    "required", "additionalProperties"}
 ANNOTATIONS = {"$schema", "title", "default"}
 CHECKED_TYPES = {"object", "array", "string", "boolean", "number", "integer"}
 
@@ -193,8 +193,13 @@ class TestConfigHandling:
                                   "alpha_khz": -100, "sigma_omega_khz": 5}}},
          "config error: config key $.noise.amplitude: reflectometer mode "
          "takes no 'sigma_omega_khz'"),
+        # the injected noise would be at least the drive itself
+        ({"noise": {"amplitude": {"mode": "reflectometer", "eta": 1.0,
+                                  "alpha_khz": 0}}},
+         "config error: config key $.noise.amplitude.eta: 1.0 is greater "
+         "than or equal to the maximum of 1"),
     ], ids=["type", "best_match", "seed_maximum", "fixed_mode_eta",
-            "reflectometer_mode_sigma_omega"])
+            "reflectometer_mode_sigma_omega", "eta_maximum"])
     def test_error_line_is_exact(self, runner, tmp_path, payload, line):
         cfg = write_config(tmp_path, payload)
         result = invoke(runner, ["--config", cfg, "rates"])
@@ -211,7 +216,7 @@ class TestConfigHandling:
         schema = {
             "title": "synthetic", "type": "object",
             "properties": {
-                "a": {"type": "number", "exclusiveMaximum": 3, "default": 1},
+                "a": {"type": "number", "multipleOf": 3, "default": 1},
                 "b-c": {"type": ["number", "null"]},
                 "d": {"type": "array", "items": {"pattern": "x"}},
             },
@@ -219,7 +224,7 @@ class TestConfigHandling:
             "additionalProperties": {"type": "string"},
         }
         assert unchecked_rules(schema) == [
-            "$.a: keyword 'exclusiveMaximum'",
+            "$.a: keyword 'multipleOf'",
             "$: property name 'b-c'",
             "$.b-c: type ['number', 'null']",
             "$.d/items: keyword 'pattern'",
@@ -343,6 +348,37 @@ class TestT2Scan:
         result = invoke(runner, ["--config", cfg, "--out", str(tmp_path),
                                  "t2scan", "--omega-khz", "581", "--no-mc"])
         assert result.exit_code == 3
+
+
+# Each command that uses the reflectometer sigma_Omega at a drive of 100 kHz,
+# below nv2's -alpha_khz (133 kHz): the config changes and the arguments.
+BELOW_REFLECTOMETER = {
+    "rates": ({"system": {"omega_khz": 100.0}}, ["rates"]),
+    "ramsey": ({"system": {"omega_khz": 100.0}},
+               ["ramsey", "--tau-stop-us", "0.1"]),
+    "t2scan": ({"t2scan": {"power_leveled": False}},
+               ["t2scan", "--omega-khz", "581", "--omega-khz", "100"]),
+    "spectra": ({}, ["spectra", "--omega-khz", "0", "--omega-khz", "100"]),
+}
+
+
+class TestReflectometerDrives:
+    @pytest.mark.parametrize("command", list(BELOW_REFLECTOMETER))
+    def test_drive_below_threshold_names_the_key(self, runner, tmp_path,
+                                                 command):
+        changes, args = BELOW_REFLECTOMETER[command]
+        cfg = load_config(CONFIG_DIR / "nv2.json")
+        for section, keys in changes.items():
+            cfg[section].update(keys)
+        out = tmp_path / "out"
+        result = invoke(runner, ["--config", write_config(tmp_path, cfg),
+                                 "--out", str(out), *args])
+        assert result.exit_code == 2
+        assert "config error: config key $.noise.amplitude.alpha_khz: the " \
+            "drive 100 kHz plus alpha_khz -133 kHz must be positive for " \
+            "reflectometer amplitude noise" in all_output(result).splitlines()
+        # checked before anything is simulated or written
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestWeakNoise:
@@ -639,9 +675,9 @@ class TestFitModels:
         assert len(free) == 4
         assert not set(free) & set(unweighted)
 
-    def test_stderr_weights_rejected_for_spectrum_joint(self, runner,
-                                                        tmp_path):
-        trace, undressed, _ = COMMITTED_FITS["spectrum_joint"]
+    def test_stderr_weights_apply_to_spectrum_joint(self, runner, tmp_path):
+        # the joint model is weighted by both spectra's stderr columns
+        trace, undressed, reference = COMMITTED_FITS["spectrum_joint"]
         cfg = load_config(spec_smoke_config(tmp_path))
         cfg["fit"]["use_stderr_weights"] = True
         result = invoke(runner, ["--config", write_config(tmp_path, cfg),
@@ -649,9 +685,14 @@ class TestFitModels:
                                  "--model", "spectrum_joint",
                                  "--input", str(REPO_ROOT / trace),
                                  "--undressed", str(REPO_ROOT / undressed)])
-        assert result.exit_code == 2
-        assert "fit.use_stderr_weights" in all_output(result)
-        assert not (tmp_path / "fit_spectrum_joint.txt").exists()
+        assert result.exit_code == 0, all_output(result)
+        report = (tmp_path / "fit_spectrum_joint.txt").read_text().splitlines()
+        assert report[1] == "converged: True"
+        # every free parameter's CI moves
+        unweighted = (REPO_ROOT / reference).read_text().splitlines()
+        free = [line for line in report[4:] if "frozen" not in line]
+        assert len(free) == 10
+        assert not set(free) & set(unweighted)
 
 
 # fit --model ramsey_mp of out/nv2/ramsey_dressed_mp.csv, weighted by its

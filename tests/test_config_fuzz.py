@@ -148,6 +148,8 @@ def oracle_message(cfg):
 @example(config={"spectra": {"omega_list_khz": [1, -1, True]}})
 @example(config={"t2scan": {"omega_list_khz": []}, "sim": {"seed": 2.5}})
 @example(config={"sim": {"seed": 2**64}})
+@example(config={"noise": {"amplitude": {"mode": "reflectometer", "eta": 1.0,
+                                         "alpha_khz": 0}}})
 def test_validator_matches_jsonschema(config):
     assert_same_verdict(config, oracle_message(config))
 

@@ -8,13 +8,13 @@ from nvcdd.dephasing import NoiseSpec, sigma_b_from_t2
 from nvcdd.fitting import nlls_fit
 from nvcdd.models import (
     FIT_MODELS,
+    fit_points,
     guess_envelope_t2_us,
     guess_ramsey_frequency_khz,
     guess_spectrum_dips_khz,
     model_ramsey_0p,
     model_spectrum_joint,
     model_undressed_ramsey,
-    stack_spectra,
 )
 from nvcdd.pulse_sim import (
     SimConfig,
@@ -80,7 +80,7 @@ class TestUndressedFit:
                                 omega_mag=mhz_to_angular(50.0))
         model = model_undressed_ramsey().with_initials(a_par_khz=145.0,
                                                        t2_us=5.0)
-        outcome = nlls_fit(model, trace)
+        outcome = nlls_fit(model, fit_points(trace)[0])
         assert outcome.converged
         assert outcome.params["a_par_khz"] == pytest.approx(150.0, abs=1.5)
         assert outcome.params["delta_mag_khz"] == pytest.approx(0.0, abs=1.0)
@@ -94,7 +94,7 @@ class TestUndressedFit:
         tau = np.arange(0.05, 6.0, 0.05)
         trace = simulate_ramsey("undressed_0m1", tau, p, cfg)
         outcome = nlls_fit(model_undressed_ramsey().with_initials(
-            a_par_khz=150.0, t2_us=1e3), trace)
+            a_par_khz=150.0, t2_us=1e3), fit_points(trace)[0])
         assert outcome.params["a_par_khz"] == pytest.approx(150.0, abs=30.0)
 
 
@@ -132,7 +132,7 @@ class TestDressed0pFit:
         trace = simulate_ramsey("dressed_0p", tau, p, cfg)
         model = model_ramsey_0p(a_par_khz=150.0).with_initials(
             omega_khz=360.0, t2_us=6.0, phi=math.pi)
-        outcome = nlls_fit(model, trace)
+        outcome = nlls_fit(model, fit_points(trace)[0])
         assert outcome.converged
         assert outcome.params["omega_khz"] == pytest.approx(348.0, rel=0.10)
 
@@ -150,9 +150,10 @@ class TestDressed0pFit:
         fitted = []
         for k in range(6):
             y = trace.mean_p0 + k * rng.normal(0.0, 1e-15, len(trace.mean_p0))
-            model, data = FIT_MODELS["ramsey_0p"](
-                _trace(trace.abscissa, y), None, params, 42.0, None)
-            outcome = nlls_fit(model, data)
+            model, points, _ = FIT_MODELS["ramsey_0p"](
+                _trace(trace.abscissa, y), None, params, res["sim"].noise,
+                None)
+            outcome = nlls_fit(model, points)
             assert outcome.converged, outcome.flags
             fitted.append(outcome.params["omega_khz"])
         assert np.ptp(fitted) <= 1e-6 * fitted[0]
@@ -175,10 +176,10 @@ class TestSpectrumGeometry:
     def test_stack_spectra_order(self):
         d = _trace([1.0, 2.0], [0.9, 0.8])
         u = _trace([3.0, 4.0, 5.0], [0.7, 0.6, 0.5])
-        x, y, n = stack_spectra(d, u)
-        assert n == 2
+        (x, y), stderr = fit_points(d, u)
         np.testing.assert_array_equal(x, [1, 2, 3, 4, 5])
         np.testing.assert_array_equal(y, [0.9, 0.8, 0.7, 0.6, 0.5])
+        assert stderr.shape == (5,)
 
     def test_joint_model_splits_sections(self):
         model = model_spectrum_joint(n_dressed=3)

@@ -9,7 +9,10 @@ draws and random blocks.  The dense form exists only here: the blocks of
 reference.frame_hamiltonians are scattered into a 6x6 matrix, with the
 pulse phase put on its 0<->-1 element.  The vectorised sampler is
 compared with shot_rng, numpy's own generator, draw for draw, and traces
-are checked not to depend on how grid points are chunked.
+are checked not to depend on how grid points are chunked.  Monte-Carlo
+traces of every Ramsey kind and a spectrum, on both shipped configs, are
+held to the exact ensemble mean by quadrature (reference.exact_mean_trace),
+whose nodes are themselves checked against dense expm.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +28,7 @@ import pytest
 from scipy.linalg import expm
 
 from nvcdd import pulse_sim
+from nvcdd.cli import load_config, resolve_config
 from nvcdd.dephasing import FixedAmplitudeNoise, NoiseSpec, sigma_b_from_t2
 from nvcdd.pulse_sim import (
     RAMSEY_KINDS,
@@ -36,9 +40,15 @@ from nvcdd.pulse_sim import (
     simulate_spectrum,
     write_trace_csv,
 )
+from nvcdd.units import khz_to_angular
 
 from conftest import BLOCKS, dense_hamiltonians, make_params
-from reference import _apply_eigen, frame_hamiltonians, shot_rng
+from reference import (
+    _apply_eigen,
+    exact_mean_trace,
+    frame_hamiltonians,
+    shot_rng,
+)
 
 TOLERANCE = 1e-12
 N_DRAWS = 40
@@ -345,6 +355,78 @@ class TestRunBatch:
         config = SimConfig(n_shots=4, seed=5, noise=NOISE)
         simulate_ramsey(kind, [0.0, 0.85, 3.1], make_params(), config)
         assert [u.shape for u in columns] == [(3, 8, 2), (3, 4, 2)]
+
+
+def oracle_run(case, n_shots):
+    """simulate_ramsey or simulate_spectrum and its arguments for a
+    (config, Ramsey kind or "spectrum") case: configs/<config>.json at
+    seed 7, 101 points of 0..20 us or -600..600 kHz, at the config's own
+    drive."""
+    name, kind = case
+    res = resolve_config(load_config(
+        Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"))
+    params = res["params"]
+    config = SimConfig(n_shots=n_shots, seed=7, noise=res["sim"].noise)
+    if kind == "spectrum":
+        grid = khz_to_angular(np.linspace(-600.0, 600.0, ORACLE_POINTS))
+        return simulate_spectrum, grid, params, config
+    return (simulate_ramsey, kind, np.linspace(0.0, 20.0, ORACLE_POINTS),
+            params, config)
+
+
+# MC against the exact mean: 2000 shots at 101 points per case, 10 cases.
+# The bands hold each case's chi^2/dof (101 dof, s.d. 0.14) and the pooled
+# one (1010 dof, s.d. 0.045); seeds 3, 7 and 11 gave 0.78..1.35 per case
+# and 0.97..1.06 pooled, with max |z| 3.4.  Scaling the sampler's delta_b
+# by 1.05, its delta_Omega by 1.1 or its delta_T by 1.1 moved the pooled
+# chi^2/dof at seed 7 to 1.96, 1.77 and 2.63.
+ORACLE_CASES = [(preset, kind) for preset in ("nv1", "nv2")
+                for kind in (*RAMSEY_KINDS, "spectrum")]
+ORACLE_POINTS = 101
+ORACLE_SHOTS = 2000
+CASE_BAND, POOLED_BAND, MAX_Z = (0.6, 1.5), (0.85, 1.2), 4.5
+
+
+@pytest.fixture(scope="module")
+def oracle_z():
+    """(MC - exact) / MC stderr at every point, by case."""
+    z = {}
+    for case in ORACLE_CASES:
+        simulate, *args = oracle_run(case, ORACLE_SHOTS)
+        mc = simulate(*args)
+        exact = exact_mean_trace(simulate, *args)
+        z[case] = (mc.mean_p0 - exact.mean_p0) / mc.stderr
+    return z
+
+
+class TestExactMean:
+    @pytest.mark.parametrize("case", ORACLE_CASES,
+                             ids=["-".join(case) for case in ORACLE_CASES])
+    def test_mc_scatters_about_the_exact_mean(self, oracle_z, case):
+        z = oracle_z[case]
+        assert CASE_BAND[0] <= np.mean(z ** 2) <= CASE_BAND[1]
+        assert np.abs(z).max() <= MAX_Z
+
+    def test_pooled_chi2(self, oracle_z):
+        z = np.concatenate(list(oracle_z.values()))
+        assert POOLED_BAND[0] <= np.mean(z ** 2) <= POOLED_BAND[1]
+
+    @pytest.mark.parametrize("kind", ["dressed_mp", "spectrum"])
+    def test_nodes_match_dense(self, recorded_batches, kind):
+        # nv2 has all three noises; 3 nodes each and a short grid
+        simulate, *args = oracle_run(("nv2", kind), 1)
+        args[-3] = args[-3][::25]
+        exact_mean_trace(simulate, *args, nodes=(3, 3, 3))
+        params, config = args[-2:]
+        nodes = np.polynomial.hermite_e.hermegauss(3)[0]
+        sigmas = (config.noise.sigma_b, config.noise.sigma_omega(params.omega),
+                  config.noise.sigma_t)
+        assert len(recorded_batches) == 1
+        for (point, params, *env), p0 in recorded_batches:
+            for x, sigma in zip(env, sigmas):
+                assert np.array_equal(np.unique(x), sigma * nodes)
+            assert np.abs(p0 - dense_run(point, params, *env)).max() \
+                <= TOLERANCE
 
 
 class TestSampler:
