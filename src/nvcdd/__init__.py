@@ -8,9 +8,8 @@ from .spin_model import (
 from .dephasing import (
     NoiseSpec, FixedAmplitudeNoise, ReflectometerNoise,
     HorizonExceeded, ZeroRateError,
-    gaussian_dephasing_rate, sigma_b_from_t2, kappa, rate_magnetic_mp,
-    rate_amplitude_mp, sigma_omega_from_reflectometer,
-    envelope_second_order, envelope_max_protection, gaussian_envelope,
+    gaussian_dephasing_rate, sigma_b_from_t2, rate_magnetic_mp,
+    rate_amplitude_mp, envelope_second_order, gaussian_envelope,
     one_over_e_time, predicted_t2_mp,
 )
 from .errors import NumericalError
@@ -32,9 +31,8 @@ __all__ = [
     # dephasing
     "NoiseSpec", "FixedAmplitudeNoise", "ReflectometerNoise",
     "HorizonExceeded", "ZeroRateError",
-    "gaussian_dephasing_rate", "sigma_b_from_t2", "kappa", "rate_magnetic_mp",
-    "rate_amplitude_mp", "sigma_omega_from_reflectometer",
-    "envelope_second_order", "envelope_max_protection", "gaussian_envelope",
+    "gaussian_dephasing_rate", "sigma_b_from_t2", "rate_magnetic_mp",
+    "rate_amplitude_mp", "envelope_second_order", "gaussian_envelope",
     "one_over_e_time", "predicted_t2_mp",
     # errors
     "NumericalError",

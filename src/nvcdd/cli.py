@@ -33,7 +33,6 @@ from .dephasing import (
     FixedAmplitudeNoise,
     NoiseSpec,
     ReflectometerNoise,
-    envelope_max_protection,
     envelope_second_order,
     gaussian_envelope,
     predicted_t2_mp,
@@ -401,6 +400,24 @@ def _check_drives(noise: NoiseSpec, omegas) -> None:
                 "must be positive for reflectometer amplitude noise") from None
 
 
+def _check_splitting(params: SystemParams) -> None:
+    """Raise a ConfigError, before a command writes anything, if the
+    {m,p} splitting sqrt(omega^2 + a_par^2) the closed forms divide by
+    is 0."""
+    if params.omega == 0.0 and params.a_par == 0.0:
+        raise ConfigError("config keys $.system.omega_khz and "
+                          "$.system.a_par_khz: omega and a_par cannot both "
+                          "be zero")
+
+
+def _check_drive(params: SystemParams, needs: str) -> None:
+    """Raise a ConfigError, before a command writes anything, if the
+    drive is off; needs names what the command runs that requires it."""
+    if params.omega == 0.0:
+        raise ConfigError(f"config key $.system.omega_khz: {needs} "
+                          "requires a nonzero mechanical drive")
+
+
 def _grid(section: dict, key: str):
     """Evenly spaced grid, stop included, from the section keys
     key.format("start"/"stop"/"step").  Grids of more than
@@ -491,6 +508,7 @@ def rates(res):
     """Print the dephasing-rate budget and predicted coherence times."""
     params = res["params"]
     noise = res["sim"].noise
+    _check_splitting(params)
     _check_drives(noise, [params.omega])
     sigma_omega = noise.sigma_omega(params.omega)
     gsb_khz = angular_to_khz(GAMMA * noise.sigma_b)
@@ -578,6 +596,8 @@ def ramsey(res, **flags):
     kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
         if "omega_mag_khz" in section else {}
     if kind != "undressed_0m1":   # which runs with the drive off
+        _check_drive(res["params"],
+                     f"kind {kind!r} (every kind but 'undressed_0m1')")
         _check_drives(res["sim"].noise, [res["params"].omega])
     trace = simulate_ramsey(kind, tau, res["params"], res["sim"], **kwargs)
     out = _out_dir(res)
@@ -625,8 +645,10 @@ def envelope(res, **flags):
     tau = _grid(_section(res, "envelope", **flags), "tau_{}_us")
     noise = res["sim"].noise
     params = res["params"]
+    _check_splitting(params)
+    _check_drive(params, "the max_protection column")
     f = envelope_second_order(tau, params.omega, noise.sigma_b, params.a_par)
-    h = envelope_max_protection(tau, params.omega, noise.sigma_b)
+    h = envelope_second_order(tau, params.omega, noise.sigma_b, 0.0)
     t2_first = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
                                order="first")
     g = gaussian_envelope(tau, t2_first)
@@ -658,8 +680,15 @@ def fit(res, **flags):
             section.get("p0_ud"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    outcome = nlls_fit(model, points,
-                       stderr if section["use_stderr_weights"] else None)
+    weights = stderr if section["use_stderr_weights"] else None
+    if weights is not None and not np.all(weights > 0):
+        # the points are the trace's rows, then the undressed trace's
+        where = undressed_csv if np.all(weights[:len(trace.abscissa)] > 0) \
+            else input_csv
+        raise ConfigError(f"config key $.fit.use_stderr_weights: {where} has "
+                          "a zero stderr, and weights need every stderr "
+                          "positive")
+    outcome = nlls_fit(model, points, weights)
 
     report = format_fit_report(model, outcome)
     click.echo(report)

@@ -58,8 +58,9 @@ class ReflectometerNoise:
             raise ValueError("eta must be in [0, 1)")
 
     def resolve(self, mean_omega: float) -> float:
-        return sigma_omega_from_reflectometer(mean_omega, self.eta,
-                                              self.alpha_diode)
+        if mean_omega + self.alpha_diode <= 0:
+            raise ValueError("mean_omega + alpha_diode must be positive")
+        return (mean_omega + self.alpha_diode) * self.eta
 
 
 @dataclass(frozen=True)
@@ -97,14 +98,6 @@ def sigma_b_from_t2(t2_0m1: float) -> float:
     return SQRT2 / (GAMMA * t2_0m1)
 
 
-def kappa(omega: float, a_par: float) -> float:
-    """1/kappa = sqrt(a_par^2 + omega^2) / (sqrt(2)*pi)."""
-    root = math.hypot(a_par, omega)
-    if root == 0.0:
-        raise ValueError("omega and a_par cannot both be zero")
-    return SQRT2 * math.pi / root
-
-
 def rate_magnetic_mp(omega: float, a_par: float, sigma_b: float) -> float:
     """First-order {m,p} dephasing rate from field noise:
     Gamma_b = sqrt(2)*pi * (2*|a_par|*gamma/sqrt(a_par^2+omega^2)) * sigma_b."""
@@ -119,21 +112,12 @@ def rate_magnetic_mp(omega: float, a_par: float, sigma_b: float) -> float:
 
 def rate_amplitude_mp(omega: float, a_par: float, sigma_omega: float) -> float:
     """First-order {m,p} dephasing rate from drive-amplitude noise:
-    Gamma_Omega = kappa * omega * sigma_omega."""
+    Gamma_Omega = sqrt(2)*pi * (omega/sqrt(a_par^2+omega^2)) * sigma_omega."""
     if sigma_omega < 0:
         raise ValueError("sigma_omega must be non-negative")
     if sigma_omega == 0.0 or omega == 0.0:
         return 0.0
-    return kappa(omega, a_par) * omega * sigma_omega
-
-
-def sigma_omega_from_reflectometer(mean_omega: float, eta: float,
-                                   alpha_diode: float) -> float:
-    """sigma_omega = (<omega> + alpha) * eta from the reflected-voltage
-    noise-injection calibration."""
-    if mean_omega + alpha_diode <= 0:
-        raise ValueError("mean_omega + alpha_diode must be positive")
-    return (mean_omega + alpha_diode) * eta
+    return SQRT2 * math.pi / math.hypot(a_par, omega) * omega * sigma_omega
 
 
 def _beta(tau, omega, sigma_b, a_par):
@@ -146,7 +130,8 @@ def envelope_second_order(tau, omega: float, sigma_b: float, a_par: float):
     """Second-order-in-delta_b Ramsey decay envelope
     f = sqrt(beta) * exp(-2*(gamma*sigma_b*a_par*beta*tau)^2/(a_par^2+omega^2)).
 
-    Accepts scalar or array tau.
+    Accepts scalar or array tau.  a_par = 0 gives the envelope at the
+    maximally protected point delta = -|a_par|.
     """
     if a_par == 0.0 and omega == 0.0:
         raise ValueError("omega and a_par cannot both be zero")
@@ -157,19 +142,6 @@ def envelope_second_order(tau, omega: float, sigma_b: float, a_par: float):
     expo = 2.0 * (GAMMA * sigma_b * a_par * beta * tau) ** 2 \
         / (a_par * a_par + omega * omega)
     out = np.sqrt(beta) * np.exp(-expo)
-    return float(out) if out.ndim == 0 else out
-
-
-def envelope_max_protection(tau, omega: float, sigma_b: float):
-    """a_par -> 0 limit of the second-order envelope:
-    h = sqrt(omega / sqrt(omega^2 + (2*gamma*sigma_b)^4 * tau^2))."""
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("tau must be non-negative")
-    out = np.sqrt(omega / np.sqrt(omega * omega
-                                  + (2.0 * GAMMA * sigma_b) ** 4 * tau * tau))
     return float(out) if out.ndim == 0 else out
 
 

@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from .dephasing import envelope_max_protection
+from .dephasing import envelope_second_order
 from .fitting import FitParam, ModelFunction
 from .pulse_sim import OMEGA_ROT_KHZ, Trace, fourier_magnitude
-from .spin_model import _sublevel_splittings
+from .spin_model import _sublevel_splittings, dressed_transition_offsets
 from .units import GAMMA, angular_to_khz, khz_to_angular
 
 _K = 2.0 * math.pi * 1e-3  # kHz -> rad/us
@@ -117,7 +117,7 @@ def model_max_protection(a_par_khz: float, gamma_sigma_b_khz: float,
         omega, phi, c, t2_up, a_par, gsb, amp = theta
         om_ang = khz_to_angular(omega)
         sigma_b = khz_to_angular(gsb) / GAMMA
-        slow = envelope_max_protection(tau, om_ang, sigma_b) \
+        slow = envelope_second_order(tau, om_ang, sigma_b, 0.0) \
             * np.cos(om_ang * tau + phi)
         w_fast = _K * math.hypot(omega, 2.0 * a_par)
         fast = np.exp(-((tau / t2_up) ** 2)) * np.cos(w_fast * tau + phi)
@@ -150,12 +150,12 @@ def model_spectrum_joint(n_dressed: int) -> ModelFunction:
 
     def evaluate(theta, x):
         c_d, a_d1, a_d2, g_d, delta, omega, c_ud, a_ud, g_ud, w01 = theta
-        root = math.hypot(delta, omega)
+        lo, hi = dressed_transition_offsets(omega, delta)
         out = np.empty_like(x)
         xd = x[:n_dressed]
         out[:n_dressed] = (c_d
-                           - a_d1 * lorentz_dip(xd, w01 + 0.5 * (delta - root), g_d)
-                           - a_d2 * lorentz_dip(xd, w01 + 0.5 * (delta + root), g_d))
+                           - a_d1 * lorentz_dip(xd, w01 + lo, g_d)
+                           - a_d2 * lorentz_dip(xd, w01 + hi, g_d))
         xu = x[n_dressed:]
         out[n_dressed:] = c_ud - a_ud * lorentz_dip(xu, w01, g_ud)
         return out

@@ -5,10 +5,10 @@ paper's closed forms in their most direct form, so that the shot engine,
 the dephasing formulas and the fit models can be compared with them:
 the six-level Hamiltonians and their 3x3 13C blocks, the dressed
 energies and Larmor frequencies, the rate budget, a Monte-Carlo estimate
-of the second-order envelope, whole-state propagation of the 13C blocks,
-numpy's own per-shot generator, the exact ensemble mean of a simulated
-trace by quadrature, and a trace CSV reader that checks one row at a
-time.
+of the second-order envelope, its closed form at the maximally protected
+point, whole-state propagation of the 13C blocks, numpy's own per-shot
+generator, the exact ensemble mean of a simulated trace by quadrature,
+and a trace CSV reader that checks one row at a time.
 
 Basis order of the six-level model: {+1 up, +1 down, 0 up, 0 down,
 -1 up, -1 down}, where up/down are the m_I = +-1/2 sublevels of the 13C
@@ -273,6 +273,18 @@ def mc_envelope_second_order(tau_grid, omega: float, sigma_b: float,
                               + (mean.imag * se_im) ** 2) / np.maximum(env, 1e-300),
                       np.hypot(se_re, se_im))
     return env, se
+
+
+def envelope_max_protection(tau, omega: float, sigma_b: float):
+    """The paper's envelope at the maximally protected point
+    delta = -|a_par|, the a_par -> 0 limit of the second-order envelope:
+    h = sqrt(omega / sqrt(omega^2 + (2*gamma*sigma_b)^4 * tau^2)).
+
+    Independent oracle for dephasing.envelope_second_order at a_par = 0.
+    """
+    tau = np.asarray(tau, dtype=float)
+    return np.sqrt(omega / np.sqrt(omega * omega
+                                   + (2.0 * GAMMA * sigma_b) ** 4 * tau * tau))
 
 
 def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,

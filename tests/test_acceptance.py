@@ -13,14 +13,12 @@ import pytest
 from nvcdd.dephasing import (
     NoiseSpec,
     ReflectometerNoise,
-    envelope_max_protection,
     envelope_second_order,
     gaussian_envelope,
     predicted_t2_mp,
     rate_amplitude_mp,
     rate_magnetic_mp,
     sigma_b_from_t2,
-    sigma_omega_from_reflectometer,
 )
 from nvcdd.fitting import nlls_fit
 from nvcdd.models import (
@@ -104,8 +102,8 @@ def test_t2_vs_drive_predictions():
 
 
 def test_amplitude_noise_budget_and_mc_fit():
-    sigma_omega = sigma_omega_from_reflectometer(OMEGA_581, 0.049,
-                                                 khz_to_angular(-133.0))
+    sigma_omega = ReflectometerNoise(0.049, khz_to_angular(-133.0)) \
+        .resolve(OMEGA_581)
     budget = RateBudget((
         ("magnetic", rate_magnetic_mp(OMEGA_581, A_PAR, SIGMA_B_42)),
         ("amplitude", rate_amplitude_mp(OMEGA_581, A_PAR, sigma_omega)),
@@ -164,8 +162,8 @@ def test_max_protection_point():
     assert outcome is not None and outcome.converged
     assert outcome.params["omega_khz"] == pytest.approx(om_khz, rel=0.01)
     assert 3.0 <= outcome.params["t2_up_us"] <= 6.0
-    assert envelope_max_protection(50.0, khz_to_angular(om_khz), SIGMA_B_42) \
-        > 1.0 / math.e
+    assert envelope_second_order(50.0, khz_to_angular(om_khz), SIGMA_B_42,
+                                 0.0) > 1.0 / math.e
 
 
 def test_spectroscopy_joint_fit():

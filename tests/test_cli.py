@@ -11,9 +11,9 @@ from nvcdd import cli
 from nvcdd.cli import ConfigError, load_config, main, resolve_config
 from nvcdd.dephasing import (
     HorizonExceeded,
+    ReflectometerNoise,
     ZeroRateError,
     predicted_t2_mp,
-    sigma_omega_from_reflectometer,
 )
 from nvcdd.errors import NumericalError
 from nvcdd.fitting import NonFiniteResidualsError
@@ -332,8 +332,9 @@ class TestT2Scan:
         first = float(row.split(",")[1])
         omega = khz_to_angular(581.0)
         amplitude = cfg["noise"]["amplitude"]
-        sigma_omega = sigma_omega_from_reflectometer(
-            omega, amplitude["eta"], khz_to_angular(amplitude["alpha_khz"]))
+        sigma_omega = ReflectometerNoise(
+            amplitude["eta"], khz_to_angular(amplitude["alpha_khz"])) \
+            .resolve(omega)
         want = predicted_t2_mp(
             omega, khz_to_angular(PRESETS["nv2"]["a_par_khz"]),
             khz_to_angular(cfg["noise"]["gamma_sigma_b_khz"]) / GAMMA,
@@ -379,6 +380,49 @@ class TestReflectometerDrives:
             "reflectometer amplitude noise" in all_output(result).splitlines()
         # checked before anything is simulated or written
         assert not out.exists() or not any(out.iterdir())
+
+
+BOTH_ZERO = ("config keys $.system.omega_khz and $.system.a_par_khz: "
+             "omega and a_par cannot both be zero")
+# Each command whose pulse sequence or closed forms the system section
+# leaves undefined: its system keys, its arguments and its error line.
+DRIVE_OFF = {
+    **{f"ramsey-{kind}": (
+        {"omega_khz": 0}, ["ramsey", "--kind", kind, "--tau-stop-us", "1"],
+        f"config key $.system.omega_khz: kind {kind!r} (every kind but "
+        "'undressed_0m1') requires a nonzero mechanical drive")
+       for kind in ("dressed_mp", "dressed_0p", "max_protection")},
+    "envelope": ({"omega_khz": 0}, ["envelope"],
+                 "config key $.system.omega_khz: the max_protection column "
+                 "requires a nonzero mechanical drive"),
+    "rates-no-splitting": ({"omega_khz": 0, "a_par_khz": 0}, ["rates"],
+                           BOTH_ZERO),
+    "envelope-no-splitting": ({"omega_khz": 0, "a_par_khz": 0}, ["envelope"],
+                              BOTH_ZERO),
+}
+
+
+class TestDriveOff:
+    @pytest.mark.parametrize("case", list(DRIVE_OFF))
+    def test_error_names_the_system_keys(self, runner, tmp_path, case):
+        system, args, line = DRIVE_OFF[case]
+        out = tmp_path / "out"
+        result = invoke(runner, ["--config",
+                                 write_config(tmp_path, {"system": system}),
+                                 "--out", str(out), *args])
+        assert result.exit_code == 2
+        assert f"config error: {line}" in all_output(result).splitlines()
+        # checked before anything is simulated or written
+        assert not out.exists()
+
+    def test_rates_and_undressed_ramsey_run_without_drive(self, runner,
+                                                          tmp_path):
+        cfg = write_config(tmp_path, {"system": {"omega_khz": 0}})
+        for args in (["rates"], ["ramsey", "--kind", "undressed_0m1",
+                                 "--tau-stop-us", "0.1"]):
+            result = invoke(runner, ["--config", cfg, "--shots", "2",
+                                     "--out", str(tmp_path), *args])
+            assert result.exit_code == 0, all_output(result)
 
 
 class TestWeakNoise:
@@ -674,6 +718,36 @@ class TestFitModels:
         free = [line for line in report[4:] if "frozen" not in line]
         assert len(free) == 4
         assert not set(free) & set(unweighted)
+
+    @pytest.mark.parametrize("zero", ["input", "undressed"])
+    def test_zero_stderr_weights_name_the_key_and_file(self, runner,
+                                                       tmp_path, zero):
+        # a 1-shot trace's stderr is all 0, so it cannot weight a fit
+        trace, undressed, _ = COMMITTED_FITS["spectrum_joint"]
+        trace, undressed = REPO_ROOT / trace, REPO_ROOT / undressed
+        cfg = load_config(spec_smoke_config(tmp_path))
+        result = invoke(runner, ["--config", write_config(tmp_path, cfg),
+                                 "--out", str(tmp_path / "one"), "--shots",
+                                 "1", "spectra", "--omega-khz",
+                                 "470" if zero == "input" else "0"])
+        assert result.exit_code == 0, all_output(result)
+        one_shot = next((tmp_path / "one").glob("*.csv"))
+        if zero == "input":
+            trace = one_shot
+        else:
+            undressed = one_shot
+        cfg["fit"]["use_stderr_weights"] = True
+        out = tmp_path / "out"
+        result = invoke(runner, ["--config", write_config(tmp_path, cfg),
+                                 "--out", str(out), "fit",
+                                 "--model", "spectrum_joint",
+                                 "--input", str(trace),
+                                 "--undressed", str(undressed)])
+        assert result.exit_code == 2
+        assert (f"config error: config key $.fit.use_stderr_weights: "
+                f"{one_shot} has a zero stderr, and weights need every "
+                "stderr positive") in all_output(result).splitlines()
+        assert not out.exists()
 
     def test_stderr_weights_apply_to_spectrum_joint(self, runner, tmp_path):
         # the joint model is weighted by both spectra's stderr columns

@@ -10,17 +10,14 @@ from nvcdd.dephasing import (
     NoiseSpec,
     ReflectometerNoise,
     ZeroRateError,
-    envelope_max_protection,
     envelope_second_order,
     gaussian_dephasing_rate,
     gaussian_envelope,
-    kappa,
     one_over_e_time,
     predicted_t2_mp,
     rate_amplitude_mp,
     rate_magnetic_mp,
     sigma_b_from_t2,
-    sigma_omega_from_reflectometer,
 )
 from nvcdd.units import GAMMA, angular_to_khz, khz_to_angular
 
@@ -29,6 +26,7 @@ from reference import (
     EnvironmentSample,
     RateBudget,
     combine_rates,
+    envelope_max_protection,
     larmor_frequency,
     mc_envelope_second_order,
 )
@@ -69,27 +67,39 @@ class TestSigmaBFromT2:
             sigma_b_from_t2(0.0)
 
 
+def kappa_from_rate(omega, a_par):
+    """kappa = sqrt(2)*pi / sqrt(a_par^2 + omega^2), read off the amplitude
+    rate Gamma_Omega = kappa * omega * sigma_omega."""
+    return rate_amplitude_mp(omega, a_par, 1.0) / omega
+
+
 class TestKappa:
     def test_drive_off(self):
         a = khz_to_angular(150.0)
-        assert kappa(0.0, a) == pytest.approx(math.sqrt(2) * math.pi / a)
+        # no drive, no amplitude to fluctuate; kappa tends to sqrt(2)*pi/a_par
+        assert rate_amplitude_mp(0.0, a, 1.0) == 0.0
+        assert kappa_from_rate(1e-9, a) \
+            == pytest.approx(math.sqrt(2) * math.pi / a)
 
     def test_anchor(self):
-        inv = 1.0 / kappa(khz_to_angular(581.0), khz_to_angular(150.0))
+        inv = 1.0 / kappa_from_rate(khz_to_angular(581.0),
+                                    khz_to_angular(150.0))
         assert inv == pytest.approx(khz_to_angular(600.06)
                                     / (math.sqrt(2) * math.pi), rel=1e-4)
 
     def test_monotone_decreasing_in_omega(self):
         a = khz_to_angular(150.0)
-        vals = [kappa(khz_to_angular(f), a) for f in (0, 100, 300, 600)]
+        vals = [kappa_from_rate(khz_to_angular(f), a)
+                for f in (1e-6, 100, 300, 600)]
         assert all(x > y for x, y in zip(vals, vals[1:]))
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            kappa(0.0, 0.0)
 
 
 class TestRateMagnetic:
+    def test_undressed_pm_qubit(self):
+        # no drive and no 13C: the {+1,-1} qubit's slope is 2*gamma
+        rate = rate_magnetic_mp(0.0, 0.0, SIGMA_B_NV2)
+        assert rate == math.sqrt(2) * math.pi * 2.0 * GAMMA * SIGMA_B_NV2
+
     def test_undressed_halving(self):
         rate = rate_magnetic_mp(0.0, khz_to_angular(150.0), SIGMA_B_NV2)
         assert 2 * math.pi / rate == pytest.approx(2.7, rel=1e-12)
@@ -161,25 +171,26 @@ class TestCombineRates:
             RateBudget((("x", -1.0),)).total()
 
 
+def reflectometer(eta):
+    return ReflectometerNoise(eta, alpha_diode=khz_to_angular(-133.0))
+
+
 class TestReflectometer:
     def test_anchor(self):
-        s = sigma_omega_from_reflectometer(khz_to_angular(581.0), 0.049,
-                                           khz_to_angular(-133.0))
+        s = reflectometer(0.049).resolve(khz_to_angular(581.0))
         assert angular_to_khz(s) == pytest.approx(21.95, abs=0.02)
 
     def test_zero_eta(self):
-        assert sigma_omega_from_reflectometer(khz_to_angular(581.0), 0.0,
-                                              khz_to_angular(-133.0)) == 0.0
+        assert reflectometer(0.0).resolve(khz_to_angular(581.0)) == 0.0
 
     def test_400khz(self):
-        s = sigma_omega_from_reflectometer(khz_to_angular(400.0), 0.049,
-                                           khz_to_angular(-133.0))
+        s = reflectometer(0.049).resolve(khz_to_angular(400.0))
         assert angular_to_khz(s) == pytest.approx(13.08, abs=0.01)
 
     def test_nonpositive_amplitude_rejected(self):
-        with pytest.raises(ValueError):
-            sigma_omega_from_reflectometer(khz_to_angular(100.0), 0.049,
-                                           khz_to_angular(-133.0))
+        with pytest.raises(ValueError, match=r"mean_omega \+ alpha_diode "
+                                             "must be positive"):
+            reflectometer(0.049).resolve(khz_to_angular(100.0))
 
     def test_noise_spec_resolves_modes(self):
         fixed = NoiseSpec(amplitude_noise=FixedAmplitudeNoise(0.25))
@@ -208,9 +219,10 @@ class TestEnvelopes:
                                   khz_to_angular(150.0))
         assert f == pytest.approx(math.exp(-1), abs=0.01)
 
+    # the max-protection envelope is the second-order one at a_par = 0
     def test_max_protection_at_zero(self):
-        assert envelope_max_protection(0.0, khz_to_angular(455.7),
-                                       SIGMA_B_NV2) == 1.0
+        assert envelope_second_order(0.0, khz_to_angular(455.7),
+                                     SIGMA_B_NV2, 0.0) == 1.0
 
     def test_max_protection_equals_second_order_without_hyperfine(self):
         tau = np.linspace(0, 80, 161)
@@ -219,12 +231,13 @@ class TestEnvelopes:
         np.testing.assert_allclose(h, f, rtol=1e-12)
 
     def test_max_protection_survives_50us(self):
-        h = envelope_max_protection(50.0, khz_to_angular(455.7), SIGMA_B_NV2)
+        h = envelope_second_order(50.0, khz_to_angular(455.7), SIGMA_B_NV2,
+                                  0.0)
         assert h > math.exp(-1)
 
     def test_max_protection_drive_off_rejected(self):
         with pytest.raises(ValueError):
-            envelope_max_protection(1.0, 0.0, SIGMA_B_NV2)
+            envelope_second_order(1.0, 0.0, SIGMA_B_NV2, 0.0)
 
     @pytest.mark.parametrize("omega_khz,a_par_khz", [
         (581.0, 150.0), (230.0, 150.0), (455.7, 0.0), (50.0, 145.0)])

@@ -93,6 +93,11 @@ class TestSampling:
         assert list(db) == backward[::-1]
         assert np.array_equal(_sample_block(noise, 0.0, 4, 0, 20)[0][:10], db)
 
+    @pytest.mark.parametrize("n_shots", [0, -3])
+    def test_shots_below_one_rejected(self, n_shots):
+        with pytest.raises(ValueError, match="^n_shots must be >= 1$"):
+            SimConfig(n_shots=n_shots)
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_philox_key_range_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -248,6 +253,16 @@ class TestEngineInputs:
         # read_trace_csv rejects
         with pytest.raises(ValueError, match="grid needs at least one point"):
             simulate(nv2_params)
+
+    @pytest.mark.parametrize("grid", [[1.0, 0.5], [0.0, 1.0, 1.0]],
+                             ids=["descending", "repeated"])
+    @pytest.mark.parametrize("simulate", [
+        lambda p, grid: simulate_ramsey("dressed_mp", grid, p, QUIET),
+        lambda p, grid: simulate_spectrum(grid, p, QUIET),
+    ], ids=["ramsey", "spectrum"])
+    def test_grid_not_ascending(self, nv2_params, simulate, grid):
+        with pytest.raises(ValueError, match="must be strictly ascending"):
+            simulate(nv2_params, grid)
 
     @pytest.mark.parametrize("omega_mag", [0.0, -1.0, NAN, INF])
     def test_spectrum_strength(self, nv2_params, omega_mag):
