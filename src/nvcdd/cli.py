@@ -556,29 +556,38 @@ def t2scan(res, **flags):
         noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))
     _check_drives(noise, map(khz_to_angular, section["omega_list_khz"]))
     a_par = res["params"].a_par
-    rows = []
-    for om_khz in section["omega_list_khz"]:
-        omega = khz_to_angular(om_khz)
+    drives = [res["params"].with_omega(khz_to_angular(om_khz))
+              for om_khz in section["omega_list_khz"]]
+    traces = simulate_ramsey("dressed_mp", tau, drives, dataclasses.replace(
+        res["sim"], noise=noise)) if section["mc"] else [None] * len(drives)
+    rows, failed = [], []
+    for om_khz, params, trace in zip(section["omega_list_khz"], drives,
+                                     traces):
+        omega = params.omega
         sigma_omega = noise.sigma_omega(omega)
         t2_first = predicted_t2_mp(omega, a_par, noise.sigma_b,
                                    sigma_omega, order="first")
         t2_second = predicted_t2_mp(omega, a_par, noise.sigma_b,
                                     sigma_omega, order="second")
         t2_mc, mc_err = math.nan, math.nan
-        if section["mc"]:
-            params = res["params"].with_omega(omega)
-            sim = dataclasses.replace(res["sim"], noise=noise)
-            trace = simulate_ramsey("dressed_mp", tau, params, sim)
+        if trace is not None:
             model, points, _ = FIT_MODELS["ramsey_mp"](trace, None, params,
                                                        noise, None)
             outcome = nlls_fit(model, points)
-            t2_mc = outcome.params["t2_us"]
-            mc_err = outcome.ci_halfwidth("t2_us")
+            if outcome.converged:
+                t2_mc = outcome.params["t2_us"]
+                mc_err = outcome.ci_halfwidth("t2_us")
+            else:
+                failed.append(f"fit did not converge at {om_khz:g} kHz "
+                              f"({', '.join(outcome.flags)})")
         rows.append((om_khz, t2_first, t2_second, t2_mc, mc_err))
     path = _out_dir(res) / "t2scan.csv"
     _write_rows(path, "omega_khz,t2_first_us,t2_second_us,t2_mc_us,mc_err_us",
                 rows)
     click.echo(f"wrote {path}")
+    if failed:
+        click.echo("\n".join(failed), err=True)
+        sys.exit(EXIT_NUMERICAL)
 
 
 @main.command()
@@ -599,7 +608,7 @@ def ramsey(res, **flags):
         _check_drive(res["params"],
                      f"kind {kind!r} (every kind but 'undressed_0m1')")
         _check_drives(res["sim"].noise, [res["params"].omega])
-    trace = simulate_ramsey(kind, tau, res["params"], res["sim"], **kwargs)
+    trace, = simulate_ramsey(kind, tau, [res["params"]], res["sim"], **kwargs)
     out = _out_dir(res)
     trace_path = out / f"ramsey_{kind}.csv"
     write_trace_csv(trace, trace_path)
@@ -629,9 +638,10 @@ def spectra(res, **flags):
     _check_drives(res["sim"].noise,
                   map(khz_to_angular, section["omega_list_khz"]))
     out = _out_dir(res)
-    for om_khz, name in zip(section["omega_list_khz"], names):
-        params = res["params"].with_omega(khz_to_angular(om_khz))
-        trace = simulate_spectrum(grid, params, res["sim"], **kwargs)
+    drives = [res["params"].with_omega(khz_to_angular(om_khz))
+              for om_khz in section["omega_list_khz"]]
+    for trace, name in zip(simulate_spectrum(grid, drives, res["sim"],
+                                             **kwargs), names):
         path = out / name
         write_trace_csv(trace, path)
         click.echo(f"wrote {path}")

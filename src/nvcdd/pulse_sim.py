@@ -11,11 +11,12 @@ whole sequence.  Shot RNG streams are counter-based, so execution order
 never changes results: a shot's three draws (field, drive amplitude,
 temperature) are numpy's standard_normal draws from a Philox4x64-10
 generator keyed by [seed, shot] with counter [0, point, 0, 0], point
-being the abscissa index.  _sample_block draws a block of whole grid
-points at once, bit-identical to that stream: Philox4x64-10 and numpy's
-ziggurat fast path run as numpy array operations, with numpy's tables
-(ziggurat_double.bin), and the few shots that miss the fast path are
-redrawn by numpy through one re-keyed generator.
+being the abscissa index, scaled by each drive's sigmas: the drives of
+one call see the same per-shot environment.  _sample_block draws a block
+of whole grid points at once, bit-identical to that stream: Philox4x64-10
+and numpy's ziggurat fast path run as numpy array operations, with
+numpy's tables (ziggurat_double.bin), and the few shots that miss the
+fast path are redrawn by numpy through one re-keyed generator.
 
 The engine is batch-only.  The program builds two kinds of grid point: a
 spectrum point is one pulse, and a Ramsey point is a pulse, free
@@ -396,11 +397,11 @@ def _ziggurat_tables():
     return wi, ki
 
 
-def _sample_block(noise: NoiseSpec, mean_omega: float, seed: int,
-                  point_index, n_shots: int):
-    """Per-shot environment draws for one grid point (an int point_index;
-    arrays of shape (n_shots,)) or for a range of points (shape
-    (len(point_index), n_shots)).
+def _sample_block(seed: int, point_index, n_shots: int) -> np.ndarray:
+    """Unit per-shot environment draws (field, drive amplitude,
+    temperature) for one grid point (an int point_index; shape
+    (n_shots, 3)) or for a range of points (shape (len(point_index),
+    n_shots, 3)).
 
     The draws equal numpy's standard_normal(3) from each shot's stream
     (see the module doc) bit for bit.  Philox and numpy's ziggurat fast
@@ -415,40 +416,45 @@ def _sample_block(noise: NoiseSpec, mean_omega: float, seed: int,
     draws, fast = _ziggurat_fast(_philox_words(seed, shots, points),
                                  *_ziggurat_tables())
     _redraw(draws, ~fast, seed, shots, points)
-    draws = draws.reshape(shape + (3,))
-    return (draws[..., 0] * noise.sigma_b,
-            draws[..., 1] * noise.sigma_omega(mean_omega),
-            draws[..., 2] * noise.sigma_t)
+    return draws.reshape(shape + (3,))
 
 
-def _simulate(grid, point_at, params: SystemParams, config: SimConfig):
-    """Mean P0 (clipped to [0, 1]) and its standard error at each grid
-    point x, over config.n_shots shots of point_at(x).
+def _simulate(grid, runs, config: SimConfig):
+    """Per run (point_at, params), in order: mean P0 (clipped to [0, 1])
+    and its standard error at each grid point x, over config.n_shots
+    shots of point_at(x) under params.
 
-    Environments are sampled for a block of whole points at a time, at
-    most _BLOCK_SHOT_POINTS shot-points (at least one point) per block,
-    and each block runs through _run_batch in chunks of whole points, at
-    most _CHUNK_SHOT_POINTS shot-points (at least one point) per call:
-    point_at takes the chunk's grid values, one per shot-point.
+    Unit draws are sampled once for a block of whole points, at most
+    _BLOCK_SHOT_POINTS shot-points (at least one point); each run scales
+    them by its own sigmas and runs the block through _run_batch in
+    chunks of whole points, at most _CHUNK_SHOT_POINTS shot-points (at
+    least one point) per call: point_at takes the chunk's grid values.
     """
-    n = config.n_shots
-    mean = np.empty(len(grid))
-    stderr = np.empty(len(grid))
+    if not runs:
+        raise ValueError("drives needs at least one drive")
+    n, noise = config.n_shots, config.noise
+    mean = np.empty((len(runs), len(grid)))
+    stderr = np.empty_like(mean)
     per_block = max(1, _BLOCK_SHOT_POINTS // n)
     per_chunk = max(1, _CHUNK_SHOT_POINTS // n)
     for first in range(0, len(grid), per_block):
         points = range(first, min(first + per_block, len(grid)))
-        env = _sample_block(config.noise, params.omega, config.seed, points, n)
-        for start in range(0, len(points), per_chunk):
-            rows = slice(first + start, min(first + start + per_chunk,
-                                            points.stop))
-            chunk = slice(start, start + per_chunk)
-            p0 = _run_batch(point_at(np.repeat(grid[rows], n)), params,
-                            *(x[chunk].ravel() for x in env)).reshape(-1, n)
-            mean[rows] = p0.mean(axis=1)
-            stderr[rows] = p0.std(axis=1, ddof=1) / math.sqrt(n) \
-                if n > 1 else 0.0
-    return np.clip(mean, 0.0, 1.0), stderr
+        draws = _sample_block(config.seed, points, n)
+        for run, (point_at, params) in enumerate(runs):
+            env = (draws[..., 0] * noise.sigma_b,
+                   draws[..., 1] * noise.sigma_omega(params.omega),
+                   draws[..., 2] * noise.sigma_t)
+            for start in range(0, len(points), per_chunk):
+                rows = slice(first + start, min(first + start + per_chunk,
+                                                points.stop))
+                chunk = slice(start, start + per_chunk)
+                p0 = _run_batch(point_at(np.repeat(grid[rows], n)), params,
+                                *(x[chunk].ravel() for x in env)
+                                ).reshape(-1, n)
+                mean[run, rows] = p0.mean(axis=1)
+                stderr[run, rows] = p0.std(axis=1, ddof=1) / math.sqrt(n) \
+                    if n > 1 else 0.0
+    return list(zip(np.clip(mean, 0.0, 1.0), stderr))
 
 
 def _metadata(kind: str, unit: str, params: SystemParams,
@@ -467,9 +473,10 @@ def _metadata(kind: str, unit: str, params: SystemParams,
     }
 
 
-def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
-                    config: SimConfig, *, omega_mag: float | None = None) -> Trace:
-    """Monte-Carlo Ramsey trace: mean P0 +- stderr over n_shots per tau."""
+def simulate_ramsey(kind: str, tau_grid, drives, config: SimConfig, *,
+                    omega_mag: float | None = None) -> list[Trace]:
+    """Monte-Carlo Ramsey traces, one per SystemParams in drives, in
+    order: mean P0 +- stderr over n_shots per tau."""
     if kind not in RAMSEY_KINDS:
         raise ValueError(f"unknown Ramsey kind {kind!r}")
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -485,36 +492,41 @@ def simulate_ramsey(kind: str, tau_grid, params: SystemParams,
     if omega_mag is None:
         omega_mag = DEFAULT_OMEGA_MAG_DQ if dq else DEFAULT_OMEGA_MAG_SQ
     t_pulse = _pulse_duration(math.pi if dq else 0.5 * math.pi, omega_mag)
-    if kind == "undressed_0m1":
-        params = params.with_omega(0.0)
-    elif params.omega <= 0:
-        raise ValueError(f"kind {kind!r} requires a nonzero mechanical drive")
-    if kind == "max_protection":
-        params = params.with_delta(-abs(params.a_par))
     omega_rot = khz_to_angular(OMEGA_ROT_KHZ)
     phase_rate = 0.0 if dq else omega_rot
-    if dq:
-        frame = 0.0
-    elif kind == "undressed_0m1":
-        frame = -0.5 * params.delta
-    else:   # the 0<->p line, half the splitting, averaged over sublevels
-        frame = 0.25 * sum(_sublevel_splittings(params))
-    mean, stderr = _simulate(
-        tau_grid,
-        lambda tau: (frame, omega_mag, t_pulse, (tau, phase_rate * tau)),
-        params, config)
-    metadata = _metadata(kind, "us", params, config, omega_mag,
-                         omega_rot_khz=angular_to_khz(omega_rot))
-    return Trace(tau_grid, mean, stderr, config.n_shots, metadata)
+
+    def run(params):
+        if kind == "undressed_0m1":
+            params = params.with_omega(0.0)
+        elif params.omega <= 0:
+            raise ValueError(
+                f"kind {kind!r} requires a nonzero mechanical drive")
+        if kind == "max_protection":
+            params = params.with_delta(-abs(params.a_par))
+        if dq:
+            frame = 0.0
+        elif kind == "undressed_0m1":
+            frame = -0.5 * params.delta
+        else:   # the 0<->p line, half the splitting, averaged over sublevels
+            frame = 0.25 * sum(_sublevel_splittings(params))
+        return (lambda tau: (frame, omega_mag, t_pulse,
+                             (tau, phase_rate * tau))), params
+
+    runs = [run(params) for params in drives]
+    return [Trace(tau_grid, mean, stderr, config.n_shots,
+                  _metadata(kind, "us", params, config, omega_mag,
+                            omega_rot_khz=angular_to_khz(omega_rot)))
+            for (_, params), (mean, stderr)
+            in zip(runs, _simulate(tau_grid, runs, config))]
 
 
-def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
-                      *, omega_mag: float = 2.0 * math.pi * 0.080) -> Trace:
-    """Spectroscopy scan: P0 versus magnetic drive detuning, one pi
-    pulse per shot.
+def simulate_spectrum(detuning_grid, drives, config: SimConfig, *,
+                      omega_mag: float = 2.0 * math.pi * 0.080) -> list[Trace]:
+    """Spectroscopy scans, one per SystemParams in drives, in order: P0
+    versus magnetic drive detuning, one pi pulse per shot.
 
     detuning_grid is angular (rad/us), measured from the nominal undressed
-    0<->-1 line; the returned Trace abscissa is in kHz.
+    0<->-1 line; the returned Traces' abscissa is in kHz.
     """
     detuning_grid = np.asarray(detuning_grid, dtype=float)
     if not detuning_grid.size:
@@ -524,16 +536,21 @@ def simulate_spectrum(detuning_grid, params: SystemParams, config: SimConfig,
     if not np.all(np.diff(detuning_grid) > 0):
         raise ValueError("detuning_grid must be strictly ascending")
     t_pulse = _pulse_duration(math.pi, omega_mag)
-    mean, stderr = _simulate(
-        detuning_grid,
-        lambda det_axis: (det_axis - 0.5 * params.delta, omega_mag, t_pulse,
-                          None),
-        params, config)
-    offsets = dressed_transition_offsets(params.omega, params.delta)
-    metadata = _metadata("spectrum", "khz", params, config, omega_mag,
-                         expected_dips_khz=[angular_to_khz(o) for o in offsets])
-    return Trace(angular_to_khz(detuning_grid), mean, stderr,
-                 config.n_shots, metadata)
+
+    def run(params):
+        return (lambda det_axis: (det_axis - 0.5 * params.delta, omega_mag,
+                                  t_pulse, None)), params
+
+    runs = [run(params) for params in drives]
+    traces = []
+    for (_, params), (mean, stderr) in zip(
+            runs, _simulate(detuning_grid, runs, config)):
+        dips = dressed_transition_offsets(params.omega, params.delta)
+        metadata = _metadata("spectrum", "khz", params, config, omega_mag,
+                             expected_dips_khz=list(map(angular_to_khz, dips)))
+        traces.append(Trace(angular_to_khz(detuning_grid), mean, stderr,
+                            config.n_shots, metadata))
+    return traces
 
 
 def fourier_magnitude(trace: Trace) -> tuple[np.ndarray, np.ndarray]:

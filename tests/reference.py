@@ -307,18 +307,18 @@ def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generato
     return np.random.Generator(bitgen)
 
 
-def exact_mean_trace(simulate, *args, nodes=(48, 12, 6), **kwargs) -> Trace:
-    """The trace whose mean P0 the Monte Carlo of simulate(*args, **kwargs)
-    estimates, simulate being pulse_sim.simulate_ramsey or
-    simulate_spectrum, computed without sampling: every noise is
-    quasi-static and Gaussian, so the mean is a 3-D Gaussian integral over
-    delta_b, delta_Omega and delta_T, taken here by tensor Gauss-Hermite
-    quadrature with nodes[i] nodes on each axis (one on an axis whose sigma
-    is zero).  pulse_sim._simulate is swapped out while simulate runs, so
-    the simulator's own point_at and pulse_sim._run_batch give P0 at every
-    node.  The trace's stderr is zero."""
-    def quadrature(grid, point_at, params, config):
-        noise = config.noise
+def exact_mean_trace(simulate, *args, nodes=(40, 12, 10), **kwargs) -> list:
+    """The traces whose mean P0 the Monte Carlo of simulate(*args,
+    **kwargs) estimates, one per drive, simulate being
+    pulse_sim.simulate_ramsey or simulate_spectrum, computed without
+    sampling: every noise is quasi-static and Gaussian, so each mean is a
+    3-D Gaussian integral over delta_b, delta_Omega and delta_T, taken
+    here by tensor Gauss-Hermite quadrature with nodes[i] nodes on each
+    axis (one on an axis whose sigma is zero).  pulse_sim._simulate is
+    swapped out while simulate runs, so the simulator's own runs, each a
+    point_at and its params, and pulse_sim._run_batch give P0 at every
+    node.  The traces' stderr is zero."""
+    def exact_mean(grid, point_at, params, noise):
         sigmas = (noise.sigma_b, noise.sigma_omega(params.omega), noise.sigma_t)
         axes = [np.polynomial.hermite_e.hermegauss(n if sigma else 1)
                 for n, sigma in zip(nodes, sigmas)]
@@ -335,6 +335,10 @@ def exact_mean_trace(simulate, *args, nodes=(48, 12, 6), **kwargs) -> Trace:
                                       params, *(np.tile(x, count) for x in env))
             mean[rows] = p0.reshape(count, n) @ weights
         return np.clip(mean, 0.0, 1.0), np.zeros(len(grid))
+
+    def quadrature(grid, runs, config):
+        return [exact_mean(grid, point_at, params, config.noise)
+                for point_at, params in runs]
 
     with mock.patch.object(pulse_sim, "_simulate", quadrature):
         return simulate(*args, **kwargs)

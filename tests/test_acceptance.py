@@ -117,7 +117,7 @@ def test_amplitude_noise_budget_and_mc_fit():
                           eta=0.049, alpha_diode=khz_to_angular(-133.0)))
     cfg = SimConfig(n_shots=2000, seed=7, noise=noise)
     tau = np.arange(0.0, 20.0, 0.1)
-    trace = simulate_ramsey("dressed_mp", tau, params, cfg)
+    trace = simulate_ramsey("dressed_mp", tau, [params], cfg)[0]
     # the CLI's fit rule: FIT_MODELS seeds the model, mean_contrast pins p0_ud
     model, points, _ = FIT_MODELS["ramsey_mp"](trace, None, params, noise,
                                                None)
@@ -146,7 +146,7 @@ def test_max_protection_point():
     # the long window also averages down the quasi-static second-order
     # frequency pull that the envelope model does not parameterize
     tau = np.arange(0.0, 50.0, 0.15)
-    trace = simulate_ramsey("max_protection", tau, params, cfg)
+    trace = simulate_ramsey("max_protection", tau, [params], cfg)[0]
 
     fit_params = params.with_delta(-abs(params.a_par))
     base = model_max_protection(150.0, 42.0, p0_ud=mean_contrast(fit_params))
@@ -172,8 +172,8 @@ def test_spectroscopy_joint_fit():
     cfg = SimConfig(n_shots=400, seed=11, noise=noise)
     dressed_params = make_params(omega_khz=470.0, a_par_khz=0.0)
     undressed_params = make_params(omega_khz=0.0, a_par_khz=0.0)
-    dressed = simulate_spectrum(grid, dressed_params, cfg)
-    undressed = simulate_spectrum(grid, undressed_params, cfg)
+    dressed, undressed = simulate_spectrum(
+        grid, [dressed_params, undressed_params], cfg)
 
     points, _ = fit_points(dressed, undressed)
     lo, hi = guess_spectrum_dips_khz(dressed)
@@ -272,6 +272,6 @@ def test_property_suite(tmp_path):
                     noise=NoiseSpec(sigma_b=SIGMA_B_42, sigma_t=0.25))
     grid = np.arange(0.0, 4.0, 0.2)
     for name in ("a.csv", "b.csv"):
-        write_trace_csv(simulate_ramsey("dressed_mp", grid, params, cfg),
+        write_trace_csv(simulate_ramsey("dressed_mp", grid, [params], cfg)[0],
                         tmp_path / name)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

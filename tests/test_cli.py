@@ -319,6 +319,51 @@ class TestT2Scan:
         assert np.isfinite(mc) and np.isfinite(err) and err > 0
         assert mc == pytest.approx(second, rel=0.3)
 
+    def test_mc_traces_equal_one_drive_calls(self, runner, tmp_path,
+                                             monkeypatch):
+        # one simulate_ramsey call for every drive, whose traces are the
+        # one-drive calls' bit for bit
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs, simulate(*args, **kwargs)))
+            return calls[-1][2]
+
+        simulate = cli.simulate_ramsey
+        monkeypatch.setattr(cli, "simulate_ramsey", spy)
+        cfg = write_config(tmp_path, {"t2scan": {"tau_stop_us": 2.0,
+                                                 "tau_step_us": 0.1}})
+        result = invoke(runner, ["--config", cfg, "--shots", "20", "--out",
+                                 str(tmp_path), "t2scan", "--omega-khz",
+                                 "230", "--omega-khz", "581", "--mc"])
+        assert result.exit_code == 0, all_output(result)
+        (args, kwargs, traces), = calls
+        kind, tau, drives, sim = args
+        assert [d.omega for d in drives] \
+            == [khz_to_angular(230.0), khz_to_angular(581.0)]
+        for drive, trace in zip(drives, traces, strict=True):
+            alone, = simulate(kind, tau, [drive], sim, **kwargs)
+            assert np.array_equal(trace.mean_p0, alone.mean_p0)
+            assert np.array_equal(trace.stderr, alone.stderr)
+
+    def test_mc_fit_that_did_not_converge(self, runner, tmp_path):
+        # 3 shots to 0.8 us: the 581 kHz fit is degenerate and ends at
+        # t2_us's upper bound, which the row must not report as a T2*
+        cfg = write_config(tmp_path, {"preset": "nv2", "t2scan": {
+            "omega_list_khz": [230, 581], "mc": True, "tau_stop_us": 0.8,
+            "tau_step_us": 0.05}})
+        result = invoke(runner, ["--config", cfg, "--out", str(tmp_path),
+                                 "--shots", "3", "--seed", "1", "t2scan"])
+        assert result.exit_code == 3
+        assert result.stderr.splitlines() \
+            == ["fit did not converge at 581 kHz (degenerate)"]
+        rows = [[float(v) for v in row.split(",")] for row in
+                (tmp_path / "t2scan.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == [230.0, 581.0]
+        assert np.all(np.isfinite(rows[0]))
+        assert np.all(np.isfinite(rows[1][:3])) \
+            and np.all(np.isnan(rows[1][3:]))
+
     def test_drive_noise_without_power_levelling(self, runner, tmp_path):
         # the reflectometer's sigma_Omega grows with the drive, and the
         # scan's first-order T2* takes it in

@@ -76,8 +76,8 @@ class TestUndressedFit:
         noise = NoiseSpec(sigma_b=sigma_b_from_t2(5.4))
         cfg = SimConfig(n_shots=400, seed=21, noise=noise)
         tau = np.arange(0.05, 8.0, 0.05)
-        trace = simulate_ramsey("undressed_0m1", tau, p, cfg,
-                                omega_mag=mhz_to_angular(50.0))
+        trace = simulate_ramsey("undressed_0m1", tau, [p], cfg,
+                                omega_mag=mhz_to_angular(50.0))[0]
         model = model_undressed_ramsey().with_initials(a_par_khz=145.0,
                                                        t2_us=5.0)
         outcome = nlls_fit(model, fit_points(trace)[0])
@@ -92,7 +92,7 @@ class TestUndressedFit:
         p = make_params(omega_khz=0.0, a_par_khz=150.0)
         cfg = SimConfig(n_shots=1, seed=0, noise=NoiseSpec())
         tau = np.arange(0.05, 6.0, 0.05)
-        trace = simulate_ramsey("undressed_0m1", tau, p, cfg)
+        trace = simulate_ramsey("undressed_0m1", tau, [p], cfg)[0]
         outcome = nlls_fit(model_undressed_ramsey().with_initials(
             a_par_khz=150.0, t2_us=1e3), fit_points(trace)[0])
         assert outcome.params["a_par_khz"] == pytest.approx(150.0, abs=30.0)
@@ -105,7 +105,7 @@ class TestDressed0pFit:
         p = make_params(omega_khz=348.0, a_par_khz=150.0)
         cfg = SimConfig(n_shots=1, seed=0, noise=NoiseSpec())
         tau = np.arange(0.0, 160.0, 0.1)
-        trace = simulate_ramsey("dressed_0p", tau, p, cfg)
+        trace = simulate_ramsey("dressed_0p", tau, [p], cfg)[0]
         freq, mag = fourier_magnitude(trace)
 
         def refine(lo, hi):
@@ -129,7 +129,7 @@ class TestDressed0pFit:
         noise = NoiseSpec(sigma_b=sigma_b_from_t2(5.9))
         cfg = SimConfig(n_shots=400, seed=22, noise=noise)
         tau = np.arange(0.0, 20.0, 0.05)
-        trace = simulate_ramsey("dressed_0p", tau, p, cfg)
+        trace = simulate_ramsey("dressed_0p", tau, [p], cfg)[0]
         model = model_ramsey_0p(a_par_khz=150.0).with_initials(
             omega_khz=360.0, t2_us=6.0, phi=math.pi)
         outcome = nlls_fit(model, fit_points(trace)[0])
@@ -144,8 +144,8 @@ class TestDressed0pFit:
         res = resolve_config({})
         params = res["params"]
         trace = simulate_ramsey(
-            "dressed_0p", np.arange(0.0, 10.01, 0.02), params,
-            SimConfig(n_shots=20, seed=3, noise=res["sim"].noise))
+            "dressed_0p", np.arange(0.0, 10.01, 0.02), [params],
+            SimConfig(n_shots=20, seed=3, noise=res["sim"].noise))[0]
         rng = np.random.default_rng(1)
         fitted = []
         for k in range(6):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nvcdd import pulse_sim
 from nvcdd.dephasing import (
     FixedAmplitudeNoise,
     NoiseSpec,
@@ -67,31 +68,35 @@ def refined_peak_khz(freq, mag, lo=None, hi=None):
 
 
 class TestSampling:
-    def test_zero_spec_gives_zero_sample(self):
-        for draws in _sample_block(NoiseSpec(), 0.0, 1, 3, 4):
-            assert np.array_equal(draws, np.zeros(4))
+    def test_zero_spec_gives_zero_sample(self, monkeypatch, nv2_params):
+        # the unit draws are scaled by the run's sigmas, all zero here
+        envs = []
+
+        def spy(point, params, *env):
+            envs.append(env)
+            return _run_batch(point, params, *env)
+
+        monkeypatch.setattr(pulse_sim, "_run_batch", spy)
+        simulate_spectrum([0.0, 1.0], [nv2_params],
+                          SimConfig(n_shots=4, seed=1, noise=NoiseSpec()))
+        assert envs and all(np.array_equal(x, np.zeros(8))
+                            for env in envs for x in env)
 
     def test_sample_variance(self):
-        noise = NoiseSpec(sigma_b=15.0, sigma_t=0.25,
-                          amplitude_noise=FixedAmplitudeNoise(0.1))
-        db, _, _ = _sample_block(noise, 0.0, 9, 0, 100_000)
-        assert db.var() == pytest.approx(15.0 ** 2, rel=0.03)
+        draws = _sample_block(9, 0, 100_000)
+        assert draws.var(axis=0) == pytest.approx([1.0] * 3, rel=0.03)
 
     def test_replay_determinism(self):
-        noise = NoiseSpec(sigma_b=15.0)
-        a = _sample_block(noise, 0.0, 4, 7, 50)
-        b = _sample_block(noise, 0.0, 4, 7, 50)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert np.array_equal(_sample_block(4, 7, 50), _sample_block(4, 7, 50))
 
     def test_streams_independent_of_order(self):
         # shot s always draws from stream (seed, s, point), however many
         # shots the block holds and in whichever order they are drawn
-        noise = NoiseSpec(sigma_b=15.0)
-        db = _sample_block(noise, 0.0, 4, 0, 10)[0]
-        backward = [shot_rng(4, s, 0).standard_normal(3)[0] * 15.0
+        db = _sample_block(4, 0, 10)[:, 0]
+        backward = [shot_rng(4, s, 0).standard_normal(3)[0]
                     for s in reversed(range(10))]
         assert list(db) == backward[::-1]
-        assert np.array_equal(_sample_block(noise, 0.0, 4, 0, 20)[0][:10], db)
+        assert np.array_equal(_sample_block(4, 0, 20)[:10, 0], db)
 
     @pytest.mark.parametrize("n_shots", [0, -3])
     def test_shots_below_one_rejected(self, n_shots):
@@ -119,7 +124,7 @@ class TestSampling:
         assert type(config.n_shots) is int and type(config.seed) is int
         assert config == SimConfig(n_shots=3, seed=3, noise=NV2_NOISE)
         # the sidecar records them as JSON numbers
-        trace = simulate_spectrum([0.0, 1.0], nv2_params, config)
+        trace = simulate_spectrum([0.0, 1.0], [nv2_params], config)[0]
         write_trace_csv(trace, tmp_path / "t.csv")
         assert read_trace_csv(tmp_path / "t.csv").metadata["seed"] == 3
 
@@ -217,20 +222,20 @@ class TestEngineInputs:
                                      [-0.5, 0.0]])
     def test_ramsey_tau(self, nv2_params, kind, tau):
         with pytest.raises(ValueError, match="tau_grid must be finite"):
-            simulate_ramsey(kind, tau, nv2_params, QUIET)
+            simulate_ramsey(kind, tau, [nv2_params], QUIET)
 
     @pytest.mark.parametrize("omega_mag", [0.0, -1.0, NAN, INF])
     def test_ramsey_strength(self, nv2_params, omega_mag):
         with pytest.raises(ValueError, match="omega_mag must be finite"):
-            simulate_ramsey("dressed_mp", [0.0, 1.0], nv2_params, QUIET,
+            simulate_ramsey("dressed_mp", [0.0, 1.0], [nv2_params], QUIET,
                             omega_mag=omega_mag)
 
     @pytest.mark.parametrize("simulate", [
-        lambda p, om: simulate_ramsey("dressed_mp", [0.0], p, QUIET,
+        lambda p, om: simulate_ramsey("dressed_mp", [0.0], [p], QUIET,
                                       omega_mag=om),
-        lambda p, om: simulate_ramsey("dressed_0p", [0.0], p, QUIET,
+        lambda p, om: simulate_ramsey("dressed_0p", [0.0], [p], QUIET,
                                       omega_mag=om),
-        lambda p, om: simulate_spectrum([0.0], p, QUIET, omega_mag=om),
+        lambda p, om: simulate_spectrum([0.0], [p], QUIET, omega_mag=om),
     ], ids=["ramsey-pi", "ramsey-half-pi", "spectrum"])
     def test_subnormal_strength_overflows_duration(self, nv2_params,
                                                    simulate):
@@ -241,12 +246,12 @@ class TestEngineInputs:
     @pytest.mark.parametrize("detuning", [[0.0, NAN], [NAN], [-INF, 0.0]])
     def test_spectrum_detuning(self, nv2_params, detuning):
         with pytest.raises(ValueError, match="detuning_grid must be finite"):
-            simulate_spectrum(detuning, nv2_params, QUIET)
+            simulate_spectrum(detuning, [nv2_params], QUIET)
 
     @pytest.mark.parametrize("simulate", [
-        lambda p: simulate_ramsey("dressed_mp", [], p, QUIET),
-        lambda p: simulate_ramsey("undressed_0m1", np.empty(0), p, QUIET),
-        lambda p: simulate_spectrum([], p, QUIET),
+        lambda p: simulate_ramsey("dressed_mp", [], [p], QUIET),
+        lambda p: simulate_ramsey("undressed_0m1", np.empty(0), [p], QUIET),
+        lambda p: simulate_spectrum([], [p], QUIET),
     ], ids=["ramsey", "ramsey-undressed", "spectrum"])
     def test_empty_grid(self, nv2_params, simulate):
         # an empty grid used to give a header-only CSV that
@@ -257,8 +262,8 @@ class TestEngineInputs:
     @pytest.mark.parametrize("grid", [[1.0, 0.5], [0.0, 1.0, 1.0]],
                              ids=["descending", "repeated"])
     @pytest.mark.parametrize("simulate", [
-        lambda p, grid: simulate_ramsey("dressed_mp", grid, p, QUIET),
-        lambda p, grid: simulate_spectrum(grid, p, QUIET),
+        lambda p, grid: simulate_ramsey("dressed_mp", grid, [p], QUIET),
+        lambda p, grid: simulate_spectrum(grid, [p], QUIET),
     ], ids=["ramsey", "spectrum"])
     def test_grid_not_ascending(self, nv2_params, simulate, grid):
         with pytest.raises(ValueError, match="must be strictly ascending"):
@@ -267,21 +272,21 @@ class TestEngineInputs:
     @pytest.mark.parametrize("omega_mag", [0.0, -1.0, NAN, INF])
     def test_spectrum_strength(self, nv2_params, omega_mag):
         with pytest.raises(ValueError, match="omega_mag must be finite"):
-            simulate_spectrum([0.0, 1.0], nv2_params, QUIET,
+            simulate_spectrum([0.0, 1.0], [nv2_params], QUIET,
                               omega_mag=omega_mag)
 
 
 class TestSimulateRamsey:
     def test_zero_noise_mp_matches_analytic(self, nv2_params):
         tau = np.arange(0.0, 20.0, 0.01)
-        trace = simulate_ramsey("dressed_mp", tau, nv2_params, QUIET,
-                                omega_mag=mhz_to_angular(5e6))
+        trace, = simulate_ramsey("dressed_mp", tau, [nv2_params], QUIET,
+                                 omega_mag=mhz_to_angular(5e6))
         pred = zero_noise_mp_prediction(tau, nv2_params)
         assert np.abs(trace.mean_p0 - pred).max() < 1e-6
 
     def test_zero_noise_mp_frequency(self, nv2_params):
         tau = np.arange(0.0, 40.0, 0.02)
-        trace = simulate_ramsey("dressed_mp", tau, nv2_params, QUIET)
+        trace = simulate_ramsey("dressed_mp", tau, [nv2_params], QUIET)[0]
         freq, mag = fourier_magnitude(trace)
         peak = refined_peak_khz(freq, mag)
         assert peak == pytest.approx(600.06, abs=2.0)
@@ -289,17 +294,17 @@ class TestSimulateRamsey:
     def test_dressed_kind_requires_drive(self, nv2_params):
         with pytest.raises(ValueError):
             simulate_ramsey("dressed_mp", np.arange(0.0, 1.0, 0.1),
-                            nv2_params.with_omega(0.0), QUIET)
+                            [nv2_params.with_omega(0.0)], QUIET)
 
     def test_unknown_kind_rejected(self, nv2_params):
         with pytest.raises(ValueError):
             simulate_ramsey("spin_echo", np.arange(0.0, 1.0, 0.1),
-                            nv2_params, QUIET)
+                            [nv2_params], QUIET)
 
     def test_undressed_beat_reveals_hyperfine(self):
         p = make_params(omega_khz=581.0, a_par_khz=145.0)
         tau = np.arange(0.0, 320.0, 0.2)
-        trace = simulate_ramsey("undressed_0m1", tau, p, QUIET)
+        trace = simulate_ramsey("undressed_0m1", tau, [p], QUIET)[0]
         freq, mag = fourier_magnitude(trace)
         # two lines near omega_rot +- a_par/2 (177.5 and 322.5 kHz); the
         # mechanical drive pulls them inward by about 1%
@@ -310,8 +315,8 @@ class TestSimulateRamsey:
     def test_bit_identical_replay(self, nv2_params):
         cfg = SimConfig(n_shots=40, seed=123, noise=NV2_NOISE)
         tau = np.arange(0.0, 4.0, 0.2)
-        a = simulate_ramsey("dressed_mp", tau, nv2_params, cfg)
-        b = simulate_ramsey("dressed_mp", tau, nv2_params, cfg)
+        a = simulate_ramsey("dressed_mp", tau, [nv2_params], cfg)[0]
+        b = simulate_ramsey("dressed_mp", tau, [nv2_params], cfg)[0]
         assert np.array_equal(a.mean_p0, b.mean_p0)
         assert np.array_equal(a.stderr, b.stderr)
 
@@ -320,7 +325,7 @@ class TestSimulateRamsey:
         means = []
         for n in (500, 2000, 8000):
             cfg = SimConfig(n_shots=n, seed=5, noise=NV2_NOISE)
-            tr = simulate_ramsey("dressed_mp", tau, nv2_params, cfg)
+            tr = simulate_ramsey("dressed_mp", tau, [nv2_params], cfg)[0]
             means.append(tr.stderr.mean())
         assert means[0] / means[1] == pytest.approx(2.0, rel=0.15)
         assert means[1] / means[2] == pytest.approx(2.0, rel=0.15)
@@ -328,7 +333,7 @@ class TestSimulateRamsey:
     def test_noisy_envelope_decays(self, nv2_params):
         cfg = SimConfig(n_shots=300, seed=2, noise=NV2_NOISE)
         tau = np.arange(0.0, 30.0, 0.05)
-        tr = simulate_ramsey("dressed_mp", tau, nv2_params, cfg)
+        tr = simulate_ramsey("dressed_mp", tau, [nv2_params], cfg)[0]
         early = np.ptp(tr.mean_p0[tau < 5])
         late = np.ptp(tr.mean_p0[tau > 25])
         assert late < 0.5 * early
@@ -338,13 +343,13 @@ class TestSimulateSpectrum:
     def test_undressed_single_dip(self):
         p = make_params(omega_khz=0.0, a_par_khz=0.0)
         grid = khz_to_angular(np.arange(-400.0, 400.0, 4.0))
-        tr = simulate_spectrum(grid, p, QUIET)
+        tr = simulate_spectrum(grid, [p], QUIET)[0]
         assert abs(tr.abscissa[np.argmin(tr.mean_p0)]) < 10.0
 
     def test_dressed_dips_at_half_omega(self):
         p = make_params(omega_khz=470.0, a_par_khz=0.0)
         grid = khz_to_angular(np.arange(-400.0, 400.0, 2.0))
-        tr = simulate_spectrum(grid, p, QUIET)
+        tr = simulate_spectrum(grid, [p], QUIET)[0]
         low = tr.mean_p0[tr.abscissa < 0]
         high = tr.mean_p0[tr.abscissa >= 0]
         lo = tr.abscissa[tr.abscissa < 0][np.argmin(low)]
@@ -358,9 +363,9 @@ class TestSimulateSpectrum:
         # wings at -200 kHz, changes nothing
         p = make_params(omega_khz=0.0)
         grid = khz_to_angular(np.arange(-300.0, 300.0, 20.0))
-        quiet, noisy = (simulate_spectrum(grid, p, SimConfig(
+        quiet, noisy = (simulate_spectrum(grid, [p], SimConfig(
             n_shots=50, seed=3, noise=NoiseSpec(amplitude_noise=(
-                FixedAmplitudeNoise(khz_to_angular(sigma_khz))))))
+                FixedAmplitudeNoise(khz_to_angular(sigma_khz))))))[0]
             for sigma_khz in (0.0, 200.0))
         assert np.array_equal(noisy.mean_p0, quiet.mean_p0)
         assert np.array_equal(noisy.stderr, quiet.stderr)
@@ -370,7 +375,7 @@ class TestSimulateSpectrum:
         seps = []
         for f in (230.0, 470.0, 670.0):
             p = make_params(omega_khz=f, a_par_khz=0.0)
-            tr = simulate_spectrum(grid, p, QUIET)
+            tr = simulate_spectrum(grid, [p], QUIET)[0]
             low = tr.abscissa[tr.abscissa < 0][
                 np.argmin(tr.mean_p0[tr.abscissa < 0])]
             high = tr.abscissa[tr.abscissa >= 0][
@@ -406,7 +411,7 @@ class TestTraceIO:
     def test_round_trip(self, tmp_path, nv2_params):
         cfg = SimConfig(n_shots=20, seed=8, noise=NV2_NOISE)
         tr = simulate_ramsey("dressed_mp", np.arange(0.0, 2.0, 0.1),
-                             nv2_params, cfg)
+                             [nv2_params], cfg)[0]
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, path)
         back = read_trace_csv(path)
@@ -421,7 +426,7 @@ class TestTraceIO:
         blobs = []
         for name in ("a.csv", "b.csv"):
             tr = simulate_ramsey("dressed_mp", np.arange(0.0, 2.0, 0.1),
-                                 nv2_params, cfg)
+                                 [nv2_params], cfg)[0]
             path = tmp_path / name
             write_trace_csv(tr, path)
             blobs.append(path.read_bytes())

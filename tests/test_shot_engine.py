@@ -307,8 +307,8 @@ class TestRunBatch:
     @pytest.mark.parametrize("kind", RAMSEY_KINDS)
     def test_ramsey_matches_dense(self, recorded_batches, kind):
         config = SimConfig(n_shots=N_DRAWS, seed=5, noise=NOISE)
-        simulate_ramsey(kind, [0.0, 0.85, 3.1], make_params(delta_khz=30.0),
-                        config)
+        simulate_ramsey(kind, [0.0, 0.85, 3.1],
+                        [make_params(delta_khz=30.0)], config)
         assert len(recorded_batches) == 1    # the three points in one chunk
         for args, p0 in recorded_batches:
             assert np.abs(p0 - dense_run(*args)).max() <= TOLERANCE
@@ -317,7 +317,8 @@ class TestRunBatch:
     def test_spectrum_point_matches_dense(self, recorded_batches, omega_khz):
         config = SimConfig(n_shots=N_DRAWS, seed=5, noise=NOISE)
         detunings = 2.0 * math.pi * np.array([-0.24, 0.0, 0.31])
-        simulate_spectrum(detunings, make_params(omega_khz=omega_khz), config)
+        simulate_spectrum(detunings, [make_params(omega_khz=omega_khz)],
+                          config)
         assert len(recorded_batches) == 1
         for args, p0 in recorded_batches:
             assert np.abs(p0 - dense_run(*args)).max() <= TOLERANCE
@@ -353,35 +354,50 @@ class TestRunBatch:
         monkeypatch.setattr(pulse_sim, "_newton_column", spy)
         monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", 8)
         config = SimConfig(n_shots=4, seed=5, noise=NOISE)
-        simulate_ramsey(kind, [0.0, 0.85, 3.1], make_params(), config)
+        simulate_ramsey(kind, [0.0, 0.85, 3.1], [make_params()], config)
         assert [u.shape for u in columns] == [(3, 8, 2), (3, 4, 2)]
 
 
 def oracle_run(case, n_shots):
     """simulate_ramsey or simulate_spectrum and its arguments for a
-    (config, Ramsey kind or "spectrum") case: configs/<config>.json at
-    seed 7, 101 points of 0..20 us or -600..600 kHz, at the config's own
-    drive."""
-    name, kind = case
+    (config, Ramsey kind or "spectrum", drives) case: configs/<config>.json
+    at seed 7, 101 points of 0..20 us or -600..600 kHz, at the drives in
+    kHz, or at the config's own drive if drives is None."""
+    name, kind, drives_khz = case
     res = resolve_config(load_config(
         Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"))
-    params = res["params"]
+    drives = [res["params"]] if drives_khz is None else \
+        [res["params"].with_omega(khz_to_angular(om)) for om in drives_khz]
     config = SimConfig(n_shots=n_shots, seed=7, noise=res["sim"].noise)
     if kind == "spectrum":
         grid = khz_to_angular(np.linspace(-600.0, 600.0, ORACLE_POINTS))
-        return simulate_spectrum, grid, params, config
+        return simulate_spectrum, grid, drives, config
     return (simulate_ramsey, kind, np.linspace(0.0, 20.0, ORACLE_POINTS),
-            params, config)
+            drives, config)
 
 
-# MC against the exact mean: 2000 shots at 101 points per case, 10 cases.
-# The bands hold each case's chi^2/dof (101 dof, s.d. 0.14) and the pooled
-# one (1010 dof, s.d. 0.045); seeds 3, 7 and 11 gave 0.78..1.35 per case
-# and 0.97..1.06 pooled, with max |z| 3.4.  Scaling the sampler's delta_b
-# by 1.05, its delta_Omega by 1.1 or its delta_T by 1.1 moved the pooled
-# chi^2/dof at seed 7 to 1.96, 1.77 and 2.63.
-ORACLE_CASES = [(preset, kind) for preset in ("nv1", "nv2")
-                for kind in (*RAMSEY_KINDS, "spectrum")]
+def oracle_ids(case):
+    """The test ids of a case's traces, one per drive."""
+    name, kind, drives_khz = case
+    if drives_khz is None:
+        return [f"{name}-{kind}"]
+    return [f"{name}-{kind}-{om:g}khz" for om in drives_khz]
+
+
+# MC against the exact mean: 2000 shots at 101 points per trace, 13
+# traces: every Ramsey kind and a spectrum on each config, and one nv2
+# spectrum call over three drives, whose reflectometer sigma_Omega is 0
+# with the drive off and differs per drive while the drives share each
+# shot's unit draws.  The bands hold each trace's chi^2/dof (101 dof, s.d.
+# 0.14) and the pooled one (1313 dof, s.d. 0.04); seeds 3, 7 and 11 gave
+# 0.76..1.35 per trace and 0.96..1.08 pooled, with max |z| 3.4.  Scaling
+# the sampler's delta_b by 1.05, its delta_Omega by 1.1 or its delta_T by
+# 1.1 moved the pooled chi^2/dof of the ten single-drive traces at seed 7
+# to 1.96, 1.77 and 2.63.
+ORACLE_CASES = [(preset, kind, None) for preset in ("nv1", "nv2")
+                for kind in (*RAMSEY_KINDS, "spectrum")] \
+    + [("nv2", "spectrum", (0.0, 230.0, 470.0))]
+ORACLE_IDS = [tid for case in ORACLE_CASES for tid in oracle_ids(case)]
 ORACLE_POINTS = 101
 ORACLE_SHOTS = 2000
 CASE_BAND, POOLED_BAND, MAX_Z = (0.6, 1.5), (0.85, 1.2), 4.5
@@ -389,21 +405,21 @@ CASE_BAND, POOLED_BAND, MAX_Z = (0.6, 1.5), (0.85, 1.2), 4.5
 
 @pytest.fixture(scope="module")
 def oracle_z():
-    """(MC - exact) / MC stderr at every point, by case."""
+    """(MC - exact) / MC stderr at every point, by trace id."""
     z = {}
     for case in ORACLE_CASES:
         simulate, *args = oracle_run(case, ORACLE_SHOTS)
-        mc = simulate(*args)
-        exact = exact_mean_trace(simulate, *args)
-        z[case] = (mc.mean_p0 - exact.mean_p0) / mc.stderr
+        for tid, mc, exact in zip(oracle_ids(case), simulate(*args),
+                                  exact_mean_trace(simulate, *args),
+                                  strict=True):
+            z[tid] = (mc.mean_p0 - exact.mean_p0) / mc.stderr
     return z
 
 
 class TestExactMean:
-    @pytest.mark.parametrize("case", ORACLE_CASES,
-                             ids=["-".join(case) for case in ORACLE_CASES])
-    def test_mc_scatters_about_the_exact_mean(self, oracle_z, case):
-        z = oracle_z[case]
+    @pytest.mark.parametrize("trace", ORACLE_IDS)
+    def test_mc_scatters_about_the_exact_mean(self, oracle_z, trace):
+        z = oracle_z[trace]
         assert CASE_BAND[0] <= np.mean(z ** 2) <= CASE_BAND[1]
         assert np.abs(z).max() <= MAX_Z
 
@@ -414,10 +430,10 @@ class TestExactMean:
     @pytest.mark.parametrize("kind", ["dressed_mp", "spectrum"])
     def test_nodes_match_dense(self, recorded_batches, kind):
         # nv2 has all three noises; 3 nodes each and a short grid
-        simulate, *args = oracle_run(("nv2", kind), 1)
+        simulate, *args = oracle_run(("nv2", kind, None), 1)
         args[-3] = args[-3][::25]
         exact_mean_trace(simulate, *args, nodes=(3, 3, 3))
-        params, config = args[-2:]
+        [params], config = args[-2:]
         nodes = np.polynomial.hermite_e.hermegauss(3)[0]
         sigmas = (config.noise.sigma_b, config.noise.sigma_omega(params.omega),
                   config.noise.sigma_t)
@@ -432,48 +448,37 @@ class TestExactMean:
 class TestSampler:
     @pytest.mark.parametrize("seed,point", [(0, 0), (7, 13), (2 ** 64 - 1, 400)])
     def test_bit_identical_to_shot_rng(self, seed, point):
-        noise = NoiseSpec(sigma_b=1.0, sigma_t=1.0,
-                          amplitude_noise=FixedAmplitudeNoise(1.0))
-        got = np.stack(_sample_block(noise, 1.0, seed, point, 30), axis=1)
+        got = _sample_block(seed, point, 30)
         want = np.stack([shot_rng(seed, shot, point).standard_normal(3)
                          for shot in range(30)])
         assert np.array_equal(got, want)
 
     def test_interleaved_calls_match_isolated(self):
         keys = [(3, 5), (11, 2), (3, 6)]
-        isolated = [_sample_block(NOISE, 1.0, seed, point, 25)
-                    for seed, point in keys]
+        isolated = [_sample_block(seed, point, 25) for seed, point in keys]
         for _ in range(2):
             for (seed, point), want in zip(keys, isolated):
-                got = _sample_block(NOISE, 1.0, seed, point, 25)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                assert np.array_equal(_sample_block(seed, point, 25), want)
 
     def test_concurrent_callers_share_no_state(self):
         keys = [(seed, point) for seed in (1, 9) for point in range(4)] * 2
-        want = [_sample_block(NOISE, 1.0, seed, point, 200)
-                for seed, point in keys]
+        want = [_sample_block(seed, point, 200) for seed, point in keys]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 got = list(pool.map(
-                    lambda key: _sample_block(NOISE, 1.0, *key, 200), keys,
+                    lambda key: _sample_block(*key, 200), keys,
                     timeout=60))
         finally:
             sys.setswitchinterval(interval)
         for g, w in zip(got, want, strict=True):
-            assert all(np.array_equal(x, y) for x, y in zip(g, w))
-
-
-UNIT_NOISE = NoiseSpec(sigma_b=1.0, sigma_t=1.0,
-                       amplitude_noise=FixedAmplitudeNoise(1.0))
+            assert np.array_equal(g, w)
 
 
 def sampled(seed, point_index, n_shots):
-    """Unscaled _sample_block draws, shape (..., n_shots, 3); the drive is
-    on, since with it off there are no amplitude draws."""
-    return np.stack(_sample_block(UNIT_NOISE, 1.0, seed, point_index,
-                                  n_shots), axis=-1)
+    """_sample_block's unit draws, shape (..., n_shots, 3)."""
+    return _sample_block(seed, point_index, n_shots)
 
 
 def reference(seed, points, n_shots):
@@ -531,13 +536,13 @@ class TestVectorisedSampler:
         sample = pulse_sim._sample_block
 
         def spy(*args):
-            blocks.append(args[3])
+            blocks.append(args[1])
             return sample(*args)
 
         monkeypatch.setattr(pulse_sim, "_sample_block", spy)
         params = make_params(omega_khz=470.0)
         simulate_spectrum(2.0 * math.pi * np.linspace(-0.3, 0.3, n_points),
-                          params, SimConfig(n_shots=n_shots, seed=5,
+                          [params], SimConfig(n_shots=n_shots, seed=5,
                                             noise=NOISE))
         per_block = max(1, cap // n_shots)
         assert blocks == [range(first, min(first + per_block, n_points))
@@ -549,18 +554,19 @@ def assert_chunks(batches, blocks, params, n_shots):
     """The recorded _run_batch calls of a spectrum run split each sampled
     block into chunks of whole points, at most _CHUNK_SHOT_POINTS
     shot-points (at least one point) each, and carry each point's own
-    environment draws."""
+    environment draws: its unit draws times NOISE's sigmas at the drive."""
     per_chunk = max(1, pulse_sim._CHUNK_SHOT_POINTS // n_shots)
     chunks = [range(first, min(first + per_chunk, block.stop))
               for block in blocks
               for first in range(block.start, block.stop, per_chunk)]
+    sigmas = (NOISE.sigma_b, NOISE.sigma_omega(params.omega), NOISE.sigma_t)
     assert len(batches) == len(chunks)
     for chunk, (args, p0) in zip(chunks, batches):
         assert len(p0) == len(chunk) * n_shots
-        want = zip(*(_sample_block(NOISE, params.omega, 5, point, n_shots)
-                     for point in chunk))
-        assert all(np.array_equal(g, np.concatenate(w))
-                   for g, w in zip(args[2:], want, strict=True))
+        want = np.concatenate([_sample_block(5, point, n_shots)
+                               for point in chunk]) * sigmas
+        assert all(np.array_equal(g, w)
+                   for g, w in zip(args[2:], want.T, strict=True))
 
 
 GRID_POINTS = 60
@@ -572,12 +578,12 @@ def simulated_files(tmp_path, kind, n_shots):
     params = make_params(delta_khz=30.0)
     config = SimConfig(n_shots=n_shots, seed=5, noise=NOISE)
     if kind == "spectrum":
-        trace = simulate_spectrum(
-            2.0 * math.pi * np.linspace(-0.6, 0.6, GRID_POINTS), params,
+        trace, = simulate_spectrum(
+            2.0 * math.pi * np.linspace(-0.6, 0.6, GRID_POINTS), [params],
             config)
     else:
-        trace = simulate_ramsey(kind, np.linspace(0.0, 3.0, GRID_POINTS),
-                                params, config)
+        trace, = simulate_ramsey(kind, np.linspace(0.0, 3.0, GRID_POINTS),
+                                 [params], config)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     return path.read_bytes(), Path(f"{path}.meta.json").read_bytes()
@@ -607,14 +613,83 @@ class TestChunks:
         monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", chunk_cap)
         params = make_params(omega_khz=470.0)
         grid = 2.0 * math.pi * np.linspace(-0.3, 0.3, 7)
-        simulate_spectrum(grid, params, SimConfig(n_shots=30, seed=5,
-                                                  noise=NOISE))
+        simulate_spectrum(grid, [params], SimConfig(n_shots=30, seed=5,
+                                                    noise=NOISE))
         blocks = [range(0, 3), range(3, 6), range(6, 7)]
         assert_chunks(recorded_batches, blocks, params, 30)
         # one frame detuning per shot-point
         frames = np.concatenate([args[0][0] for args, _ in recorded_batches])
         assert np.array_equal(frames,
                               np.repeat(grid, 30) - 0.5 * params.delta)
+
+
+def nv2_run():
+    """configs/nv2.json's params and its noise at 40 shots, seed 5: the
+    reflectometer sigma_Omega, 0 with the drive off and different at
+    every drive."""
+    res = resolve_config(load_config(
+        Path(__file__).resolve().parents[1] / "configs" / "nv2.json"))
+    return res["params"], SimConfig(n_shots=40, seed=5,
+                                    noise=res["sim"].noise)
+
+
+class TestSharedDraws:
+    """The drives of one call share each shot's unit draws: they are
+    sampled once per block, and every trace equals a one-drive call's."""
+
+    DRIVES_KHZ = (0.0, 230.0, 470.0)
+
+    def drives(self, params):
+        return [params.with_omega(khz_to_angular(om))
+                for om in self.DRIVES_KHZ]
+
+    @pytest.mark.parametrize("kind", ["spectrum", *RAMSEY_KINDS])
+    def test_each_drive_equals_a_one_drive_call(self, monkeypatch, kind):
+        # 7 points of 40 shots in blocks of 3 points, so a block boundary
+        # falls inside the grid
+        monkeypatch.setattr(pulse_sim, "_BLOCK_SHOT_POINTS", 120)
+        params, config = nv2_run()
+        drives = self.drives(params)
+        if kind == "spectrum":
+            grid = khz_to_angular(np.linspace(-600.0, 600.0, 7))
+            simulate = lambda drives: simulate_spectrum(grid, drives, config)
+        else:
+            if kind != "undressed_0m1":
+                drives = drives[1:]    # the dressed kinds need a drive
+            grid = np.linspace(0.0, 3.0, 7)
+            simulate = lambda drives: simulate_ramsey(kind, grid, drives,
+                                                      config)
+        together = simulate(drives)
+        assert len(together) == len(drives)
+        for drive, trace in zip(drives, together):
+            alone, = simulate([drive])
+            assert np.array_equal(trace.mean_p0, alone.mean_p0)
+            assert np.array_equal(trace.stderr, alone.stderr)
+            assert trace.metadata == alone.metadata
+
+    def test_one_sample_per_block(self, monkeypatch):
+        monkeypatch.setattr(pulse_sim, "_BLOCK_SHOT_POINTS", 120)
+        blocks = []
+        sample = pulse_sim._sample_block
+
+        def spy(*args):
+            blocks.append(args[1])
+            return sample(*args)
+
+        monkeypatch.setattr(pulse_sim, "_sample_block", spy)
+        params, config = nv2_run()
+        simulate_spectrum(khz_to_angular(np.linspace(-600.0, 600.0, 7)),
+                          self.drives(params), config)
+        assert blocks == [range(0, 3), range(3, 6), range(6, 7)]
+
+    @pytest.mark.parametrize("simulate", [
+        lambda grid, config: simulate_spectrum(grid, [], config),
+        lambda grid, config: simulate_ramsey("dressed_mp", grid, (), config),
+    ], ids=["spectrum", "ramsey"])
+    def test_no_drives_rejected(self, simulate):
+        _, config = nv2_run()
+        with pytest.raises(ValueError, match="^drives needs at least one"):
+            simulate(np.linspace(0.0, 1.0, 3), config)
 
 
 @pytest.fixture
