@@ -47,6 +47,7 @@ from .presets import PRESETS
 from .pulse_sim import (
     RAMSEY_KINDS,
     SimConfig,
+    _json,
     _read_text,
     fourier_magnitude,
     read_trace_csv,
@@ -189,31 +190,17 @@ class ConfigError(Exception):
     pass
 
 
-def _json(text: str):
-    """json.loads, except that every number must be finite as a float:
-    NaN, +-Infinity and literals that overflow a float (``1e400``, a
-    400-digit integer) are ConfigErrors that show the literal."""
-    def finite(parse):
-        def hook(literal):
-            if not math.isfinite(float(literal)):
-                shown = literal if len(literal) <= 20 else literal[:17] + "..."
-                raise ConfigError(f"{shown} is not a finite number")
-            return parse(literal)
-        return hook
-
-    return json.loads(text, parse_constant=finite(float),
-                      parse_float=finite(float), parse_int=finite(int))
-
-
 def load_config(path) -> dict:
     """Parse a JSON scenario config; resolve_config checks it."""
     try:
-        return _json(_read_text(path))
+        text = _read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        return _json(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    except ConfigError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -226,10 +213,10 @@ class _JsonNumber(click.ParamType):
     def convert(self, value, param, ctx):
         try:
             number = _json(value)
-        except ConfigError as exc:
-            self.fail(str(exc), param, ctx)
         except json.JSONDecodeError:
             number = None
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
         if not _of_type(number, "number"):
             self.fail(f"{value!r} is not a JSON number", param, ctx)
         return number

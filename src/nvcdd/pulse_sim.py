@@ -230,24 +230,17 @@ def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
     where the frame detuning and ramsey's entries are scalars or arrays
     (n,), one value per shot-point: ramsey None is a spectrum point, one
     pulse; ramsey = (tau, phi) is a Ramsey point, the pulse, free
-    evolution tau, the pulse at phase phi.  The doubly rotating frame
-    Hamiltonian at pulse phase 0 is two real 3x3 blocks, 13C up then
-    down, each [[e, 0, w], [0, z, g], [w, g, -e]] in the order
-    (+1, 0, -1): e = GAMMA db + (delta +- a_par)/2 per block,
+    evolution tau, the pulse at phase phi.  The block entries (module
+    docstring) are e = GAMMA db + (delta +- a_par)/2 per block,
     z = frame - DD_DT dt and w = (omega + dom)/2 per shot, and
-    g = omega_mag/2.  The drive
-    couples |0> to |-1> only, addressing 0<->m and 0<->p through their
-    |-1> components; its 0<->+1 element, detuned by the full Zeeman
-    splitting, is dropped like every other counter-rotating term.
+    g = omega_mag/2: the drive's 0<->+1 element, detuned by the full
+    Zeeman splitting, is dropped like every other counter-rotating term.
 
-    Each block starts in sqrt(1/2)|0>, so the opening pulse leaves
-    sqrt(1/2) u, u its |0> column; u is also its |0> row, so the closing
-    pulse P U(0) P^dagger (P = exp(i phi) on |0>) only forms the readout
-    amplitude.  Free evolution is drive-free: |0> picks up exp(-i z tau)
-    and the +-1 pair rotates under e sigma_z + w sigma_x, at rate
-    r = hypot(e, w), so the amplitude is sqrt(1/2) times
+    With u the pulse's |0> column, a block's readout amplitude is
+    sqrt(1/2) u0 for a spectrum point and, for a Ramsey point (closing
+    pulse and free evolution as in the module docstring), sqrt(1/2) times
     u0^2 exp(-i z tau) + exp(i phi) [cos(r tau) (u+^2 + u-^2)
-    - i sin(r tau)/r (e (u+^2 - u-^2) + 2 w u+ u-)].
+    - i sin(r tau)/r (e (u+^2 - u-^2) + 2 w u+ u-)], r = hypot(e, w).
     """
     frame, omega_mag, duration, ramsey = point
     a = params.a_par
@@ -595,6 +588,23 @@ def _read_text(path) -> str:
                 raise ValueError(f"{path}:{n}: {exc}") from None
 
 
+def _json(text: str):
+    """json.loads, except that every number must be finite as a float:
+    NaN, +-Infinity and literals that overflow a float (``1e400``, a
+    400-digit integer) are ValueErrors that show the literal.  Configs,
+    number flags and trace sidecars are all read with it."""
+    def finite(parse):
+        def hook(literal):
+            if not math.isfinite(float(literal)):
+                shown = literal if len(literal) <= 20 else literal[:17] + "..."
+                raise ValueError(f"{shown} is not a finite number")
+            return parse(literal)
+        return hook
+
+    return json.loads(text, parse_constant=finite(float),
+                      parse_float=finite(float), parse_int=finite(int))
+
+
 def read_trace_csv(path) -> Trace:
     """Re-ingest a trace CSV (and its sidecar, if present).  Of several
     faults the first line's is reported: on one line, a parse fault, else
@@ -629,10 +639,13 @@ def read_trace_csv(path) -> Trace:
     sidecar = Path(f"{path}.meta.json")
     metadata = {}
     if sidecar.exists():
+        text = _read_text(sidecar)
         try:
-            metadata = json.loads(_read_text(sidecar))
+            metadata = _json(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{sidecar}:{exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:
+            raise ValueError(f"{sidecar}: {exc}") from None
         if not isinstance(metadata, dict):
             raise ValueError(f"{sidecar}:1: metadata must be a JSON object")
     return Trace(arr[:, 0], arr[:, 1], arr[:, 2], int(arr[0, 3]), metadata)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nvcdd import NoiseSpec, SystemParams
+from nvcdd.spin_model import SystemParams
 from nvcdd.units import khz_to_angular, mhz_to_angular
 
 OMEGA_MECH = mhz_to_angular(586.0)

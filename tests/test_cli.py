@@ -560,6 +560,8 @@ class TestRamseyAndFit:
         ("nan,0.5,0.01,100", None, "trace.csv:3: abscissa must be finite"),
         ("inf,0.5,0.01,100", None, "trace.csv:3: abscissa must be finite"),
         ("0.1,0.5,0.01,100", "{not json", "trace.csv.meta.json:1:"),
+        ("0.1,0.5,0.01,100", '{"kind": NaN, "n_shots": 1e400}',
+         "trace.csv.meta.json: NaN is not a finite number"),
         ("0.1,0.5,0.01,100", "[1, 2]",
          "trace.csv.meta.json:1: metadata must be a JSON object")])
     def test_fit_bad_trace_names_file(self, runner, tmp_path, row, sidecar,

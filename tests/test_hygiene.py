@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nvcdd"
-# __init__ imports only to re-export.
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -91,20 +90,22 @@ def names_read(source: str) -> set[str]:
     return read
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level names that no module of the package reads, so
+def unread_names(sources: dict[str, str], defined) -> list[str]:
+    """The module-level names defined (private_definitions or
+    public_definitions) finds that no module of the package reads, so
     that only tests (or nothing) use them."""
     read = set().union(*map(names_read, sources.values()))
     return [f"{module}:{line}: {name}"
             for module, source in sources.items()
-            for name, line in private_definitions(source).items()
+            for name, line in defined(source).items()
             if name not in read]
 
 
+PACKAGE = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+
+
 def test_no_private_name_only_tests_use():
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))}
-    assert unread_private_names(sources) == []
+    assert unread_names(PACKAGE, private_definitions) == []
 
 
 def test_guard_sees_an_unread_private_name():
@@ -116,32 +117,17 @@ def test_guard_sees_an_unread_private_name():
         "b": "from . import a\nfrom .c import _shared\nprint(a._helper())\n",
         "c": "def _shared():\n    pass\n",
     }
-    assert unread_private_names(sources) == [
+    assert unread_names(sources, private_definitions) == [
         "a:3: _UNUSED", "a:7: _dead", "a:9: _Gone"]
 
 
-def unread_public_names(sources: dict[str, str]) -> list[str]:
-    """Public module-level names that no module of the package other than
-    __init__ reads, so that only tests (or nothing) use them.  __init__
-    re-exports the public names, which is no use."""
-    read = set().union(*(names_read(source) for module, source
-                         in sources.items() if module != "__init__"))
-    return [f"{module}:{line}: {name}"
-            for module, source in sources.items()
-            for name, line in public_definitions(source).items()
-            if name not in read]
-
-
 def test_no_public_name_only_tests_use():
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))}
-    assert unread_public_names(sources) == []
+    assert unread_names(PACKAGE, public_definitions) == []
 
 
 def test_guard_sees_an_unread_public_name():
     sources = {
-        "__init__": ("from .a import LIMIT, UNREAD, used\n"
-                     "__version__ = '1'\n"),
+        "__init__": "__version__ = '1'\n",
         "a": ("import click\nLIMIT = 3\nUNREAD = 4\n"
               "@click.group()\ndef main():\n    pass\n"
               "@main.command()\ndef run():\n    return LIMIT\n"
@@ -149,4 +135,5 @@ def test_guard_sees_an_unread_public_name():
               "class Gone:\n    pass\n"),
         "b": "from .a import used\nused()\n",
     }
-    assert unread_public_names(sources) == ["a:3: UNREAD", "a:12: Gone"]
+    assert unread_names(sources, public_definitions) == [
+        "a:3: UNREAD", "a:12: Gone"]

@@ -1,4 +1,5 @@
-"""scipy stays off the CLI start-up path, and jsonschema off every run.
+"""scipy stays off the CLI start-up path, jsonschema off every run, and
+each nvcdd module loads only what it imports.
 
 The CLI checks configs itself; jsonschema, with the packages it pulls in,
 is only the test suite's oracle for that checker. Each check runs in a
@@ -11,11 +12,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 DEFERRED = ("scipy.optimize", "scipy.stats", "scipy.special")
 # jsonschema and the packages it imports
 JSONSCHEMA_MODULES = ("jsonschema", "referencing", "rpds", "attrs")
+# numpy and every module of the package
+PACKAGE_MODULES = ("numpy", *(f"nvcdd.{path.stem}" for path
+                              in sorted((SRC / "nvcdd").glob("*.py"))
+                              if path.stem != "__init__"))
 
 
 def _loaded_after(code: str, names=DEFERRED) -> set:
@@ -36,6 +43,15 @@ def _loaded_after(code: str, names=DEFERRED) -> set:
 
 def test_cli_import_loads_no_scipy_fitting_modules():
     assert _loaded_after("import nvcdd.cli") == set()
+
+
+def test_package_import_loads_no_module():
+    assert _loaded_after("import nvcdd", PACKAGE_MODULES) == set()
+
+
+@pytest.mark.parametrize("module", ["nvcdd.units", "nvcdd.spin_model"])
+def test_leaf_module_loads_only_itself(module):
+    assert _loaded_after(f"import {module}", PACKAGE_MODULES) == {module}
 
 
 def test_ramsey_run_loads_no_scipy_fitting_modules(tmp_path):
