@@ -434,16 +434,16 @@ def pipeline(fn):
         try:
             return fn(*args, **kwargs)
         except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
+            click.echo(f"config error: {exc}", file=sys.stderr)
             sys.exit(EXIT_CONFIG)
         except (NumericalError, ArithmeticError) as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
+            click.echo(f"numerical failure: {exc}", file=sys.stderr)
             sys.exit(EXIT_NUMERICAL)
         except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_CONFIG)
         except OSError as exc:
-            click.echo(f"i/o error: {exc}", err=True)
+            click.echo(f"i/o error: {exc}", file=sys.stderr)
             sys.exit(EXIT_IO)
 
     return wrapper
@@ -523,7 +523,7 @@ def rates(res):
         f"T2*_mp (second)     : {_short(t2_second)} us",
     ]
     report = "\n".join(lines)
-    click.echo(report)
+    click.echo(report, file=sys.stdout)
     (_out_dir(res) / "rates.txt").write_text(report + "\n", encoding="utf-8")
 
 
@@ -571,9 +571,9 @@ def t2scan(res, **flags):
     path = _out_dir(res) / "t2scan.csv"
     _write_rows(path, "omega_khz,t2_first_us,t2_second_us,t2_mc_us,mc_err_us",
                 rows)
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {path}", file=sys.stdout)
     if failed:
-        click.echo("\n".join(failed), err=True)
+        click.echo("\n".join(failed), file=sys.stderr)
         sys.exit(EXIT_NUMERICAL)
 
 
@@ -602,7 +602,7 @@ def ramsey(res, **flags):
     freq, mag = fourier_magnitude(trace)
     _write_rows(out / f"ramsey_{kind}_fft.csv", "freq_khz,magnitude",
                 zip(freq, mag))
-    click.echo(f"wrote {trace_path}")
+    click.echo(f"wrote {trace_path}", file=sys.stdout)
 
 
 @main.command()
@@ -631,7 +631,7 @@ def spectra(res, **flags):
                                              **kwargs), names):
         path = out / name
         write_trace_csv(trace, path)
-        click.echo(f"wrote {path}")
+        click.echo(f"wrote {path}", file=sys.stdout)
 
 
 @main.command()
@@ -652,7 +652,7 @@ def envelope(res, **flags):
     path = _out_dir(res) / "envelope.csv"
     _write_rows(path, "tau_us,second_order,max_protection,gaussian_first",
                 zip(tau, f, h, g))
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {path}", file=sys.stdout)
 
 
 @main.command()
@@ -688,11 +688,11 @@ def fit(res, **flags):
     outcome = nlls_fit(model, points, weights)
 
     report = format_fit_report(model, outcome)
-    click.echo(report)
+    click.echo(report, file=sys.stdout)
     path = _out_dir(res) / f"fit_{model_name}.txt"
     path.write_text(report + "\n", encoding="utf-8")
     if not outcome.converged:
-        click.echo("fit did not converge", err=True)
+        click.echo("fit did not converge", file=sys.stderr)
         sys.exit(EXIT_NUMERICAL)
 
 

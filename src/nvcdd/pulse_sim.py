@@ -31,12 +31,13 @@ The Hamiltonian never couples the 13C index: it is two real 3x3 blocks,
 13C up (basis states {0,2,4} of the six-level model) and down ({1,3,5}),
 each [[e, 0, w], [0, z, g], [w, g, -e]] in the order (+1, 0, -1).
 _run_batch forms only these entries, e per block, z and w per shot and g
-per call; no matrix is built.  Only |0> is prepared and read out, so a
-pulse needs only the |0> column u of its propagator U(0) = exp(-i h t) at
-phase 0, formed by _newton_column from h's three eigenvalues alone
-(trigonometric roots of the cubic, Newton divided differences of
-exp(-i l t)); the rare block whose column is not finite goes to
-np.linalg.eigh.
+per call; no matrix is built.  Its block axis holds each distinct block
+once (at a_par = 0 the two are one), and P0 averages over the blocks.
+Only |0> is prepared and read out, so a pulse needs only the |0> column
+u of its propagator U(0) = exp(-i h t) at phase 0, formed by
+_newton_column from h's three eigenvalues alone (trigonometric roots of
+the cubic, Newton divided differences of exp(-i l t)); the rare block
+whose column is not finite goes to np.linalg.eigh.
 
 h is real symmetric, so U(0) is complex symmetric: u is also its |0>
 row.  The opening pulse sets the state from u alone and the closing
@@ -231,21 +232,23 @@ def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
     (n,), one value per shot-point: ramsey None is a spectrum point, one
     pulse; ramsey = (tau, phi) is a Ramsey point, the pulse, free
     evolution tau, the pulse at phase phi.  The block entries (module
-    docstring) are e = GAMMA db + (delta +- a_par)/2 per block,
-    z = frame - DD_DT dt and w = (omega + dom)/2 per shot, and
-    g = omega_mag/2: the drive's 0<->+1 element, detuned by the full
-    Zeeman splitting, is dropped like every other counter-rotating term.
+    docstring) are e = GAMMA db + d/2 for each distinct d of
+    (delta + a_par, delta - a_par), in that order, z = frame - DD_DT dt
+    and w = (omega + dom)/2 per shot, and g = omega_mag/2: the drive's
+    0<->+1 element, detuned by the full Zeeman splitting, is dropped like
+    every other counter-rotating term.
 
-    With u the pulse's |0> column, a block's readout amplitude is
-    sqrt(1/2) u0 for a spectrum point and, for a Ramsey point (closing
-    pulse and free evolution as in the module docstring), sqrt(1/2) times
-    u0^2 exp(-i z tau) + exp(i phi) [cos(r tau) (u+^2 + u-^2)
-    - i sin(r tau)/r (e (u+^2 - u-^2) + 2 w u+ u-)], r = hypot(e, w).
+    With u the pulse's |0> column, a block's readout amplitude is u0 for a
+    spectrum point and, for a Ramsey point (closing pulse and free
+    evolution as in the module docstring), u0^2 exp(-i z tau)
+    + exp(i phi) [cos(r tau) (u+^2 + u-^2) - i sin(r tau)/r (e (u+^2
+    - u-^2) + 2 w u+ u-)], r = hypot(e, w); P0 is |amplitude|^2 averaged
+    over the blocks.
     """
     frame, omega_mag, duration, ramsey = point
     a = params.a_par
-    e = GAMMA * np.reshape(db, (-1, 1)) + 0.5 * np.array([params.delta + a,
-                                                          params.delta - a])
+    blocks = [*dict.fromkeys((params.delta + a, params.delta - a))]
+    e = GAMMA * np.reshape(db, (-1, 1)) + 0.5 * np.array(blocks)
     z = np.reshape(frame - DD_DT * np.asarray(dt), (-1, 1))
     w = np.reshape(0.5 * (params.omega + np.asarray(dom)), (-1, 1))
     u = _newton_column(e, z, w, 0.5 * omega_mag, duration)
@@ -262,7 +265,7 @@ def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
             amp = u[1] * u[1] * np.exp(-1j * z * tau) + np.exp(1j * phi) * (
                 np.cos(angle) * (plus2 + minus2)
                 - 1j * sin_r * (e * (plus2 - minus2) + 2.0 * w * u[0] * u[2]))
-    p0 = 0.5 * (amp.real ** 2 + amp.imag ** 2).sum(axis=1)
+    p0 = (amp.real ** 2 + amp.imag ** 2).sum(axis=1) / len(blocks)
     # Every step is unitary: one check of the column's norm, and of the
     # readout being finite, sees every loss.  The test is written so that
     # NaN fails it.

@@ -1,6 +1,10 @@
+import contextlib
+import gc
+import io
 import json
 import re
 from pathlib import Path
+import weakref
 
 import numpy as np
 import pytest
@@ -883,6 +887,28 @@ class TestPipeline:
                                  "rates"])
         assert result.exit_code == 3
         assert all_output(result).startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("args,code", [
+        (["rates"], 0),
+        (["--shots", "0", "rates"], 2),
+        (["--shots", "2", "ramsey", "--tau-stop-us", "0.1"], 0)],
+        ids=["rates", "exit-2", "ramsey"])
+    def test_run_keeps_no_output_stream_alive(self, tmp_path, args, code):
+        # click.echo without file= caches the stream in a table whose
+        # value is the stream itself, so it would never be freed
+        sink = io.StringIO()
+        sink_ref = weakref.ref(sink)
+        status = 0
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            try:
+                main(["--out", str(tmp_path), *args], standalone_mode=False)
+            except SystemExit as exc:
+                status = exc.code
+        assert status == code and sink.getvalue()
+        del sink
+        gc.collect()
+        assert sink_ref() is None
 
 
 # Every number flag (command None for a global flag), a value that

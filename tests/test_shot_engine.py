@@ -40,7 +40,7 @@ from nvcdd.pulse_sim import (
     simulate_spectrum,
     write_trace_csv,
 )
-from nvcdd.units import khz_to_angular
+from nvcdd.units import GAMMA, khz_to_angular
 
 from conftest import BLOCKS, dense_hamiltonians, make_params
 from reference import (
@@ -54,6 +54,8 @@ TOLERANCE = 1e-12
 N_DRAWS = 40
 NOISE = NoiseSpec(sigma_b=sigma_b_from_t2(5.4), sigma_t=0.25,
                   amplitude_noise=FixedAmplitudeNoise(2.0 * math.pi * 0.02))
+# make_params' hyperfine splitting, and none: two 13C blocks, then one
+A_PAR_KHZ = (150.0, 0.0)
 
 
 def environment(rng, n=N_DRAWS):
@@ -307,9 +309,12 @@ class TestRunBatch:
     @pytest.mark.parametrize("kind", RAMSEY_KINDS)
     def test_ramsey_matches_dense(self, recorded_batches, kind):
         config = SimConfig(n_shots=N_DRAWS, seed=5, noise=NOISE)
-        simulate_ramsey(kind, [0.0, 0.85, 3.1],
-                        [make_params(delta_khz=30.0)], config)
-        assert len(recorded_batches) == 1    # the three points in one chunk
+        for a_par_khz in A_PAR_KHZ:
+            simulate_ramsey(kind, [0.0, 0.85, 3.1],
+                            [make_params(delta_khz=30.0, a_par_khz=a_par_khz)],
+                            config)
+        # the three points in one chunk per run
+        assert len(recorded_batches) == len(A_PAR_KHZ)
         for args, p0 in recorded_batches:
             assert np.abs(p0 - dense_run(*args)).max() <= TOLERANCE
 
@@ -317,11 +322,34 @@ class TestRunBatch:
     def test_spectrum_point_matches_dense(self, recorded_batches, omega_khz):
         config = SimConfig(n_shots=N_DRAWS, seed=5, noise=NOISE)
         detunings = 2.0 * math.pi * np.array([-0.24, 0.0, 0.31])
-        simulate_spectrum(detunings, [make_params(omega_khz=omega_khz)],
-                          config)
-        assert len(recorded_batches) == 1
+        for a_par_khz in A_PAR_KHZ:
+            simulate_spectrum(detunings, [make_params(omega_khz=omega_khz,
+                                                      a_par_khz=a_par_khz)],
+                              config)
+        assert len(recorded_batches) == len(A_PAR_KHZ)
         for args, p0 in recorded_batches:
             assert np.abs(p0 - dense_run(*args)).max() <= TOLERANCE
+
+    @pytest.mark.parametrize("a_par_khz,n_blocks", [
+        (150.0, 2), (0.0, 1), (1e-17, 1)])
+    def test_one_column_per_distinct_block(self, monkeypatch, rng, a_par_khz,
+                                           n_blocks):
+        # delta +- a_par at 1e-17 kHz round to one double at delta 30 kHz
+        seen = []
+        column = pulse_sim._newton_column
+
+        def spy(e, *args):
+            seen.append(e)
+            return column(e, *args)
+
+        monkeypatch.setattr(pulse_sim, "_newton_column", spy)
+        params = make_params(delta_khz=30.0, a_par_khz=a_par_khz)
+        env = environment(rng)
+        pulse_sim._run_batch(POINTS["same-pulse-twice"], params, *env)
+        blocks = np.array([params.delta + params.a_par,
+                           params.delta - params.a_par])[:n_blocks]
+        (e,) = seen
+        assert np.array_equal(e, GAMMA * env[0][:, None] + 0.5 * blocks)
 
     @pytest.mark.parametrize("name", POINTS)
     def test_segment_positions_match_dense(self, rng, name):

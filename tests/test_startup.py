@@ -89,3 +89,14 @@ def test_config_run_loads_no_jsonschema(tmp_path):
                     "--out", str(tmp_path), "rates")
     assert _loaded_after(code, JSONSCHEMA_MODULES) == set()
     assert (tmp_path / "rates.txt").exists()
+
+
+def test_monte_carlo_runs_load_no_numpy_ma(tmp_path):
+    # numpy.ma comes with lazy numpy imports such as np.unique's, and adds
+    # about 1.3 MB to a run's peak memory
+    code = "\n".join([
+        _cli_run("--out", str(tmp_path), "--shots", "2", "spectra"),
+        _cli_run("--out", str(tmp_path), "--shots", "2", "ramsey",
+                 "--tau-stop-us", "0.1")])
+    assert _loaded_after(code, ("numpy.ma",)) == set()
+    assert (tmp_path / "ramsey_dressed_mp.csv").exists()
