@@ -5,7 +5,8 @@ trust-region iteration with a finite-difference Jacobian (relative step
 1e-6), convergence when the relative cost improvement or step norm drops
 below 1e-10, and 95% confidence intervals from the t-distribution on the
 linearized covariance.  Rank-deficient Jacobians are flagged, never a
-silent success; residuals that are not finite at the initial guess raise
+silent success, and a parameter that ends at a bound is flagged
+at_bound:<name>; residuals that are not finite at the initial guess raise
 NonFiniteResidualsError.
 
 Importing this module does not import scipy: ``nlls_fit`` loads
@@ -158,6 +159,8 @@ def nlls_fit(model: ModelFunction, points, sigma=None) -> FitOutcome:
     else:
         cov = np.linalg.inv(jtj) * (rss / max(dof, 1))
     cov = 0.5 * (cov + cov.T)
+    flags += [f"at_bound:{model.params[i].name}"
+              for i, active in zip(free, result.active_mask) if active]
 
     tval = stdtrit(max(dof, 1), 0.5 + 0.5 * CONFIDENCE)
     ci = {}

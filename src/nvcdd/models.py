@@ -12,76 +12,22 @@ initial values and lays out its points.  The CLI's config schema, its
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .dephasing import envelope_second_order
+from .dephasing import NoiseSpec, ReflectometerNoise, envelope_second_order
 from .fitting import FitParam, ModelFunction
-from .pulse_sim import OMEGA_ROT_KHZ, Trace, fourier_magnitude
-from .spin_model import _sublevel_splittings, dressed_transition_offsets
-from .units import GAMMA, angular_to_khz, khz_to_angular
+from .pulse_sim import (
+    OMEGA_ROT_KHZ, SimConfig, Trace, fourier_magnitude, simulate_ramsey,
+)
+from .spin_model import (
+    SystemParams, _sublevel_splittings, dressed_transition_offsets,
+)
+from .units import DD_DT, GAMMA, angular_to_khz, khz_to_angular
 
 _K = 2.0 * math.pi * 1e-3  # kHz -> rad/us
-
-
-def model_undressed_ramsey() -> ModelFunction:
-    """Gaussian-damped two-cosine undressed Ramsey fringe, 13C-split by
-    +-a_par/2 about the phase-advance frequency."""
-
-    def evaluate(theta, tau):
-        c, a, t2, dmag, a_par, wrot = theta
-        env = np.exp(-((tau / t2) ** 2))
-        w_hi = _K * (wrot + dmag + 0.5 * a_par)
-        w_lo = _K * (wrot + dmag - 0.5 * a_par)
-        return c - 0.25 * a * env * (np.cos(w_hi * tau) + np.cos(w_lo * tau))
-
-    return ModelFunction(
-        name="undressed_ramsey",
-        params=(
-            FitParam("c", 0.5, -1.0, 2.0),
-            FitParam("a", 1.0, 0.0, 2.0),
-            FitParam("t2_us", 5.0, 1e-3, 1e4, unit="us"),
-            FitParam("delta_mag_khz", 0.0, -1e3, 1e3, unit="kHz"),
-            FitParam("a_par_khz", 150.0, 0.0, 2e3, unit="kHz"),
-            FitParam("omega_rot_khz", OMEGA_ROT_KHZ, unit="kHz", frozen=True),
-        ),
-        evaluator=evaluate,
-    )
-
-
-def model_ramsey_0p(a_par_khz: float) -> ModelFunction:
-    """{0,p} CDD Ramsey: slow branch at the residual detuning plus a fast
-    branch offset by sqrt(omega^2 + a_par^2), shared Gaussian envelope.
-
-    The branch amplitudes a_p and a_m are signed (a negative one is a pi
-    phase between the branches): with a bound at 0, a fit that drives a_p
-    there leaves omega and delta_mag only in the fast tone, and is then
-    degenerate or not by the last bits of the data."""
-
-    def evaluate(theta, tau):
-        c, a_p, a_m, phi, omega, dmag, t2, a_par, wrot = theta
-        env = np.exp(-((tau / t2) ** 2))
-        w_slow = _K * (dmag + wrot)
-        w_fast = w_slow + _K * math.hypot(omega, a_par)
-        return c + 0.25 * env * (a_p * np.cos(w_slow * tau + phi)
-                                 + a_m * np.cos(w_fast * tau + phi))
-
-    return ModelFunction(
-        name="ramsey_0p",
-        params=(
-            FitParam("c", 0.5, -1.0, 2.0),
-            FitParam("a_p", 1.0, -2.0, 2.0),
-            FitParam("a_m", 1.0, -2.0, 2.0),
-            FitParam("phi", 0.0, -2.0 * math.pi, 2.0 * math.pi, unit="rad"),
-            FitParam("omega_khz", 400.0, 0.0, 5e3, unit="kHz"),
-            FitParam("delta_mag_khz", 0.0, -1e3, 1e3, unit="kHz"),
-            FitParam("t2_us", 10.0, 1e-3, 1e4, unit="us"),
-            FitParam("a_par_khz", a_par_khz, unit="kHz", frozen=True),
-            FitParam("omega_rot_khz", OMEGA_ROT_KHZ, unit="kHz", frozen=True),
-        ),
-        evaluator=evaluate,
-    )
 
 
 def model_ramsey_mp(a_par_khz: float, p0_ud: float) -> ModelFunction:
@@ -234,18 +180,6 @@ def mean_contrast(params) -> float:
 # values, its (x, y) points, their stderr).  A rule raises ValueError when
 # its inputs cannot seed the model; the CLI reports it as a config error.
 
-def _seed_undressed_ramsey(trace, undressed, params, noise, p0_ud):
-    model = model_undressed_ramsey().with_initials(
-        c=float(trace.mean_p0.mean()), t2_us=guess_envelope_t2_us(trace))
-    return model, *fit_points(trace)
-
-
-def _seed_ramsey_0p(trace, undressed, params, noise, p0_ud):
-    model = model_ramsey_0p(angular_to_khz(params.a_par)).with_initials(
-        c=float(trace.mean_p0.mean()), t2_us=guess_envelope_t2_us(trace))
-    return model, *fit_points(trace)
-
-
 def _seed_ramsey_mp(trace, undressed, params, noise, p0_ud):
     a_par_khz = angular_to_khz(params.a_par)
     if p0_ud is None:
@@ -286,9 +220,71 @@ def _seed_spectrum_joint(trace, undressed, params, noise, p0_ud):
     return model, *fit_points(trace, undressed)
 
 
+# The pulse a simulator model reads from its trace's sidecar, and the most
+# nodes it evaluates per point (a 20-us nv2 {0,p} trace takes about 6700).
+_PULSE_KEYS = ("omega_mag_khz", "delta_khz", "a_par_khz", "omega_khz",
+               "omega_rot_khz")
+_MAX_NODES = 2 ** 14
+
+
+def _seed_simulated(name, kind, trace, undressed, params, noise, p0_ud):
+    """ramsey_0p (kind dressed_0p) and undressed_ramsey (undressed_0m1):
+    c + s (P0 - 1/2), P0 the simulator's exact mean (Gauss-Hermite
+    quadrature) for the sidecar's pulse.  Free: omega (a_par if undressed)
+    and gamma*sigma_b, each bounded by twice its seed, c and s; the other
+    noises are the config's.  6 + a^2/2 nodes take E[cos(a x)] to 1e-4:
+    a is the most phase an axis's noise spreads by the last tau."""
+    meta, where = trace.metadata, f"{name}: the trace's .meta.json sidecar"
+    if meta.get("kind") != kind:
+        raise ValueError(f"{where} key 'kind' must be {kind}, not "
+                         f"{meta.get('kind', 'absent')}")
+    for key in _PULSE_KEYS:
+        if type(meta.get(key)) not in (int, float):
+            raise ValueError(f"{where} key {key!r} must be a number, not "
+                             f"{meta.get(key, 'absent')}")
+    om_mag, delta, a_par, omega, rot = (float(meta[k]) for k in _PULSE_KEYS)
+    if not math.isclose(rot, OMEGA_ROT_KHZ, rel_tol=1e-12):
+        raise ValueError(f"{where} key 'omega_rot_khz' must be the "
+                         f"simulator's {OMEGA_ROT_KHZ:g}, not {rot!r}")
+    dressed = kind != "undressed_0m1"
+    amp = noise.amplitude_noise   # a reflectometer's needs omega + alpha > 0
+    floor = 1.0 + (max(0.0, -angular_to_khz(amp.alpha_diode))
+                   if isinstance(amp, ReflectometerNoise) else 0.0)
+    omega = max(omega, floor) if dressed else 0.0
+    gsb = angular_to_khz(GAMMA * noise.sigma_b)
+    g_max = max(2.0 * gsb, 1.0)
+    # how fast the field, drive and temperature noise move a Ramsey line
+    tau = trace.abscissa.max()
+    nodes = [6 + math.ceil(min((a * tau) ** 2 / 2, _MAX_NODES)) if a else 1
+             for a in (khz_to_angular(g_max),
+                       0.5 * noise.sigma_omega(khz_to_angular(2.0 * omega)),
+                       -DD_DT * noise.sigma_t)]
+    if math.prod(nodes) > _MAX_NODES:
+        raise ValueError(f"{name}: tau up to {tau:g} us needs more than "
+                         f"{_MAX_NODES} quadrature nodes per point")
+
+    def evaluate(theta, tau):
+        c, s, omega, a_par, gsb = theta
+        run = SystemParams(*map(khz_to_angular, (omega, delta, a_par)))
+        sim = SimConfig(n_shots=1, noise=NoiseSpec(
+            khz_to_angular(gsb) / GAMMA, noise.sigma_t, amp))
+        exact, = simulate_ramsey(kind, tau, [run], sim, nodes=nodes,
+                                 omega_mag=khz_to_angular(om_mag))
+        return c + s * (exact.mean_p0 - 0.5)
+
+    return ModelFunction(name=name, evaluator=evaluate, params=(
+        FitParam("c", float(trace.mean_p0.mean()), -1.0, 2.0),
+        FitParam("s", 1.0, 0.0, 2.0),
+        FitParam("omega_khz", omega, floor, 2.0 * omega, "kHz", not dressed),
+        FitParam("a_par_khz", abs(a_par), 0.0, 5e3, "kHz", dressed),
+        FitParam("gamma_sigma_b_khz", gsb, 0.0, g_max, "kHz"),
+    )), *fit_points(trace)
+
+
 FIT_MODELS = {
-    "undressed_ramsey": _seed_undressed_ramsey,
-    "ramsey_0p": _seed_ramsey_0p,
+    "undressed_ramsey": functools.partial(_seed_simulated, "undressed_ramsey",
+                                          "undressed_0m1"),
+    "ramsey_0p": functools.partial(_seed_simulated, "ramsey_0p", "dressed_0p"),
     "ramsey_mp": _seed_ramsey_mp,
     "max_protection": _seed_max_protection,
     "spectrum_joint": _seed_spectrum_joint,

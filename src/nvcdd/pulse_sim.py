@@ -22,22 +22,17 @@ The engine is batch-only.  The program builds two kinds of grid point: a
 spectrum point is one pulse, and a Ramsey point is a pulse, free
 evolution tau and the same pulse at a closing phase.  Each shot starts in
 |0> with the 13C spin unpolarized and ends with a readout of the |0>
-population.  _simulate splits each sampled block into chunks of whole
-points, at most _CHUNK_SHOT_POINTS shot-points each, and runs a chunk as
-one _run_batch call with one frame detuning, tau and closing phase per
-shot-point.
+population.  With Gauss-Hermite nodes in place of the draws, _simulate
+gives the exact ensemble mean instead: the fit models' P0.
 
 The Hamiltonian never couples the 13C index: it is two real 3x3 blocks,
 13C up (basis states {0,2,4} of the six-level model) and down ({1,3,5}),
-each [[e, 0, w], [0, z, g], [w, g, -e]] in the order (+1, 0, -1).
-_run_batch forms only these entries, e per block, z and w per shot and g
-per call; no matrix is built.  Its block axis holds each distinct block
-once (at a_par = 0 the two are one), and P0 averages over the blocks.
-Only |0> is prepared and read out, so a pulse needs only the |0> column
-u of its propagator U(0) = exp(-i h t) at phase 0, formed by
-_newton_column from h's three eigenvalues alone (trigonometric roots of
-the cubic, Newton divided differences of exp(-i l t)); the rare block
-whose column is not finite goes to np.linalg.eigh.
+each [[e, 0, w], [0, z, g], [w, g, -e]] in the order (+1, 0, -1), and
+_run_batch forms only these entries; no matrix is built.  Only |0> is
+prepared and read out, so a pulse needs only the |0> column u of its
+propagator U(0) = exp(-i h t) at phase 0, formed by _newton_column from
+h's three eigenvalues alone; the rare block whose column is not finite
+goes to np.linalg.eigh.
 
 h is real symmetric, so U(0) is complex symmetric: u is also its |0>
 row.  The opening pulse sets the state from u alone and the closing
@@ -75,7 +70,7 @@ _ROOT_TURNS = np.array([2.0 * math.pi / 3.0, 0.0])[:, None, None]
 DEFAULT_OMEGA_MAG_SQ = 2.0 * math.pi * 0.696   # {0,p} pi/2 pulses, 696 kHz
 DEFAULT_OMEGA_MAG_DQ = 2.0 * math.pi * 1.513   # {m,p} DQ pi pulses, 1513 kHz
 # Phase-advance rate of the closing {0,p} pulse, kHz; a visualization aid,
-# not a measured quantity.  The fit models freeze the same value.
+# not a measured quantity.  A trace's sidecar records it.
 OMEGA_ROT_KHZ = 250.0
 
 RAMSEY_KINDS = ("undressed_0m1", "dressed_0p", "dressed_mp", "max_protection")
@@ -266,9 +261,7 @@ def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
                 np.cos(angle) * (plus2 + minus2)
                 - 1j * sin_r * (e * (plus2 - minus2) + 2.0 * w * u[0] * u[2]))
     p0 = (amp.real ** 2 + amp.imag ** 2).sum(axis=1) / len(blocks)
-    # Every step is unitary: one check of the column's norm, and of the
-    # readout being finite, sees every loss.  The test is written so that
-    # NaN fails it.
+    # every step is unitary (module docstring); NaN fails the test
     norms = np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
     if not (np.all(np.abs(norms - 1.0) <= NORM_TOL)
             and np.isfinite(p0.sum())):
@@ -399,11 +392,8 @@ def _sample_block(seed: int, point_index, n_shots: int) -> np.ndarray:
     (n_shots, 3)) or for a range of points (shape (len(point_index),
     n_shots, 3)).
 
-    The draws equal numpy's standard_normal(3) from each shot's stream
-    (see the module doc) bit for bit.  Philox and numpy's ziggurat fast
-    path run vectorised over every shot of the block; the shots where any
-    of the three draws misses the fast path (about 4%) are redrawn by
-    numpy.
+    The draws equal each shot's stream (module doc) bit for bit; the
+    shots that miss the ziggurat fast path (about 4%) are redrawn by numpy.
     """
     points = np.asarray(point_index, dtype=np.uint64)
     shape = points.shape + (n_shots,)
@@ -415,10 +405,12 @@ def _sample_block(seed: int, point_index, n_shots: int) -> np.ndarray:
     return draws.reshape(shape + (3,))
 
 
-def _simulate(grid, runs, config: SimConfig):
+def _simulate(grid, runs, config: SimConfig, nodes=None):
     """Per run (point_at, params), in order: mean P0 (clipped to [0, 1])
     and its standard error at each grid point x, over config.n_shots
-    shots of point_at(x) under params.
+    shots of point_at(x) under params; or, given nodes, over the tensor
+    grid of nodes[i] Gauss-Hermite nodes on each noise axis with product
+    weights, which is the exact mean (stderr 0).
 
     Unit draws are sampled once for a block of whole points, at most
     _BLOCK_SHOT_POINTS shot-points (at least one point); each run scales
@@ -428,14 +420,21 @@ def _simulate(grid, runs, config: SimConfig):
     """
     if not runs:
         raise ValueError("drives needs at least one drive")
-    n, noise = config.n_shots, config.noise
+    noise, n, weights = config.noise, config.n_shots, None
+    if nodes is not None:   # only fits load numpy.polynomial
+        from numpy.polynomial.hermite_e import hermegauss
+        x, w = zip(*map(hermegauss, nodes))
+        tensor = np.stack(np.meshgrid(*x, indexing="ij"), -1).reshape(-1, 3)
+        weights = math.prod(np.ix_(*(v / v.sum() for v in w))).ravel()
+        n = len(weights)
     mean = np.empty((len(runs), len(grid)))
     stderr = np.empty_like(mean)
     per_block = max(1, _BLOCK_SHOT_POINTS // n)
     per_chunk = max(1, _CHUNK_SHOT_POINTS // n)
     for first in range(0, len(grid), per_block):
         points = range(first, min(first + per_block, len(grid)))
-        draws = _sample_block(config.seed, points, n)
+        draws = _sample_block(config.seed, points, n) if weights is None \
+            else np.broadcast_to(tensor, (len(points), n, 3))
         for run, (point_at, params) in enumerate(runs):
             env = (draws[..., 0] * noise.sigma_b,
                    draws[..., 1] * noise.sigma_omega(params.omega),
@@ -447,9 +446,10 @@ def _simulate(grid, runs, config: SimConfig):
                 p0 = _run_batch(point_at(np.repeat(grid[rows], n)), params,
                                 *(x[chunk].ravel() for x in env)
                                 ).reshape(-1, n)
-                mean[run, rows] = p0.mean(axis=1)
+                mean[run, rows] = p0.mean(axis=1) if weights is None \
+                    else p0 @ weights
                 stderr[run, rows] = p0.std(axis=1, ddof=1) / math.sqrt(n) \
-                    if n > 1 else 0.0
+                    if n > 1 and weights is None else 0.0
     return list(zip(np.clip(mean, 0.0, 1.0), stderr))
 
 
@@ -470,9 +470,9 @@ def _metadata(kind: str, unit: str, params: SystemParams,
 
 
 def simulate_ramsey(kind: str, tau_grid, drives, config: SimConfig, *,
-                    omega_mag: float | None = None) -> list[Trace]:
-    """Monte-Carlo Ramsey traces, one per SystemParams in drives, in
-    order: mean P0 +- stderr over n_shots per tau."""
+                    omega_mag: float | None = None, nodes=None) -> list[Trace]:
+    """Ramsey traces, one per SystemParams in drives, in order: mean P0
+    +- stderr over n_shots per tau, or given nodes the exact mean."""
     if kind not in RAMSEY_KINDS:
         raise ValueError(f"unknown Ramsey kind {kind!r}")
     tau_grid = np.asarray(tau_grid, dtype=float)
@@ -513,7 +513,7 @@ def simulate_ramsey(kind: str, tau_grid, drives, config: SimConfig, *,
                   _metadata(kind, "us", params, config, omega_mag,
                             omega_rot_khz=angular_to_khz(omega_rot)))
             for (_, params), (mean, stderr)
-            in zip(runs, _simulate(tau_grid, runs, config))]
+            in zip(runs, _simulate(tau_grid, runs, config, nodes))]
 
 
 def simulate_spectrum(detuning_grid, drives, config: SimConfig, *,

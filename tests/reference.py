@@ -336,7 +336,9 @@ def exact_mean_trace(simulate, *args, nodes=(40, 12, 10), **kwargs) -> list:
             mean[rows] = p0.reshape(count, n) @ weights
         return np.clip(mean, 0.0, 1.0), np.zeros(len(grid))
 
-    def quadrature(grid, runs, config):
+    def quadrature(grid, runs, config, nodes=None):
+        # the engine's own quadrature (its nodes argument) is not used:
+        # this one builds and reduces its nodes itself
         return [exact_mean(grid, point_at, params, config.noise)
                 for point_at, params in runs]
 

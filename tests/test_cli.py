@@ -360,7 +360,8 @@ class TestT2Scan:
                                  "--shots", "3", "--seed", "1", "t2scan"])
         assert result.exit_code == 3
         assert result.stderr.splitlines() \
-            == ["fit did not converge at 581 kHz (degenerate)"]
+            == ["fit did not converge at 581 kHz "
+                "(degenerate, at_bound:t2_us)"]
         rows = [[float(v) for v in row.split(",")] for row in
                 (tmp_path / "t2scan.csv").read_text().splitlines()[1:]]
         assert [row[0] for row in rows] == [230.0, 581.0]
@@ -681,6 +682,23 @@ SIMULATED_FITS = {
 }
 
 
+# How a simulator model's trace sidecar is broken: (id, model, edit of the
+# sidecar dict or None to delete the file, the key the error names).
+SIDECAR_FAULTS = [
+    ("no_sidecar", "ramsey_0p", None, "'kind'"),
+    *((f"no_{key}", "ramsey_0p", lambda meta, key=key: meta.pop(key),
+       f"'{key}'") for key in ("kind", "omega_mag_khz", "delta_khz",
+                               "a_par_khz", "omega_khz", "omega_rot_khz")),
+    ("kind_mp", "ramsey_0p", lambda meta: meta.update(kind="dressed_mp"),
+     "'kind'"),
+    ("kind_0p", "undressed_ramsey", lambda meta: None, "'kind'"),
+    ("omega_rot", "ramsey_0p", lambda meta: meta.update(omega_rot_khz=250.1),
+     "'omega_rot_khz'"),
+    ("text_number", "ramsey_0p",
+     lambda meta: meta.update(omega_mag_khz="696"), "'omega_mag_khz'"),
+]
+
+
 def spec_smoke_config(tmp_path):
     """configs/nv2.json without hyperfine split, as out/spec_smoke used."""
     cfg = load_config(CONFIG_DIR / "nv2.json")
@@ -741,6 +759,31 @@ class TestFitModels:
                 == (REPO_ROOT / reference).read_bytes()
             outputs.append(result.output)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("fault", SIDECAR_FAULTS,
+                             ids=[fault[0] for fault in SIDECAR_FAULTS])
+    def test_simulator_model_names_the_sidecar_key(self, runner, tmp_path,
+                                                   fault):
+        # ramsey_0p and undressed_ramsey read the pulse from the sidecar
+        _, model_name, edit, key = fault
+        result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
+                                 "ramsey", "--kind", "dressed_0p",
+                                 "--tau-stop-us", "1"])
+        assert result.exit_code == 0, all_output(result)
+        trace = tmp_path / "ramsey_dressed_0p.csv"
+        sidecar = Path(f"{trace}.meta.json")
+        meta = json.loads(sidecar.read_text())
+        assert meta["omega_rot_khz"] != 250.0   # rounding, which is fine
+        if edit is None:
+            sidecar.unlink()
+        else:
+            edit(meta)
+            sidecar.write_text(json.dumps(meta))
+        result = invoke(runner, ["--out", str(tmp_path), "fit", "--model",
+                                 model_name, "--input", str(trace)])
+        assert result.exit_code == 2
+        assert key in all_output(result)
+        assert not (tmp_path / f"fit_{model_name}.txt").exists()
 
     def test_spectrum_joint_needs_undressed(self, runner, tmp_path):
         trace, _, _ = COMMITTED_FITS["spectrum_joint"]

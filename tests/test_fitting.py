@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nvcdd import fitting
+from nvcdd.dephasing import NoiseSpec, sigma_b_from_t2
 from nvcdd.fitting import (
     FitParam,
     ModelFunction,
@@ -14,11 +15,10 @@ from nvcdd.fitting import (
 from nvcdd.models import (
     FIT_MODELS,
     model_max_protection,
-    model_ramsey_0p,
     model_ramsey_mp,
     model_spectrum_joint,
-    model_undressed_ramsey,
 )
+from nvcdd.pulse_sim import OMEGA_ROT_KHZ, Trace
 
 
 def _exp_decay_model(a=1.0, b=5.0):
@@ -32,20 +32,30 @@ def _exp_decay_model(a=1.0, b=5.0):
     )
 
 
+def _simulator_model(name, kind, omega_khz):
+    """A simulator model as FIT_MODELS seeds it from a 0-6 us trace whose
+    sidecar gives an nv1 pulse, under nv1's field and temperature noise."""
+    tau = np.arange(0.0, 6.0, 0.1)
+    pulse = {"kind": kind, "omega_mag_khz": 696.0, "delta_khz": 0.0,
+             "a_par_khz": 145.0, "omega_khz": omega_khz,
+             "omega_rot_khz": OMEGA_ROT_KHZ}
+    trace = Trace(tau, np.full(len(tau), 0.5), np.zeros(len(tau)), 1, pulse)
+    noise = NoiseSpec(sigma_b=sigma_b_from_t2(5.9), sigma_t=0.25)
+    return FIT_MODELS[name](trace, None, None, noise, None)[0]
+
+
 # (model factory, truth for the free parameters, abscissa) used by the
 # self-consistency round-trip tests
 ROUND_TRIPS = {
     "undressed_ramsey": (
-        lambda: model_undressed_ramsey(),
-        {"c": 0.5, "a": 0.9, "t2_us": 6.0, "delta_mag_khz": 10.0,
-         "a_par_khz": 150.0},
-        np.arange(0.0, 15.0, 0.01),
+        lambda: _simulator_model("undressed_ramsey", "undressed_0m1", 0.0),
+        {"c": 0.5, "s": 0.9, "a_par_khz": 150.0, "gamma_sigma_b_khz": 35.0},
+        np.arange(0.0, 6.0, 0.1),
     ),
     "ramsey_0p": (
-        lambda: model_ramsey_0p(a_par_khz=150.0),
-        {"c": 0.5, "a_p": 1.0, "a_m": 0.6, "phi": 0.3, "omega_khz": 581.0,
-         "delta_mag_khz": 5.0, "t2_us": 8.0},
-        np.arange(0.0, 15.0, 0.005),
+        lambda: _simulator_model("ramsey_0p", "dressed_0p", 348.0),
+        {"c": 0.5, "s": 0.9, "omega_khz": 350.0, "gamma_sigma_b_khz": 35.0},
+        np.arange(0.0, 6.0, 0.1),
     ),
     "ramsey_mp": (
         lambda: model_ramsey_mp(a_par_khz=150.0, p0_ud=0.9375),
@@ -73,7 +83,7 @@ def _truth_vector(model, truth):
     return np.array([truth.get(p.name, p.initial) for p in model.params])
 
 
-FREQUENCY_PARAMS = {"omega_khz", "delta_mag_khz", "a_par_khz", "w01_khz"}
+FREQUENCY_PARAMS = {"omega_khz", "a_par_khz", "w01_khz"}
 
 
 def _perturbed(model, truth, rng):
@@ -117,7 +127,7 @@ class TestRoundTrip:
 
 
 class TestConfidenceIntervals:
-    @pytest.mark.parametrize("case", ["ramsey_mp", "undressed_ramsey"])
+    @pytest.mark.parametrize("case", ["ramsey_mp", "max_protection"])
     def test_coverage_at_least_90_percent(self, case):
         factory, truth, x = ROUND_TRIPS[case]
         x = x[::10]
@@ -171,7 +181,7 @@ class TestConfidenceIntervals:
 
 class TestDegeneracy:
     def test_constant_data_flagged_not_crashed(self):
-        model = model_undressed_ramsey()
+        model = model_ramsey_mp(a_par_khz=150.0, p0_ud=0.9375)
         x = np.arange(0.0, 15.0, 0.05)
         outcome = nlls_fit(model, (x, np.full_like(x, 0.5)))
         assert "degenerate" in outcome.flags
@@ -179,7 +189,7 @@ class TestDegeneracy:
         assert np.all(np.isfinite(outcome.covariance))
 
     def test_report_mentions_flags(self):
-        model = model_undressed_ramsey()
+        model = model_ramsey_mp(a_par_khz=150.0, p0_ud=0.9375)
         x = np.arange(0.0, 15.0, 0.05)
         outcome = nlls_fit(model, (x, np.full_like(x, 0.5)))
         report = format_fit_report(model, outcome)
@@ -228,6 +238,18 @@ class TestValidation:
         with pytest.raises(NonFiniteResidualsError,
                            match="broken: residuals are not finite"):
             nlls_fit(model, (x, np.exp(-x / 5.0)))
+
+    def test_parameter_held_by_a_bound_is_flagged(self):
+        # a = 12 lies above a's upper bound of 10: the fit ends there,
+        # reports it and still counts as converged
+        model = _exp_decay_model()
+        x = np.linspace(0.0, 10.0, 50)
+        outcome = nlls_fit(model, (x, 12.0 * np.exp(-x / 5.0)))
+        assert outcome.converged
+        assert outcome.flags == ["at_bound:a"]
+        assert outcome.params["a"] == pytest.approx(10.0)
+        assert "converged: True (at_bound:a)" \
+            in format_fit_report(model, outcome)
 
     def test_unknown_initial_name(self):
         with pytest.raises(KeyError):

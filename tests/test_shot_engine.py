@@ -12,10 +12,12 @@ compared with shot_rng, numpy's own generator, draw for draw, and traces
 are checked not to depend on how grid points are chunked.  Monte-Carlo
 traces of every Ramsey kind and a spectrum, on both shipped configs, are
 held to the exact ensemble mean by quadrature (reference.exact_mean_trace),
-whose nodes are themselves checked against dense expm.
+whose nodes are themselves checked against dense expm, and the engine's
+own quadrature (the nodes argument) is held to that oracle.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+import functools
 import math
 from pathlib import Path
 import struct
@@ -454,6 +456,24 @@ class TestExactMean:
     def test_pooled_chi2(self, oracle_z):
         z = np.concatenate(list(oracle_z.values()))
         assert POOLED_BAND[0] <= np.mean(z ** 2) <= POOLED_BAND[1]
+
+    @pytest.mark.parametrize("kind", [*RAMSEY_KINDS, "spectrum"])
+    def test_engine_quadrature_matches_the_oracle(self, monkeypatch, kind):
+        # the engine's nodes= path builds and reduces its own nodes; nv2
+        # has all three noises, at unequal node counts
+        simulate, *args = oracle_run(("nv2", kind, None), 1)
+        args[-3] = args[-3][::4]
+        nodes = (7, 5, 3)
+        exact = exact_mean_trace(simulate, *args, nodes=nodes)
+        if kind == "spectrum":   # simulate_spectrum takes no nodes
+            monkeypatch.setattr(pulse_sim, "_simulate", functools.partial(
+                pulse_sim._simulate, nodes=nodes))
+            engine = simulate(*args)
+        else:
+            engine = simulate(*args, nodes=nodes)
+        for got, want in zip(engine, exact, strict=True):
+            assert np.abs(got.mean_p0 - want.mean_p0).max() <= TOLERANCE
+            assert not got.stderr.any()
 
     @pytest.mark.parametrize("kind", ["dressed_mp", "spectrum"])
     def test_nodes_match_dense(self, recorded_batches, kind):
