@@ -588,6 +588,10 @@ def ramsey(res, **flags):
     section = _section(res, "ramsey", **flags)
     kind = section["kind"]
     tau = _grid(section, "tau_{}_us")
+    if len(tau) < 2:   # its Fourier magnitude needs two
+        raise ConfigError("config keys $.ramsey.tau_start_us, tau_stop_us "
+                          "and tau_step_us: the tau grid has one point, and "
+                          "ramsey needs at least two")
     # without omega_mag_khz the simulator picks the kind's pulse strength
     kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
         if "omega_mag_khz" in section else {}

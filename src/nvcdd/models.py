@@ -8,6 +8,8 @@ internally.
 model name to its seed rule, which builds the model with data-driven
 initial values and lays out its points.  The CLI's config schema, its
 ``fit --model`` choices, ``fit`` itself and ``t2scan --mc`` all read it.
+The Ramsey models but ramsey_mp, the paper's Gaussian T2* reading, are
+the simulator itself (``_seed_simulated``), not fringe formulas.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .dephasing import NoiseSpec, ReflectometerNoise, envelope_second_order
+from .dephasing import NoiseSpec, ReflectometerNoise
 from .fitting import FitParam, ModelFunction
 from .pulse_sim import (
     OMEGA_ROT_KHZ, SimConfig, Trace, fourier_magnitude, simulate_ramsey,
@@ -47,38 +49,6 @@ def model_ramsey_mp(a_par_khz: float, p0_ud: float) -> ModelFunction:
             FitParam("omega_khz", 500.0, 0.0, 5e3, unit="kHz"),
             FitParam("phi", 0.0, -2.0 * math.pi, 2.0 * math.pi, unit="rad"),
             FitParam("a_par_khz", a_par_khz, unit="kHz", frozen=True),
-            FitParam("p0_ud", p0_ud, frozen=True),
-        ),
-        evaluator=evaluate,
-    )
-
-
-def model_max_protection(a_par_khz: float, gamma_sigma_b_khz: float,
-                         p0_ud: float) -> ModelFunction:
-    """Maximally protected {m,p} Ramsey at delta = -|a_par|: a slowly
-    decaying branch at omega under the algebraic envelope plus a
-    Gaussian-damped branch at sqrt(omega^2 + 4*a_par^2)."""
-
-    def evaluate(theta, tau):
-        omega, phi, c, t2_up, a_par, gsb, amp = theta
-        om_ang = khz_to_angular(omega)
-        sigma_b = khz_to_angular(gsb) / GAMMA
-        slow = envelope_second_order(tau, om_ang, sigma_b, 0.0) \
-            * np.cos(om_ang * tau + phi)
-        w_fast = _K * math.hypot(omega, 2.0 * a_par)
-        fast = np.exp(-((tau / t2_up) ** 2)) * np.cos(w_fast * tau + phi)
-        return c + 0.25 * amp * (slow + fast)
-
-    return ModelFunction(
-        name="max_protection",
-        params=(
-            FitParam("omega_khz", 450.0, 1.0, 5e3, unit="kHz"),
-            FitParam("phi", 0.0, -2.0 * math.pi, 2.0 * math.pi, unit="rad"),
-            FitParam("c", 0.5, -1.0, 2.0),
-            FitParam("t2_up_us", 4.0, 1e-3, 1e4, unit="us"),
-            FitParam("a_par_khz", a_par_khz, unit="kHz", frozen=True),
-            FitParam("gamma_sigma_b_khz", gamma_sigma_b_khz, unit="kHz",
-                     frozen=True),
             FitParam("p0_ud", p0_ud, frozen=True),
         ),
         evaluator=evaluate,
@@ -168,7 +138,7 @@ def guess_spectrum_dips_khz(trace: Trace) -> tuple[float, float]:
 
 def mean_contrast(params) -> float:
     """Sublevel-averaged fringe contrast of the {m,p} qubit: the p0_ud
-    the {m,p} models pin when none is given."""
+    ramsey_mp pins when none is given."""
     out = 0.0
     for w in _sublevel_splittings(params):
         out += (params.omega / w) ** 2 if w else 1.0
@@ -189,16 +159,6 @@ def _seed_ramsey_mp(trace, undressed, params, noise, p0_ud):
         omega_khz=max(math.sqrt(max(
             guess_ramsey_frequency_khz(trace) ** 2 - a_par_khz ** 2, 1.0)), 1.0),
         t2_us=guess_envelope_t2_us(trace))
-    return model, *fit_points(trace)
-
-
-def _seed_max_protection(trace, undressed, params, noise, p0_ud):
-    if p0_ud is None:
-        p0_ud = mean_contrast(params)
-    gsb_khz = angular_to_khz(GAMMA * noise.sigma_b)
-    model = model_max_protection(angular_to_khz(params.a_par), gsb_khz, p0_ud) \
-        .with_initials(c=float(trace.mean_p0.mean()),
-                       omega_khz=max(guess_ramsey_frequency_khz(trace), 10.0))
     return model, *fit_points(trace)
 
 
@@ -228,7 +188,8 @@ _MAX_NODES = 2 ** 14
 
 
 def _seed_simulated(name, kind, trace, undressed, params, noise, p0_ud):
-    """ramsey_0p (kind dressed_0p) and undressed_ramsey (undressed_0m1):
+    """ramsey_0p (kind dressed_0p), undressed_ramsey (undressed_0m1) and
+    max_protection (max_protection, {m,p} at delta = -|a_par|):
     c + s (P0 - 1/2), P0 the simulator's exact mean (Gauss-Hermite
     quadrature) for the sidecar's pulse.  Free: omega (a_par if undressed)
     and gamma*sigma_b, each bounded by twice its seed, c and s; the other
@@ -286,6 +247,7 @@ FIT_MODELS = {
                                           "undressed_0m1"),
     "ramsey_0p": functools.partial(_seed_simulated, "ramsey_0p", "dressed_0p"),
     "ramsey_mp": _seed_ramsey_mp,
-    "max_protection": _seed_max_protection,
+    "max_protection": functools.partial(_seed_simulated, "max_protection",
+                                        "max_protection"),
     "spectrum_joint": _seed_spectrum_joint,
 }

@@ -6,7 +6,8 @@ the dephasing formulas and the fit models can be compared with them:
 the six-level Hamiltonians and their 3x3 13C blocks, the dressed
 energies and Larmor frequencies, the rate budget, a Monte-Carlo estimate
 of the second-order envelope, its closed form at the maximally protected
-point, whole-state propagation of the 13C blocks, numpy's own per-shot
+point and the two-branch fringe formula built on it, whole-state
+propagation of the 13C blocks, numpy's own per-shot
 generator, the exact ensemble mean of a simulated trace by quadrature,
 and a trace CSV reader that checks one row at a time.
 
@@ -29,15 +30,18 @@ from unittest import mock
 import numpy as np
 
 from nvcdd import pulse_sim
-from nvcdd.dephasing import ZeroRateError
+from nvcdd.dephasing import ZeroRateError, envelope_second_order
+from nvcdd.fitting import FitParam, ModelFunction
 from nvcdd.pulse_sim import Trace
 from nvcdd.spin_model import SystemParams
-from nvcdd.units import DD_DT, GAMMA, TWO_PI
+from nvcdd.units import DD_DT, GAMMA, TWO_PI, khz_to_angular
 
 # Zero-field splitting, 2.87 GHz.
 D0 = TWO_PI * 2.87e3  # rad/us
 
 HERMITICITY_RTOL = 1e-12
+
+_K = 2.0 * math.pi * 1e-3  # kHz -> rad/us
 
 # Sublevel sign: +1 for 13C up (m_I=+1/2), -1 for down.
 SUBLEVELS = {"u": +1.0, "d": -1.0}
@@ -285,6 +289,38 @@ def envelope_max_protection(tau, omega: float, sigma_b: float):
     tau = np.asarray(tau, dtype=float)
     return np.sqrt(omega / np.sqrt(omega * omega
                                    + (2.0 * GAMMA * sigma_b) ** 4 * tau * tau))
+
+
+def model_max_protection(a_par_khz: float, gamma_sigma_b_khz: float,
+                         p0_ud: float) -> ModelFunction:
+    """Maximally protected {m,p} Ramsey at delta = -|a_par|: a slowly
+    decaying branch at omega under the algebraic envelope plus a
+    Gaussian-damped branch at sqrt(omega^2 + 4*a_par^2)."""
+
+    def evaluate(theta, tau):
+        omega, phi, c, t2_up, a_par, gsb, amp = theta
+        om_ang = khz_to_angular(omega)
+        sigma_b = khz_to_angular(gsb) / GAMMA
+        slow = envelope_second_order(tau, om_ang, sigma_b, 0.0) \
+            * np.cos(om_ang * tau + phi)
+        w_fast = _K * math.hypot(omega, 2.0 * a_par)
+        fast = np.exp(-((tau / t2_up) ** 2)) * np.cos(w_fast * tau + phi)
+        return c + 0.25 * amp * (slow + fast)
+
+    return ModelFunction(
+        name="max_protection",
+        params=(
+            FitParam("omega_khz", 450.0, 1.0, 5e3, unit="kHz"),
+            FitParam("phi", 0.0, -2.0 * math.pi, 2.0 * math.pi, unit="rad"),
+            FitParam("c", 0.5, -1.0, 2.0),
+            FitParam("t2_up_us", 4.0, 1e-3, 1e4, unit="us"),
+            FitParam("a_par_khz", a_par_khz, unit="kHz", frozen=True),
+            FitParam("gamma_sigma_b_khz", gamma_sigma_b_khz, unit="kHz",
+                     frozen=True),
+            FitParam("p0_ud", p0_ud, frozen=True),
+        ),
+        evaluator=evaluate,
+    )
 
 
 def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,

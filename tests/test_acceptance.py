@@ -26,7 +26,6 @@ from nvcdd.models import (
     guess_ramsey_frequency_khz,
     guess_spectrum_dips_khz,
     mean_contrast,
-    model_max_protection,
     model_ramsey_mp,
     fit_points,
     model_spectrum_joint,
@@ -60,6 +59,7 @@ from reference import (
     frame_hamiltonians,
     larmor_frequency,
     mc_envelope_second_order,
+    model_max_protection,
     zeeman_frame_shift,
 )
 

@@ -692,6 +692,9 @@ SIDECAR_FAULTS = [
     ("kind_mp", "ramsey_0p", lambda meta: meta.update(kind="dressed_mp"),
      "'kind'"),
     ("kind_0p", "undressed_ramsey", lambda meta: None, "'kind'"),
+    ("mp_no_sidecar", "max_protection", None, "'kind'"),
+    ("mp_kind_mp", "max_protection",
+     lambda meta: meta.update(kind="dressed_mp"), "'kind'"),
     ("omega_rot", "ramsey_0p", lambda meta: meta.update(omega_rot_khz=250.1),
      "'omega_rot_khz'"),
     ("text_number", "ramsey_0p",
@@ -764,7 +767,8 @@ class TestFitModels:
                              ids=[fault[0] for fault in SIDECAR_FAULTS])
     def test_simulator_model_names_the_sidecar_key(self, runner, tmp_path,
                                                    fault):
-        # ramsey_0p and undressed_ramsey read the pulse from the sidecar
+        # ramsey_0p, undressed_ramsey and max_protection read the pulse
+        # from the sidecar
         _, model_name, edit, key = fault
         result = invoke(runner, ["--out", str(tmp_path), "--shots", "2",
                                  "ramsey", "--kind", "dressed_0p",
@@ -1157,7 +1161,12 @@ class TestSpectraAndEnvelope:
         ("spectra", {"spectra": {"detuning_start_khz": 100.0,
                                  "detuning_stop_khz": -100.0}},
          "config error: detuning_stop_khz must exceed detuning_start_khz"),
-    ], ids=["tau", "detuning"])
+        # a step past the stop leaves tau = 0 alone, with no FFT to write
+        ("ramsey", {"ramsey": {"tau_stop_us": 0.01}},
+         "config error: config keys $.ramsey.tau_start_us, tau_stop_us and "
+         "tau_step_us: the tau grid has one point, and ramsey needs at least "
+         "two"),
+    ], ids=["tau", "detuning", "one_tau"])
     def test_empty_grid_is_config_error(self, runner, tmp_path, command,
                                         payload, line):
         result = invoke(runner, ["--config", write_config(tmp_path, payload),

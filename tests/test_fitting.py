@@ -14,11 +14,12 @@ from nvcdd.fitting import (
 )
 from nvcdd.models import (
     FIT_MODELS,
-    model_max_protection,
     model_ramsey_mp,
     model_spectrum_joint,
 )
 from nvcdd.pulse_sim import OMEGA_ROT_KHZ, Trace
+
+from reference import model_max_protection
 
 
 def _exp_decay_model(a=1.0, b=5.0):

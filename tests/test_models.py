@@ -143,10 +143,19 @@ class TestDressed0pFit:
                                   *nv1_trace("dressed_0p", omega_khz))
 
 
+class TestMaxProtectionFit:
+    @pytest.mark.parametrize("omega_khz", [470.0, 581.0])
+    def test_recovers_drive_and_field_noise(self, nv1_trace, omega_khz):
+        # delta = -|a_par|: the simulator's own {m,p} fringe at that point
+        assert_recovers_the_truth("max_protection",
+                                  *nv1_trace("max_protection", omega_khz))
+
+
 class TestSimulatorModels:
     @pytest.mark.parametrize("name,kind,omega_khz", [
         ("ramsey_0p", "dressed_0p", 348.0),
-        ("undressed_ramsey", "undressed_0m1", 0.0)])
+        ("undressed_ramsey", "undressed_0m1", 0.0),
+        ("max_protection", "max_protection", 470.0)])
     def test_doubled_nodes_move_the_model_little(self, nv1_trace, monkeypatch,
                                                  name, kind, omega_khz):
         # at the seed and where gamma*sigma_b and omega reach their upper
