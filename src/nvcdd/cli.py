@@ -40,7 +40,7 @@ from .dephasing import (
     rate_magnetic_mp,
     sigma_b_from_t2,
 )
-from .fitting import format_fit_report, nlls_fit
+from .fitting import MIN_POINTS, format_fit_report, nlls_fit
 from .errors import NumericalError
 from .models import FIT_MODELS
 from .presets import PRESETS
@@ -405,20 +405,26 @@ def _check_drive(params: SystemParams, needs: str) -> None:
                           "requires a nonzero mechanical drive")
 
 
-def _grid(section: dict, key: str):
-    """Evenly spaced grid, stop included, from the section keys
-    key.format("start"/"stop"/"step").  Grids of more than
-    _MAX_GRID_POINTS points are config errors, not allocations."""
-    start_key, stop_key, step_key = (key.format(part)
-                                     for part in ("start", "stop", "step"))
+def _grid(section: dict, name: str, key: str, fewest: int = 1):
+    """Evenly spaced grid, stop included, from the keys
+    key.format("start"/"stop"/"step") of command name's section.  A stop
+    not above the start, more than _MAX_GRID_POINTS points (checked before
+    any allocation) or fewer than the fewest the command needs is a config
+    error that names the three keys."""
+    start_key, stop_key, step_key = map(key.format, ("start", "stop", "step"))
     start, stop, step = section[start_key], section[stop_key], section[step_key]
+    where = f"config keys $.{name}.{start_key}, {stop_key} and {step_key}:"
     if stop <= start:
-        raise ConfigError(f"{stop_key} must exceed {start_key}")
+        raise ConfigError(f"{where} {stop_key} must exceed {start_key}")
     # np.arange gives ceil((stop - start) / step + 0.5) points
     if (stop - start) / step + 0.5 > _MAX_GRID_POINTS:
-        raise ConfigError(f"the grid {start_key}..{stop_key} by {step_key} "
-                          f"has more than {_MAX_GRID_POINTS} points")
-    return np.arange(start, stop + 0.5 * step, step)
+        raise ConfigError(f"{where} the grid has more than "
+                          f"{_MAX_GRID_POINTS} points")
+    grid = np.arange(start, stop + 0.5 * step, step)
+    if len(grid) < fewest:
+        raise ConfigError(f"{where} {name} needs at least {fewest} grid "
+                          f"points, not {len(grid)}")
+    return grid
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
@@ -537,7 +543,10 @@ def rates(res):
 def t2scan(res, **flags):
     """Scan T2* of the {m,p} qubit against the mechanical drive strength."""
     section = _section(res, "t2scan", **flags)
-    tau = _grid(section, "tau_{}_us")
+    # the Monte-Carlo column fits each trace with ramsey_mp, and nlls_fit
+    # takes at least MIN_POINTS points
+    tau = _grid(section, "t2scan", "tau_{}_us",
+                MIN_POINTS if section["mc"] else 1)
     noise = res["sim"].noise
     if section["power_leveled"]:
         noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))
@@ -550,11 +559,10 @@ def t2scan(res, **flags):
     rows, failed = [], []
     for om_khz, params, trace in zip(section["omega_list_khz"], drives,
                                      traces):
-        omega = params.omega
-        sigma_omega = noise.sigma_omega(omega)
-        t2_first = predicted_t2_mp(omega, a_par, noise.sigma_b,
+        sigma_omega = noise.sigma_omega(params.omega)
+        t2_first = predicted_t2_mp(params.omega, a_par, noise.sigma_b,
                                    sigma_omega, order="first")
-        t2_second = predicted_t2_mp(omega, a_par, noise.sigma_b,
+        t2_second = predicted_t2_mp(params.omega, a_par, noise.sigma_b,
                                     sigma_omega, order="second")
         t2_mc, mc_err = math.nan, math.nan
         if trace is not None:
@@ -587,11 +595,7 @@ def ramsey(res, **flags):
     """Simulate a Ramsey trace; writes the trace and its Fourier magnitude."""
     section = _section(res, "ramsey", **flags)
     kind = section["kind"]
-    tau = _grid(section, "tau_{}_us")
-    if len(tau) < 2:   # its Fourier magnitude needs two
-        raise ConfigError("config keys $.ramsey.tau_start_us, tau_stop_us "
-                          "and tau_step_us: the tau grid has one point, and "
-                          "ramsey needs at least two")
+    tau = _grid(section, "ramsey", "tau_{}_us", 2)   # two for the FFT
     # without omega_mag_khz the simulator picks the kind's pulse strength
     kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
         if "omega_mag_khz" in section else {}
@@ -617,15 +621,15 @@ def ramsey(res, **flags):
 def spectra(res, **flags):
     """Simulate pulsed spectra across a list of mechanical drive strengths."""
     section = _section(res, "spectra", **flags)
-    grid = khz_to_angular(_grid(section, "detuning_{}_khz"))
+    grid = khz_to_angular(_grid(section, "spectra", "detuning_{}_khz"))
     kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
         if "omega_mag_khz" in section else {}
     names = [f"spectrum_omega{om_khz:g}khz.csv"
              for om_khz in section["omega_list_khz"]]
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise ConfigError(f"spectra.omega_list_khz: two drives would "
-                              f"both write {name}")
+            raise ConfigError("config key $.spectra.omega_list_khz: two "
+                              f"drives would both write {name}")
     _check_drives(res["sim"].noise,
                   map(khz_to_angular, section["omega_list_khz"]))
     out = _out_dir(res)
@@ -643,7 +647,7 @@ def spectra(res, **flags):
 @click.pass_obj
 def envelope(res, **flags):
     """Tabulate the analytic envelopes against their Gaussian references."""
-    tau = _grid(_section(res, "envelope", **flags), "tau_{}_us")
+    tau = _grid(_section(res, "envelope", **flags), "envelope", "tau_{}_us")
     noise = res["sim"].noise
     params = res["params"]
     _check_splitting(params)
@@ -669,9 +673,10 @@ def envelope(res, **flags):
 def fit(res, **flags):
     """Fit a signal model to a trace CSV and write the report."""
     section = _section(res, "fit", **flags)
-    model_name, input_csv = section.get("model"), section.get("input_csv")
-    if not model_name or not input_csv:
-        raise ConfigError("fit needs a model name and an input CSV")
+    for key, what in (("model", "a model name"), ("input_csv", "an input CSV")):
+        if not section.get(key):
+            raise ConfigError(f"config key $.fit.{key}: fit needs {what}")
+    model_name, input_csv = section["model"], section["input_csv"]
     trace = read_trace_csv(input_csv)
     undressed_csv = section.get("undressed_csv")
     undressed = read_trace_csv(undressed_csv) if undressed_csv else None

@@ -27,12 +27,14 @@ from .errors import NumericalError
 
 
 # Solver policy, as stated above; at most MAX_ITER * (n_free + 1)
-# residual evaluations, and CONFIDENCE is the two-sided CI level.
+# residual evaluations, and CONFIDENCE is the two-sided CI level.  A fit
+# takes at least MIN_POINTS points, and two per free parameter.
 FTOL = 1e-10
 XTOL = 1e-10
 DIFF_STEP = 1e-6
 MAX_ITER = 500
 CONFIDENCE = 0.95
+MIN_POINTS = 8
 
 
 class NonFiniteResidualsError(NumericalError, ValueError):
@@ -110,8 +112,8 @@ def nlls_fit(model: ModelFunction, points, sigma=None) -> FitOutcome:
     n_free = len(free)
     if n_free == 0:
         raise ValueError("model has no free parameters")
-    if len(x) < max(2 * n_free, 8):
-        raise ValueError(f"need at least {max(2 * n_free, 8)} points for "
+    if len(x) < (fewest := max(2 * n_free, MIN_POINTS)):
+        raise ValueError(f"need at least {fewest} points for "
                          f"{n_free} free parameters, got {len(x)}")
     theta0 = model.initial_vector()
     lower = np.array([model.params[i].lower for i in free])

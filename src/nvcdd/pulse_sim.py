@@ -469,19 +469,27 @@ def _metadata(kind: str, unit: str, params: SystemParams,
     }
 
 
+def _checked_grid(grid, name: str, lowest: float = -math.inf) -> np.ndarray:
+    """grid as a float array, checked to have a point, to hold finite points
+    of at least lowest, and to ascend strictly; a ValueError names it."""
+    grid = np.asarray(grid, dtype=float)
+    if not grid.size:
+        raise ValueError(f"{name} needs at least one point")
+    if not np.all(np.isfinite(grid) & (grid >= lowest)):
+        bound = f" and >= {lowest:g}" if lowest > -math.inf else ""
+        raise ValueError(f"{name} must be finite{bound}")
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError(f"{name} must be strictly ascending")
+    return grid
+
+
 def simulate_ramsey(kind: str, tau_grid, drives, config: SimConfig, *,
                     omega_mag: float | None = None, nodes=None) -> list[Trace]:
     """Ramsey traces, one per SystemParams in drives, in order: mean P0
     +- stderr over n_shots per tau, or given nodes the exact mean."""
     if kind not in RAMSEY_KINDS:
         raise ValueError(f"unknown Ramsey kind {kind!r}")
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if not tau_grid.size:
-        raise ValueError("tau_grid needs at least one point")
-    if not np.all((tau_grid >= 0) & (tau_grid < np.inf)):
-        raise ValueError("tau_grid must be finite and >= 0")
-    if not np.all(np.diff(tau_grid) > 0):
-        raise ValueError("tau_grid must be strictly ascending")
+    tau_grid = _checked_grid(tau_grid, "tau_grid", lowest=0.0)
     # DQ pi pulses at the dressed-line midpoint with a fixed closing phase,
     # or pi/2 pulses on one line whose closing phase advances with tau
     dq = kind in ("dressed_mp", "max_protection")
@@ -524,13 +532,7 @@ def simulate_spectrum(detuning_grid, drives, config: SimConfig, *,
     detuning_grid is angular (rad/us), measured from the nominal undressed
     0<->-1 line; the returned Traces' abscissa is in kHz.
     """
-    detuning_grid = np.asarray(detuning_grid, dtype=float)
-    if not detuning_grid.size:
-        raise ValueError("detuning_grid needs at least one point")
-    if not np.all(np.isfinite(detuning_grid)):
-        raise ValueError("detuning_grid must be finite")
-    if not np.all(np.diff(detuning_grid) > 0):
-        raise ValueError("detuning_grid must be strictly ascending")
+    detuning_grid = _checked_grid(detuning_grid, "detuning_grid")
     t_pulse = _pulse_duration(math.pi, omega_mag)
 
     def run(params):

@@ -20,7 +20,7 @@ from nvcdd.dephasing import (
     predicted_t2_mp,
 )
 from nvcdd.errors import NumericalError
-from nvcdd.fitting import NonFiniteResidualsError
+from nvcdd.fitting import MIN_POINTS, NonFiniteResidualsError
 from nvcdd.models import FIT_MODELS
 from nvcdd.presets import PRESETS
 from nvcdd.pulse_sim import NormLossError
@@ -53,6 +53,11 @@ def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+# The head of a tau grid's config error, given the section's name.
+TAU_KEYS = ("config error: config keys $.{}.tau_start_us, tau_stop_us and "
+            "tau_step_us:")
 
 
 def grab(report: str, label: str) -> float:
@@ -369,6 +374,48 @@ class TestT2Scan:
         assert np.all(np.isfinite(rows[1][:3])) \
             and np.all(np.isnan(rows[1][3:]))
 
+    @pytest.mark.parametrize("tau_stop_us,n_tau", [(0.01, 1), (0.1, 2),
+                                                   (0.6, 7)])
+    def test_mc_grid_below_the_fit_floor(self, runner, tmp_path, monkeypatch,
+                                         tau_stop_us, n_tau):
+        # ramsey_mp's fit takes at least MIN_POINTS taus: fewer is a config
+        # error naming t2scan's tau keys before any drive is simulated
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(cli, "simulate_ramsey", no_simulation)
+        cfg = write_config(tmp_path, {"t2scan": {
+            "omega_list_khz": [581], "mc": True, "tau_stop_us": tau_stop_us,
+            "tau_step_us": 0.1}})
+        result = invoke(runner, ["--config", cfg, "--out", str(tmp_path / "o"),
+                                 "--shots", "3", "t2scan"])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"{TAU_KEYS.format('t2scan')} t2scan needs at least {MIN_POINTS} "
+            f"grid points, not {n_tau}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_mc_grid_at_the_fit_floor_reaches_the_fit(self, runner, tmp_path,
+                                                      monkeypatch):
+        # MIN_POINTS taus pass the grid check and nlls_fit's own floor, so
+        # the two floors are one
+        sizes = []
+
+        def spy(model, points, *args):
+            sizes.append(len(points[0]))
+            return real_fit(model, points, *args)
+
+        real_fit = cli.nlls_fit
+        monkeypatch.setattr(cli, "nlls_fit", spy)
+        cfg = write_config(tmp_path, {"t2scan": {
+            "omega_list_khz": [581], "mc": True,
+            "tau_stop_us": 0.1 * (MIN_POINTS - 1), "tau_step_us": 0.1}})
+        result = invoke(runner, ["--config", cfg, "--out", str(tmp_path),
+                                 "--shots", "3", "t2scan"])
+        assert result.exit_code in (0, 3), all_output(result)
+        assert sizes == [MIN_POINTS]
+        assert (tmp_path / "t2scan.csv").exists()
+
     def test_drive_noise_without_power_levelling(self, runner, tmp_path):
         # the reflectometer's sigma_Omega grows with the drive, and the
         # scan's first-order T2* takes it in
@@ -547,8 +594,17 @@ class TestRamseyAndFit:
         assert result.exit_code == 4
 
     def test_fit_needs_model_and_input(self, runner, tmp_path):
-        result = invoke(runner, ["--out", str(tmp_path), "fit"])
-        assert result.exit_code == 2
+        # the line names the key that is missing, the model first
+        for args, key, what in [
+                ([], "model", "a model name"),
+                (["--input", "trace.csv"], "model", "a model name"),
+                (["--model", "ramsey_mp"], "input_csv", "an input CSV")]:
+            result = invoke(runner, ["--out", str(tmp_path / "o"), "fit",
+                                     *args])
+            assert result.exit_code == 2
+            assert result.stderr.splitlines() \
+                == [f"config error: config key $.fit.{key}: fit needs {what}"]
+            assert not (tmp_path / "o").exists()
 
     def test_fit_header_only_csv_is_config_error(self, runner, tmp_path):
         path = tmp_path / "header_only.csv"
@@ -1141,8 +1197,9 @@ class TestSpectraAndEnvelope:
         result = invoke(runner, ["--out", str(tmp_path / "o"), "--shots", "5",
                                  "spectra", *flags])
         assert result.exit_code == 2
-        assert f"both write spectrum_omega{drives[0]}khz.csv" \
-            in all_output(result)
+        assert result.stderr.splitlines() == [
+            "config error: config key $.spectra.omega_list_khz: two drives "
+            f"would both write spectrum_omega{drives[0]}khz.csv"]
         assert "wrote" not in all_output(result)
         assert not (tmp_path / "o").exists()
 
@@ -1155,18 +1212,27 @@ class TestSpectraAndEnvelope:
         first_row = [float(v) for v in lines[1].split(",")]
         assert first_row[1] == pytest.approx(1.0, abs=1e-9)
 
+    # each grid fault names the three keys of the command's own section
     @pytest.mark.parametrize("command,payload,line", [
         ("ramsey", {"ramsey": {"tau_start_us": 5.0, "tau_stop_us": 5.0}},
-         "config error: tau_stop_us must exceed tau_start_us"),
+         f"{TAU_KEYS.format('ramsey')} tau_stop_us must exceed "
+         "tau_start_us"),
         ("spectra", {"spectra": {"detuning_start_khz": 100.0,
                                  "detuning_stop_khz": -100.0}},
-         "config error: detuning_stop_khz must exceed detuning_start_khz"),
+         "config error: config keys $.spectra.detuning_start_khz, "
+         "detuning_stop_khz and detuning_step_khz: detuning_stop_khz must "
+         "exceed detuning_start_khz"),
         # a step past the stop leaves tau = 0 alone, with no FFT to write
         ("ramsey", {"ramsey": {"tau_stop_us": 0.01}},
-         "config error: config keys $.ramsey.tau_start_us, tau_stop_us and "
-         "tau_step_us: the tau grid has one point, and ramsey needs at least "
-         "two"),
-    ], ids=["tau", "detuning", "one_tau"])
+         f"{TAU_KEYS.format('ramsey')} ramsey needs at least 2 grid points, "
+         "not 1"),
+        ("t2scan", {"t2scan": {"tau_start_us": 5.0, "tau_stop_us": 4.0}},
+         f"{TAU_KEYS.format('t2scan')} tau_stop_us must exceed "
+         "tau_start_us"),
+        ("envelope", {"envelope": {"tau_start_us": 5.0, "tau_stop_us": 5.0}},
+         f"{TAU_KEYS.format('envelope')} tau_stop_us must exceed "
+         "tau_start_us"),
+    ], ids=["tau", "detuning", "one_tau", "t2scan_tau", "envelope_tau"])
     def test_empty_grid_is_config_error(self, runner, tmp_path, command,
                                         payload, line):
         result = invoke(runner, ["--config", write_config(tmp_path, payload),
@@ -1186,7 +1252,8 @@ class TestSpectraAndEnvelope:
             else []
         result = invoke(runner, head + ["--out", str(tmp_path)] + args)
         assert result.exit_code == 2
-        assert "has more than 1000000 points" in all_output(result)
+        assert f"config keys $.{args[0]}." in all_output(result)
+        assert "the grid has more than 1000000 points" in all_output(result)
 
 
 SECTION = cli._section
