@@ -428,7 +428,8 @@ def _grid(section: dict, name: str, key: str, fewest: int = 1):
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
-    lines = [header, *(",".join(f"{v:.10g}" for v in row) for row in rows)]
+    template = ",".join(["%.10g"] * (header.count(",") + 1))
+    lines = [header, *(template % tuple(row) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -543,10 +544,10 @@ def rates(res):
 def t2scan(res, **flags):
     """Scan T2* of the {m,p} qubit against the mechanical drive strength."""
     section = _section(res, "t2scan", **flags)
-    # the Monte-Carlo column fits each trace with ramsey_mp, and nlls_fit
-    # takes at least MIN_POINTS points
-    tau = _grid(section, "t2scan", "tau_{}_us",
-                MIN_POINTS if section["mc"] else 1)
+    # only the Monte-Carlo column reads tau: it fits each trace with
+    # ramsey_mp, and nlls_fit takes at least MIN_POINTS points
+    if section["mc"]:
+        tau = _grid(section, "t2scan", "tau_{}_us", MIN_POINTS)
     noise = res["sim"].noise
     if section["power_leveled"]:
         noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))

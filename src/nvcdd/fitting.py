@@ -1,13 +1,20 @@
 """Nonlinear least-squares engine with linearized confidence intervals.
 
 Thin policy layer over scipy.optimize.least_squares: bounded
-trust-region iteration with a finite-difference Jacobian (relative step
-1e-6), convergence when the relative cost improvement or step norm drops
-below 1e-10, and 95% confidence intervals from the t-distribution on the
-linearized covariance.  Rank-deficient Jacobians are flagged, never a
-silent success, and a parameter that ends at a bound is flagged
-at_bound:<name>; residuals that are not finite at the initial guess raise
+trust-region iteration with a forward-difference Jacobian, convergence
+when the relative cost improvement or step norm drops below 1e-10, and
+95% confidence intervals from the t-distribution on the linearized
+covariance.  Rank-deficient Jacobians are flagged, never a silent
+success, and a parameter that ends at a bound is flagged at_bound:<name>;
+residuals that are not finite at the initial guess raise
 NonFiniteResidualsError.
+
+The Jacobian is scipy's '2-point' rule at the relative step DIFF_STEP,
+step for step and bit for bit: sqrt(eps) * max(1, |x|) where that step
+would not move x, and a step that would leave the bounds flipped, or cut
+to the farther bound.  It is evaluated as one stacked model call (see
+ModelFunction.evaluate): the current point, then one row per free
+parameter with that parameter stepped.
 
 Importing this module does not import scipy: ``nlls_fit`` loads
 ``scipy.optimize.least_squares`` and ``scipy.special.stdtrit`` (the
@@ -27,7 +34,8 @@ from .errors import NumericalError
 
 
 # Solver policy, as stated above; at most MAX_ITER * (n_free + 1)
-# residual evaluations, and CONFIDENCE is the two-sided CI level.  A fit
+# residual evaluations outside the Jacobian (least_squares' max_nfev does
+# not count the Jacobian's), and CONFIDENCE is the two-sided CI level.  A fit
 # takes at least MIN_POINTS points, and two per free parameter.
 FTOL = 1e-10
 XTOL = 1e-10
@@ -35,6 +43,9 @@ DIFF_STEP = 1e-6
 MAX_ITER = 500
 CONFIDENCE = 0.95
 MIN_POINTS = 8
+# the step scipy's '2-point' rule takes where DIFF_STEP * |x| does not
+# move x
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class NonFiniteResidualsError(NumericalError, ValueError):
@@ -53,7 +64,16 @@ class FitParam:
 
 @dataclass(frozen=True)
 class ModelFunction:
-    """Named parameter list plus an evaluator (full param vector, x) -> y."""
+    """Named parameter list plus an evaluator (params, x) -> y.
+
+    ``evaluate(theta, x)`` takes one full parameter vector, shape (P,),
+    and returns y, shape (m,), or a stack of k of them, shape (k, P), and
+    returns one row per vector, shape (k, m).  Either way the evaluator
+    receives the parameters as P columns of shape (k, 1), so that
+    ``c, t2, ... = theta`` unpacks them and numpy broadcasts each against
+    x; its result is broadcast to (k, m).  A factor that needs Python
+    scalars is computed row by row, as one vector computes it.
+    """
 
     name: str
     params: tuple  # of FitParam
@@ -76,8 +96,12 @@ class ModelFunction:
         return replace(self, params=tuple(updated))
 
     def evaluate(self, theta, x):
-        return self.evaluator(np.asarray(theta, dtype=float),
-                              np.asarray(x, dtype=float))
+        theta = np.asarray(theta, dtype=float)
+        x = np.asarray(x, dtype=float)
+        rows = theta.reshape(-1, theta.shape[-1])
+        y = np.broadcast_to(self.evaluator(rows.T[..., None], x),
+                            (len(rows), len(x)))
+        return y[0] if theta.ndim == 1 else y
 
 
 @dataclass
@@ -122,10 +146,35 @@ def nlls_fit(model: ModelFunction, points, sigma=None) -> FitOutcome:
         raise ValueError("initial guess outside bounds")
 
     def residuals(free_vals):
-        theta = theta0.copy()
-        theta[free] = free_vals
+        # free_vals (n_free,), or a stack (k, n_free) giving k rows
+        theta = np.empty(free_vals.shape[:-1] + theta0.shape)
+        theta[...] = theta0
+        theta[..., free] = free_vals
         r = model.evaluate(theta, x) - y
         return r * weights if weights is not None else r
+
+    bounds = list(zip(lower.tolist(), upper.tolist()))
+
+    def jacobian(free_vals):
+        # scipy's '2-point' steps in its arithmetic, from one stacked call:
+        # row 0 the current point, row i + 1 free parameter i stepped
+        stack = np.empty((n_free + 1, n_free))
+        stack[...] = free_vals
+        for i, (v, (lo, hi)) in enumerate(zip(free_vals.tolist(), bounds)):
+            sign = 1.0 if v >= 0 else -1.0
+            h = DIFF_STEP * sign * abs(v)
+            if (v + h) - v == 0:
+                h = _SQRT_EPS * sign * max(1.0, abs(v))
+            if abs(h) > max(v - lo, hi - v):   # fits neither way
+                h = hi - v if hi - v >= v - lo else -(v - lo)
+            elif not lo <= v + h <= hi:
+                h = -h
+            stack[i + 1, i] = v + h
+        r = residuals(stack)
+        step = stack[1:].diagonal() - free_vals
+        # the transpose of a C-ordered (n_free, m) array, the layout of
+        # scipy's own: it sets the summation order of trf's products
+        return ((r[1:] - r[0]) / step[:, None]).T
 
     if not np.all(np.isfinite(residuals(theta0[free]))):
         raise NonFiniteResidualsError(
@@ -136,8 +185,8 @@ def nlls_fit(model: ModelFunction, points, sigma=None) -> FitOutcome:
     from scipy.special import stdtrit
 
     result = least_squares(
-        residuals, theta0[free], bounds=(lower, upper), method="trf",
-        ftol=FTOL, xtol=XTOL, gtol=None, diff_step=DIFF_STEP,
+        residuals, theta0[free], jacobian, bounds=(lower, upper),
+        method="trf", ftol=FTOL, xtol=XTOL, gtol=None,
         max_nfev=MAX_ITER * (n_free + 1),
     )
 

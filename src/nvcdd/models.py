@@ -32,13 +32,21 @@ from .units import DD_DT, GAMMA, angular_to_khz, khz_to_angular
 _K = 2.0 * math.pi * 1e-3  # kHz -> rad/us
 
 
+def _per_row(fn, *columns):
+    """fn of each row's parameters as Python floats, as one (k, 1) column
+    per value fn returns: a row's factor keeps the scalar arithmetic
+    (math.hypot, C pow for ** 2) of a single parameter vector."""
+    rows = zip(*(c[:, 0].tolist() for c in columns))
+    return np.array([fn(*row) for row in rows]).T[..., None]
+
+
 def model_ramsey_mp(a_par_khz: float, p0_ud: float) -> ModelFunction:
     """{m,p} CDD Ramsey: single cosine at sqrt(a_par^2 + omega^2) with a
     Gaussian envelope; amplitude pinned by the undressed contrast."""
 
     def evaluate(theta, tau):
         c, t2, omega, phi, a_par, amp = theta
-        w = _K * math.hypot(omega, a_par)
+        w = _K * _per_row(math.hypot, omega, a_par)
         return c + 0.5 * amp * np.exp(-((tau / t2) ** 2)) * np.cos(w * tau + phi)
 
     return ModelFunction(
@@ -61,19 +69,23 @@ def model_spectrum_joint(n_dressed: int) -> ModelFunction:
     w01 + delta/2 -+ sqrt(delta^2+omega^2)/2 sharing w01 with the single
     undressed Lorentzian.  All frequencies in kHz."""
 
-    def lorentz_dip(x, center, width):
-        return 1.0 / ((2.0 / width) ** 2 * (x - center) ** 2 + 1.0)
+    def lorentz_dip(x, center, scale):
+        # scale = (2 / width)**2
+        return 1.0 / (scale * (x - center) ** 2 + 1.0)
 
     def evaluate(theta, x):
         c_d, a_d1, a_d2, g_d, delta, omega, c_ud, a_ud, g_ud, w01 = theta
-        lo, hi = dressed_transition_offsets(omega, delta)
-        out = np.empty_like(x)
+        lo, hi, s_d, s_ud = _per_row(
+            lambda om, de, gd, gu: (*dressed_transition_offsets(om, de),
+                                    (2.0 / gd) ** 2, (2.0 / gu) ** 2),
+            omega, delta, g_d, g_ud)
+        out = np.empty((len(c_d), len(x)))
         xd = x[:n_dressed]
-        out[:n_dressed] = (c_d
-                           - a_d1 * lorentz_dip(xd, w01 + lo, g_d)
-                           - a_d2 * lorentz_dip(xd, w01 + hi, g_d))
+        out[:, :n_dressed] = (c_d
+                              - a_d1 * lorentz_dip(xd, w01 + lo, s_d)
+                              - a_d2 * lorentz_dip(xd, w01 + hi, s_d))
         xu = x[n_dressed:]
-        out[n_dressed:] = c_ud - a_ud * lorentz_dip(xu, w01, g_ud)
+        out[:, n_dressed:] = c_ud - a_ud * lorentz_dip(xu, w01, s_ud)
         return out
 
     return ModelFunction(
@@ -224,14 +236,16 @@ def _seed_simulated(name, kind, trace, undressed, params, noise, p0_ud):
         raise ValueError(f"{name}: tau up to {tau:g} us needs more than "
                          f"{_MAX_NODES} quadrature nodes per point")
 
-    def evaluate(theta, tau):
-        c, s, omega, a_par, gsb = theta
+    def evaluate_row(tau, c, s, omega, a_par, gsb):
         run = SystemParams(*map(khz_to_angular, (omega, delta, a_par)))
         sim = SimConfig(n_shots=1, noise=NoiseSpec(
             khz_to_angular(gsb) / GAMMA, noise.sigma_t, amp))
         exact, = simulate_ramsey(kind, tau, [run], sim, nodes=nodes,
                                  omega_mag=khz_to_angular(om_mag))
         return c + s * (exact.mean_p0 - 0.5)
+
+    def evaluate(theta, tau):
+        return np.array([evaluate_row(tau, *row) for row in theta[..., 0].T])
 
     return ModelFunction(name=name, evaluator=evaluate, params=(
         FitParam("c", float(trace.mean_p0.mean()), -1.0, 2.0),

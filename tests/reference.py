@@ -6,7 +6,8 @@ the dephasing formulas and the fit models can be compared with them:
 the six-level Hamiltonians and their 3x3 13C blocks, the dressed
 energies and Larmor frequencies, the rate budget, a Monte-Carlo estimate
 of the second-order envelope, its closed form at the maximally protected
-point and the two-branch fringe formula built on it, whole-state
+point and the two-branch fringe formula built on it, the ramsey_mp and
+spectrum_joint fit models for one parameter vector, whole-state
 propagation of the 13C blocks, numpy's own per-shot
 generator, the exact ensemble mean of a simulated trace by quadrature,
 and a trace CSV reader that checks one row at a time.
@@ -297,8 +298,7 @@ def model_max_protection(a_par_khz: float, gamma_sigma_b_khz: float,
     decaying branch at omega under the algebraic envelope plus a
     Gaussian-damped branch at sqrt(omega^2 + 4*a_par^2)."""
 
-    def evaluate(theta, tau):
-        omega, phi, c, t2_up, a_par, gsb, amp = theta
+    def evaluate_row(tau, omega, phi, c, t2_up, a_par, gsb, amp):
         om_ang = khz_to_angular(omega)
         sigma_b = khz_to_angular(gsb) / GAMMA
         slow = envelope_second_order(tau, om_ang, sigma_b, 0.0) \
@@ -306,6 +306,10 @@ def model_max_protection(a_par_khz: float, gamma_sigma_b_khz: float,
         w_fast = _K * math.hypot(omega, 2.0 * a_par)
         fast = np.exp(-((tau / t2_up) ** 2)) * np.cos(w_fast * tau + phi)
         return c + 0.25 * amp * (slow + fast)
+
+    def evaluate(theta, tau):
+        # envelope_second_order and math.hypot take one vector's scalars
+        return np.array([evaluate_row(tau, *row) for row in theta[..., 0].T])
 
     return ModelFunction(
         name="max_protection",
@@ -321,6 +325,32 @@ def model_max_protection(a_par_khz: float, gamma_sigma_b_khz: float,
         ),
         evaluator=evaluate,
     )
+
+
+def ramsey_mp_one_vector(theta, tau):
+    """models.model_ramsey_mp's value for one parameter vector, in scalar
+    arithmetic: math.hypot, and numpy scalars for the parameters."""
+    c, t2, omega, phi, a_par, amp = np.asarray(theta, dtype=float)
+    w = _K * math.hypot(omega, a_par)
+    return c + 0.5 * amp * np.exp(-((tau / t2) ** 2)) * np.cos(w * tau + phi)
+
+
+def spectrum_joint_one_vector(theta, x, n_dressed: int):
+    """models.model_spectrum_joint's value for one parameter vector, in
+    scalar arithmetic: math.hypot for the dressed offsets, and a numpy
+    scalar's ** 2 (C pow) for each (2 / width)**2."""
+    c_d, a_d1, a_d2, g_d, delta, omega, c_ud, a_ud, g_ud, w01 = \
+        np.asarray(theta, dtype=float)
+
+    def dip(x, center, width):
+        return 1.0 / ((2.0 / width) ** 2 * (x - center) ** 2 + 1.0)
+
+    root = math.hypot(delta, omega)
+    lo, hi = 0.5 * (delta - root), 0.5 * (delta + root)
+    xd, xu = x[:n_dressed], x[n_dressed:]
+    return np.concatenate([
+        c_d - a_d1 * dip(xd, w01 + lo, g_d) - a_d2 * dip(xd, w01 + hi, g_d),
+        c_ud - a_ud * dip(xu, w01, g_ud)])
 
 
 def _apply_eigen(states: np.ndarray, vals: np.ndarray, vecs: np.ndarray,

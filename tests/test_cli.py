@@ -284,6 +284,16 @@ class TestConfigHandling:
             resolve_config({"preset": "nv3"})
 
 
+def test_rows_print_each_value_with_ten_digits(tmp_path):
+    # one % template per row prints what f"{v:.10g}" prints, value by value
+    rows = [(581, 0.1 + 0.2, -0.0, np.float64(1e-310)),
+            (np.float64(np.nan), np.inf, -np.inf, 2.0**70),
+            *zip(*np.random.default_rng(1).normal(size=(4, 50)) * 1e3)]
+    cli._write_rows(tmp_path / "rows.csv", "a,b,c,d", rows)
+    assert (tmp_path / "rows.csv").read_text().splitlines() == [
+        "a,b,c,d", *(",".join(f"{v:.10g}" for v in row) for row in rows)]
+
+
 class TestT2Scan:
     def test_columns_and_anchors(self, runner, tmp_path):
         result = invoke(runner, ["--out", str(tmp_path), "t2scan",
@@ -310,6 +320,17 @@ class TestT2Scan:
         rows = (tmp_path / "t2scan.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] \
             == [230.0, 348.0, 470.0, 581.0]
+
+    def test_analytic_scan_reads_no_tau_grid(self, runner, tmp_path):
+        # without mc the T2* columns take no tau: a reversed tau grid is
+        # never built, and the scan writes the committed CSV
+        cfg = json.loads((CONFIG_DIR / "nv2.json").read_text())
+        cfg["t2scan"].update(tau_start_us=30.0, tau_stop_us=25.0)
+        result = invoke(runner, ["--config", write_config(tmp_path, cfg),
+                                 "--out", str(tmp_path), "t2scan"])
+        assert result.exit_code == 0, all_output(result)
+        assert (tmp_path / "t2scan.csv").read_bytes() == (
+            REPO_ROOT / "out" / "nv2" / "t2scan.csv").read_bytes()
 
     def test_mc_column(self, runner, tmp_path):
         # the simulate-and-fit column, small: one drive, 20 shots, 101 taus
@@ -1226,7 +1247,8 @@ class TestSpectraAndEnvelope:
         ("ramsey", {"ramsey": {"tau_stop_us": 0.01}},
          f"{TAU_KEYS.format('ramsey')} ramsey needs at least 2 grid points, "
          "not 1"),
-        ("t2scan", {"t2scan": {"tau_start_us": 5.0, "tau_stop_us": 4.0}},
+        ("t2scan", {"t2scan": {"mc": True, "tau_start_us": 5.0,
+                               "tau_stop_us": 4.0}},
          f"{TAU_KEYS.format('t2scan')} tau_stop_us must exceed "
          "tau_start_us"),
         ("envelope", {"envelope": {"tau_start_us": 5.0, "tau_stop_us": 5.0}},

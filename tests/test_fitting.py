@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from nvcdd import fitting
+from nvcdd.cli import load_config, resolve_config
 from nvcdd.dephasing import NoiseSpec, sigma_b_from_t2
 from nvcdd.fitting import (
     FitParam,
@@ -17,7 +21,7 @@ from nvcdd.models import (
     model_ramsey_mp,
     model_spectrum_joint,
 )
-from nvcdd.pulse_sim import OMEGA_ROT_KHZ, Trace
+from nvcdd.pulse_sim import OMEGA_ROT_KHZ, Trace, read_trace_csv
 
 from reference import model_max_protection
 
@@ -290,3 +294,112 @@ class TestWeights:
             weighted.params["a"] * np.exp(-x[50:] / weighted.params["b"])
             - y[50:])
         assert resid_tail_wt.max() < resid_tail_plain.max()
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _committed_fit(name):
+    """The (model, points, stderr) of a committed fit report: the nv2
+    ramsey_mp trace, or the spec_smoke spectra for spectrum_joint."""
+    res = resolve_config(load_config(REPO_ROOT / "configs" / "nv2.json"))
+    if name == "ramsey_mp":
+        trace, undressed = read_trace_csv(
+            REPO_ROOT / "out" / "nv2" / "ramsey_dressed_mp.csv"), None
+    else:
+        trace, undressed = (
+            read_trace_csv(REPO_ROOT / "out" / "spec_smoke" /
+                           f"spectrum_omega{drive}khz.csv")
+            for drive in (470, 0))
+    return FIT_MODELS[name](trace, undressed, res["params"],
+                            res["sim"].noise, None)
+
+
+def _bounded_decay(a, b, b_bounds=(1e-6, 1e9)):
+    model = _exp_decay_model(a, b)
+    return replace(model, params=(model.params[0], FitParam("b", b, *b_bounds)))
+
+
+def _jacobian_cases():
+    x = np.linspace(0.0, 10.0, 50)
+    y = 12.0 * np.exp(-x / 5.0)     # a's upper bound of 10 holds the fit
+    inner = 1.2 * np.exp(-x / (5.0 + 5e-7))
+    mp, mp_points, mp_stderr = _committed_fit("ramsey_mp")
+    sj, sj_points, _ = _committed_fit("spectrum_joint")
+    return {
+        # phi = 0 and delta_khz = 0 start on sqrt(eps) steps
+        "ramsey_mp": (mp, mp_points, None),
+        "spectrum_joint": (sj, sj_points, None),
+        "weighted": (mp, mp_points, mp_stderr),
+        # a's forward step would leave [0, 10]: it steps backward
+        "sign_flip": (_exp_decay_model(a=10.0 - 5e-6), (x, y), None),
+        # b's step is wider than [5, 5 + 2e-6]: it steps to the far bound,
+        # up to the end, where b stays inside
+        "narrow_bounds": (_bounded_decay(1.0, 5.0 + 5e-7, (5.0, 5.0 + 2e-6)),
+                          (x, inner), None),
+    }
+
+
+class TestJacobianRule:
+    CASES = _jacobian_cases()
+
+    @staticmethod
+    def _solve(monkeypatch, model, points, sigma, two_point):
+        """nlls_fit's least_squares result, with nlls_fit's own Jacobian
+        or scipy's '2-point' at DIFF_STEP on the same residuals."""
+        solve, results = scipy.optimize.least_squares, []
+
+        def spy(fun, x0, jac, **kwargs):
+            assert callable(jac) and "diff_step" not in kwargs
+            if two_point:
+                jac, kwargs["diff_step"] = "2-point", fitting.DIFF_STEP
+            results.append(solve(fun, x0, jac, **kwargs))
+            return results[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.optimize, "least_squares", spy)
+            outcome = nlls_fit(model, points, sigma)
+        return results[0], outcome
+
+    def test_cases_take_the_step_rules_they_name(self):
+        def start(case, name):
+            model = self.CASES[case][0]
+            i = [p.name for p in model.params].index(name)
+            return model.params[i]
+
+        assert start("ramsey_mp", "phi").initial == 0.0
+        assert start("spectrum_joint", "delta_khz").initial == 0.0
+        a = start("sign_flip", "a")
+        assert a.upper - a.initial < fitting.DIFF_STEP * a.initial \
+            <= a.initial - a.lower
+        b = start("narrow_bounds", "b")
+        assert fitting.DIFF_STEP * b.initial > b.upper - b.lower
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_scipy_two_point(self, monkeypatch, case):
+        model, points, sigma = self.CASES[case]
+        ours, fit = self._solve(monkeypatch, model, points, sigma, False)
+        theirs, ref = self._solve(monkeypatch, model, points, sigma, True)
+        for name in ("x", "cost", "jac"):
+            a, b = np.asarray(getattr(ours, name)), np.asarray(getattr(theirs, name))
+            assert a.shape == b.shape and np.array_equal(
+                a.view(np.uint64), b.view(np.uint64)), (case, name)
+        assert ours.nfev == theirs.nfev and ours.status == theirs.status
+        assert fit.rss == ref.rss and fit.flags == ref.flags
+        assert np.array_equal(fit.covariance, ref.covariance)
+
+    def test_one_stacked_model_call_per_jacobian(self, monkeypatch):
+        model, points, _ = self.CASES["spectrum_joint"]
+        rows, evaluate = [], fitting.ModelFunction.evaluate
+
+        def count(self, theta, x):
+            rows.append(np.shape(theta)[0] if np.ndim(theta) == 2 else 0)
+            return evaluate(self, theta, x)
+
+        monkeypatch.setattr(fitting.ModelFunction, "evaluate", count)
+        result, _ = self._solve(monkeypatch, model, points, None, False)
+        n_free = len(model.free_index())
+        stacks = [k for k in rows if k]
+        assert stacks == [n_free + 1] * result.njev
+        # the rest: the initial finiteness check and least_squares' calls
+        assert len(rows) - len(stacks) == 1 + result.nfev

@@ -27,7 +27,11 @@ from nvcdd.pulse_sim import (
 from nvcdd.units import GAMMA, angular_to_khz, khz_to_angular
 
 from conftest import make_params
-from reference import detuning_from_lines
+from reference import (
+    detuning_from_lines,
+    ramsey_mp_one_vector,
+    spectrum_joint_one_vector,
+)
 
 NV1 = resolve_config({"preset": "nv1"})
 NV2_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "nv2.json"
@@ -207,6 +211,77 @@ class TestSimulatorModels:
         assert model.params[i].lower > 133.0
         theta[i] = model.params[i].lower
         assert np.all(np.isfinite(model.evaluate(theta, x)))
+
+
+def _random_rows(model, n_rows, rng):
+    """n_rows parameter vectors drawn within the model's bounds, log-uniform
+    where a bound spans decades; a frozen parameter, unbounded, from -1e3
+    to 1e3."""
+    columns = []
+    for p in model.params:
+        lo, hi = (-1e3, 1e3) if p.frozen else (p.lower, p.upper)
+        if lo > 0 and hi / lo > 100:
+            columns.append(np.exp(rng.uniform(math.log(lo), math.log(hi),
+                                              n_rows)))
+        else:
+            columns.append(rng.uniform(lo, hi, n_rows))
+    return np.column_stack(columns)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestStackedEvaluators:
+    # Each row of a stacked evaluation must be the one-vector formula's
+    # value bit for bit.  Per-row factors keep their scalar arithmetic:
+    # np.hypot differs from math.hypot, and an array's ** 2 (a square)
+    # from a numpy scalar's (C pow), in about 1 value in 1000.
+    N_ROWS = 10_000
+
+    def test_ramsey_mp_rows_equal_the_one_vector_formula(self):
+        model = model_ramsey_mp(150.0, 0.9375)
+        rows = _random_rows(model, self.N_ROWS, np.random.default_rng(5))
+        tau = np.arange(0.0, 20.0, 0.2)
+        stack = model.evaluate(rows, tau)
+        assert stack.shape == (self.N_ROWS, len(tau))
+        for row, y in zip(rows, stack):
+            assert _same_bits(y, ramsey_mp_one_vector(row, tau)), row
+        assert _same_bits(model.evaluate(rows[7], tau),
+                          ramsey_mp_one_vector(rows[7], tau))
+
+    def test_spectrum_joint_rows_equal_the_one_vector_formula(self):
+        n_dressed = 31
+        model = model_spectrum_joint(n_dressed)
+        rows = _random_rows(model, self.N_ROWS, np.random.default_rng(6))
+        x = np.concatenate([np.linspace(-600.0, 600.0, n_dressed),
+                            np.linspace(-300.0, 300.0, 21)])
+        stack = model.evaluate(rows, x)
+        assert stack.shape == (self.N_ROWS, len(x))
+        for row, y in zip(rows, stack):
+            assert _same_bits(y, spectrum_joint_one_vector(row, x,
+                                                           n_dressed)), row
+        assert _same_bits(model.evaluate(rows[7], x),
+                          spectrum_joint_one_vector(rows[7], x, n_dressed))
+
+    def test_simulator_model_rows_equal_one_vector_calls(self, nv1_trace):
+        trace, params = nv1_trace("dressed_0p", 348.0)
+        model, (x, _), _ = FIT_MODELS["ramsey_0p"](
+            trace, None, params, NV1["sim"].noise, None)
+        top = model.initial_vector()
+        top[[p.name for p in model.params].index("omega_khz")] *= 1.5
+        stack = model.evaluate([model.initial_vector(), top], x)
+        assert _same_bits(stack[0], model.evaluate(model.initial_vector(), x))
+        assert _same_bits(stack[1], model.evaluate(top, x))
+
+    def test_result_is_broadcast_to_one_row_per_vector(self):
+        model = replace(model_ramsey_mp(150.0, 0.9375),
+                        evaluator=lambda theta, x: np.sin(x))
+        x = np.linspace(0.0, 1.0, 5)
+        rows = np.ones((3, len(model.params)))
+        assert model.evaluate(rows, x).shape == (3, 5)
+        assert model.evaluate(rows[0], x).shape == (5,)
 
 
 class TestSpectrumGeometry:
