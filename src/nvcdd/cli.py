@@ -5,13 +5,14 @@ config contract is ``SCHEMA`` below (JSON Schema draft 2020-12), the only
 copy of it: its preset, Ramsey-kind and fit-model enums come from the
 registries, its ``default`` values are the CLI's defaults, and
 ``validate_config`` checks its keywords in-house, worded as jsonschema
-words them. A flag, if given, overrides the config key its Python name
-names (under ``sim`` for ``--seed`` and ``--shots``); a number flag is
-read as that key's JSON literal and checked by that key's rule, so a flag
-and its key fail alike. ``configs/nv1.json`` and ``configs/nv2.json`` are
-examples. All frequencies in configs and reports are ordinary kHz,
-converted to angular units at the boundary. Outputs are plottable CSV
-artifacts plus text fit reports, deterministic for a given (config, seed).
+words them. A flag, if given, replaces the config key its Python name
+names (under ``sim`` for ``--seed`` and ``--shots``, else in the
+command's own section) before the one check of the config, so a number
+flag, read as that key's JSON literal, and its key fail alike.
+``configs/nv1.json`` and ``configs/nv2.json`` are examples. All
+frequencies in configs and reports are ordinary kHz, converted to angular
+units at the boundary. Outputs are plottable CSV artifacts plus text fit
+reports, deterministic for a given (config, seed).
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 """
@@ -205,8 +206,8 @@ def load_config(path) -> dict:
 
 
 class _JsonNumber(click.ParamType):
-    """A number flag: the JSON literal of the config key it sets, which
-    resolve_config or _section checks by that key's rule."""
+    """A number flag: the JSON literal of the config key it replaces, which
+    resolve_config checks by that key's rule."""
 
     name = "number"
 
@@ -280,29 +281,30 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"config key ${where}: {best[1]}")
 
 
-def _given(**flags) -> dict:
-    """The flags given: neither None nor a multiple=True option's ()."""
-    return {key: value for key, value in flags.items()
-            if value is not None and value != ()}
-
-
-def _merged(rule: dict, section: dict, **flags) -> dict:
+def _merged(rule: dict, section: dict) -> dict:
     """The defaults of an object rule of SCHEMA, overlaid by a config
-    section, overlaid by every flag given.  Default lists are copied, so
-    no caller can edit SCHEMA."""
+    section.  Default lists are copied, so no caller can edit SCHEMA."""
     defaults = {key: copy.copy(prop["default"])
                 for key, prop in rule["properties"].items() if "default" in prop}
-    return {**defaults, **section, **_given(**flags)}
+    return {**defaults, **section}
 
 
-def _section(res: dict, name: str, **flags) -> dict:
-    """The settings of one command (see _merged), once the flags given pass
-    their keys' rules; resolve_config checked the config itself."""
+def _overlaid(cfg, name: str, **flags):
+    """cfg with each flag given (neither None nor a multiple=True option's
+    ()) in place of its key in section name, a tuple as a JSON array.  A
+    cfg or section that is no object takes no flag; resolve_config says so."""
     given = {key: list(value) if isinstance(value, tuple) else value
-             for key, value in _given(**flags).items()}   # JSON arrays
-    validate_config({name: given})
-    return _merged(SCHEMA["properties"][name], res["raw"].get(name, {}),
-                   **flags)
+             for key, value in flags.items() if value not in (None, ())}
+    ok = isinstance(cfg, dict) and isinstance(cfg.get(name, {}), dict)
+    return {**cfg, name: {**cfg.get(name, {}), **given}} if ok else cfg
+
+
+def _settings(cfg, name: str, **flags):
+    """The run (see resolve_config) and command name's section merged over
+    its SCHEMA defaults, with each flag given in place of its key before
+    the one check of the whole config."""
+    cfg = _overlaid(cfg, name, **flags)
+    return resolve_config(cfg), _merged(SCHEMA["properties"][name], cfg[name])
 
 
 # Field-noise keys, each with its conversion to sigma_b in mG.  A config's
@@ -320,8 +322,7 @@ def resolve_config(cfg: dict) -> dict:
     the run cfg describes.
 
     The dict holds the SystemParams (angular units) as "params", the
-    SimConfig with its NoiseSpec as "sim", the "out_dir", and cfg itself
-    as "raw", whose sections the commands read.
+    SimConfig with its NoiseSpec as "sim" and the "out_dir".
     """
     validate_config(cfg)
     top = _merged(SCHEMA, cfg)
@@ -369,7 +370,7 @@ def resolve_config(cfg: dict) -> dict:
     sim = _merged(SCHEMA["properties"]["sim"], cfg.get("sim", {}))
     return {"params": params,
             "sim": SimConfig(n_shots=sim["shots"], seed=sim["seed"], noise=noise),
-            "out_dir": top["out_dir"], "raw": cfg}
+            "out_dir": top["out_dir"]}
 
 
 def _check_drives(noise: NoiseSpec, omegas) -> None:
@@ -474,11 +475,9 @@ class _PipelineGroup(click.Group):
 def main(ctx, config_path, out_dir, **sim):
     """Continuous-dynamical-decoupling simulation and analysis pipelines."""
     cfg = load_config(config_path) if config_path else {}
-    # a cfg or sim that is no object takes no flag; resolve_config says so
-    if isinstance(cfg, dict) and isinstance(cfg.get("sim", {}), dict):
-        cfg = {**cfg, **_given(out_dir=out_dir),
-               "sim": {**cfg.get("sim", {}), **_given(**sim)}}
-    ctx.obj = resolve_config(cfg)
+    if out_dir is not None and isinstance(cfg, dict):
+        cfg = {**cfg, "out_dir": out_dir}
+    ctx.obj = _overlaid(cfg, "sim", **sim)   # each command checks it
 
 
 def _out_dir(res: dict) -> Path:
@@ -498,8 +497,9 @@ def _short(value: float, spec: str = "10.2f") -> str:
 
 @main.command()
 @click.pass_obj
-def rates(res):
+def rates(cfg):
     """Print the dephasing-rate budget and predicted coherence times."""
+    res = resolve_config(cfg)
     params = res["params"]
     noise = res["sim"].noise
     _check_splitting(params)
@@ -541,9 +541,9 @@ def rates(res):
 @click.option("--mc/--no-mc", default=None,
               help="Toggle the Monte-Carlo simulate-and-fit column.")
 @click.pass_obj
-def t2scan(res, **flags):
+def t2scan(cfg, **flags):
     """Scan T2* of the {m,p} qubit against the mechanical drive strength."""
-    section = _section(res, "t2scan", **flags)
+    res, section = _settings(cfg, "t2scan", **flags)
     # only the Monte-Carlo column reads tau: it fits each trace with
     # ramsey_mp, and nlls_fit takes at least MIN_POINTS points
     if section["mc"]:
@@ -592,9 +592,9 @@ def t2scan(res, **flags):
 @click.option("--tau-step-us", type=_JsonNumber())
 @click.option("--omega-mag-khz", type=_JsonNumber())
 @click.pass_obj
-def ramsey(res, **flags):
+def ramsey(cfg, **flags):
     """Simulate a Ramsey trace; writes the trace and its Fourier magnitude."""
-    section = _section(res, "ramsey", **flags)
+    res, section = _settings(cfg, "ramsey", **flags)
     kind = section["kind"]
     tau = _grid(section, "ramsey", "tau_{}_us", 2)   # two for the FFT
     # without omega_mag_khz the simulator picks the kind's pulse strength
@@ -619,23 +619,23 @@ def ramsey(res, **flags):
               type=_JsonNumber(),
               help="Override the drive list; 0 means undressed.")
 @click.pass_obj
-def spectra(res, **flags):
+def spectra(cfg, **flags):
     """Simulate pulsed spectra across a list of mechanical drive strengths."""
-    section = _section(res, "spectra", **flags)
+    res, section = _settings(cfg, "spectra", **flags)
     grid = khz_to_angular(_grid(section, "spectra", "detuning_{}_khz"))
     kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
         if "omega_mag_khz" in section else {}
-    names = [f"spectrum_omega{om_khz:g}khz.csv"
-             for om_khz in section["omega_list_khz"]]
+    # the drives' minimum of 0 lets -0.0 through: it runs, and is named, as 0
+    drives_khz = [abs(om_khz) for om_khz in section["omega_list_khz"]]
+    names = [f"spectrum_omega{om_khz:g}khz.csv" for om_khz in drives_khz]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ConfigError("config key $.spectra.omega_list_khz: two "
                               f"drives would both write {name}")
-    _check_drives(res["sim"].noise,
-                  map(khz_to_angular, section["omega_list_khz"]))
+    _check_drives(res["sim"].noise, map(khz_to_angular, drives_khz))
     out = _out_dir(res)
     drives = [res["params"].with_omega(khz_to_angular(om_khz))
-              for om_khz in section["omega_list_khz"]]
+              for om_khz in drives_khz]
     for trace, name in zip(simulate_spectrum(grid, drives, res["sim"],
                                              **kwargs), names):
         path = out / name
@@ -646,9 +646,10 @@ def spectra(res, **flags):
 @main.command()
 @click.option("--tau-stop-us", type=_JsonNumber())
 @click.pass_obj
-def envelope(res, **flags):
+def envelope(cfg, **flags):
     """Tabulate the analytic envelopes against their Gaussian references."""
-    tau = _grid(_section(res, "envelope", **flags), "envelope", "tau_{}_us")
+    res, section = _settings(cfg, "envelope", **flags)
+    tau = _grid(section, "envelope", "tau_{}_us")
     noise = res["sim"].noise
     params = res["params"]
     _check_splitting(params)
@@ -671,14 +672,18 @@ def envelope(res, **flags):
 @click.option("--undressed", "undressed_csv", type=click.Path(),
               help="Undressed spectrum CSV (spectrum_joint only).")
 @click.pass_obj
-def fit(res, **flags):
+def fit(cfg, **flags):
     """Fit a signal model to a trace CSV and write the report."""
-    section = _section(res, "fit", **flags)
+    res, section = _settings(cfg, "fit", **flags)
     for key, what in (("model", "a model name"), ("input_csv", "an input CSV")):
         if not section.get(key):
             raise ConfigError(f"config key $.fit.{key}: fit needs {what}")
     model_name, input_csv = section["model"], section["input_csv"]
     trace = read_trace_csv(input_csv)
+    if len(trace.abscissa) < MIN_POINTS:
+        raise ConfigError(f"config key $.fit.input_csv: {input_csv} has "
+                          f"{len(trace.abscissa)} rows, and fit needs at "
+                          f"least {MIN_POINTS}")
     undressed_csv = section.get("undressed_csv")
     undressed = read_trace_csv(undressed_csv) if undressed_csv else None
     try:

@@ -635,6 +635,21 @@ class TestRamseyAndFit:
         assert result.exit_code == 2
         assert "header_only.csv:2:" in all_output(result)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_fit_trace_below_the_fit_floor_names_the_key(self, runner,
+                                                         tmp_path, rows):
+        # checked before the model's seed, whose FFT needs two points
+        path = tmp_path / "short.csv"
+        path.write_text("abscissa,mean_p0,stderr,n_shots\n" + "".join(
+            f"{0.1 * i},0.5,0.01,100\n" for i in range(rows)))
+        result = invoke(runner, ["--out", str(tmp_path / "o"), "fit",
+                                 "--model", "ramsey_mp", "--input", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"config error: config key $.fit.input_csv: {path} has {rows} "
+            f"rows, and fit needs at least {MIN_POINTS}"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("row,sidecar,where", [
         ("0.1,0.5,0.01,100.5", None, "trace.csv:3:"),
         ("0.1,nan,0.01,100", None, "trace.csv:3:"),
@@ -1154,7 +1169,7 @@ class TestFloatFlags:
             "less than the minimum of 5" in all_output(result).splitlines()
         _, section = settings_of(runner, monkeypatch,
                                  ["spectra", "--omega-khz", "5"])
-        assert section["omega_list_khz"] == (5,)
+        assert section["omega_list_khz"] == [5]
 
     @pytest.mark.parametrize("shots", ["1000001", "1000000000000"])
     def test_too_many_shots_sample_nothing(self, runner, tmp_path,
@@ -1205,7 +1220,8 @@ class TestSpectraAndEnvelope:
         assert (tmp_path / "spectrum_omega0khz.csv").exists()
         assert (tmp_path / "spectrum_omega470khz.csv").exists()
 
-    @pytest.mark.parametrize("drives", [["470", "470.0001"], ["0", "0"]])
+    @pytest.mark.parametrize("drives", [["470", "470.0001"], ["0", "0"],
+                                        ["0", "-0.0"]])
     def test_colliding_drive_files_are_config_error(
             self, runner, tmp_path, monkeypatch, drives):
         # both drives would write one file, and one spectrum would be lost;
@@ -1223,6 +1239,20 @@ class TestSpectraAndEnvelope:
             f"would both write spectrum_omega{drives[0]}khz.csv"]
         assert "wrote" not in all_output(result)
         assert not (tmp_path / "o").exists()
+
+    def test_negative_zero_drive_is_the_undressed_run(self, runner,
+                                                      tmp_path):
+        # -0.0 passes the drives' minimum of 0; it runs, and is named, as 0
+        for drive in ("-0.0", "0.0"):
+            result = invoke(runner, ["--out", str(tmp_path / drive),
+                                     "--shots", "1", "spectra",
+                                     "--omega-khz", drive])
+            assert result.exit_code == 0, all_output(result)
+        names = ["spectrum_omega0khz.csv", "spectrum_omega0khz.csv.meta.json"]
+        assert sorted(p.name for p in (tmp_path / "-0.0").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "-0.0" / name).read_bytes() \
+                == (tmp_path / "0.0" / name).read_bytes()
 
     def test_envelope_columns(self, runner, tmp_path):
         result = invoke(runner, ["--out", str(tmp_path), "envelope",
@@ -1278,7 +1308,7 @@ class TestSpectraAndEnvelope:
         assert "the grid has more than 1000000 points" in all_output(result)
 
 
-SECTION = cli._section
+SETTINGS = cli._settings
 
 
 class _SectionRead(Exception):
@@ -1287,14 +1317,14 @@ class _SectionRead(Exception):
 
 def settings_of(runner, monkeypatch, args):
     """The (resolved config, merged section) a command runs with: the
-    command stops when it has read its section, before any work."""
+    command stops when it has read its settings, before any work."""
     seen = {}
 
-    def section(res, name, **flags):
-        seen["res"], seen["section"] = res, SECTION(res, name, **flags)
+    def settings(cfg, name, **flags):
+        seen["res"], seen["section"] = SETTINGS(cfg, name, **flags)
         raise _SectionRead
 
-    monkeypatch.setattr(cli, "_section", section)
+    monkeypatch.setattr(cli, "_settings", settings)
     result = runner.invoke(main, args)
     assert isinstance(result.exception, _SectionRead), all_output(result)
     return seen["res"], seen["section"]
@@ -1302,7 +1332,7 @@ def settings_of(runner, monkeypatch, args):
 
 # Command argv with one flag, the config key the flag overrides, a
 # config value for that key and the flag's value (a multiple=True flag
-# gives a tuple).
+# gives a JSON array).
 FLAG_OVERRIDES = [
     (["ramsey", "--kind", "dressed_0p"], "ramsey", "kind",
      "max_protection", "dressed_0p"),
@@ -1312,9 +1342,9 @@ FLAG_OVERRIDES = [
      700.0, 900.0),
     (["envelope", "--tau-stop-us", "3"], "envelope", "tau_stop_us", 7.0, 3.0),
     (["spectra", "--omega-khz", "0", "--omega-khz", "470"], "spectra",
-     "omega_list_khz", [230.0], (0.0, 470.0)),
+     "omega_list_khz", [230.0], [0.0, 470.0]),
     (["t2scan", "--omega-khz", "348"], "t2scan", "omega_list_khz",
-     [230.0], (348.0,)),
+     [230.0], [348.0]),
     (["t2scan", "--mc"], "t2scan", "mc", False, True),
     (["t2scan", "--no-mc"], "t2scan", "mc", True, False),
     (["fit", "--model", "ramsey_0p"], "fit", "model", "ramsey_mp",
@@ -1380,7 +1410,7 @@ class TestSettingsMerge:
         rule = cli.SCHEMA["properties"]["t2scan"]["properties"][
             "omega_list_khz"]
         before = list(rule["default"])
-        cli._section({"raw": {}}, "t2scan")["omega_list_khz"].append(1.0)
+        cli._settings({}, "t2scan")[1]["omega_list_khz"].append(1.0)
         assert rule["default"] == before
 
     def test_ramsey_default_grid(self, runner, tmp_path):
@@ -1419,3 +1449,79 @@ class TestSettingsMerge:
                                  "rates"])
         assert result.exit_code == 2
         assert message in all_output(result).splitlines()
+
+
+# Each command with flags of its own section, the key those flags set and
+# their value in the config the command checks.
+COMMAND_FLAGS = [
+    (["rates"], {}),
+    (["envelope", "--tau-stop-us", "3"], {"envelope": {"tau_stop_us": 3}}),
+    (["t2scan", "--omega-khz", "581", "--no-mc"],
+     {"t2scan": {"omega_list_khz": [581], "mc": False}}),
+    (["ramsey", "--kind", "dressed_0p", "--tau-stop-us", "0.2"],
+     {"ramsey": {"kind": "dressed_0p", "tau_stop_us": 0.2}}),
+    (["spectra", "--omega-khz", "0", "--omega-khz", "470"],
+     {"spectra": {"omega_list_khz": [0, 470]}}),
+    (["fit", "--model", "ramsey_mp", "--input",
+      str(REPO_ROOT / "out" / "nv2" / "ramsey_dressed_mp.csv")],
+     {"fit": {"model": "ramsey_mp", "input_csv": str(
+         REPO_ROOT / "out" / "nv2" / "ramsey_dressed_mp.csv")}}),
+]
+
+
+class TestOneCheck:
+    """A command's flags take their keys' places before the one check of
+    the whole config."""
+
+    @pytest.mark.parametrize("args,checked", COMMAND_FLAGS,
+                             ids=[case[0][0] for case in COMMAND_FLAGS])
+    def test_each_run_checks_its_config_once(self, runner, tmp_path,
+                                             monkeypatch, args, checked):
+        calls, validate = [], cli.validate_config
+
+        def counted(cfg):
+            calls.append(cfg)
+            validate(cfg)
+
+        monkeypatch.setattr(cli, "validate_config", counted)
+        out = str(tmp_path / "o")
+        result = invoke(runner, ["--out", out, "--shots", "2", *args])
+        assert result.exit_code == 0, all_output(result)
+        assert calls == [{"out_dir": out, "sim": {"shots": 2}, **checked}]
+
+    @pytest.mark.parametrize("payload,args,written", [
+        ({"ramsey": {"tau_stop_us": -1}}, ["ramsey", "--tau-stop-us", "0.5"],
+         "ramsey_dressed_mp.csv"),
+        ({"t2scan": {"omega_list_khz": []}}, ["t2scan", "--omega-khz", "581"],
+         "t2scan.csv"),
+    ], ids=["ramsey_tau_stop_us", "t2scan_omega_list_khz"])
+    def test_flag_replaces_a_bad_key_of_its_section(self, runner, tmp_path,
+                                                    payload, args, written):
+        result = invoke(runner, ["--config", write_config(tmp_path, payload),
+                                 "--out", str(tmp_path / "o"), "--shots", "2",
+                                 *args])
+        assert result.exit_code == 0, all_output(result)
+        assert (tmp_path / "o" / written).exists()
+
+    def test_command_help_under_a_bad_config(self, runner, tmp_path):
+        # help is shown before any command checks the config
+        cfg = write_config(tmp_path, {"sim": {"shots": 0}})
+        result = invoke(runner, ["--config", cfg, "ramsey", "--help"])
+        assert result.exit_code == 0, all_output(result)
+        assert result.output.startswith("Usage: ")
+        assert "--tau-stop-us" in result.output
+
+    @pytest.mark.parametrize("args", [case[0] for case in COMMAND_FLAGS],
+                             ids=[case[0][0] for case in COMMAND_FLAGS])
+    def test_bad_key_of_another_section_fails_every_command(
+            self, runner, tmp_path, args):
+        # no flag of the command replaces it, so the one check sees it
+        other = "t2scan" if args[0] == "spectra" else "spectra"
+        cfg = write_config(tmp_path, {other: {"omega_list_khz": []}})
+        result = invoke(runner, ["--config", cfg, "--out", str(tmp_path / "o"),
+                                 "--shots", "2", *args])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"config error: config key $.{other}.omega_list_khz: [] should "
+            "be non-empty"]
+        assert not (tmp_path / "o").exists()
