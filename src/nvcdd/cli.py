@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import json
 import math
@@ -322,7 +321,7 @@ def resolve_config(cfg: dict) -> dict:
     the run cfg describes.
 
     The dict holds the SystemParams (angular units) as "params", the
-    SimConfig with its NoiseSpec as "sim" and the "out_dir".
+    NoiseSpec as "noise", the SimConfig as "sim" and the "out_dir".
     """
     validate_config(cfg)
     top = _merged(SCHEMA, cfg)
@@ -365,11 +364,9 @@ def resolve_config(cfg: dict) -> dict:
         amplitude = ReflectometerNoise(
             eta=amp_cfg["eta"],
             alpha_diode=khz_to_angular(amp_cfg["alpha_khz"]))
-    noise = NoiseSpec(sigma_b=sigma_b, sigma_t=sigma_t, amplitude_noise=amplitude)
-
     sim = _merged(SCHEMA["properties"]["sim"], cfg.get("sim", {}))
-    return {"params": params,
-            "sim": SimConfig(n_shots=sim["shots"], seed=sim["seed"], noise=noise),
+    return {"params": params, "noise": NoiseSpec(sigma_b, sigma_t, amplitude),
+            "sim": SimConfig(n_shots=sim["shots"], seed=sim["seed"]),
             "out_dir": top["out_dir"]}
 
 
@@ -474,10 +471,15 @@ class _PipelineGroup(click.Group):
 @click.pass_context
 def main(ctx, config_path, out_dir, **sim):
     """Continuous-dynamical-decoupling simulation and analysis pipelines."""
-    cfg = load_config(config_path) if config_path else {}
-    if out_dir is not None and isinstance(cfg, dict):
-        cfg = {**cfg, "out_dir": out_dir}
-    ctx.obj = _overlaid(cfg, "sim", **sim)   # each command checks it
+    def read_cfg():
+        # read when a command resolves its settings, after click has shown
+        # any --help of the command, so a broken file blocks no help
+        cfg = load_config(config_path) if config_path else {}
+        if out_dir is not None and isinstance(cfg, dict):
+            cfg = {**cfg, "out_dir": out_dir}
+        return _overlaid(cfg, "sim", **sim)   # each command checks it
+
+    ctx.obj = read_cfg
 
 
 def _out_dir(res: dict) -> Path:
@@ -497,11 +499,11 @@ def _short(value: float, spec: str = "10.2f") -> str:
 
 @main.command()
 @click.pass_obj
-def rates(cfg):
+def rates(read_cfg):
     """Print the dephasing-rate budget and predicted coherence times."""
-    res = resolve_config(cfg)
+    res = resolve_config(read_cfg())
     params = res["params"]
-    noise = res["sim"].noise
+    noise = res["noise"]
     _check_splitting(params)
     _check_drives(noise, [params.omega])
     sigma_omega = noise.sigma_omega(params.omega)
@@ -541,29 +543,28 @@ def rates(cfg):
 @click.option("--mc/--no-mc", default=None,
               help="Toggle the Monte-Carlo simulate-and-fit column.")
 @click.pass_obj
-def t2scan(cfg, **flags):
+def t2scan(read_cfg, **flags):
     """Scan T2* of the {m,p} qubit against the mechanical drive strength."""
-    res, section = _settings(cfg, "t2scan", **flags)
+    res, section = _settings(read_cfg(), "t2scan", **flags)
     # only the Monte-Carlo column reads tau: it fits each trace with
     # ramsey_mp, and nlls_fit takes at least MIN_POINTS points
     if section["mc"]:
         tau = _grid(section, "t2scan", "tau_{}_us", MIN_POINTS)
-    noise = res["sim"].noise
+    noise = res["noise"]
     if section["power_leveled"]:
         noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))
     _check_drives(noise, map(khz_to_angular, section["omega_list_khz"]))
-    a_par = res["params"].a_par
-    drives = [res["params"].with_omega(khz_to_angular(om_khz))
+    drives = [(res["params"].with_omega(khz_to_angular(om_khz)), noise)
               for om_khz in section["omega_list_khz"]]
-    traces = simulate_ramsey("dressed_mp", tau, drives, dataclasses.replace(
-        res["sim"], noise=noise)) if section["mc"] else [None] * len(drives)
+    traces = simulate_ramsey("dressed_mp", tau, drives, res["sim"]) \
+        if section["mc"] else [None] * len(drives)
     rows, failed = [], []
-    for om_khz, params, trace in zip(section["omega_list_khz"], drives,
-                                     traces):
+    for om_khz, (params, _), trace in zip(section["omega_list_khz"], drives,
+                                          traces):
         sigma_omega = noise.sigma_omega(params.omega)
-        t2_first = predicted_t2_mp(params.omega, a_par, noise.sigma_b,
+        t2_first = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
                                    sigma_omega, order="first")
-        t2_second = predicted_t2_mp(params.omega, a_par, noise.sigma_b,
+        t2_second = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
                                     sigma_omega, order="second")
         t2_mc, mc_err = math.nan, math.nan
         if trace is not None:
@@ -592,9 +593,9 @@ def t2scan(cfg, **flags):
 @click.option("--tau-step-us", type=_JsonNumber())
 @click.option("--omega-mag-khz", type=_JsonNumber())
 @click.pass_obj
-def ramsey(cfg, **flags):
+def ramsey(read_cfg, **flags):
     """Simulate a Ramsey trace; writes the trace and its Fourier magnitude."""
-    res, section = _settings(cfg, "ramsey", **flags)
+    res, section = _settings(read_cfg(), "ramsey", **flags)
     kind = section["kind"]
     tau = _grid(section, "ramsey", "tau_{}_us", 2)   # two for the FFT
     # without omega_mag_khz the simulator picks the kind's pulse strength
@@ -603,8 +604,9 @@ def ramsey(cfg, **flags):
     if kind != "undressed_0m1":   # which runs with the drive off
         _check_drive(res["params"],
                      f"kind {kind!r} (every kind but 'undressed_0m1')")
-        _check_drives(res["sim"].noise, [res["params"].omega])
-    trace, = simulate_ramsey(kind, tau, [res["params"]], res["sim"], **kwargs)
+        _check_drives(res["noise"], [res["params"].omega])
+    trace, = simulate_ramsey(kind, tau, [(res["params"], res["noise"])],
+                             res["sim"], **kwargs)
     out = _out_dir(res)
     trace_path = out / f"ramsey_{kind}.csv"
     write_trace_csv(trace, trace_path)
@@ -619,9 +621,9 @@ def ramsey(cfg, **flags):
               type=_JsonNumber(),
               help="Override the drive list; 0 means undressed.")
 @click.pass_obj
-def spectra(cfg, **flags):
+def spectra(read_cfg, **flags):
     """Simulate pulsed spectra across a list of mechanical drive strengths."""
-    res, section = _settings(cfg, "spectra", **flags)
+    res, section = _settings(read_cfg(), "spectra", **flags)
     grid = khz_to_angular(_grid(section, "spectra", "detuning_{}_khz"))
     kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
         if "omega_mag_khz" in section else {}
@@ -632,9 +634,9 @@ def spectra(cfg, **flags):
         if name in names[:i]:
             raise ConfigError("config key $.spectra.omega_list_khz: two "
                               f"drives would both write {name}")
-    _check_drives(res["sim"].noise, map(khz_to_angular, drives_khz))
+    _check_drives(res["noise"], map(khz_to_angular, drives_khz))
     out = _out_dir(res)
-    drives = [res["params"].with_omega(khz_to_angular(om_khz))
+    drives = [(res["params"].with_omega(khz_to_angular(om_khz)), res["noise"])
               for om_khz in drives_khz]
     for trace, name in zip(simulate_spectrum(grid, drives, res["sim"],
                                              **kwargs), names):
@@ -646,11 +648,11 @@ def spectra(cfg, **flags):
 @main.command()
 @click.option("--tau-stop-us", type=_JsonNumber())
 @click.pass_obj
-def envelope(cfg, **flags):
+def envelope(read_cfg, **flags):
     """Tabulate the analytic envelopes against their Gaussian references."""
-    res, section = _settings(cfg, "envelope", **flags)
+    res, section = _settings(read_cfg(), "envelope", **flags)
     tau = _grid(section, "envelope", "tau_{}_us")
-    noise = res["sim"].noise
+    noise = res["noise"]
     params = res["params"]
     _check_splitting(params)
     _check_drive(params, "the max_protection column")
@@ -672,31 +674,31 @@ def envelope(cfg, **flags):
 @click.option("--undressed", "undressed_csv", type=click.Path(),
               help="Undressed spectrum CSV (spectrum_joint only).")
 @click.pass_obj
-def fit(cfg, **flags):
+def fit(read_cfg, **flags):
     """Fit a signal model to a trace CSV and write the report."""
-    res, section = _settings(cfg, "fit", **flags)
+    res, section = _settings(read_cfg(), "fit", **flags)
     for key, what in (("model", "a model name"), ("input_csv", "an input CSV")):
         if not section.get(key):
             raise ConfigError(f"config key $.fit.{key}: fit needs {what}")
-    model_name, input_csv = section["model"], section["input_csv"]
-    trace = read_trace_csv(input_csv)
-    if len(trace.abscissa) < MIN_POINTS:
-        raise ConfigError(f"config key $.fit.input_csv: {input_csv} has "
-                          f"{len(trace.abscissa)} rows, and fit needs at "
-                          f"least {MIN_POINTS}")
-    undressed_csv = section.get("undressed_csv")
-    undressed = read_trace_csv(undressed_csv) if undressed_csv else None
+    model_name, traces = section["model"], {}
+    for key in ("input_csv", "undressed_csv"):   # each meets the fit floor
+        if path := section.get(key):
+            traces[key] = read_trace_csv(path)
+            if (rows := len(traces[key].abscissa)) < MIN_POINTS:
+                raise ConfigError(f"config key $.fit.{key}: {path} has {rows} "
+                                  f"rows, and fit needs at least {MIN_POINTS}")
+    trace, undressed = traces["input_csv"], traces.get("undressed_csv")
     try:
         model, points, stderr = FIT_MODELS[model_name](
-            trace, undressed, res["params"], res["sim"].noise,
+            trace, undressed, res["params"], res["noise"],
             section.get("p0_ud"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     weights = stderr if section["use_stderr_weights"] else None
     if weights is not None and not np.all(weights > 0):
         # the points are the trace's rows, then the undressed trace's
-        where = undressed_csv if np.all(weights[:len(trace.abscissa)] > 0) \
-            else input_csv
+        input_ok = np.all(weights[:len(trace.abscissa)] > 0)
+        where = section["undressed_csv" if input_ok else "input_csv"]
         raise ConfigError(f"config key $.fit.use_stderr_weights: {where} has "
                           "a zero stderr, and weights need every stderr "
                           "positive")

@@ -236,16 +236,14 @@ def _seed_simulated(name, kind, trace, undressed, params, noise, p0_ud):
         raise ValueError(f"{name}: tau up to {tau:g} us needs more than "
                          f"{_MAX_NODES} quadrature nodes per point")
 
-    def evaluate_row(tau, c, s, omega, a_par, gsb):
-        run = SystemParams(*map(khz_to_angular, (omega, delta, a_par)))
-        sim = SimConfig(n_shots=1, noise=NoiseSpec(
-            khz_to_angular(gsb) / GAMMA, noise.sigma_t, amp))
-        exact, = simulate_ramsey(kind, tau, [run], sim, nodes=nodes,
-                                 omega_mag=khz_to_angular(om_mag))
-        return c + s * (exact.mean_p0 - 0.5)
-
     def evaluate(theta, tau):
-        return np.array([evaluate_row(tau, *row) for row in theta[..., 0].T])
+        c, s, *columns = theta   # one drive per row, one simulator call
+        drives = [(SystemParams(*map(khz_to_angular, (omega, delta, a_par))),
+                   NoiseSpec(khz_to_angular(gsb) / GAMMA, noise.sigma_t, amp))
+                  for omega, a_par, gsb in zip(*(v[:, 0] for v in columns))]
+        exact = simulate_ramsey(kind, tau, drives, SimConfig(n_shots=1),
+                                nodes=nodes, omega_mag=khz_to_angular(om_mag))
+        return c + s * (np.array([t.mean_p0 for t in exact]) - 0.5)
 
     return ModelFunction(name=name, evaluator=evaluate, params=(
         FitParam("c", float(trace.mean_p0.mean()), -1.0, 2.0),

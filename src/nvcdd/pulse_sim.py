@@ -6,13 +6,17 @@ omega_mech/2 and the magnetic carrier absorbs the nominal zero-field
 splitting, so the |0> level sits at (carrier detuning) - (dD/dT)*deltaT.
 Spectral abscissae are detunings from the nominal undressed 0<->-1 line.
 
+A drive is a pair (SystemParams, NoiseSpec): the simulators take a list of
+drives, and each drive carries its own noise.  SimConfig holds only what
+the drives of one call share, the shots and the seed.
+
 One environment sample is drawn per shot and held constant across the
 whole sequence.  Shot RNG streams are counter-based, so execution order
 never changes results: a shot's three draws (field, drive amplitude,
 temperature) are numpy's standard_normal draws from a Philox4x64-10
 generator keyed by [seed, shot] with counter [0, point, 0, 0], point
-being the abscissa index, scaled by each drive's sigmas: the drives of
-one call see the same per-shot environment.  _sample_block draws a block
+being the abscissa index, scaled by each drive's own sigmas: the drives
+of one call see the same per-shot unit draws.  _sample_block draws a block
 of whole grid points at once, bit-identical to that stream: Philox4x64-10
 and numpy's ziggurat fast path run as numpy array operations, with
 numpy's tables (ziggurat_double.bin), and the few shots that miss the
@@ -23,12 +27,14 @@ spectrum point is one pulse, and a Ramsey point is a pulse, free
 evolution tau and the same pulse at a closing phase.  Each shot starts in
 |0> with the 13C spin unpolarized and ends with a readout of the |0>
 population.  With Gauss-Hermite nodes in place of the draws, _simulate
-gives the exact ensemble mean instead: the fit models' P0.
+gives the exact ensemble mean instead: the fit models' P0.  The nodes and
+a Ramsey run's frame are the same at every tau, so the quadrature forms a
+Ramsey run's pulse once and reads every tau out of it.
 
 The Hamiltonian never couples the 13C index: it is two real 3x3 blocks,
 13C up (basis states {0,2,4} of the six-level model) and down ({1,3,5}),
 each [[e, 0, w], [0, z, g], [w, g, -e]] in the order (+1, 0, -1), and
-_run_batch forms only these entries; no matrix is built.  Only |0> is
+_pulse forms only these entries; no matrix is built.  Only |0> is
 prepared and read out, so a pulse needs only the |0> column u of its
 propagator U(0) = exp(-i h t) at phase 0, formed by _newton_column from
 h's three eigenvalues alone; the rare block whose column is not finite
@@ -40,13 +46,13 @@ pulse, P U(0) P^dagger with P = exp(i phi) on |0>, forms only the readout
 amplitude from the same u.  Free evolution between them is closed form
 (|0> only picks up a phase, the +-1 pair rotates), so a Ramsey point's
 amplitude is one expression in u, e, w, z, tau and phi, with sin and cos
-taken of the same angle.  One norm check of u, and a check that the
-readout is finite, see every loss.
+taken of the same angle (_readout).  One norm check of u (_pulse), and
+a check that the readout is finite, see every loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import functools
 import json
 import math
@@ -54,7 +60,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dephasing import NoiseSpec
 from .errors import NumericalError
 from .spin_model import (
     SystemParams, _sublevel_splittings, dressed_transition_offsets,
@@ -64,7 +69,7 @@ from .units import DD_DT, GAMMA, angular_to_khz, khz_to_angular
 NORM_TOL = 1e-9
 # Angles added to phi for the smallest and the largest root: l = m + 2r
 # cos(phi + turn).
-_ROOT_TURNS = np.array([2.0 * math.pi / 3.0, 0.0])[:, None, None]
+_ROOT_TURNS = np.array([2.0 * math.pi / 3.0, 0.0])
 
 # Paper-grade default pulse strengths (angular rad/us).
 DEFAULT_OMEGA_MAG_SQ = 2.0 * math.pi * 0.696   # {0,p} pi/2 pulses, 696 kHz
@@ -94,7 +99,6 @@ def _pulse_duration(angle, omega_mag):
 class SimConfig:
     n_shots: int = 1000
     seed: int = 0
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
         for name in ("n_shots", "seed"):   # numpy integers become ints
@@ -189,7 +193,7 @@ def _newton_column(e, z, w, g, duration: float) -> np.ndarray:
         cos3 = (4.0 * a * a - 3.0) * a + 0.5 * (g2 * s * s) * ((z - e) * s)
         phi = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
         lam = np.empty((3,) + phi.shape)
-        lam[::2] = m + 2.0 * r * np.cos(phi + _ROOT_TURNS)
+        lam[::2] = m + 2.0 * r * np.cos(np.add.outer(_ROOT_TURNS, phi))
         lam[1] = z - lam[0] - lam[2]
         half = np.exp((-0.5j * duration) * lam)     # f at half the time
         # f[l1,l2] and f[l2,l3]
@@ -218,20 +222,35 @@ def _newton_column(e, z, w, g, duration: float) -> np.ndarray:
     return u
 
 
-def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
-    """P0 (n,) of n shot-points, for stacked environment samples db, dom,
-    dt (n,) or scalars.
+def _pulse(params: SystemParams, frame, omega_mag, duration, db, dom, dt):
+    """The block entries e (n, blocks), z and w, and the pulse's |0>
+    column u (3, ..., blocks), for environment samples db, dom, dt (n,)
+    or scalars and a frame detuning that broadcasts against them.
 
-    point is (frame detuning, pulse strength, pulse duration, ramsey),
-    where the frame detuning and ramsey's entries are scalars or arrays
-    (n,), one value per shot-point: ramsey None is a spectrum point, one
-    pulse; ramsey = (tau, phi) is a Ramsey point, the pulse, free
-    evolution tau, the pulse at phase phi.  The block entries (module
-    docstring) are e = GAMMA db + d/2 for each distinct d of
-    (delta + a_par, delta - a_par), in that order, z = frame - DD_DT dt
-    and w = (omega + dom)/2 per shot, and g = omega_mag/2: the drive's
+    The block entries (module docstring) are e = GAMMA db + d/2 for each
+    distinct d of (delta + a_par, delta - a_par), in that order, z = frame
+    - DD_DT dt and w = (omega + dom)/2, and g = omega_mag/2: the drive's
     0<->+1 element, detuned by the full Zeeman splitting, is dropped like
     every other counter-rotating term.
+    """
+    a = params.a_par
+    blocks = [*dict.fromkeys((params.delta + a, params.delta - a))]
+    e = GAMMA * np.reshape(db, (-1, 1)) + 0.5 * np.array(blocks)
+    z = (frame - DD_DT * np.asarray(dt))[..., None]
+    w = np.reshape(0.5 * (params.omega + np.asarray(dom)), (-1, 1))
+    u = _newton_column(e, z, w, 0.5 * omega_mag, duration)
+    # every step is unitary (module docstring); NaN fails the test
+    norms = np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
+        raise NormLossError("propagation lost norm")
+    return e, z, w, u
+
+
+def _readout(e, z, w, u, ramsey) -> np.ndarray:
+    """P0 of a _pulse's blocks and column: ramsey None is a spectrum
+    point, the pulse alone; ramsey = (tau, phi) is a Ramsey point, the
+    pulse, free evolution tau, the pulse at phase phi, with tau and phi
+    broadcast against the pulse's environment axes.
 
     With u the pulse's |0> column, a block's readout amplitude is u0 for a
     spectrum point and, for a Ramsey point (closing pulse and free
@@ -240,13 +259,6 @@ def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
     - u-^2) + 2 w u+ u-)], r = hypot(e, w); P0 is |amplitude|^2 averaged
     over the blocks.
     """
-    frame, omega_mag, duration, ramsey = point
-    a = params.a_par
-    blocks = [*dict.fromkeys((params.delta + a, params.delta - a))]
-    e = GAMMA * np.reshape(db, (-1, 1)) + 0.5 * np.array(blocks)
-    z = np.reshape(frame - DD_DT * np.asarray(dt), (-1, 1))
-    w = np.reshape(0.5 * (params.omega + np.asarray(dom)), (-1, 1))
-    u = _newton_column(e, z, w, 0.5 * omega_mag, duration)
     amp = u[1]
     if ramsey is not None:
         tau, phi = (np.asarray(v, dtype=float)[..., None] for v in ramsey)
@@ -260,13 +272,21 @@ def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
             amp = u[1] * u[1] * np.exp(-1j * z * tau) + np.exp(1j * phi) * (
                 np.cos(angle) * (plus2 + minus2)
                 - 1j * sin_r * (e * (plus2 - minus2) + 2.0 * w * u[0] * u[2]))
-    p0 = (amp.real ** 2 + amp.imag ** 2).sum(axis=1) / len(blocks)
-    # every step is unitary (module docstring); NaN fails the test
-    norms = np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
-    if not (np.all(np.abs(norms - 1.0) <= NORM_TOL)
-            and np.isfinite(p0.sum())):
+    p0 = (amp.real ** 2 + amp.imag ** 2).sum(axis=-1) / e.shape[-1]
+    if not np.isfinite(p0.sum()):
         raise NormLossError("propagation lost norm")
     return p0
+
+
+def _run_batch(point: tuple, params: SystemParams, db, dom, dt) -> np.ndarray:
+    """P0 (n,) of n shot-points, for stacked environment samples db, dom,
+    dt (n,) or scalars: the _readout of a _pulse.
+
+    point is (frame detuning, pulse strength, pulse duration, ramsey),
+    where the frame detuning and ramsey's entries are scalars or arrays
+    (n,), one value per shot-point.
+    """
+    return _readout(*_pulse(params, *point[:3], db, dom, dt), point[3])
 
 
 # Philox4x64-10 round multipliers and key increments, as in numpy's philox.h.
@@ -406,50 +426,59 @@ def _sample_block(seed: int, point_index, n_shots: int) -> np.ndarray:
 
 
 def _simulate(grid, runs, config: SimConfig, nodes=None):
-    """Per run (point_at, params), in order: mean P0 (clipped to [0, 1])
-    and its standard error at each grid point x, over config.n_shots
-    shots of point_at(x) under params; or, given nodes, over the tensor
-    grid of nodes[i] Gauss-Hermite nodes on each noise axis with product
-    weights, which is the exact mean (stderr 0).
+    """Per run (point_at, params, noise), in order: mean P0 (clipped to
+    [0, 1]) and its standard error at each grid point x, over
+    config.n_shots shots of point_at(x) under params; or, given nodes,
+    over the tensor grid of nodes[i] Gauss-Hermite nodes on each noise
+    axis with product weights, which is the exact mean (stderr 0).  Each
+    run scales the unit draws or nodes by its own noise's sigmas.
 
     Unit draws are sampled once for a block of whole points, at most
-    _BLOCK_SHOT_POINTS shot-points (at least one point); each run scales
-    them by its own sigmas and runs the block through _run_batch in
-    chunks of whole points, at most _CHUNK_SHOT_POINTS shot-points (at
-    least one point) per call: point_at takes the chunk's grid values.
+    _BLOCK_SHOT_POINTS shot-points (at least one point), and each run
+    takes the block in chunks of whole points, at most _CHUNK_SHOT_POINTS
+    shot-points (at least one point): point_at takes the chunk's grid
+    values.  Every shot-point has its own draws, so the Monte Carlo runs a
+    chunk through _run_batch.  The nodes serve every point, so the
+    quadrature reads each chunk out of a _pulse of the nodes, broadcast
+    against the chunk's points: a spectrum's frame moves with the point,
+    so it forms one per chunk, and a Ramsey run forms its pulse once.
     """
     if not runs:
         raise ValueError("drives needs at least one drive")
-    noise, n, weights = config.noise, config.n_shots, None
+    n = config.n_shots
     if nodes is not None:   # only fits load numpy.polynomial
         from numpy.polynomial.hermite_e import hermegauss
         x, w = zip(*map(hermegauss, nodes))
         tensor = np.stack(np.meshgrid(*x, indexing="ij"), -1).reshape(-1, 3)
         weights = math.prod(np.ix_(*(v / v.sum() for v in w))).ravel()
         n = len(weights)
-    mean = np.empty((len(runs), len(grid)))
-    stderr = np.empty_like(mean)
-    per_block = max(1, _BLOCK_SHOT_POINTS // n)
-    per_chunk = max(1, _CHUNK_SHOT_POINTS // n)
-    for first in range(0, len(grid), per_block):
-        points = range(first, min(first + per_block, len(grid)))
-        draws = _sample_block(config.seed, points, n) if weights is None \
-            else np.broadcast_to(tensor, (len(points), n, 3))
-        for run, (point_at, params) in enumerate(runs):
+    mean, stderr = np.zeros((2, len(runs), len(grid)))
+    block = max(1, _BLOCK_SHOT_POINTS // n) if nodes is None else len(grid)
+    chunk = max(1, _CHUNK_SHOT_POINTS // n)
+    for first in range(0, len(grid), block):
+        points = range(first, min(first + block, len(grid)))
+        draws = _sample_block(config.seed, points, n) if nodes is None \
+            else tensor
+        for run, (point_at, params, noise) in enumerate(runs):
             env = (draws[..., 0] * noise.sigma_b,
                    draws[..., 1] * noise.sigma_omega(params.omega),
                    draws[..., 2] * noise.sigma_t)
-            for start in range(0, len(points), per_chunk):
-                rows = slice(first + start, min(first + start + per_chunk,
+            pulse = None
+            for start in range(0, len(points), chunk):
+                rows = slice(first + start, min(first + start + chunk,
                                                 points.stop))
-                chunk = slice(start, start + per_chunk)
+                if nodes is not None:
+                    *pulse_at, ramsey = point_at(grid[rows, None])
+                    if pulse is None or ramsey is None:
+                        pulse = _pulse(params, *pulse_at, *env)
+                    mean[run, rows] = _readout(*pulse, ramsey) @ weights
+                    continue
                 p0 = _run_batch(point_at(np.repeat(grid[rows], n)), params,
-                                *(x[chunk].ravel() for x in env)
+                                *(x[start:start + chunk].ravel() for x in env)
                                 ).reshape(-1, n)
-                mean[run, rows] = p0.mean(axis=1) if weights is None \
-                    else p0 @ weights
-                stderr[run, rows] = p0.std(axis=1, ddof=1) / math.sqrt(n) \
-                    if n > 1 and weights is None else 0.0
+                mean[run, rows] = p0.mean(axis=1)
+                if n > 1:
+                    stderr[run, rows] = p0.std(axis=1, ddof=1) / math.sqrt(n)
     return list(zip(np.clip(mean, 0.0, 1.0), stderr))
 
 
@@ -485,8 +514,9 @@ def _checked_grid(grid, name: str, lowest: float = -math.inf) -> np.ndarray:
 
 def simulate_ramsey(kind: str, tau_grid, drives, config: SimConfig, *,
                     omega_mag: float | None = None, nodes=None) -> list[Trace]:
-    """Ramsey traces, one per SystemParams in drives, in order: mean P0
-    +- stderr over n_shots per tau, or given nodes the exact mean."""
+    """Ramsey traces, one per drive (SystemParams, NoiseSpec) in drives,
+    in order: mean P0 +- stderr over n_shots per tau, or given nodes the
+    exact mean."""
     if kind not in RAMSEY_KINDS:
         raise ValueError(f"unknown Ramsey kind {kind!r}")
     tau_grid = _checked_grid(tau_grid, "tau_grid", lowest=0.0)
@@ -499,7 +529,7 @@ def simulate_ramsey(kind: str, tau_grid, drives, config: SimConfig, *,
     omega_rot = khz_to_angular(OMEGA_ROT_KHZ)
     phase_rate = 0.0 if dq else omega_rot
 
-    def run(params):
+    def run(params, noise):
         if kind == "undressed_0m1":
             params = params.with_omega(0.0)
         elif params.omega <= 0:
@@ -514,20 +544,21 @@ def simulate_ramsey(kind: str, tau_grid, drives, config: SimConfig, *,
         else:   # the 0<->p line, half the splitting, averaged over sublevels
             frame = 0.25 * sum(_sublevel_splittings(params))
         return (lambda tau: (frame, omega_mag, t_pulse,
-                             (tau, phase_rate * tau))), params
+                             (tau, phase_rate * tau))), params, noise
 
-    runs = [run(params) for params in drives]
+    runs = [run(*drive) for drive in drives]
     return [Trace(tau_grid, mean, stderr, config.n_shots,
                   _metadata(kind, "us", params, config, omega_mag,
                             omega_rot_khz=angular_to_khz(omega_rot)))
-            for (_, params), (mean, stderr)
+            for (_, params, _), (mean, stderr)
             in zip(runs, _simulate(tau_grid, runs, config, nodes))]
 
 
 def simulate_spectrum(detuning_grid, drives, config: SimConfig, *,
                       omega_mag: float = 2.0 * math.pi * 0.080) -> list[Trace]:
-    """Spectroscopy scans, one per SystemParams in drives, in order: P0
-    versus magnetic drive detuning, one pi pulse per shot.
+    """Spectroscopy scans, one per drive (SystemParams, NoiseSpec) in
+    drives, in order: P0 versus magnetic drive detuning, one pi pulse per
+    shot.
 
     detuning_grid is angular (rad/us), measured from the nominal undressed
     0<->-1 line; the returned Traces' abscissa is in kHz.
@@ -535,20 +566,17 @@ def simulate_spectrum(detuning_grid, drives, config: SimConfig, *,
     detuning_grid = _checked_grid(detuning_grid, "detuning_grid")
     t_pulse = _pulse_duration(math.pi, omega_mag)
 
-    def run(params):
+    def run(params, noise):
         return (lambda det_axis: (det_axis - 0.5 * params.delta, omega_mag,
-                                  t_pulse, None)), params
+                                  t_pulse, None)), params, noise
 
-    runs = [run(params) for params in drives]
-    traces = []
-    for (_, params), (mean, stderr) in zip(
-            runs, _simulate(detuning_grid, runs, config)):
-        dips = dressed_transition_offsets(params.omega, params.delta)
-        metadata = _metadata("spectrum", "khz", params, config, omega_mag,
-                             expected_dips_khz=list(map(angular_to_khz, dips)))
-        traces.append(Trace(angular_to_khz(detuning_grid), mean, stderr,
-                            config.n_shots, metadata))
-    return traces
+    runs = [run(*drive) for drive in drives]
+    dips = [dressed_transition_offsets(p.omega, p.delta) for _, p, _ in runs]
+    return [Trace(angular_to_khz(detuning_grid), mean, stderr, config.n_shots,
+                  _metadata("spectrum", "khz", params, config, omega_mag,
+                            expected_dips_khz=list(map(angular_to_khz, d))))
+            for (_, params, _), d, (mean, stderr)
+            in zip(runs, dips, _simulate(detuning_grid, runs, config))]
 
 
 def fourier_magnitude(trace: Trace) -> tuple[np.ndarray, np.ndarray]:

@@ -382,8 +382,8 @@ def exact_mean_trace(simulate, *args, nodes=(40, 12, 10), **kwargs) -> list:
     here by tensor Gauss-Hermite quadrature with nodes[i] nodes on each
     axis (one on an axis whose sigma is zero).  pulse_sim._simulate is
     swapped out while simulate runs, so the simulator's own runs, each a
-    point_at and its params, and pulse_sim._run_batch give P0 at every
-    node.  The traces' stderr is zero."""
+    point_at, its params and its noise, and pulse_sim._run_batch give P0
+    at every node.  The traces' stderr is zero."""
     def exact_mean(grid, point_at, params, noise):
         sigmas = (noise.sigma_b, noise.sigma_omega(params.omega), noise.sigma_t)
         axes = [np.polynomial.hermite_e.hermegauss(n if sigma else 1)
@@ -405,8 +405,8 @@ def exact_mean_trace(simulate, *args, nodes=(40, 12, 10), **kwargs) -> list:
     def quadrature(grid, runs, config, nodes=None):
         # the engine's own quadrature (its nodes argument) is not used:
         # this one builds and reduces its nodes itself
-        return [exact_mean(grid, point_at, params, config.noise)
-                for point_at, params in runs]
+        return [exact_mean(grid, point_at, params, noise)
+                for point_at, params, noise in runs]
 
     with mock.patch.object(pulse_sim, "_simulate", quadrature):
         return simulate(*args, **kwargs)

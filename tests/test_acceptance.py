@@ -115,9 +115,9 @@ def test_amplitude_noise_budget_and_mc_fit():
     noise = NoiseSpec(sigma_b=SIGMA_B_42, sigma_t=0.25,
                       amplitude_noise=ReflectometerNoise(
                           eta=0.049, alpha_diode=khz_to_angular(-133.0)))
-    cfg = SimConfig(n_shots=2000, seed=7, noise=noise)
+    cfg = SimConfig(n_shots=2000, seed=7)
     tau = np.arange(0.0, 20.0, 0.1)
-    trace = simulate_ramsey("dressed_mp", tau, [params], cfg)[0]
+    trace = simulate_ramsey("dressed_mp", tau, [(params, noise)], cfg)[0]
     # the CLI's fit rule: FIT_MODELS seeds the model, mean_contrast pins p0_ud
     model, points, _ = FIT_MODELS["ramsey_mp"](trace, None, params, noise,
                                                None)
@@ -142,11 +142,11 @@ def test_max_protection_point():
     om_khz = 455.7
     params = make_params(omega_khz=om_khz)
     noise = NoiseSpec(sigma_b=SIGMA_B_42, sigma_t=0.25)
-    cfg = SimConfig(n_shots=1000, seed=9, noise=noise)
+    cfg = SimConfig(n_shots=1000, seed=9)
     # the long window also averages down the quasi-static second-order
     # frequency pull that the envelope model does not parameterize
     tau = np.arange(0.0, 50.0, 0.15)
-    trace = simulate_ramsey("max_protection", tau, [params], cfg)[0]
+    trace = simulate_ramsey("max_protection", tau, [(params, noise)], cfg)[0]
 
     fit_params = params.with_delta(-abs(params.a_par))
     base = model_max_protection(150.0, 42.0, p0_ud=mean_contrast(fit_params))
@@ -169,11 +169,11 @@ def test_max_protection_point():
 def test_spectroscopy_joint_fit():
     grid = khz_to_angular(np.arange(-600.0, 600.0 + 2.0, 4.0))
     noise = NoiseSpec(sigma_b=SIGMA_B_42, sigma_t=0.25)
-    cfg = SimConfig(n_shots=400, seed=11, noise=noise)
+    cfg = SimConfig(n_shots=400, seed=11)
     dressed_params = make_params(omega_khz=470.0, a_par_khz=0.0)
     undressed_params = make_params(omega_khz=0.0, a_par_khz=0.0)
     dressed, undressed = simulate_spectrum(
-        grid, [dressed_params, undressed_params], cfg)
+        grid, [(dressed_params, noise), (undressed_params, noise)], cfg)
 
     points, _ = fit_points(dressed, undressed)
     lo, hi = guess_spectrum_dips_khz(dressed)
@@ -268,10 +268,10 @@ def test_property_suite(tmp_path):
     assert hits / n_fits >= 0.90
 
     # deterministic replay is byte-identical
-    cfg = SimConfig(n_shots=30, seed=17,
-                    noise=NoiseSpec(sigma_b=SIGMA_B_42, sigma_t=0.25))
+    cfg = SimConfig(n_shots=30, seed=17)
+    drive = (params, NoiseSpec(sigma_b=SIGMA_B_42, sigma_t=0.25))
     grid = np.arange(0.0, 4.0, 0.2)
     for name in ("a.csv", "b.csv"):
-        write_trace_csv(simulate_ramsey("dressed_mp", grid, [params], cfg)[0],
+        write_trace_csv(simulate_ramsey("dressed_mp", grid, [drive], cfg)[0],
                         tmp_path / name)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -276,8 +276,8 @@ class TestConfigHandling:
         key, = keys
         # with no field-noise key in the config, the preset's applies
         given = {"noise": {key: PRESETS[name][key]}}
-        assert resolve_config({"preset": name})["sim"].noise.sigma_b \
-            == resolve_config(given)["sim"].noise.sigma_b
+        assert resolve_config({"preset": name})["noise"].sigma_b \
+            == resolve_config(given)["noise"].sigma_b
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
@@ -369,7 +369,7 @@ class TestT2Scan:
         assert result.exit_code == 0, all_output(result)
         (args, kwargs, traces), = calls
         kind, tau, drives, sim = args
-        assert [d.omega for d in drives] \
+        assert [params.omega for params, _ in drives] \
             == [khz_to_angular(230.0), khz_to_angular(581.0)]
         for drive, trace in zip(drives, traces, strict=True):
             alone, = simulate(kind, tau, [drive], sim, **kwargs)
@@ -648,6 +648,25 @@ class TestRamseyAndFit:
         assert result.stderr.splitlines() == [
             f"config error: config key $.fit.input_csv: {path} has {rows} "
             f"rows, and fit needs at least {MIN_POINTS}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_undressed_trace_below_the_fit_floor_names_the_key(
+            self, runner, tmp_path, rows):
+        # every input CSV meets the fit floor, before the joint seed
+        spec = REPO_ROOT / "out" / "spec_smoke"
+        path = tmp_path / "short.csv"
+        path.write_text("".join((spec / "spectrum_omega0khz.csv").read_text()
+                                .splitlines(keepends=True)[:1 + rows]))
+        cfg = write_config(tmp_path, {"system": {"a_par_khz": 0.0}})
+        result = invoke(runner, ["--config", cfg, "--out", str(tmp_path / "o"),
+                                 "fit", "--model", "spectrum_joint", "--input",
+                                 str(spec / "spectrum_omega470khz.csv"),
+                                 "--undressed", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"config error: config key $.fit.undressed_csv: {path} has "
+            f"{rows} rows, and fit needs at least {MIN_POINTS}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("row,sidecar,where", [
@@ -1510,6 +1529,23 @@ class TestOneCheck:
         assert result.exit_code == 0, all_output(result)
         assert result.output.startswith("Usage: ")
         assert "--tau-stop-us" in result.output
+
+    def test_command_help_under_a_config_that_is_no_json(self, runner,
+                                                         tmp_path):
+        # the file is read when a command resolves its settings, after
+        # click has shown the help
+        path = tmp_path / "broken.json"
+        path.write_text('{"sim": ')
+        result = invoke(runner, ["--config", str(path), "ramsey", "--help"])
+        assert result.exit_code == 0, all_output(result)
+        assert result.output.startswith("Usage: ")
+        assert "--tau-stop-us" in result.output
+        result = invoke(runner, ["--config", str(path), "--out",
+                                 str(tmp_path / "o"), "ramsey"])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"config error: {path}:1: invalid JSON: Expecting value"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("args", [case[0] for case in COMMAND_FLAGS],
                              ids=[case[0][0] for case in COMMAND_FLAGS])

@@ -312,7 +312,7 @@ def _committed_fit(name):
                            f"spectrum_omega{drive}khz.csv")
             for drive in (470, 0))
     return FIT_MODELS[name](trace, undressed, res["params"],
-                            res["sim"].noise, None)
+                            res["noise"], None)
 
 
 def _bounded_decay(a, b, b_bounds=(1e-6, 1e9)):

@@ -1,7 +1,9 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import io
 from pathlib import Path
+import tokenize
 
 import pytest
 
@@ -137,3 +139,70 @@ def test_guard_sees_an_unread_public_name():
     }
     assert unread_names(sources, public_definitions) == [
         "a:3: UNREAD", "a:12: Gone"]
+
+
+# src/'s code lines by code_lines.  A change that gives lines back lowers
+# it to the new count: test_guard_fails_one_line_over_the_ratchet fails
+# until it does.
+MAX_CODE_LINES = 1489
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The lines of a module that hold a token other than a comment
+    (tokenize), outside the module, class and function docstrings (ast):
+    blank lines, comment lines and docstrings do not count."""
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            lines -= set(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def lines_over(sources: dict[str, str], limit: int) -> int:
+    """How many code lines the modules hold above limit; 0 or less
+    passes."""
+    return sum(map(code_lines, sources.values())) - limit
+
+
+def test_src_code_lines_stay_within_the_ratchet():
+    assert lines_over(PACKAGE, MAX_CODE_LINES) <= 0
+
+
+def test_guard_counts_only_code_lines():
+    source = '''"""Module docstring."""
+
+import math  # a comment
+# a comment line
+
+
+class A:
+    """Class docstring,
+    two lines."""
+
+    def f(self, x):
+        """Function docstring."""
+        return (x +
+                math.pi)
+
+
+TEXT = """a string,
+not a docstring"""
+'''
+    # import, class, def, return (two lines) and TEXT (two lines)
+    assert code_lines(source) == 7
+    assert lines_over({"a": source}, 7) == 0
+    assert lines_over({"a": source + "LIMIT = 1\n"}, 7) == 1
+
+
+def test_guard_fails_one_line_over_the_ratchet():
+    grown = {**PACKAGE, "grown": "LIMIT = 1\n"}
+    assert lines_over(grown, MAX_CODE_LINES) == 1

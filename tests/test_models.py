@@ -87,7 +87,7 @@ def nv1_trace():
         if (kind, omega_khz) not in traces:
             params = NV1["params"].with_omega(khz_to_angular(omega_khz))
             traces[kind, omega_khz] = simulate_ramsey(
-                kind, np.arange(0.0, 10.01, 0.02), [params],
+                kind, np.arange(0.0, 10.01, 0.02), [(params, NV1["noise"])],
                 replace(NV1["sim"], n_shots=200, seed=3))[0], params
         return traces[kind, omega_khz]
 
@@ -99,14 +99,14 @@ def assert_recovers_the_truth(name, trace, params):
     physical parameter within 1.5 CI half-widths of the truth, at a
     chi^2/dof in [0.8, 1.25]."""
     model, points, stderr = FIT_MODELS[name](trace, None, params,
-                                             NV1["sim"].noise, None)
+                                             NV1["noise"], None)
     outcome = nlls_fit(model, points, stderr)
     assert outcome.converged and not outcome.flags, outcome.flags
     assert 0.8 <= outcome.rss / (len(stderr) - 4) <= 1.25
     truth = {"omega_khz": angular_to_khz(params.omega),
              "a_par_khz": angular_to_khz(params.a_par),
              "gamma_sigma_b_khz": angular_to_khz(GAMMA
-                                                 * NV1["sim"].noise.sigma_b)}
+                                                 * NV1["noise"].sigma_b)}
     for name in outcome.ci.keys() & truth.keys():
         assert abs(outcome.params[name] - truth[name]) \
             <= 1.5 * outcome.ci_halfwidth(name), name
@@ -123,9 +123,9 @@ class TestDressed0pFit:
         # the {0,p} fringe carries the drive amplitude in the splitting
         # between its slow and fast branches: sqrt(split^2 - a_par^2)
         p = make_params(omega_khz=348.0, a_par_khz=150.0)
-        cfg = SimConfig(n_shots=1, seed=0, noise=NoiseSpec())
+        cfg = SimConfig(n_shots=1, seed=0)
         tau = np.arange(0.0, 160.0, 0.1)
-        trace = simulate_ramsey("dressed_0p", tau, [p], cfg)[0]
+        trace = simulate_ramsey("dressed_0p", tau, [(p, NoiseSpec())], cfg)[0]
         freq, mag = fourier_magnitude(trace)
 
         def refine(lo, hi):
@@ -166,7 +166,7 @@ class TestSimulatorModels:
         # bounds, which the node counts are sized for
         trace, params = nv1_trace(kind, omega_khz)
         model, (x, _), stderr = FIT_MODELS[name](
-            trace, None, params, NV1["sim"].noise, None)
+            trace, None, params, NV1["noise"], None)
         top = model.initial_vector()
         for i, p in enumerate(model.params):
             if p.name in ("omega_khz", "gamma_sigma_b_khz") and not p.frozen:
@@ -192,12 +192,12 @@ class TestSimulatorModels:
                        "omega_khz": 0.0, "omega_rot_khz": 250.0})
         with pytest.raises(ValueError, match="more than 16384 quadrature"):
             FIT_MODELS["undressed_ramsey"](trace, None, None,
-                                           NV1["sim"].noise, None)
+                                           NV1["noise"], None)
 
     def test_omega_bound_keeps_reflectometer_noise_defined(self):
         # nv2's reflectometer noise needs omega + alpha > 0, alpha being
         # -133 kHz: the fit may reach omega's lower bound, never past it
-        noise = resolve_config(load_config(NV2_CONFIG))["sim"].noise
+        noise = resolve_config(load_config(NV2_CONFIG))["noise"]
         tau = np.arange(0.0, 2.0, 0.05)
         pulse = {"kind": "dressed_0p", "omega_mag_khz": 696.0,
                  "delta_khz": 0.0, "a_par_khz": 150.0, "omega_khz": 140.0,
@@ -268,12 +268,37 @@ class TestStackedEvaluators:
     def test_simulator_model_rows_equal_one_vector_calls(self, nv1_trace):
         trace, params = nv1_trace("dressed_0p", 348.0)
         model, (x, _), _ = FIT_MODELS["ramsey_0p"](
-            trace, None, params, NV1["sim"].noise, None)
+            trace, None, params, NV1["noise"], None)
         top = model.initial_vector()
         top[[p.name for p in model.params].index("omega_khz")] *= 1.5
         stack = model.evaluate([model.initial_vector(), top], x)
         assert _same_bits(stack[0], model.evaluate(model.initial_vector(), x))
         assert _same_bits(stack[1], model.evaluate(top, x))
+
+    @pytest.mark.parametrize("name,kind,omega_khz", [
+        ("ramsey_0p", "dressed_0p", 348.0),
+        ("undressed_ramsey", "undressed_0m1", 0.0),
+        ("max_protection", "max_protection", 470.0)])
+    def test_stacked_simulator_model_is_one_simulator_call(
+            self, nv1_trace, monkeypatch, name, kind, omega_khz):
+        # one drive per row, each with its own field noise, in one call
+        trace, params = nv1_trace(kind, omega_khz)
+        model, (x, _), _ = FIT_MODELS[name](trace, None, params,
+                                            NV1["noise"], None)
+        rows = np.tile(model.initial_vector(), (len(model.params), 1))
+        for i, p in enumerate(model.params):   # row i moves parameter i
+            rows[i, i] = 0.5 * (rows[i, i] + p.upper)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return simulate_ramsey(*args, **kwargs)
+
+        monkeypatch.setattr(models, "simulate_ramsey", spy)
+        stack = model.evaluate(rows, x)
+        assert [len(drives) for _, _, drives, _ in calls] == [len(rows)]
+        for row, y in zip(rows, stack, strict=True):
+            assert np.array_equal(y, model.evaluate(row, x))
 
     def test_result_is_broadcast_to_one_row_per_vector(self):
         model = replace(model_ramsey_mp(150.0, 0.9375),

@@ -35,7 +35,8 @@ from reference import (
     zeeman_frame_shift,
 )
 
-QUIET = SimConfig(n_shots=1, seed=0, noise=NoiseSpec())
+QUIET = SimConfig(n_shots=1, seed=0)
+NO_NOISE = NoiseSpec()
 NV2_NOISE = NoiseSpec(sigma_b=sigma_b_from_t2(5.4), sigma_t=0.25)
 
 
@@ -77,8 +78,8 @@ class TestSampling:
             return _run_batch(point, params, *env)
 
         monkeypatch.setattr(pulse_sim, "_run_batch", spy)
-        simulate_spectrum([0.0, 1.0], [nv2_params],
-                          SimConfig(n_shots=4, seed=1, noise=NoiseSpec()))
+        simulate_spectrum([0.0, 1.0], [(nv2_params, NO_NOISE)],
+                          SimConfig(n_shots=4, seed=1))
         assert envs and all(np.array_equal(x, np.zeros(8))
                             for env in envs for x in env)
 
@@ -120,11 +121,12 @@ class TestSampling:
 
     @pytest.mark.parametrize("value", [np.int64(3), np.uint64(3), 3.0])
     def test_whole_numbers_become_ints(self, tmp_path, nv2_params, value):
-        config = SimConfig(n_shots=value, seed=value, noise=NV2_NOISE)
+        config = SimConfig(n_shots=value, seed=value)
         assert type(config.n_shots) is int and type(config.seed) is int
-        assert config == SimConfig(n_shots=3, seed=3, noise=NV2_NOISE)
+        assert config == SimConfig(n_shots=3, seed=3)
         # the sidecar records them as JSON numbers
-        trace = simulate_spectrum([0.0, 1.0], [nv2_params], config)[0]
+        trace = simulate_spectrum([0.0, 1.0], [(nv2_params, NV2_NOISE)],
+                                  config)[0]
         write_trace_csv(trace, tmp_path / "t.csv")
         assert read_trace_csv(tmp_path / "t.csv").metadata["seed"] == 3
 
@@ -222,20 +224,21 @@ class TestEngineInputs:
                                      [-0.5, 0.0]])
     def test_ramsey_tau(self, nv2_params, kind, tau):
         with pytest.raises(ValueError, match="tau_grid must be finite"):
-            simulate_ramsey(kind, tau, [nv2_params], QUIET)
+            simulate_ramsey(kind, tau, [(nv2_params, NO_NOISE)], QUIET)
 
     @pytest.mark.parametrize("omega_mag", [0.0, -1.0, NAN, INF])
     def test_ramsey_strength(self, nv2_params, omega_mag):
         with pytest.raises(ValueError, match="omega_mag must be finite"):
-            simulate_ramsey("dressed_mp", [0.0, 1.0], [nv2_params], QUIET,
-                            omega_mag=omega_mag)
+            simulate_ramsey("dressed_mp", [0.0, 1.0], [(nv2_params, NO_NOISE)],
+                            QUIET, omega_mag=omega_mag)
 
     @pytest.mark.parametrize("simulate", [
-        lambda p, om: simulate_ramsey("dressed_mp", [0.0], [p], QUIET,
-                                      omega_mag=om),
-        lambda p, om: simulate_ramsey("dressed_0p", [0.0], [p], QUIET,
-                                      omega_mag=om),
-        lambda p, om: simulate_spectrum([0.0], [p], QUIET, omega_mag=om),
+        lambda p, om: simulate_ramsey("dressed_mp", [0.0], [(p, NO_NOISE)],
+                                      QUIET, omega_mag=om),
+        lambda p, om: simulate_ramsey("dressed_0p", [0.0], [(p, NO_NOISE)],
+                                      QUIET, omega_mag=om),
+        lambda p, om: simulate_spectrum([0.0], [(p, NO_NOISE)], QUIET,
+                                        omega_mag=om),
     ], ids=["ramsey-pi", "ramsey-half-pi", "spectrum"])
     def test_subnormal_strength_overflows_duration(self, nv2_params,
                                                    simulate):
@@ -246,12 +249,13 @@ class TestEngineInputs:
     @pytest.mark.parametrize("detuning", [[0.0, NAN], [NAN], [-INF, 0.0]])
     def test_spectrum_detuning(self, nv2_params, detuning):
         with pytest.raises(ValueError, match="detuning_grid must be finite"):
-            simulate_spectrum(detuning, [nv2_params], QUIET)
+            simulate_spectrum(detuning, [(nv2_params, NO_NOISE)], QUIET)
 
     @pytest.mark.parametrize("simulate", [
-        lambda p: simulate_ramsey("dressed_mp", [], [p], QUIET),
-        lambda p: simulate_ramsey("undressed_0m1", np.empty(0), [p], QUIET),
-        lambda p: simulate_spectrum([], [p], QUIET),
+        lambda p: simulate_ramsey("dressed_mp", [], [(p, NO_NOISE)], QUIET),
+        lambda p: simulate_ramsey("undressed_0m1", np.empty(0),
+                                  [(p, NO_NOISE)], QUIET),
+        lambda p: simulate_spectrum([], [(p, NO_NOISE)], QUIET),
     ], ids=["ramsey", "ramsey-undressed", "spectrum"])
     def test_empty_grid(self, nv2_params, simulate):
         # an empty grid used to give a header-only CSV that
@@ -262,8 +266,9 @@ class TestEngineInputs:
     @pytest.mark.parametrize("grid", [[1.0, 0.5], [0.0, 1.0, 1.0]],
                              ids=["descending", "repeated"])
     @pytest.mark.parametrize("simulate", [
-        lambda p, grid: simulate_ramsey("dressed_mp", grid, [p], QUIET),
-        lambda p, grid: simulate_spectrum(grid, [p], QUIET),
+        lambda p, grid: simulate_ramsey("dressed_mp", grid, [(p, NO_NOISE)],
+                                        QUIET),
+        lambda p, grid: simulate_spectrum(grid, [(p, NO_NOISE)], QUIET),
     ], ids=["ramsey", "spectrum"])
     def test_grid_not_ascending(self, nv2_params, simulate, grid):
         with pytest.raises(ValueError, match="must be strictly ascending"):
@@ -272,21 +277,22 @@ class TestEngineInputs:
     @pytest.mark.parametrize("omega_mag", [0.0, -1.0, NAN, INF])
     def test_spectrum_strength(self, nv2_params, omega_mag):
         with pytest.raises(ValueError, match="omega_mag must be finite"):
-            simulate_spectrum([0.0, 1.0], [nv2_params], QUIET,
+            simulate_spectrum([0.0, 1.0], [(nv2_params, NO_NOISE)], QUIET,
                               omega_mag=omega_mag)
 
 
 class TestSimulateRamsey:
     def test_zero_noise_mp_matches_analytic(self, nv2_params):
         tau = np.arange(0.0, 20.0, 0.01)
-        trace, = simulate_ramsey("dressed_mp", tau, [nv2_params], QUIET,
-                                 omega_mag=mhz_to_angular(5e6))
+        trace, = simulate_ramsey("dressed_mp", tau, [(nv2_params, NO_NOISE)],
+                                 QUIET, omega_mag=mhz_to_angular(5e6))
         pred = zero_noise_mp_prediction(tau, nv2_params)
         assert np.abs(trace.mean_p0 - pred).max() < 1e-6
 
     def test_zero_noise_mp_frequency(self, nv2_params):
         tau = np.arange(0.0, 40.0, 0.02)
-        trace = simulate_ramsey("dressed_mp", tau, [nv2_params], QUIET)[0]
+        trace = simulate_ramsey("dressed_mp", tau, [(nv2_params, NO_NOISE)],
+                                QUIET)[0]
         freq, mag = fourier_magnitude(trace)
         peak = refined_peak_khz(freq, mag)
         assert peak == pytest.approx(600.06, abs=2.0)
@@ -294,17 +300,18 @@ class TestSimulateRamsey:
     def test_dressed_kind_requires_drive(self, nv2_params):
         with pytest.raises(ValueError):
             simulate_ramsey("dressed_mp", np.arange(0.0, 1.0, 0.1),
-                            [nv2_params.with_omega(0.0)], QUIET)
+                            [(nv2_params.with_omega(0.0), NO_NOISE)], QUIET)
 
     def test_unknown_kind_rejected(self, nv2_params):
         with pytest.raises(ValueError):
             simulate_ramsey("spin_echo", np.arange(0.0, 1.0, 0.1),
-                            [nv2_params], QUIET)
+                            [(nv2_params, NO_NOISE)], QUIET)
 
     def test_undressed_beat_reveals_hyperfine(self):
         p = make_params(omega_khz=581.0, a_par_khz=145.0)
         tau = np.arange(0.0, 320.0, 0.2)
-        trace = simulate_ramsey("undressed_0m1", tau, [p], QUIET)[0]
+        trace = simulate_ramsey("undressed_0m1", tau, [(p, NO_NOISE)],
+                                QUIET)[0]
         freq, mag = fourier_magnitude(trace)
         # two lines near omega_rot +- a_par/2 (177.5 and 322.5 kHz); the
         # mechanical drive pulls them inward by about 1%
@@ -313,10 +320,11 @@ class TestSimulateRamsey:
         assert hi - lo == pytest.approx(145.0, abs=3.0)
 
     def test_bit_identical_replay(self, nv2_params):
-        cfg = SimConfig(n_shots=40, seed=123, noise=NV2_NOISE)
+        cfg = SimConfig(n_shots=40, seed=123)
         tau = np.arange(0.0, 4.0, 0.2)
-        a = simulate_ramsey("dressed_mp", tau, [nv2_params], cfg)[0]
-        b = simulate_ramsey("dressed_mp", tau, [nv2_params], cfg)[0]
+        drives = [(nv2_params, NV2_NOISE)]
+        a = simulate_ramsey("dressed_mp", tau, drives, cfg)[0]
+        b = simulate_ramsey("dressed_mp", tau, drives, cfg)[0]
         assert np.array_equal(a.mean_p0, b.mean_p0)
         assert np.array_equal(a.stderr, b.stderr)
 
@@ -324,16 +332,18 @@ class TestSimulateRamsey:
         tau = np.array([2.0, 5.0, 9.0])
         means = []
         for n in (500, 2000, 8000):
-            cfg = SimConfig(n_shots=n, seed=5, noise=NV2_NOISE)
-            tr = simulate_ramsey("dressed_mp", tau, [nv2_params], cfg)[0]
+            cfg = SimConfig(n_shots=n, seed=5)
+            tr = simulate_ramsey("dressed_mp", tau, [(nv2_params, NV2_NOISE)],
+                                 cfg)[0]
             means.append(tr.stderr.mean())
         assert means[0] / means[1] == pytest.approx(2.0, rel=0.15)
         assert means[1] / means[2] == pytest.approx(2.0, rel=0.15)
 
     def test_noisy_envelope_decays(self, nv2_params):
-        cfg = SimConfig(n_shots=300, seed=2, noise=NV2_NOISE)
+        cfg = SimConfig(n_shots=300, seed=2)
         tau = np.arange(0.0, 30.0, 0.05)
-        tr = simulate_ramsey("dressed_mp", tau, [nv2_params], cfg)[0]
+        tr = simulate_ramsey("dressed_mp", tau, [(nv2_params, NV2_NOISE)],
+                             cfg)[0]
         early = np.ptp(tr.mean_p0[tau < 5])
         late = np.ptp(tr.mean_p0[tau > 25])
         assert late < 0.5 * early
@@ -343,13 +353,13 @@ class TestSimulateSpectrum:
     def test_undressed_single_dip(self):
         p = make_params(omega_khz=0.0, a_par_khz=0.0)
         grid = khz_to_angular(np.arange(-400.0, 400.0, 4.0))
-        tr = simulate_spectrum(grid, [p], QUIET)[0]
+        tr = simulate_spectrum(grid, [(p, NO_NOISE)], QUIET)[0]
         assert abs(tr.abscissa[np.argmin(tr.mean_p0)]) < 10.0
 
     def test_dressed_dips_at_half_omega(self):
         p = make_params(omega_khz=470.0, a_par_khz=0.0)
         grid = khz_to_angular(np.arange(-400.0, 400.0, 2.0))
-        tr = simulate_spectrum(grid, [p], QUIET)[0]
+        tr = simulate_spectrum(grid, [(p, NO_NOISE)], QUIET)[0]
         low = tr.mean_p0[tr.abscissa < 0]
         high = tr.mean_p0[tr.abscissa >= 0]
         lo = tr.abscissa[tr.abscissa < 0][np.argmin(low)]
@@ -363,9 +373,9 @@ class TestSimulateSpectrum:
         # wings at -200 kHz, changes nothing
         p = make_params(omega_khz=0.0)
         grid = khz_to_angular(np.arange(-300.0, 300.0, 20.0))
-        quiet, noisy = (simulate_spectrum(grid, [p], SimConfig(
-            n_shots=50, seed=3, noise=NoiseSpec(amplitude_noise=(
-                FixedAmplitudeNoise(khz_to_angular(sigma_khz))))))[0]
+        quiet, noisy = (simulate_spectrum(grid, [(p, NoiseSpec(
+            amplitude_noise=FixedAmplitudeNoise(khz_to_angular(sigma_khz))))],
+            SimConfig(n_shots=50, seed=3))[0]
             for sigma_khz in (0.0, 200.0))
         assert np.array_equal(noisy.mean_p0, quiet.mean_p0)
         assert np.array_equal(noisy.stderr, quiet.stderr)
@@ -375,7 +385,7 @@ class TestSimulateSpectrum:
         seps = []
         for f in (230.0, 470.0, 670.0):
             p = make_params(omega_khz=f, a_par_khz=0.0)
-            tr = simulate_spectrum(grid, [p], QUIET)[0]
+            tr = simulate_spectrum(grid, [(p, NO_NOISE)], QUIET)[0]
             low = tr.abscissa[tr.abscissa < 0][
                 np.argmin(tr.mean_p0[tr.abscissa < 0])]
             high = tr.abscissa[tr.abscissa >= 0][
@@ -409,9 +419,9 @@ class TestFourier:
 
 class TestTraceIO:
     def test_round_trip(self, tmp_path, nv2_params):
-        cfg = SimConfig(n_shots=20, seed=8, noise=NV2_NOISE)
+        cfg = SimConfig(n_shots=20, seed=8)
         tr = simulate_ramsey("dressed_mp", np.arange(0.0, 2.0, 0.1),
-                             [nv2_params], cfg)[0]
+                             [(nv2_params, NV2_NOISE)], cfg)[0]
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, path)
         back = read_trace_csv(path)
@@ -422,11 +432,11 @@ class TestTraceIO:
         assert back.metadata["kind"] == "dressed_mp"
 
     def test_rerun_byte_identical(self, tmp_path, nv2_params):
-        cfg = SimConfig(n_shots=20, seed=8, noise=NV2_NOISE)
+        cfg = SimConfig(n_shots=20, seed=8)
         blobs = []
         for name in ("a.csv", "b.csv"):
             tr = simulate_ramsey("dressed_mp", np.arange(0.0, 2.0, 0.1),
-                                 [nv2_params], cfg)[0]
+                                 [(nv2_params, NV2_NOISE)], cfg)[0]
             path = tmp_path / name
             write_trace_csv(tr, path)
             blobs.append(path.read_bytes())

@@ -310,11 +310,11 @@ class TestFreeEvolution:
 class TestRunBatch:
     @pytest.mark.parametrize("kind", RAMSEY_KINDS)
     def test_ramsey_matches_dense(self, recorded_batches, kind):
-        config = SimConfig(n_shots=N_DRAWS, seed=5, noise=NOISE)
+        config = SimConfig(n_shots=N_DRAWS, seed=5)
         for a_par_khz in A_PAR_KHZ:
             simulate_ramsey(kind, [0.0, 0.85, 3.1],
-                            [make_params(delta_khz=30.0, a_par_khz=a_par_khz)],
-                            config)
+                            [(make_params(delta_khz=30.0, a_par_khz=a_par_khz),
+                              NOISE)], config)
         # the three points in one chunk per run
         assert len(recorded_batches) == len(A_PAR_KHZ)
         for args, p0 in recorded_batches:
@@ -322,12 +322,12 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("omega_khz", [0.0, 470.0])
     def test_spectrum_point_matches_dense(self, recorded_batches, omega_khz):
-        config = SimConfig(n_shots=N_DRAWS, seed=5, noise=NOISE)
+        config = SimConfig(n_shots=N_DRAWS, seed=5)
         detunings = 2.0 * math.pi * np.array([-0.24, 0.0, 0.31])
         for a_par_khz in A_PAR_KHZ:
-            simulate_spectrum(detunings, [make_params(omega_khz=omega_khz,
-                                                      a_par_khz=a_par_khz)],
-                              config)
+            simulate_spectrum(detunings, [(make_params(omega_khz=omega_khz,
+                                                       a_par_khz=a_par_khz),
+                                           NOISE)], config)
         assert len(recorded_batches) == len(A_PAR_KHZ)
         for args, p0 in recorded_batches:
             assert np.abs(p0 - dense_run(*args)).max() <= TOLERANCE
@@ -383,9 +383,30 @@ class TestRunBatch:
 
         monkeypatch.setattr(pulse_sim, "_newton_column", spy)
         monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", 8)
-        config = SimConfig(n_shots=4, seed=5, noise=NOISE)
-        simulate_ramsey(kind, [0.0, 0.85, 3.1], [make_params()], config)
+        config = SimConfig(n_shots=4, seed=5)
+        simulate_ramsey(kind, [0.0, 0.85, 3.1], [(make_params(), NOISE)],
+                        config)
         assert [u.shape for u in columns] == [(3, 8, 2), (3, 4, 2)]
+
+
+    @pytest.mark.parametrize("kind", RAMSEY_KINDS)
+    def test_quadrature_forms_each_ramsey_pulse_once(self, monkeypatch,
+                                                      kind):
+        # the nodes and the frame are the same at every tau: one column
+        # per run over 401 tau, read out in chunks
+        columns = []
+        column = pulse_sim._newton_column
+
+        def spy(*args):
+            columns.append(column(*args))
+            return columns[-1]
+
+        monkeypatch.setattr(pulse_sim, "_newton_column", spy)
+        drives = [(make_params(omega_khz=om), NOISE) for om in (470.0, 581.0)]
+        traces = simulate_ramsey(kind, np.linspace(0.0, 20.0, 401), drives,
+                                 SimConfig(n_shots=1), nodes=(7, 5, 3))
+        assert [u.shape for u in columns] == [(3, 105, 2)] * len(drives)
+        assert all(not t.stderr.any() for t in traces)
 
 
 def oracle_run(case, n_shots):
@@ -396,9 +417,10 @@ def oracle_run(case, n_shots):
     name, kind, drives_khz = case
     res = resolve_config(load_config(
         Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"))
-    drives = [res["params"]] if drives_khz is None else \
-        [res["params"].with_omega(khz_to_angular(om)) for om in drives_khz]
-    config = SimConfig(n_shots=n_shots, seed=7, noise=res["sim"].noise)
+    drives = [(res["params"], res["noise"])] if drives_khz is None else \
+        [(res["params"].with_omega(khz_to_angular(om)), res["noise"])
+         for om in drives_khz]
+    config = SimConfig(n_shots=n_shots, seed=7)
     if kind == "spectrum":
         grid = khz_to_angular(np.linspace(-600.0, 600.0, ORACLE_POINTS))
         return simulate_spectrum, grid, drives, config
@@ -481,10 +503,10 @@ class TestExactMean:
         simulate, *args = oracle_run(("nv2", kind, None), 1)
         args[-3] = args[-3][::25]
         exact_mean_trace(simulate, *args, nodes=(3, 3, 3))
-        [params], config = args[-2:]
+        [(params, noise)] = args[-2]
         nodes = np.polynomial.hermite_e.hermegauss(3)[0]
-        sigmas = (config.noise.sigma_b, config.noise.sigma_omega(params.omega),
-                  config.noise.sigma_t)
+        sigmas = (noise.sigma_b, noise.sigma_omega(params.omega),
+                  noise.sigma_t)
         assert len(recorded_batches) == 1
         for (point, params, *env), p0 in recorded_batches:
             for x, sigma in zip(env, sigmas):
@@ -590,8 +612,8 @@ class TestVectorisedSampler:
         monkeypatch.setattr(pulse_sim, "_sample_block", spy)
         params = make_params(omega_khz=470.0)
         simulate_spectrum(2.0 * math.pi * np.linspace(-0.3, 0.3, n_points),
-                          [params], SimConfig(n_shots=n_shots, seed=5,
-                                            noise=NOISE))
+                          [(params, NOISE)], SimConfig(n_shots=n_shots,
+                                                       seed=5))
         per_block = max(1, cap // n_shots)
         assert blocks == [range(first, min(first + per_block, n_points))
                           for first in range(0, n_points, per_block)]
@@ -624,14 +646,14 @@ def simulated_files(tmp_path, kind, n_shots):
     """The CSV and sidecar bytes of a GRID_POINTS-point trace of kind (a
     Ramsey kind or "spectrum")."""
     params = make_params(delta_khz=30.0)
-    config = SimConfig(n_shots=n_shots, seed=5, noise=NOISE)
+    config = SimConfig(n_shots=n_shots, seed=5)
     if kind == "spectrum":
         trace, = simulate_spectrum(
-            2.0 * math.pi * np.linspace(-0.6, 0.6, GRID_POINTS), [params],
-            config)
+            2.0 * math.pi * np.linspace(-0.6, 0.6, GRID_POINTS),
+            [(params, NOISE)], config)
     else:
         trace, = simulate_ramsey(kind, np.linspace(0.0, 3.0, GRID_POINTS),
-                                 [params], config)
+                                 [(params, NOISE)], config)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     return path.read_bytes(), Path(f"{path}.meta.json").read_bytes()
@@ -661,8 +683,8 @@ class TestChunks:
         monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", chunk_cap)
         params = make_params(omega_khz=470.0)
         grid = 2.0 * math.pi * np.linspace(-0.3, 0.3, 7)
-        simulate_spectrum(grid, [params], SimConfig(n_shots=30, seed=5,
-                                                    noise=NOISE))
+        simulate_spectrum(grid, [(params, NOISE)],
+                          SimConfig(n_shots=30, seed=5))
         blocks = [range(0, 3), range(3, 6), range(6, 7)]
         assert_chunks(recorded_batches, blocks, params, 30)
         # one frame detuning per shot-point
@@ -672,13 +694,12 @@ class TestChunks:
 
 
 def nv2_run():
-    """configs/nv2.json's params and its noise at 40 shots, seed 5: the
-    reflectometer sigma_Omega, 0 with the drive off and different at
-    every drive."""
+    """configs/nv2.json's drive, its params and its noise, and 40 shots at
+    seed 5: the reflectometer sigma_Omega, 0 with the drive off and
+    different at every drive."""
     res = resolve_config(load_config(
         Path(__file__).resolve().parents[1] / "configs" / "nv2.json"))
-    return res["params"], SimConfig(n_shots=40, seed=5,
-                                    noise=res["sim"].noise)
+    return (res["params"], res["noise"]), SimConfig(n_shots=40, seed=5)
 
 
 class TestSharedDraws:
@@ -687,8 +708,9 @@ class TestSharedDraws:
 
     DRIVES_KHZ = (0.0, 230.0, 470.0)
 
-    def drives(self, params):
-        return [params.with_omega(khz_to_angular(om))
+    def drives(self, drive):
+        params, noise = drive
+        return [(params.with_omega(khz_to_angular(om)), noise)
                 for om in self.DRIVES_KHZ]
 
     @pytest.mark.parametrize("kind", ["spectrum", *RAMSEY_KINDS])
@@ -696,8 +718,8 @@ class TestSharedDraws:
         # 7 points of 40 shots in blocks of 3 points, so a block boundary
         # falls inside the grid
         monkeypatch.setattr(pulse_sim, "_BLOCK_SHOT_POINTS", 120)
-        params, config = nv2_run()
-        drives = self.drives(params)
+        drive, config = nv2_run()
+        drives = self.drives(drive)
         if kind == "spectrum":
             grid = khz_to_angular(np.linspace(-600.0, 600.0, 7))
             simulate = lambda drives: simulate_spectrum(grid, drives, config)
@@ -725,9 +747,9 @@ class TestSharedDraws:
             return sample(*args)
 
         monkeypatch.setattr(pulse_sim, "_sample_block", spy)
-        params, config = nv2_run()
+        drive, config = nv2_run()
         simulate_spectrum(khz_to_angular(np.linspace(-600.0, 600.0, 7)),
-                          self.drives(params), config)
+                          self.drives(drive), config)
         assert blocks == [range(0, 3), range(3, 6), range(6, 7)]
 
     @pytest.mark.parametrize("simulate", [
