@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
 import sys
@@ -431,13 +430,13 @@ def _write_rows(path: Path, header: str, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def pipeline(fn):
-    """Map domain failures onto the documented exit codes."""
+class _PipelineGroup(click.Group):
+    """A command group whose callback and subcommands map domain failures
+    onto the documented exit codes."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", file=sys.stderr)
             sys.exit(EXIT_CONFIG)
@@ -450,15 +449,6 @@ def pipeline(fn):
         except OSError as exc:
             click.echo(f"i/o error: {exc}", file=sys.stderr)
             sys.exit(EXIT_IO)
-
-    return wrapper
-
-
-class _PipelineGroup(click.Group):
-    """A command group whose callback and subcommands run through pipeline."""
-
-    def invoke(self, ctx):
-        return pipeline(super().invoke)(ctx)
 
 
 @click.group(cls=_PipelineGroup)
@@ -497,6 +487,15 @@ def _short(value: float, spec: str = "10.2f") -> str:
     return format(value, spec.partition(".")[0] + ".3e")
 
 
+def _predicted_t2(params: SystemParams, noise: NoiseSpec) -> list:
+    """predicted_t2_mp of params under noise, first and second order, with
+    the amplitude noise at params' drive."""
+    sigma_omega = noise.sigma_omega(params.omega)
+    return [predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
+                            sigma_omega, order=order)
+            for order in ("first", "second")]
+
+
 @main.command()
 @click.pass_obj
 def rates(read_cfg):
@@ -513,10 +512,7 @@ def rates(read_cfg):
     cutoff = mechanical_cutoff(params.omega_mech, params.q_factor)
     gamma_b = rate_magnetic_mp(params.omega, params.a_par, noise.sigma_b)
     gamma_om = rate_amplitude_mp(params.omega, params.a_par, sigma_omega)
-    t2_first = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
-                               sigma_omega, order="first")
-    t2_second = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
-                                sigma_omega, order="second")
+    t2_first, t2_second = _predicted_t2(params, noise)
     lines = [
         f"omega/2pi           : {angular_to_khz(params.omega):10.2f} kHz",
         f"a_par/2pi           : {angular_to_khz(params.a_par):10.2f} kHz",
@@ -561,11 +557,7 @@ def t2scan(read_cfg, **flags):
     rows, failed = [], []
     for om_khz, (params, _), trace in zip(section["omega_list_khz"], drives,
                                           traces):
-        sigma_omega = noise.sigma_omega(params.omega)
-        t2_first = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
-                                   sigma_omega, order="first")
-        t2_second = predicted_t2_mp(params.omega, params.a_par, noise.sigma_b,
-                                    sigma_omega, order="second")
+        t2_first, t2_second = _predicted_t2(params, noise)
         t2_mc, mc_err = math.nan, math.nan
         if trace is not None:
             model, points, _ = FIT_MODELS["ramsey_mp"](trace, None, params,

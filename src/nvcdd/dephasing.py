@@ -82,14 +82,6 @@ class NoiseSpec:
         return self.amplitude_noise.resolve(mean_omega)
 
 
-def gaussian_dephasing_rate(alpha: float, sigma_x: float) -> float:
-    """Gamma = sqrt(2)*pi*alpha*sigma_x for a linear frequency deviation
-    alpha*delta_x with Gaussian delta_x."""
-    if sigma_x < 0:
-        raise ValueError("sigma_x must be non-negative")
-    return SQRT2 * math.pi * abs(alpha) * sigma_x
-
-
 def sigma_b_from_t2(t2_0m1: float) -> float:
     """Field-noise sigma (mG) implied by the undressed {0,-1} coherence
     time: gamma*sigma_b = sqrt(2)/t2."""
@@ -100,14 +92,15 @@ def sigma_b_from_t2(t2_0m1: float) -> float:
 
 def rate_magnetic_mp(omega: float, a_par: float, sigma_b: float) -> float:
     """First-order {m,p} dephasing rate from field noise:
-    Gamma_b = sqrt(2)*pi * (2*|a_par|*gamma/sqrt(a_par^2+omega^2)) * sigma_b."""
+    Gamma_b = sqrt(2)*pi * (2*|a_par|*gamma/sqrt(a_par^2+omega^2)) * sigma_b,
+    the rate sqrt(2)*pi*|slope|*sigma of a line that moves by slope*delta_x
+    for a Gaussian delta_x of deviation sigma."""
     if sigma_b < 0:
         raise ValueError("sigma_b must be non-negative")
-    if a_par == 0.0 and omega == 0.0:
-        # Undressed {+1,-1} qubit: slope is 2*gamma.
-        return gaussian_dephasing_rate(2.0 * GAMMA, sigma_b)
-    slope = 2.0 * abs(a_par) * GAMMA / math.hypot(a_par, omega)
-    return gaussian_dephasing_rate(slope, sigma_b)
+    # the undressed {+1,-1} qubit's slope is 2*gamma
+    slope = 2.0 * GAMMA if a_par == 0.0 and omega == 0.0 \
+        else 2.0 * abs(a_par) * GAMMA / math.hypot(a_par, omega)
+    return SQRT2 * math.pi * slope * sigma_b
 
 
 def rate_amplitude_mp(omega: float, a_par: float, sigma_omega: float) -> float:
@@ -120,15 +113,11 @@ def rate_amplitude_mp(omega: float, a_par: float, sigma_omega: float) -> float:
     return SQRT2 * math.pi / math.hypot(a_par, omega) * omega * sigma_omega
 
 
-def _beta(tau, omega, sigma_b, a_par):
-    cube = (a_par * a_par + omega * omega) ** 3
-    q = (2.0 * GAMMA * sigma_b * omega) ** 4 * tau * tau
-    return np.sqrt(cube / (cube + q))
-
-
 def envelope_second_order(tau, omega: float, sigma_b: float, a_par: float):
     """Second-order-in-delta_b Ramsey decay envelope
-    f = sqrt(beta) * exp(-2*(gamma*sigma_b*a_par*beta*tau)^2/(a_par^2+omega^2)).
+    f = sqrt(beta) * exp(-2*(gamma*sigma_b*a_par*beta*tau)^2/(a_par^2+omega^2)),
+    beta = sqrt(W^3 / (W^3 + (2*gamma*sigma_b*omega)^4 * tau^2)) with
+    W = a_par^2 + omega^2.
 
     Accepts scalar or array tau.  a_par = 0 gives the envelope at the
     maximally protected point delta = -|a_par|.
@@ -138,9 +127,11 @@ def envelope_second_order(tau, omega: float, sigma_b: float, a_par: float):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("tau must be non-negative")
-    beta = _beta(tau, omega, sigma_b, a_par)
-    expo = 2.0 * (GAMMA * sigma_b * a_par * beta * tau) ** 2 \
-        / (a_par * a_par + omega * omega)
+    square = a_par * a_par + omega * omega
+    cube = square ** 3
+    beta = np.sqrt(cube / (cube + (2.0 * GAMMA * sigma_b * omega) ** 4
+                           * tau * tau))
+    expo = 2.0 * (GAMMA * sigma_b * a_par * beta * tau) ** 2 / square
     out = np.sqrt(beta) * np.exp(-expo)
     return float(out) if out.ndim == 0 else out
 

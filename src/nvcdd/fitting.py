@@ -5,7 +5,8 @@ trust-region iteration with a forward-difference Jacobian, convergence
 when the relative cost improvement or step norm drops below 1e-10, and
 95% confidence intervals from the t-distribution on the linearized
 covariance.  Rank-deficient Jacobians are flagged, never a silent
-success, and a parameter that ends at a bound is flagged at_bound:<name>;
+success, and a parameter that ends at a bound, or whose confidence
+interval reaches one of its finite bounds, is flagged at_bound:<name>;
 residuals that are not finite at the initial guess raise
 NonFiniteResidualsError.
 
@@ -210,14 +211,17 @@ def nlls_fit(model: ModelFunction, points, sigma=None) -> FitOutcome:
     else:
         cov = np.linalg.inv(jtj) * (rss / max(dof, 1))
     cov = 0.5 * (cov + cov.T)
-    flags += [f"at_bound:{model.params[i].name}"
-              for i, active in zip(free, result.active_mask) if active]
 
-    tval = stdtrit(max(dof, 1), 0.5 + 0.5 * CONFIDENCE)
-    ci = {}
-    for k, i in enumerate(free):
-        half = tval * math.sqrt(max(cov[k, k], 0.0))
-        ci[model.params[i].name] = (theta[i] - half, theta[i] + half)
+    half = stdtrit(max(dof, 1), 0.5 + 0.5 * CONFIDENCE) \
+        * np.sqrt(np.maximum(cov.diagonal(), 0.0))
+    ci_lo, ci_hi = result.x - half, result.x + half
+    ci = {model.params[i].name: bounds for i, bounds
+          in zip(free, zip(ci_lo.tolist(), ci_hi.tolist()))}
+    # scipy's active_mask marks a bound only within 1e-10 of it
+    reach = (ci_lo <= lower) & np.isfinite(lower) \
+        | (ci_hi >= upper) & np.isfinite(upper)
+    flags += [f"at_bound:{model.params[i].name}" for i, active, near
+              in zip(free, result.active_mask, reach) if active or near]
 
     params = {p.name: theta[i] for i, p in enumerate(model.params)}
     return FitOutcome(params=params, covariance=cov, ci=ci, rss=rss,

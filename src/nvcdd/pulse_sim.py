@@ -17,10 +17,14 @@ temperature) are numpy's standard_normal draws from a Philox4x64-10
 generator keyed by [seed, shot] with counter [0, point, 0, 0], point
 being the abscissa index, scaled by each drive's own sigmas: the drives
 of one call see the same per-shot unit draws.  _sample_block draws a block
-of whole grid points at once, bit-identical to that stream: Philox4x64-10
-and numpy's ziggurat fast path run as numpy array operations, with
-numpy's tables (ziggurat_double.bin), and the few shots that miss the
-fast path are redrawn by numpy through one re-keyed generator.
+of whole grid points at once, bit-identical to that stream, without
+numpy.random: Philox4x64-10 and numpy's whole ziggurat (the fast path,
+and the wedge and tail steps of the few shots that miss it) run as numpy
+array operations, with numpy's tables (ziggurat_double.bin, checked once
+against its CRC-32) and the C library's exp and log1p, as numpy's C code
+calls them.  The engine owns this copy of numpy's algorithm and tables,
+so the stream does not move with the installed numpy; the test suite
+holds it to numpy's own generator draw for draw.
 
 The engine is batch-only.  The program builds two kinds of grid point: a
 spectrum point is one pulse, and a Ramsey point is a pulse, free
@@ -57,6 +61,7 @@ import functools
 import json
 import math
 from pathlib import Path
+import zlib
 
 import numpy as np
 
@@ -131,9 +136,8 @@ class Trace:
     metadata: dict
 
     def __post_init__(self):
-        self.abscissa = np.asarray(self.abscissa, dtype=float)
-        self.mean_p0 = np.asarray(self.mean_p0, dtype=float)
-        self.stderr = np.asarray(self.stderr, dtype=float)
+        for column in ("abscissa", "mean_p0", "stderr"):
+            setattr(self, column, np.asarray(getattr(self, column), float))
         if not self.abscissa.size:
             raise ValueError(_NO_ROWS)
         if {self.abscissa.shape, self.mean_p0.shape, self.stderr.shape} \
@@ -294,10 +298,22 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _U64 = 2 ** 64 - 1
 _LO32 = np.uint64(0xFFFFFFFF)
+# numpy's ziggurat (random_standard_normal in its distributions.c): the
+# tables wi_double, ki_double and fi_double, 256 entries each in that order
+# in ziggurat_double.bin, whose CRC-32 is pinned, and the start r of layer
+# 0's tail and 1/r.
+_TABLES = Path(__file__).with_name("ziggurat_double.bin")
+_TABLES_CRC = 0x9AE62862
+_TAIL_R = 3.6541528853610087963519472518
+_TAIL_INV_R = 0.27366123732975827203338247596
 # Shot-points _simulate samples per _sample_block call: enough to amortise
-# numpy's per-call overhead, few enough that each uint64 temporary (32 KiB)
-# stays small and peak memory does not grow with the grid.
-_BLOCK_SHOT_POINTS = 4096
+# numpy's per-call overhead and the slow path's extra Philox call and
+# Python loop, few enough that peak memory does not grow with the grid.
+# nvbench sweep on a shared 2-core x86-64 VM, 10 alternating 10-s runs
+# each, medians of spectra and ramsey_mp wall_s and peak_rss_mb: 4096
+# shot-points 12.6 and 24.3 ms at 34.8 and 34.9 MB, 8192 11.8 and 21.8 ms
+# at 35.1 and 35.8 MB, 16384 10.6 and 21.4 ms at 35.4 and 36.7 MB.
+_BLOCK_SHOT_POINTS = 16384
 # Shot-points per _run_batch call, in whole points.  nvbench sweep on a
 # shared 2-core x86-64 VM: one point per call gained nothing on spectra,
 # 1024 was fastest there (wall_s -30%) at +0.2 MB peak RSS, and 2048 and
@@ -305,10 +321,6 @@ _BLOCK_SHOT_POINTS = 4096
 # sampler blocks were slower, and a thread pool over blocks gained no
 # wall time.
 _CHUNK_SHOT_POINTS = 1024
-# Shots (seed 0, point 0) the first-use self-check compares with numpy;
-# between them they take every ziggurat layer with a fast path (all but
-# layer 1) on it.
-_CHECK_SHOTS = 640
 
 
 def _mulhilo(m: int, b: np.ndarray):
@@ -322,106 +334,112 @@ def _mulhilo(m: int, b: np.ndarray):
         b * np.uint64(m)
 
 
-def _philox_words(seed: int, shots: np.ndarray, points: np.ndarray):
-    """First three outputs of each shot's stream (see the module doc).
+def _philox_words(seed: int, shots: np.ndarray, points: np.ndarray, block=1):
+    """The four words of block `block` (1, 2, ...) of each shot's stream
+    (see the module doc).
 
     numpy increments the Philox counter before each block, so they are the
-    first three words of the Philox4x64-10 block of counter [1, point, 0, 0]
-    under key [seed, shot].  Round 1 of that counter is written out:
-    its products are M0 * 1 and M1 * 0.
+    Philox4x64-10 block of counter [block, point, 0, 0] under key [seed,
+    shot].  Round 1 of that counter is written out: its products are
+    M0 * block and M1 * 0.
     """
-    c0, c1, c2, c3 = (points ^ np.uint64(seed), np.zeros_like(shots), shots,
-                      np.full_like(shots, _PHILOX_M[0]))
+    hi, lo = divmod(_PHILOX_M[0] * block, 2 ** 64)
+    c0, c1, c2, c3 = (points ^ np.uint64(seed), np.zeros_like(shots),
+                      shots ^ np.uint64(hi), np.full_like(shots, lo))
     for r in range(1, 10):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         k0 = np.uint64((seed + r * _PHILOX_W[0]) & _U64)
         k1 = shots + np.uint64(r * _PHILOX_W[1] & _U64)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2
-
-
-def _ziggurat_fast(words, wi: np.ndarray, ki: np.ndarray):
-    """numpy's ziggurat standard normals for raw words, fast path only.
-
-    Returns the draws (n, 3), one column per word array, and whether all
-    three words of a row were accepted on the first try: rabs < ki[idx].
-    Every word of layer 1 (ki[1] = 0), layer 0's tail and the wedges miss.
-    """
-    draws = np.empty((len(words[0]), 3))
-    fast = np.ones(len(words[0]), dtype=bool)
-    for j, r in enumerate(words):
-        idx = (r & 0xFF).astype(np.intp)
-        rabs = (r >> 9) & 0xFFFFFFFFFFFFF
-        x = rabs * wi[idx]
-        draws[:, j] = np.where(r & 0x100, -x, x)
-        fast &= rabs < ki[idx]
-    return draws, fast
-
-
-def _redraw(draws: np.ndarray, rows: np.ndarray, seed: int,
-            shots: np.ndarray, points: np.ndarray) -> None:
-    """Overwrite draws[rows] with numpy's standard_normal(3) from each
-    shot's stream (see the module doc).  One generator is re-keyed per
-    shot by assigning its state, which is much cheaper than constructing
-    a generator."""
-    key = np.array([seed, 0], dtype=np.uint64)
-    counter = np.zeros(4, dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox",
-             "state": {"key": key, "counter": counter},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for row in np.flatnonzero(rows):
-        key[1], counter[1] = shots[row], points[row]
-        bitgen.state = state
-        gen.standard_normal(out=draws[row])
-
-
-def _read_tables():
-    """numpy's ziggurat tables wi_double (float64) and ki_double (uint64),
-    256 entries each, from the package file ziggurat_double.bin."""
-    raw = Path(__file__).with_name("ziggurat_double.bin").read_bytes()
-    return (np.frombuffer(raw, "<f8", 256),
-            np.frombuffer(raw, "<u8", 256, offset=2048))
+    return c0, c1, c2, c3
 
 
 @functools.cache
-def _ziggurat_tables():
-    """The ziggurat tables, checked once against numpy.
+def _tables():
+    """numpy's ziggurat tables wi (float64), ki (uint64) and fi (float64),
+    read once; a file that fails its CRC-32 check is an OSError."""
+    raw = _TABLES.read_bytes()
+    if zlib.crc32(raw) != _TABLES_CRC:
+        raise OSError(f"{_TABLES}: ziggurat tables fail their CRC-32 check")
+    return tuple(np.frombuffer(raw, dtype, 256, offset=2048 * k)
+                 for k, dtype in enumerate(("<f8", "<u8", "<f8")))
 
-    If the fast path disagrees with numpy on any of _CHECK_SHOTS shots
-    (say, after numpy changes its ziggurat), ki is zeroed, so that every
-    shot misses the fast path and is redrawn by numpy itself.
+
+def _ziggurat_fast(r: np.ndarray, wi, ki):
+    """numpy's ziggurat fast path for raw words r: the layer idx, rabs, the
+    draw x and whether r is accepted on the first try, rabs < ki[idx].
+    Every word of layer 1 (ki[1] = 0), layer 0's tail and the wedges miss.
     """
-    wi, ki = _read_tables()
-    shots = np.arange(_CHECK_SHOTS, dtype=np.uint64)
-    points = np.zeros_like(shots)
-    draws, fast = _ziggurat_fast(_philox_words(0, shots, points), wi, ki)
-    want = np.empty_like(draws)
-    _redraw(want, fast, 0, shots, points)
-    if not np.array_equal(draws[fast], want[fast]):
-        ki = np.zeros_like(ki)
-    return wi, ki
+    idx = (r & 0xFF).astype(np.intp)
+    rabs = (r >> 9) & 0xFFFFFFFFFFFFF
+    x = rabs * wi[idx]
+    return idx, rabs, np.where(r & 0x100, -x, x), rabs < ki[idx]
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn (math.exp or math.log1p: the C library's, as numpy's C code
+    calls it) of each element of x."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def _sample_block(seed: int, point_index, n_shots: int) -> np.ndarray:
     """Unit per-shot environment draws (field, drive amplitude,
     temperature) for one grid point (an int point_index; shape
     (n_shots, 3)) or for a range of points (shape (len(point_index),
-    n_shots, 3)).
+    n_shots, 3)), equal to each shot's stream (module doc) bit for bit.
 
-    The draws equal each shot's stream (module doc) bit for bit; the
-    shots that miss the ziggurat fast path (about 4%) are redrawn by numpy.
+    The first three words of every shot go through the fast path at once.
+    The shots that miss it (about 5%) run numpy's loop again from their
+    first word, all in step: each pass takes one word per unfinished shot,
+    which the fast path, a wedge test on one more word, or the tail's
+    pairs of words accept, or a failed wedge test rejects.  Words past a
+    shot's first Philox block come from its next blocks.
     """
     points = np.asarray(point_index, dtype=np.uint64)
     shape = points.shape + (n_shots,)
     shots = np.broadcast_to(np.arange(n_shots, dtype=np.uint64), shape).ravel()
     points = np.broadcast_to(points[..., None], shape).ravel()
-    draws, fast = _ziggurat_fast(_philox_words(seed, shots, points),
-                                 *_ziggurat_tables())
-    _redraw(draws, ~fast, seed, shots, points)
+    wi, ki, fi = _tables()
+    words = _philox_words(seed, shots, points)
+    draws = np.empty((len(shots), 3))
+    fast = np.ones(len(shots), dtype=bool)
+    for j, r in enumerate(words[:3]):
+        *_, draws[:, j], ok = _ziggurat_fast(r, wi, ki)
+        fast &= ok
+    slow = np.flatnonzero(~fast)
+    stream = np.column_stack([w[slow] for w in words])
+    pos, made = np.zeros((2, len(slow)), dtype=np.intp)
+
+    def take(rows):   # each row's next word, past a block from the next
+        nonlocal stream
+        if len(rows) and pos[rows].max() == stream.shape[1]:
+            stream = np.column_stack([stream, *_philox_words(
+                seed, shots[slow], points[slow], stream.shape[1] // 4 + 1)])
+        pos[rows] += 1
+        return stream[rows, pos[rows] - 1]
+
+    def uniform(rows):   # numpy's next_double
+        return (take(rows) >> 11) * (1.0 / 9007199254740992.0)
+
+    while len(live := np.flatnonzero(made < 3)):
+        idx, rabs, x, ok = _ziggurat_fast(take(live), wi, ki)
+        wedge = np.flatnonzero(~ok & (idx > 0))
+        f = fi[idx[wedge]]
+        ok[wedge] = (fi[idx[wedge] - 1] - f) * uniform(live[wedge]) + f \
+            < _libm(math.exp, -0.5 * x[wedge] * x[wedge])
+        tail = np.flatnonzero(~ok & (idx == 0))
+        ok[tail] = True   # the tail loops until it accepts
+        while len(tail):
+            xx = -_TAIL_INV_R * _libm(math.log1p, -uniform(live[tail]))
+            yy = -_libm(math.log1p, -uniform(live[tail]))
+            hit = yy + yy > xx * xx
+            x[tail[hit]] = np.where(rabs[tail[hit]] & 0x100, -1.0, 1.0) \
+                * (_TAIL_R + xx[hit])
+            tail = tail[~hit]
+        done = live[ok]
+        draws[slow[done], made[done]] = x[ok]
+        made[done] += 1
     return draws.reshape(shape + (3,))
 
 

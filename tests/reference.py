@@ -4,7 +4,8 @@ No command, engine path or fit model runs this code.  It restates the
 paper's closed forms in their most direct form, so that the shot engine,
 the dephasing formulas and the fit models can be compared with them:
 the six-level Hamiltonians and their 3x3 13C blocks, the dressed
-energies and Larmor frequencies, the rate budget, a Monte-Carlo estimate
+energies and Larmor frequencies, the Gaussian dephasing rate of a linear
+slope, the rate budget, a Monte-Carlo estimate
 of the second-order envelope, its closed form at the maximally protected
 point and the two-branch fringe formula built on it, the ramsey_mp and
 spectrum_joint fit models for one parameter vector, whole-state
@@ -226,6 +227,14 @@ def detuning_from_lines(w0m: float, w0p: float, w0m1: float) -> float:
     return 2.0 * (0.5 * (w0m + w0p) - w0m1)
 
 
+def gaussian_dephasing_rate(alpha: float, sigma_x: float) -> float:
+    """Gamma = sqrt(2)*pi*|alpha|*sigma_x for a linear frequency deviation
+    alpha*delta_x with Gaussian delta_x of deviation sigma_x."""
+    if sigma_x < 0:
+        raise ValueError("sigma_x must be non-negative")
+    return math.sqrt(2.0) * math.pi * abs(alpha) * sigma_x
+
+
 @dataclass(frozen=True)
 class RateBudget:
     """Labelled collection of uncorrelated dephasing rates."""
@@ -371,6 +380,27 @@ def shot_rng(seed: int, shot_index: int, point_index: int) -> np.random.Generato
                               counter=np.array([0, point_index, 0, 0],
                                                dtype=np.uint64))
     return np.random.Generator(bitgen)
+
+
+def shot_normals(seed: int, shots, points) -> np.ndarray:
+    """shot_rng(seed, shot, point).standard_normal(3) for each (shot,
+    point) pair, shape (len(shots), 3), from one generator re-keyed per
+    shot by assigning its state, which is much cheaper than constructing
+    one per shot."""
+    key = np.array([seed, 0], dtype=np.uint64)
+    counter = np.zeros(4, dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"key": key, "counter": counter},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    draws = np.empty((len(shots), 3))
+    for row, (shot, point) in enumerate(zip(shots, points)):
+        key[1], counter[1] = shot, point
+        bitgen.state = state
+        gen.standard_normal(out=draws[row])
+    return draws
 
 
 def exact_mean_trace(simulate, *args, nodes=(40, 12, 10), **kwargs) -> list:

@@ -849,6 +849,28 @@ class TestFitModels:
         assert (tmp_path / f"fit_{model_name}.txt").read_bytes() \
             == (REPO_ROOT / reference).read_bytes()
 
+    def test_noise_fitted_near_zero_is_flagged_at_its_bound(self, runner,
+                                                           tmp_path):
+        # 20 nv1 shots to 2 us: gamma_sigma_b_khz ends about 7e-7 above its
+        # lower bound 0, which scipy does not mark active, and its CI,
+        # -38.4 to 38.4 kHz, runs past that bound
+        cfg = ["--config", str(CONFIG_DIR / "nv1.json"), "--out", str(tmp_path)]
+        result = invoke(runner, [*cfg, "--seed", "0", "--shots", "20",
+                                 "ramsey", "--kind", "undressed_0m1",
+                                 "--tau-stop-us", "2"])
+        assert result.exit_code == 0, all_output(result)
+        result = invoke(runner, [
+            *cfg, "fit", "--model", "undressed_ramsey",
+            "--input", str(tmp_path / "ramsey_undressed_0m1.csv")])
+        assert result.exit_code == 0, all_output(result)
+        report = (tmp_path / "fit_undressed_ramsey.txt").read_text()
+        assert report.splitlines()[1] \
+            == "converged: True (at_bound:gamma_sigma_b_khz)"
+        row = next(line.split() for line in report.splitlines()
+                   if line.startswith("gamma_sigma_b_khz"))
+        assert 0.0 < float(row[1]) < 1e-6
+        assert float(row[2]) < 0.0 < float(row[3])
+
     @pytest.mark.parametrize("bom_files", [("csv",), ("sidecar",),
                                            ("csv", "sidecar")],
                              ids=["csv", "sidecar", "csv_and_sidecar"])
@@ -1009,28 +1031,34 @@ NUMERICAL_FAULTS = [
 ]
 
 
+def run_with_fault(runner, monkeypatch, fault):
+    """A rates run whose config step calls fault instead."""
+    monkeypatch.setattr(cli, "resolve_config", lambda cfg: fault())
+    return runner.invoke(main, ["rates"])
+
+
 class TestPipeline:
     @pytest.mark.parametrize(
         "error,base,args", NUMERICAL_FAULTS,
         ids=[fault[0].__name__ for fault in NUMERICAL_FAULTS])
-    def test_every_numerical_fault_exits_3(self, error, base, args, capsys):
+    def test_every_numerical_fault_exits_3(self, error, base, args, runner,
+                                           monkeypatch):
         assert issubclass(error, NumericalError) and issubclass(error, base)
 
         def fault():
             raise error(*args)
 
-        with pytest.raises(SystemExit) as exit_info:
-            cli.pipeline(fault)()
-        assert exit_info.value.code == 3
-        assert capsys.readouterr().err.startswith("numerical failure: ")
+        result = run_with_fault(runner, monkeypatch, fault)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("numerical failure: ")
 
     @pytest.mark.parametrize("fault,message", [
         (_fit_nan_model, "residuals are not finite")])
-    def test_numerical_faults_exit_3(self, fault, message, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            cli.pipeline(fault)()
-        assert exit_info.value.code == 3
-        assert message in capsys.readouterr().err
+    def test_numerical_faults_exit_3(self, fault, message, runner,
+                                     monkeypatch):
+        result = run_with_fault(runner, monkeypatch, fault)
+        assert result.exit_code == 3
+        assert message in result.stderr
 
     # Finite but extreme values overflow a float power in dephasing.
     @pytest.mark.parametrize("payload", [

@@ -11,7 +11,6 @@ from nvcdd.dephasing import (
     ReflectometerNoise,
     ZeroRateError,
     envelope_second_order,
-    gaussian_dephasing_rate,
     gaussian_envelope,
     one_over_e_time,
     predicted_t2_mp,
@@ -27,6 +26,7 @@ from reference import (
     RateBudget,
     combine_rates,
     envelope_max_protection,
+    gaussian_dephasing_rate,
     larmor_frequency,
     mc_envelope_second_order,
 )
@@ -38,6 +38,9 @@ class TestGaussianRate:
     def test_t2_anchor_42khz(self):
         rate = gaussian_dephasing_rate(GAMMA, SIGMA_B_NV2)
         assert 2 * math.pi / rate == pytest.approx(5.4, rel=1e-12)
+        # the undressed {+1,-1} qubit moves twice as fast as {0,-1}
+        assert rate_magnetic_mp(0.0, 0.0, SIGMA_B_NV2) \
+            == pytest.approx(2.0 * rate, rel=1e-15)
         assert angular_to_khz(GAMMA * SIGMA_B_NV2) == pytest.approx(41.68,
                                                                     abs=0.01)
 

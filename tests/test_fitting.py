@@ -256,6 +256,35 @@ class TestValidation:
         assert "converged: True (at_bound:a)" \
             in format_fit_report(model, outcome)
 
+    @pytest.mark.parametrize("sign,bound", [(1.0, 0), (-1.0, 1)],
+                             ids=["lower", "upper"])
+    def test_confidence_interval_past_a_bound_is_flagged(self, sign, bound):
+        # a small amplitude a in [0, 10] (or -a in [-10, 0]) under noise
+        # ten times larger: the fit ends well inside the bound, where
+        # scipy's active_mask stays False, but its CI runs past it
+        params = (FitParam("a", 0.5 * sign, *sorted((0.0, 10.0 * sign))),
+                  FitParam("c", 0.0))
+        model = ModelFunction(
+            "line", params, lambda theta, x: theta[0] * x + theta[1])
+        x = np.linspace(0.0, 1.0, 40)
+        outcome = nlls_fit(model, (x, sign * 0.01 * x + 0.1 * np.cos(31.0 * x)))
+        a, ci = outcome.params["a"], outcome.ci["a"]
+        bound_value = params[0].lower if bound == 0 else params[0].upper
+        assert abs(a - bound_value) > 1e-3
+        assert ci[0] < bound_value < ci[1]
+        assert outcome.converged and outcome.flags == ["at_bound:a"]
+        # the unbounded intercept's CI reaches no bound and is not flagged
+        assert math.isinf(params[1].lower) and math.isinf(params[1].upper)
+
+    def test_confidence_interval_inside_the_bounds_is_not_flagged(self):
+        model = _exp_decay_model(a=2.0, b=4.0)
+        x = np.linspace(0.0, 10.0, 50)
+        outcome = nlls_fit(
+            model, (x, 2.0 * np.exp(-x / 4.0) + 0.01 * np.cos(7.0 * x)))
+        assert outcome.converged and outcome.flags == []
+        assert all(p.lower < outcome.ci[p.name][0]
+                   and outcome.ci[p.name][1] < p.upper for p in model.params)
+
     def test_unknown_initial_name(self):
         with pytest.raises(KeyError):
             model_ramsey_mp(150.0, 0.9).with_initials(bogus=1.0)

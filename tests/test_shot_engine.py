@@ -22,7 +22,9 @@ import math
 from pathlib import Path
 import struct
 import sys
+import zlib
 
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 import numpy as np
@@ -30,7 +32,7 @@ import pytest
 from scipy.linalg import expm
 
 from nvcdd import pulse_sim
-from nvcdd.cli import load_config, resolve_config
+from nvcdd.cli import load_config, main, resolve_config
 from nvcdd.dephasing import FixedAmplitudeNoise, NoiseSpec, sigma_b_from_t2
 from nvcdd.pulse_sim import (
     RAMSEY_KINDS,
@@ -49,6 +51,7 @@ from reference import (
     _apply_eigen,
     exact_mean_trace,
     frame_hamiltonians,
+    shot_normals,
     shot_rng,
 )
 
@@ -557,10 +560,19 @@ def reference(seed, points, n_shots):
                       for shot in range(n_shots)] for point in points])
 
 
-def raw_words(seed, point, n_shots):
-    """The first three raw words of each shot's stream, (n_shots, 3)."""
-    return np.array([shot_rng(seed, shot, point).bit_generator.random_raw(3)
-                     for shot in range(n_shots)])
+def raw_words(seed, point, n_shots, n_words=3):
+    """The first n_words raw words of each shot's stream, (n_shots,
+    n_words)."""
+    return np.array([shot_rng(seed, shot, point).bit_generator
+                     .random_raw(n_words) for shot in range(n_shots)])
+
+
+def first_pass(words):
+    """Whether each row of the first three words (three arrays) is accepted
+    by the fast path: the shots _sample_block draws without its loop."""
+    wi, ki, _ = pulse_sim._tables()
+    return np.all([pulse_sim._ziggurat_fast(w, wi, ki)[3] for w in words[:3]],
+                  axis=0)
 
 
 class TestVectorisedSampler:
@@ -576,10 +588,10 @@ class TestVectorisedSampler:
         # layer 1 (ki[1] = 0), layer 0's tail and the wedges.  Shot 110 of
         # (seed 5, point 3) has a layer-0 tail word.
         seed, point, n_shots = 5, 3, 200
-        words = raw_words(seed, point, n_shots)
-        _, ki = pulse_sim._read_tables()
-        idx = (words & 0xFF).astype(np.intp)
-        miss = ((words >> 9) & 0xFFFFFFFFFFFFF) >= ki[idx]
+        words = raw_words(seed, point, n_shots, 4)
+        _, ki, _ = pulse_sim._tables()
+        idx = (words[:, :3] & 0xFF).astype(np.intp)
+        miss = ((words[:, :3] >> 9) & 0xFFFFFFFFFFFFF) >= ki[idx]
         slow = miss.any(axis=1)
         assert (miss & (idx == 0))[110].any()
         assert (miss & (idx == 1)).any() and (miss & (idx > 1)).any()
@@ -587,9 +599,7 @@ class TestVectorisedSampler:
         vector_words = pulse_sim._philox_words(
             seed, shots, np.full_like(shots, point))
         assert np.array_equal(np.stack(vector_words, axis=1), words)
-        _, fast = pulse_sim._ziggurat_fast(vector_words,
-                                           *pulse_sim._ziggurat_tables())
-        assert np.array_equal(fast, ~slow)
+        assert np.array_equal(first_pass(vector_words), ~slow)
         got = sampled(seed, point, n_shots)
         want = reference(seed, [point], n_shots)[0]
         assert np.array_equal(got[slow], want[slow])
@@ -764,47 +774,109 @@ class TestSharedDraws:
 
 @pytest.fixture
 def fresh_tables():
-    """Runs the sampler's first-use self-check again inside the test."""
-    pulse_sim._ziggurat_tables.cache_clear()
+    """Reads and checks the sampler's tables again inside the test."""
+    pulse_sim._tables.cache_clear()
     yield
-    pulse_sim._ziggurat_tables.cache_clear()
+    pulse_sim._tables.cache_clear()
+
+
+class TestSlowPath:
+    """The shots that miss the ziggurat fast path run numpy's wedge and
+    tail steps inside the engine, on further Philox blocks of their own
+    streams, and match numpy's generator bit for bit."""
+
+    @pytest.mark.parametrize("seed,point", [(0, 0), (7, 36), (2 ** 64 - 1, 9)])
+    def test_philox_blocks_are_numpys_stream(self, seed, point):
+        shots = np.arange(20, dtype=np.uint64)
+        points = np.full_like(shots, point)
+        got = np.concatenate([
+            np.stack(pulse_sim._philox_words(seed, shots, points, block),
+                     axis=1) for block in (1, 2, 3)], axis=1)
+        assert np.array_equal(got, raw_words(seed, point, 20, 12))
+
+    def test_random_shots_match_numpy(self, rng):
+        # about a million shot-points of a random seed: every shot that
+        # misses the fast path, and every 50th other shot, against numpy's
+        # generator; they hold hundreds of layer-0 tail words
+        seed = int(rng.integers(2 ** 64, dtype=np.uint64))
+        first, n_points, n_shots = int(rng.integers(2 ** 40)), 250, 4000
+        wi, ki, _ = pulse_sim._tables()
+        shots = np.arange(n_shots, dtype=np.uint64)
+        tail_words = checked = 0
+        for point in range(first, first + n_points, 4):
+            points = range(point, point + 4)
+            got = sampled(seed, points, n_shots).reshape(-1, 3)
+            shot = np.tile(shots, 4)
+            at = np.repeat(np.array(points, dtype=np.uint64), n_shots)
+            words = pulse_sim._philox_words(seed, shot, at)
+            rows = np.flatnonzero(~first_pass(words)
+                                  | (np.arange(len(shot)) % 50 == 0))
+            assert np.array_equal(got[rows],
+                                  shot_normals(seed, shot[rows], at[rows]))
+            for w in words[:3]:
+                tail_words += np.sum((w & 0xFF == 0)
+                                     & ((w >> 9) & 0xFFFFFFFFFFFFF >= ki[0]))
+            checked += len(rows)
+        assert tail_words >= 200 and checked > 60_000
+
+    @pytest.mark.parametrize("seed,point,shot,blocks", [
+        (5, 3, 110, 2),      # a layer-0 tail word
+        (7, 36, 2243, 3),    # a stream that runs into its third block
+    ], ids=["tail", "third_block"])
+    def test_pinned_shots(self, monkeypatch, seed, point, shot, blocks):
+        calls = []
+        words = pulse_sim._philox_words
+
+        def spy(*args):
+            calls.append(args[3] if len(args) > 3 else 1)
+            return words(*args)
+
+        monkeypatch.setattr(pulse_sim, "_philox_words", spy)
+        got = _sample_block(seed, point, shot + 1)[shot]
+        assert np.array_equal(got, shot_rng(seed, shot, point)
+                              .standard_normal(3))
+        assert calls == list(range(1, blocks + 1))
+
+    def test_no_slow_shot_draws_no_further_block(self, monkeypatch):
+        # shot 0 of (seed 0, point 0) takes the fast path three times
+        calls = []
+        words = pulse_sim._philox_words
+        monkeypatch.setattr(pulse_sim, "_philox_words",
+                            lambda *args: calls.append(args) or words(*args))
+        assert np.array_equal(_sample_block(0, 0, 1),
+                              reference(0, [0], 1)[0])
+        assert len(calls) == 1
 
 
 class TestSelfCheck:
-    def test_check_covers_every_layer(self):
-        # every layer that can take the fast path (all but ki[1] = 0) does
-        # so among the check shots, so a wrong wi entry cannot pass
-        shots = np.arange(pulse_sim._CHECK_SHOTS, dtype=np.uint64)
-        words = pulse_sim._philox_words(0, shots, np.zeros_like(shots))
-        wi, ki = pulse_sim._read_tables()
-        _, fast = pulse_sim._ziggurat_fast(words, wi, ki)
-        layers = np.unique(np.concatenate([w[fast] & 0xFF for w in words]))
-        assert np.array_equal(layers, np.flatnonzero(ki))
+    """The sampler checks its table file once, against a pinned CRC-32."""
 
     def test_shipped_tables_pass(self, fresh_tables):
-        wi, ki = pulse_sim._ziggurat_tables()
-        assert np.array_equal(ki, pulse_sim._read_tables()[1])
+        wi, ki, fi = pulse_sim._tables()
+        raw = pulse_sim._TABLES.read_bytes()
+        assert zlib.crc32(raw) == pulse_sim._TABLES_CRC
+        assert raw == wi.tobytes() + ki.tobytes() + fi.tobytes()
+        assert pulse_sim._tables() is pulse_sim._tables()   # read once
 
-    @pytest.mark.parametrize("table,entry,value", [
-        (0, 17, 1e-16),     # a wrong wi: fast-path values change
-        (1, 1, 2 ** 52),    # ki[1] > 0: layer 1 would take the fast path
-    ], ids=["wi", "ki"])
-    def test_corrupt_table_marks_every_shot_slow(
-            self, monkeypatch, fresh_tables, table, entry, value):
-        read = pulse_sim._read_tables
-
-        def corrupted():
-            tables = [t.copy() for t in read()]
-            tables[table][entry] = value
-            return tuple(tables)
-
-        monkeypatch.setattr(pulse_sim, "_read_tables", corrupted)
-        seed, point, n_shots = 5, 3, 400
-        # the corrupted layer occurs in this sample
-        assert np.any(raw_words(seed, point, n_shots) & 0xFF == entry)
-        assert np.array_equal(sampled(seed, point, n_shots),
-                              reference(seed, [point], n_shots)[0])
-        assert not pulse_sim._ziggurat_tables()[1].any()
+    @pytest.mark.parametrize("table,entry", [
+        (0, 17),    # a wrong wi: fast-path values change
+        (1, 1),     # ki[1] > 0: layer 1 would take the fast path
+        (2, 200),   # a wrong fi: the wedge tests change
+    ], ids=["wi", "ki", "fi"])
+    def test_corrupt_table_is_an_io_error(self, monkeypatch, tmp_path,
+                                          fresh_tables, table, entry):
+        raw = bytearray(pulse_sim._TABLES.read_bytes())
+        raw[2048 * table + 8 * entry] ^= 1
+        corrupt = tmp_path / "ziggurat_double.bin"
+        corrupt.write_bytes(bytes(raw))
+        monkeypatch.setattr(pulse_sim, "_TABLES", corrupt)
+        with pytest.raises(OSError, match="fail their CRC-32 check"):
+            _sample_block(5, 3, 10)
+        result = CliRunner().invoke(main, ["--out", str(tmp_path), "--shots",
+                                           "2", "spectra"])
+        assert result.exit_code == 4
+        assert "i/o error: " in result.output + result.stderr
+        assert not list(tmp_path.glob("*.csv"))
 
 
 # numpy's static library, whose distributions object holds the ziggurat
@@ -856,5 +928,5 @@ def test_tables_are_numpys():
     if obj[:6] != b"\x7fELF\x02\x01":
         pytest.skip("numpy's library is not little-endian ELF64 here")
     shipped = Path(pulse_sim.__file__).with_name("ziggurat_double.bin")
-    assert elf_symbol(obj, "wi_double") + elf_symbol(obj, "ki_double") \
-        == shipped.read_bytes()
+    assert b"".join(elf_symbol(obj, f"{name}_double")
+                    for name in ("wi", "ki", "fi")) == shipped.read_bytes()

@@ -101,3 +101,16 @@ def test_monte_carlo_runs_load_no_numpy_ma(tmp_path):
                  "--tau-stop-us", "0.1")])
     assert _loaded_after(code, ("numpy.ma", "numpy.polynomial")) == set()
     assert (tmp_path / "ramsey_dressed_mp.csv").exists()
+
+
+def test_monte_carlo_runs_load_no_numpy_random(tmp_path):
+    # the sampler draws every normal itself, numpy's slow path included;
+    # numpy.random adds about 5 MB to a run's peak memory
+    code = "\n".join([
+        _cli_run("--out", str(tmp_path), "--shots", "50", "spectra"),
+        _cli_run("--out", str(tmp_path), "--shots", "50", "ramsey",
+                 "--tau-stop-us", "0.5"),
+        "from nvcdd import pulse_sim",
+        "assert pulse_sim._sample_block(5, 3, 111)[110].any()"])
+    assert _loaded_after(code, ("numpy.random",)) == set()
+    assert (tmp_path / "ramsey_dressed_mp.csv").exists()
