@@ -29,9 +29,7 @@ import click
 import numpy as np
 
 from .dephasing import (
-    FixedAmplitudeNoise,
     NoiseSpec,
-    ReflectometerNoise,
     envelope_second_order,
     gaussian_envelope,
     predicted_t2_mp,
@@ -44,9 +42,11 @@ from .errors import NumericalError
 from .models import FIT_MODELS
 from .presets import PRESETS
 from .pulse_sim import (
+    DQ_KINDS,
     RAMSEY_KINDS,
     SimConfig,
     _json,
+    _pulse_duration,
     _read_text,
     fourier_magnitude,
     read_trace_csv,
@@ -352,19 +352,15 @@ def resolve_config(cfg: dict) -> dict:
     if stray := sorted(amp_cfg.keys() - own - {"mode"}):
         raise ConfigError(f"config key $.noise.amplitude: {mode} mode takes "
                           f"no {', '.join(map(repr, stray))}")
-    if mode == "fixed":
-        amplitude = FixedAmplitudeNoise(khz_to_angular(
-            _merged(_AMPLITUDE_SCHEMA, amp_cfg)["sigma_omega_khz"]))
-    else:
-        if "eta" not in amp_cfg or "alpha_khz" not in amp_cfg:
-            raise ConfigError(
-                "config key $.noise.amplitude: reflectometer mode needs "
-                "'eta' and 'alpha_khz'")
-        amplitude = ReflectometerNoise(
-            eta=amp_cfg["eta"],
-            alpha_diode=khz_to_angular(amp_cfg["alpha_khz"]))
+    if mode == "reflectometer" and own - amp_cfg.keys():
+        raise ConfigError("config key $.noise.amplitude: reflectometer mode "
+                          "needs 'eta' and 'alpha_khz'")
+    # one law for both modes: the other mode's keys add nothing
+    amp = {"eta": 0.0, "alpha_khz": 0.0, **_merged(_AMPLITUDE_SCHEMA, amp_cfg)}
+    noise = NoiseSpec(sigma_b, sigma_t, khz_to_angular(amp["sigma_omega_khz"]),
+                      amp["eta"], khz_to_angular(amp["alpha_khz"]))
     sim = _merged(SCHEMA["properties"]["sim"], cfg.get("sim", {}))
-    return {"params": params, "noise": NoiseSpec(sigma_b, sigma_t, amplitude),
+    return {"params": params, "noise": noise,
             "sim": SimConfig(n_shots=sim["shots"], seed=sim["seed"]),
             "out_dir": top["out_dir"]}
 
@@ -380,8 +376,24 @@ def _check_drives(noise: NoiseSpec, omegas) -> None:
             raise ConfigError(
                 "config key $.noise.amplitude.alpha_khz: the drive "
                 f"{angular_to_khz(omega):g} kHz plus alpha_khz "
-                f"{angular_to_khz(noise.amplitude_noise.alpha_diode):g} kHz "
+                f"{angular_to_khz(noise.alpha_diode):g} kHz "
                 "must be positive for reflectometer amplitude noise") from None
+
+
+def _pulse_strength(section: dict, name: str, angle: float) -> dict:
+    """The simulator's omega_mag keyword for section name's
+    omega_mag_khz, or none, so the simulator picks its own pulse strength.
+    Raise a ConfigError, before a command writes anything, if a pulse of
+    that rotation angle would last longer than a float can hold."""
+    if "omega_mag_khz" not in section:
+        return {}
+    omega_mag = khz_to_angular(khz := section["omega_mag_khz"])
+    try:
+        _pulse_duration(angle, omega_mag)
+    except ValueError:
+        raise ConfigError(f"config key $.{name}.omega_mag_khz: {khz!r} kHz is "
+                          "too weak: its pulse would outlast a float") from None
+    return {"omega_mag": omega_mag}
 
 
 def _check_splitting(params: SystemParams) -> None:
@@ -548,7 +560,7 @@ def t2scan(read_cfg, **flags):
         tau = _grid(section, "t2scan", "tau_{}_us", MIN_POINTS)
     noise = res["noise"]
     if section["power_leveled"]:
-        noise = NoiseSpec(noise.sigma_b, noise.sigma_t, FixedAmplitudeNoise(0.0))
+        noise = NoiseSpec(noise.sigma_b, noise.sigma_t)
     _check_drives(noise, map(khz_to_angular, section["omega_list_khz"]))
     drives = [(res["params"].with_omega(khz_to_angular(om_khz)), noise)
               for om_khz in section["omega_list_khz"]]
@@ -590,9 +602,8 @@ def ramsey(read_cfg, **flags):
     res, section = _settings(read_cfg(), "ramsey", **flags)
     kind = section["kind"]
     tau = _grid(section, "ramsey", "tau_{}_us", 2)   # two for the FFT
-    # without omega_mag_khz the simulator picks the kind's pulse strength
-    kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
-        if "omega_mag_khz" in section else {}
+    kwargs = _pulse_strength(section, "ramsey",
+                             math.pi if kind in DQ_KINDS else 0.5 * math.pi)
     if kind != "undressed_0m1":   # which runs with the drive off
         _check_drive(res["params"],
                      f"kind {kind!r} (every kind but 'undressed_0m1')")
@@ -617,8 +628,7 @@ def spectra(read_cfg, **flags):
     """Simulate pulsed spectra across a list of mechanical drive strengths."""
     res, section = _settings(read_cfg(), "spectra", **flags)
     grid = khz_to_angular(_grid(section, "spectra", "detuning_{}_khz"))
-    kwargs = {"omega_mag": khz_to_angular(section["omega_mag_khz"])} \
-        if "omega_mag_khz" in section else {}
+    kwargs = _pulse_strength(section, "spectra", math.pi)
     # the drives' minimum of 0 lets -0.0 through: it runs, and is named, as 0
     drives_khz = [abs(om_khz) for om_khz in section["omega_list_khz"]]
     names = [f"spectrum_omega{om_khz:g}khz.csv" for om_khz in drives_khz]

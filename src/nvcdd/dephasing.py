@@ -6,7 +6,7 @@ Envelopes are normalized to 1 at tau = 0 and are non-increasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -34,52 +34,32 @@ class HorizonExceeded(NumericalError, RuntimeError):
 
 
 @dataclass(frozen=True)
-class FixedAmplitudeNoise:
-    sigma_omega: float = 0.0  # rad/us
-
-    def __post_init__(self):
-        if self.sigma_omega < 0:
-            raise ValueError("sigma_omega must be non-negative")
-
-    def resolve(self, mean_omega: float) -> float:
-        return self.sigma_omega
-
-
-@dataclass(frozen=True)
-class ReflectometerNoise:
-    """Amplitude noise injected via the reflected-voltage loop:
-    sigma_omega = (mean_omega + alpha_diode) * eta."""
-
-    eta: float
-    alpha_diode: float  # rad/us
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError("eta must be in [0, 1)")
-
-    def resolve(self, mean_omega: float) -> float:
-        if mean_omega + self.alpha_diode <= 0:
-            raise ValueError("mean_omega + alpha_diode must be positive")
-        return (mean_omega + self.alpha_diode) * self.eta
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
-    """Quasi-static Gaussian noise channels."""
+    """Quasi-static Gaussian noise channels.  The drive amplitude's
+    deviation is sigma_omega_fixed + (mean_omega + alpha_diode) * eta:
+    a fixed sigma_omega, or the reflectometer loop's law with eta > 0."""
 
-    sigma_b: float = 0.0   # mG
-    sigma_t: float = 0.0   # degC
-    amplitude_noise: FixedAmplitudeNoise | ReflectometerNoise = field(
-        default_factory=FixedAmplitudeNoise)
+    sigma_b: float = 0.0             # mG
+    sigma_t: float = 0.0             # degC
+    sigma_omega_fixed: float = 0.0   # rad/us
+    eta: float = 0.0
+    alpha_diode: float = 0.0         # rad/us
 
     def __post_init__(self):
         if self.sigma_b < 0 or self.sigma_t < 0:
             raise ValueError("noise standard deviations must be >= 0")
+        if self.sigma_omega_fixed < 0:
+            raise ValueError("sigma_omega must be non-negative")
+        if not 0.0 <= self.eta < 1.0:
+            raise ValueError("eta must be in [0, 1)")
 
     def sigma_omega(self, mean_omega: float) -> float:
         if mean_omega == 0.0:
             return 0.0  # drive off: no amplitude to fluctuate, in either mode
-        return self.amplitude_noise.resolve(mean_omega)
+        if mean_omega + self.alpha_diode <= 0:
+            raise ValueError("mean_omega + alpha_diode must be positive")
+        return (self.sigma_omega_fixed
+                + (mean_omega + self.alpha_diode) * self.eta)
 
 
 def sigma_b_from_t2(t2_0m1: float) -> float:

@@ -14,12 +14,12 @@ the simulator itself (``_seed_simulated``), not fringe formulas.
 
 from __future__ import annotations
 
+from dataclasses import replace
 import functools
 import math
 
 import numpy as np
 
-from .dephasing import NoiseSpec, ReflectometerNoise
 from .fitting import FitParam, ModelFunction
 from .pulse_sim import (
     OMEGA_ROT_KHZ, SimConfig, Trace, fourier_magnitude, simulate_ramsey,
@@ -220,9 +220,8 @@ def _seed_simulated(name, kind, trace, undressed, params, noise, p0_ud):
         raise ValueError(f"{where} key 'omega_rot_khz' must be the "
                          f"simulator's {OMEGA_ROT_KHZ:g}, not {rot!r}")
     dressed = kind != "undressed_0m1"
-    amp = noise.amplitude_noise   # a reflectometer's needs omega + alpha > 0
-    floor = 1.0 + (max(0.0, -angular_to_khz(amp.alpha_diode))
-                   if isinstance(amp, ReflectometerNoise) else 0.0)
+    # a reflectometer's sigma_omega needs omega + alpha > 0
+    floor = 1.0 + max(0.0, -angular_to_khz(noise.alpha_diode))
     omega = max(omega, floor) if dressed else 0.0
     gsb = angular_to_khz(GAMMA * noise.sigma_b)
     g_max = max(2.0 * gsb, 1.0)
@@ -239,7 +238,7 @@ def _seed_simulated(name, kind, trace, undressed, params, noise, p0_ud):
     def evaluate(theta, tau):
         c, s, *columns = theta   # one drive per row, one simulator call
         drives = [(SystemParams(*map(khz_to_angular, (omega, delta, a_par))),
-                   NoiseSpec(khz_to_angular(gsb) / GAMMA, noise.sigma_t, amp))
+                   replace(noise, sigma_b=khz_to_angular(gsb) / GAMMA))
                   for omega, a_par, gsb in zip(*(v[:, 0] for v in columns))]
         exact = simulate_ramsey(kind, tau, drives, SimConfig(n_shots=1),
                                 nodes=nodes, omega_mag=khz_to_angular(om_mag))

@@ -84,6 +84,8 @@ DEFAULT_OMEGA_MAG_DQ = 2.0 * math.pi * 1.513   # {m,p} DQ pi pulses, 1513 kHz
 OMEGA_ROT_KHZ = 250.0
 
 RAMSEY_KINDS = ("undressed_0m1", "dressed_0p", "dressed_mp", "max_protection")
+# the kinds whose pulses are DQ pi pulses; the others take pi/2 pulses
+DQ_KINDS = ("dressed_mp", "max_protection")
 
 
 class NormLossError(NumericalError, RuntimeError):
@@ -540,7 +542,7 @@ def simulate_ramsey(kind: str, tau_grid, drives, config: SimConfig, *,
     tau_grid = _checked_grid(tau_grid, "tau_grid", lowest=0.0)
     # DQ pi pulses at the dressed-line midpoint with a fixed closing phase,
     # or pi/2 pulses on one line whose closing phase advances with tau
-    dq = kind in ("dressed_mp", "max_protection")
+    dq = kind in DQ_KINDS
     if omega_mag is None:
         omega_mag = DEFAULT_OMEGA_MAG_DQ if dq else DEFAULT_OMEGA_MAG_SQ
     t_pulse = _pulse_duration(math.pi if dq else 0.5 * math.pi, omega_mag)

@@ -12,7 +12,6 @@ import pytest
 
 from nvcdd.dephasing import (
     NoiseSpec,
-    ReflectometerNoise,
     envelope_second_order,
     gaussian_envelope,
     predicted_t2_mp,
@@ -102,8 +101,8 @@ def test_t2_vs_drive_predictions():
 
 
 def test_amplitude_noise_budget_and_mc_fit():
-    sigma_omega = ReflectometerNoise(0.049, khz_to_angular(-133.0)) \
-        .resolve(OMEGA_581)
+    sigma_omega = NoiseSpec(eta=0.049, alpha_diode=khz_to_angular(-133.0)) \
+        .sigma_omega(OMEGA_581)
     budget = RateBudget((
         ("magnetic", rate_magnetic_mp(OMEGA_581, A_PAR, SIGMA_B_42)),
         ("amplitude", rate_amplitude_mp(OMEGA_581, A_PAR, sigma_omega)),
@@ -113,8 +112,7 @@ def test_amplitude_noise_budget_and_mc_fit():
 
     params = make_params(omega_khz=581.0)
     noise = NoiseSpec(sigma_b=SIGMA_B_42, sigma_t=0.25,
-                      amplitude_noise=ReflectometerNoise(
-                          eta=0.049, alpha_diode=khz_to_angular(-133.0)))
+                      eta=0.049, alpha_diode=khz_to_angular(-133.0))
     cfg = SimConfig(n_shots=2000, seed=7)
     tau = np.arange(0.0, 20.0, 0.1)
     trace = simulate_ramsey("dressed_mp", tau, [(params, noise)], cfg)[0]

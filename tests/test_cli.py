@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import re
 from pathlib import Path
 import weakref
@@ -15,7 +16,7 @@ from nvcdd import cli
 from nvcdd.cli import ConfigError, load_config, main, resolve_config
 from nvcdd.dephasing import (
     HorizonExceeded,
-    ReflectometerNoise,
+    NoiseSpec,
     ZeroRateError,
     predicted_t2_mp,
 )
@@ -450,9 +451,10 @@ class TestT2Scan:
         first = float(row.split(",")[1])
         omega = khz_to_angular(581.0)
         amplitude = cfg["noise"]["amplitude"]
-        sigma_omega = ReflectometerNoise(
-            amplitude["eta"], khz_to_angular(amplitude["alpha_khz"])) \
-            .resolve(omega)
+        sigma_omega = NoiseSpec(
+            eta=amplitude["eta"],
+            alpha_diode=khz_to_angular(amplitude["alpha_khz"])) \
+            .sigma_omega(omega)
         want = predicted_t2_mp(
             omega, khz_to_angular(PRESETS["nv2"]["a_par_khz"]),
             khz_to_angular(cfg["noise"]["gamma_sigma_b_khz"]) / GAMMA,
@@ -498,6 +500,37 @@ class TestReflectometerDrives:
             "reflectometer amplitude noise" in all_output(result).splitlines()
         # checked before anything is simulated or written
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestPulseTooWeak:
+    # pi / omega_mag overflows a float: the pulse has no duration
+    @pytest.mark.parametrize("command, cfg, args", [
+        ("ramsey", {}, ["--omega-mag-khz", "1e-320", "--tau-stop-us", "1"]),
+        ("spectra", {"spectra": {"omega_mag_khz": 1e-320}}, []),
+    ])
+    def test_error_names_the_key(self, runner, tmp_path, command, cfg, args):
+        out = tmp_path / "out"
+        result = invoke(runner, ["--config", write_config(tmp_path, cfg),
+                                 "--out", str(out), "--shots", "2", command,
+                                 *args])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"config error: config key $.{command}.omega_mag_khz: 1e-320 kHz "
+            "is too weak: its pulse would outlast a float"]
+        # checked before anything is simulated or written
+        assert not out.exists()
+
+    def test_a_pi_half_pulse_is_timed_at_its_own_angle(self):
+        # dressed_0p's pi/2 pulse still has a duration where a pi pulse
+        # overflows, so the check passes it on to the simulator
+        section = {"omega_mag_khz": 2e-306}
+        assert cli._pulse_strength(section, "ramsey", 0.5 * math.pi) \
+            == {"omega_mag": khz_to_angular(2e-306)}
+        with pytest.raises(ConfigError, match=r"\$\.ramsey\.omega_mag_khz"):
+            cli._pulse_strength(section, "ramsey", math.pi)
+
+    def test_no_key_leaves_the_simulators_default(self):
+        assert cli._pulse_strength({}, "spectra", math.pi) == {}
 
 
 BOTH_ZERO = ("config keys $.system.omega_khz and $.system.a_par_khz: "

@@ -1,14 +1,13 @@
 import functools
 import math
 
+from hypothesis import assume, given, strategies as st
 import numpy as np
 import pytest
 
 from nvcdd.dephasing import (
-    FixedAmplitudeNoise,
     HorizonExceeded,
     NoiseSpec,
-    ReflectometerNoise,
     ZeroRateError,
     envelope_second_order,
     gaussian_envelope,
@@ -175,33 +174,63 @@ class TestCombineRates:
 
 
 def reflectometer(eta):
-    return ReflectometerNoise(eta, alpha_diode=khz_to_angular(-133.0))
+    return NoiseSpec(eta=eta, alpha_diode=khz_to_angular(-133.0))
 
 
 class TestReflectometer:
     def test_anchor(self):
-        s = reflectometer(0.049).resolve(khz_to_angular(581.0))
+        s = reflectometer(0.049).sigma_omega(khz_to_angular(581.0))
         assert angular_to_khz(s) == pytest.approx(21.95, abs=0.02)
 
     def test_zero_eta(self):
-        assert reflectometer(0.0).resolve(khz_to_angular(581.0)) == 0.0
+        assert reflectometer(0.0).sigma_omega(khz_to_angular(581.0)) == 0.0
 
     def test_400khz(self):
-        s = reflectometer(0.049).resolve(khz_to_angular(400.0))
+        s = reflectometer(0.049).sigma_omega(khz_to_angular(400.0))
         assert angular_to_khz(s) == pytest.approx(13.08, abs=0.01)
 
     def test_nonpositive_amplitude_rejected(self):
         with pytest.raises(ValueError, match=r"mean_omega \+ alpha_diode "
                                              "must be positive"):
-            reflectometer(0.049).resolve(khz_to_angular(100.0))
+            reflectometer(0.049).sigma_omega(khz_to_angular(100.0))
 
     def test_noise_spec_resolves_modes(self):
-        fixed = NoiseSpec(amplitude_noise=FixedAmplitudeNoise(0.25))
+        fixed = NoiseSpec(sigma_omega_fixed=0.25)
         assert fixed.sigma_omega(1.0) == 0.25
         assert fixed.sigma_omega(0.0) == 0.0  # drive off -> no amplitude noise
-        refl = NoiseSpec(amplitude_noise=ReflectometerNoise(
-            0.049, khz_to_angular(-133.0)))
+        refl = NoiseSpec(eta=0.049, alpha_diode=khz_to_angular(-133.0))
         assert refl.sigma_omega(0.0) == 0.0  # drive off -> no loop noise
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.0, math.nan])
+    def test_eta_outside_its_range_rejected(self, eta):
+        with pytest.raises(ValueError, match=r"eta must be in \[0, 1\)"):
+            NoiseSpec(eta=eta)
+
+    @pytest.mark.parametrize("field, message", [
+        ("sigma_b", "noise standard deviations must be >= 0"),
+        ("sigma_t", "noise standard deviations must be >= 0"),
+        ("sigma_omega_fixed", "sigma_omega must be non-negative"),
+    ])
+    def test_negative_sigma_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            NoiseSpec(**{field: -1e-300})
+
+
+# drives > 0, far from overflow, so w + a stays finite
+_SIZES = st.floats(1e-150, 1e150)
+
+
+@given(sigma=st.floats(0.0, 1e300), omega=_SIZES)
+def test_fixed_law_is_the_given_sigma(sigma, omega):
+    assert NoiseSpec(sigma_omega_fixed=sigma).sigma_omega(omega) == sigma
+
+
+@given(eta=st.floats(0.0, 1.0, exclude_max=True), omega=_SIZES,
+       alpha=st.floats(-1e150, 1e150))
+def test_reflectometer_law_is_the_loops(eta, omega, alpha):
+    assume(omega + alpha > 0)
+    noise = NoiseSpec(eta=eta, alpha_diode=alpha)
+    assert noise.sigma_omega(omega) == (omega + alpha) * eta
 
 
 class TestEnvelopes:

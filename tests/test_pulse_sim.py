@@ -5,9 +5,7 @@ import pytest
 
 from nvcdd import pulse_sim
 from nvcdd.dephasing import (
-    FixedAmplitudeNoise,
     NoiseSpec,
-    ReflectometerNoise,
     sigma_b_from_t2,
 )
 from nvcdd.pulse_sim import (
@@ -374,7 +372,7 @@ class TestSimulateSpectrum:
         p = make_params(omega_khz=0.0)
         grid = khz_to_angular(np.arange(-300.0, 300.0, 20.0))
         quiet, noisy = (simulate_spectrum(grid, [(p, NoiseSpec(
-            amplitude_noise=FixedAmplitudeNoise(khz_to_angular(sigma_khz))))],
+            sigma_omega_fixed=khz_to_angular(sigma_khz)))],
             SimConfig(n_shots=50, seed=3))[0]
             for sigma_khz in (0.0, 200.0))
         assert np.array_equal(noisy.mean_p0, quiet.mean_p0)

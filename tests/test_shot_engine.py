@@ -22,6 +22,7 @@ import math
 from pathlib import Path
 import struct
 import sys
+import types
 import zlib
 
 from click.testing import CliRunner
@@ -33,7 +34,7 @@ from scipy.linalg import expm
 
 from nvcdd import pulse_sim
 from nvcdd.cli import load_config, main, resolve_config
-from nvcdd.dephasing import FixedAmplitudeNoise, NoiseSpec, sigma_b_from_t2
+from nvcdd.dephasing import NoiseSpec, sigma_b_from_t2
 from nvcdd.pulse_sim import (
     RAMSEY_KINDS,
     SimConfig,
@@ -58,7 +59,7 @@ from reference import (
 TOLERANCE = 1e-12
 N_DRAWS = 40
 NOISE = NoiseSpec(sigma_b=sigma_b_from_t2(5.4), sigma_t=0.25,
-                  amplitude_noise=FixedAmplitudeNoise(2.0 * math.pi * 0.02))
+                  sigma_omega_fixed=2.0 * math.pi * 0.02)
 # make_params' hyperfine splitting, and none: two 13C blocks, then one
 A_PAR_KHZ = (150.0, 0.0)
 
@@ -836,6 +837,20 @@ class TestSlowPath:
         assert np.array_equal(got, shot_rng(seed, shot, point)
                               .standard_normal(3))
         assert calls == list(range(1, blocks + 1))
+
+    def test_wedge_test_takes_the_c_librarys_exp(self, monkeypatch):
+        # numpy's C code tests a wedge with libm's exp, from which np.exp
+        # differs on about 5% of inputs; a one-ulp difference flips an
+        # accept only when the uniform lands within an ulp of the bound, so
+        # no draw shows the swap, and a spy on the module's math does
+        seen = []
+        spy = types.SimpleNamespace(**vars(math))
+        spy.exp = lambda v: seen.append(v) or math.exp(v)
+        monkeypatch.setattr(pulse_sim, "math", spy)
+        # (seed 5, point 3) has slow shots in layers above 1: wedge words
+        got = _sample_block(5, 3, 200)
+        assert np.array_equal(got, reference(5, [3], 200)[0])
+        assert seen and all(-8.0 < v <= 0.0 for v in seen)   # -x^2/2
 
     def test_no_slow_shot_draws_no_further_block(self, monkeypatch):
         # shot 0 of (seed 0, point 0) takes the fast path three times
