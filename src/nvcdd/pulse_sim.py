@@ -185,7 +185,9 @@ def _newton_column(e, z, w, g, duration: float) -> np.ndarray:
     crossings and double roots need no special case.  Blocks whose column
     is not finite (h = 0, or entries whose squares leave the double range)
     go to np.linalg.eigh, the one place the 3x3 matrices are built:
-    u = V (V[|0>, :] * exp(-i vals t)).
+    u = V (V[|0>, :] * exp(-i vals t)).  A column that overflows there
+    too (t near the double range) is left, without a warning, to the
+    caller's norm check.
     """
     with np.errstate(all="ignore"):
         g2 = g * g
@@ -215,16 +217,16 @@ def _newton_column(e, z, w, g, duration: float) -> np.ndarray:
         u[0] = f3 * (w * g)
         u[1] = half[0] * half[0] + f2[0] * c1 + f3 * ((z - lam[1]) * c1 + g2)
         u[2] = g * (f2[0] + f3 * (c1 - e - lam[1]))
-    if not np.isfinite(u.sum()):    # NaN and inf reach the sum
-        bad = ~np.isfinite(u).all(axis=0)
-        e, z, w, g = (np.broadcast_to(v, bad.shape)[bad] for v in (e, z, w, g))
-        h = np.zeros(e.shape + (3, 3))
-        h[:, 0, 0], h[:, 1, 1], h[:, 2, 2] = e, z, -e
-        h[:, 0, 2] = h[:, 2, 0] = w
-        h[:, 1, 2] = h[:, 2, 1] = g
-        vals, vecs = np.linalg.eigh(h)
-        coeff = np.exp(-1j * vals * duration) * vecs[..., 1, :]
-        u[:, bad] = (vecs @ coeff[..., None])[..., 0].T
+        if not np.isfinite(u.sum()):    # NaN and inf reach the sum
+            bad = ~np.isfinite(u).all(axis=0)
+            e, z, w, g = (v[bad] for v in np.broadcast_arrays(e, z, w, g))
+            h = np.zeros(e.shape + (3, 3))
+            h[:, 0, 0], h[:, 1, 1], h[:, 2, 2] = e, z, -e
+            h[:, 0, 2] = h[:, 2, 0] = w
+            h[:, 1, 2] = h[:, 2, 1] = g
+            vals, vecs = np.linalg.eigh(h)
+            coeff = np.exp(-1j * vals * duration) * vecs[..., 1, :]
+            u[:, bad] = (vecs @ coeff[..., None])[..., 0].T
     return u
 
 
@@ -342,13 +344,12 @@ def _philox_words(seed: int, shots: np.ndarray, points: np.ndarray, block=1):
 
     numpy increments the Philox counter before each block, so they are the
     Philox4x64-10 block of counter [block, point, 0, 0] under key [seed,
-    shot].  Round 1 of that counter is written out: its products are
-    M0 * block and M1 * 0.
+    shot].  shots and points broadcast: a (P, 1) column of points and an
+    (n,) row of shots give words (P, n), and each early round runs on the
+    axes its inputs span.
     """
-    hi, lo = divmod(_PHILOX_M[0] * block, 2 ** 64)
-    c0, c1, c2, c3 = (points ^ np.uint64(seed), np.zeros_like(shots),
-                      shots ^ np.uint64(hi), np.full_like(shots, lo))
-    for r in range(1, 10):
+    c0, c1, c2, c3 = np.array([block], dtype=np.uint64), points, 0, 0
+    for r in range(10):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         k0 = np.uint64((seed + r * _PHILOX_W[0]) & _U64)
@@ -399,13 +400,11 @@ def _sample_block(seed: int, point_index, n_shots: int) -> np.ndarray:
     shot's first Philox block come from its next blocks.
     """
     points = np.asarray(point_index, dtype=np.uint64)
-    shape = points.shape + (n_shots,)
-    shots = np.broadcast_to(np.arange(n_shots, dtype=np.uint64), shape).ravel()
-    points = np.broadcast_to(points[..., None], shape).ravel()
     wi, ki, fi = _tables()
-    words = _philox_words(seed, shots, points)
-    draws = np.empty((len(shots), 3))
-    fast = np.ones(len(shots), dtype=bool)
+    words = [w.ravel() for w in _philox_words(
+        seed, np.arange(n_shots, dtype=np.uint64), points[..., None])]
+    draws = np.empty((len(words[0]), 3))
+    fast = np.ones(len(draws), dtype=bool)
     for j, r in enumerate(words[:3]):
         *_, draws[:, j], ok = _ziggurat_fast(r, wi, ki)
         fast &= ok
@@ -417,7 +416,8 @@ def _sample_block(seed: int, point_index, n_shots: int) -> np.ndarray:
         nonlocal stream
         if len(rows) and pos[rows].max() == stream.shape[1]:
             stream = np.column_stack([stream, *_philox_words(
-                seed, shots[slow], points[slow], stream.shape[1] // 4 + 1)])
+                seed, (slow % n_shots).astype(np.uint64),
+                points.ravel()[slow // n_shots], stream.shape[1] // 4 + 1)])
         pos[rows] += 1
         return stream[rows, pos[rows] - 1]
 
@@ -442,7 +442,7 @@ def _sample_block(seed: int, point_index, n_shots: int) -> np.ndarray:
         done = live[ok]
         draws[slow[done], made[done]] = x[ok]
         made[done] += 1
-    return draws.reshape(shape + (3,))
+    return draws.reshape(points.shape + (n_shots, 3))
 
 
 def _simulate(grid, runs, config: SimConfig, nodes=None):

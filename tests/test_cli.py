@@ -529,6 +529,20 @@ class TestPulseTooWeak:
         with pytest.raises(ConfigError, match=r"\$\.ramsey\.omega_mag_khz"):
             cli._pulse_strength(section, "ramsey", math.pi)
 
+    @pytest.mark.parametrize("kind", ["dressed_0p", "undressed_0m1"])
+    def test_astronomically_long_pulse_loses_norm_quietly(
+            self, runner, tmp_path, kind):
+        # the pi/2 pulse lasts ~1.2e308 us: its column is not finite, and
+        # the eigh fallback's overflow reaches the norm check unwarned
+        out = tmp_path / "out"
+        result = invoke(runner, ["--out", str(out), "--shots", "2", "ramsey",
+                                 "--kind", kind, "--omega-mag-khz", "2e-306",
+                                 "--tau-stop-us", "1"])
+        assert result.exit_code == 3, all_output(result)
+        assert result.stderr.splitlines() == [
+            "numerical failure: propagation lost norm"]
+        assert not out.exists() or not any(out.glob("*.csv"))
+
     def test_no_key_leaves_the_simulators_default(self):
         assert cli._pulse_strength({}, "spectra", math.pi) == {}
 

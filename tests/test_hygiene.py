@@ -144,7 +144,7 @@ def test_guard_sees_an_unread_public_name():
 # src/'s code lines by code_lines.  A change that gives lines back lowers
 # it to the new count: test_guard_fails_one_line_over_the_ratchet fails
 # until it does.
-MAX_CODE_LINES = 1481
+MAX_CODE_LINES = 1478
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

@@ -786,14 +786,29 @@ class TestSlowPath:
     tail steps inside the engine, on further Philox blocks of their own
     streams, and match numpy's generator bit for bit."""
 
-    @pytest.mark.parametrize("seed,point", [(0, 0), (7, 36), (2 ** 64 - 1, 9)])
-    def test_philox_blocks_are_numpys_stream(self, seed, point):
-        shots = np.arange(20, dtype=np.uint64)
-        points = np.full_like(shots, point)
-        got = np.concatenate([
-            np.stack(pulse_sim._philox_words(seed, shots, points, block),
-                     axis=1) for block in (1, 2, 3)], axis=1)
-        assert np.array_equal(got, raw_words(seed, point, 20, 12))
+    # the first three are one point's shots; the rest also run as
+    # _sample_block passes them, a (P, 1) column of points against an (n,)
+    # row of shots, which must equal the flat per-shot-point call
+    @pytest.mark.parametrize("seed,points,n_shots", [
+        (0, [0], 20), (7, [36], 20), (2 ** 64 - 1, [9], 20),
+        (0, [0, 36, 2 ** 63], 20), (2 ** 64 - 1, [9, 2 ** 40, 2 ** 63], 7),
+        (2 ** 64 - 1, [2 ** 63], 1),
+    ], ids=["0-0", "7-36", "18446744073709551615-9", "column-0",
+            "column-max", "one_shot_one_point"])
+    def test_philox_blocks_are_numpys_stream(self, seed, points, n_shots):
+        shots = np.arange(n_shots, dtype=np.uint64)
+        column = np.array(points, dtype=np.uint64)[:, None]
+        flat = [pulse_sim._philox_words(
+            seed, np.tile(shots, len(points)), np.repeat(column, n_shots),
+            block) for block in (1, 2, 3)]
+        got = np.concatenate([np.stack(w, axis=1) for w in flat], axis=1)
+        assert np.array_equal(got, np.concatenate(
+            [raw_words(seed, point, n_shots, 12) for point in points]))
+        for block, words in enumerate(flat, 1):
+            grid = pulse_sim._philox_words(seed, shots, column, block)
+            assert all(w.shape == (len(points), n_shots) for w in grid)
+            assert np.array_equal(np.stack(grid, axis=-1).reshape(-1, 4),
+                                  np.stack(words, axis=1))
 
     def test_random_shots_match_numpy(self, rng):
         # about a million shot-points of a random seed: every shot that
