@@ -52,6 +52,18 @@ amplitude from the same u.  Free evolution between them is closed form
 amplitude is one expression in u, e, w, z, tau and phi, with sin and cos
 taken of the same angle (_readout).  One norm check of u (_pulse), and
 a check that the readout is finite, see every loss.
+
+A kernel call takes whole grid points, at most _CHUNK_ENTRIES block
+entries: its shot-points, or its points times the nodes, times the run's
+distinct 13C blocks, so a one-block run takes twice the points per call.
+The entries lie blocks first: e is (blocks, n) and z, w, tau and phi are
+rows (1, n); against n nodes a chunk's P points take a leading axis, (P,
+1, 1).  P0 sums the blocks over axis -2, so every ufunc runs over
+contiguous rows.  Rows,
+not 1-D arrays: numpy multiplies two complex arrays of different rank
+and one element each without fused multiply-adds, which would move the
+last bit of a one-shot-point call, so the operands of a Monte-Carlo
+call's complex products have one rank.
 """
 
 from __future__ import annotations
@@ -230,22 +242,29 @@ def _newton_column(e, z, w, g, duration: float) -> np.ndarray:
     return u
 
 
-def _pulse(params: SystemParams, frame, omega_mag, duration, db, dom, dt):
-    """The block entries e (n, blocks), z and w, and the pulse's |0>
-    column u (3, ..., blocks), for environment samples db, dom, dt (n,)
-    or scalars and a frame detuning that broadcasts against them.
+def _blocks(params: SystemParams) -> list:
+    """The distinct d of (delta + a_par, delta - a_par), in that order: one
+    per 13C block the engine runs."""
+    return [*dict.fromkeys((params.delta + params.a_par,
+                            params.delta - params.a_par))]
 
-    The block entries (module docstring) are e = GAMMA db + d/2 for each
-    distinct d of (delta + a_par, delta - a_par), in that order, z = frame
-    - DD_DT dt and w = (omega + dom)/2, and g = omega_mag/2: the drive's
-    0<->+1 element, detuned by the full Zeeman splitting, is dropped like
-    every other counter-rotating term.
+
+def _pulse(params: SystemParams, frame, omega_mag, duration, db, dom, dt):
+    """The block entries e (blocks, n), z and w (rows (1, n), or (P, 1, n)),
+    and the pulse's |0> column u (3, ..., blocks, n), for environment
+    samples db, dom, dt (n,) or scalars and a frame detuning that
+    broadcasts against them: a scalar, (n,), or (P, 1, 1) for P points
+    against n nodes.
+
+    The block entries (module docstring) are e = GAMMA db + d/2 for each d
+    of _blocks, z = frame - DD_DT dt and w = (omega + dom)/2, and g =
+    omega_mag/2: the drive's 0<->+1 element, detuned by the full Zeeman
+    splitting, is dropped like every other counter-rotating term.  With
+    the blocks first, every entry's ufuncs run over contiguous rows.
     """
-    a = params.a_par
-    blocks = [*dict.fromkeys((params.delta + a, params.delta - a))]
-    e = GAMMA * np.reshape(db, (-1, 1)) + 0.5 * np.array(blocks)
-    z = (frame - DD_DT * np.asarray(dt))[..., None]
-    w = np.reshape(0.5 * (params.omega + np.asarray(dom)), (-1, 1))
+    e = GAMMA * np.asarray(db) + 0.5 * np.array(_blocks(params))[:, None]
+    z = np.atleast_2d(frame - DD_DT * np.asarray(dt))
+    w = np.atleast_2d(0.5 * (params.omega + np.asarray(dom)))
     u = _newton_column(e, z, w, 0.5 * omega_mag, duration)
     # every step is unitary (module docstring); NaN fails the test
     norms = np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
@@ -258,18 +277,19 @@ def _readout(e, z, w, u, ramsey) -> np.ndarray:
     """P0 of a _pulse's blocks and column: ramsey None is a spectrum
     point, the pulse alone; ramsey = (tau, phi) is a Ramsey point, the
     pulse, free evolution tau, the pulse at phase phi, with tau and phi
-    broadcast against the pulse's environment axes.
+    broadcast against the pulse's environment axes: scalars, (n,), or
+    (P, 1, 1) for P points against nodes.
 
     With u the pulse's |0> column, a block's readout amplitude is u0 for a
     spectrum point and, for a Ramsey point (closing pulse and free
     evolution as in the module docstring), u0^2 exp(-i z tau)
     + exp(i phi) [cos(r tau) (u+^2 + u-^2) - i sin(r tau)/r (e (u+^2
     - u-^2) + 2 w u+ u-)], r = hypot(e, w); P0 is |amplitude|^2 averaged
-    over the blocks.
+    over the blocks, axis -2.
     """
     amp = u[1]
     if ramsey is not None:
-        tau, phi = (np.asarray(v, dtype=float)[..., None] for v in ramsey)
+        tau, phi = np.atleast_2d(*ramsey)
         plus2, minus2 = u[0] * u[0], u[2] * u[2]
         r = np.hypot(e, w)
         # a non-finite angle fails the check below; sin(r tau)/r is tau
@@ -280,7 +300,7 @@ def _readout(e, z, w, u, ramsey) -> np.ndarray:
             amp = u[1] * u[1] * np.exp(-1j * z * tau) + np.exp(1j * phi) * (
                 np.cos(angle) * (plus2 + minus2)
                 - 1j * sin_r * (e * (plus2 - minus2) + 2.0 * w * u[0] * u[2]))
-    p0 = (amp.real ** 2 + amp.imag ** 2).sum(axis=-1) / e.shape[-1]
+    p0 = (amp.real ** 2 + amp.imag ** 2).sum(axis=-2) / len(e)
     if not np.isfinite(p0.sum()):
         raise NormLossError("propagation lost norm")
     return p0
@@ -318,24 +338,27 @@ _TAIL_INV_R = 0.27366123732975827203338247596
 # shot-points 12.6 and 24.3 ms at 34.8 and 34.9 MB, 8192 11.8 and 21.8 ms
 # at 35.1 and 35.8 MB, 16384 10.6 and 21.4 ms at 35.4 and 36.7 MB.
 _BLOCK_SHOT_POINTS = 16384
-# Shot-points per _run_batch call, in whole points.  nvbench sweep on a
-# shared 2-core x86-64 VM: one point per call gained nothing on spectra,
-# 1024 was fastest there (wall_s -30%) at +0.2 MB peak RSS, and 2048 and
-# 4096 were no faster but cost +0.9 and +2.2 MB (+5.5%).  Smaller
-# sampler blocks were slower, and a thread pool over blocks gained no
-# wall time.
-_CHUNK_SHOT_POINTS = 1024
+# Block entries (shot-points, or points times nodes, times the run's
+# distinct 13C blocks) per kernel call, in whole points.  nvbench sweep on
+# a shared 2-core x86-64 VM, 4 alternating 8-s rounds, medians of spectra
+# and ramsey_mp wall_s: 1024 shot-points per call 8.50 and 15.6 ms, 2048
+# entries 7.85 and 14.6 ms, 3072 7.32 and 14.8 ms, 4096 7.50 and 14.1 ms,
+# peak_rss_mb within 0.3 MB of 1024's.  At 2048 a two-block run takes the points per call it took at 1024
+# shot-points; more would give the quadrature's matrix-vector product more
+# rows, which moves the last bits of a two-block exact mean and with them
+# a fit that ends near a bound.
+_CHUNK_ENTRIES = 2048
 
 
 def _mulhilo(m: int, b: np.ndarray):
     """High and low words of the 128-bit products m * b, for a constant m
-    and a uint64 array b, built from 32-bit halves."""
+    and a uint64 array b: Hacker's Delight's mulhu on 32-bit halves, whose
+    partial sums t and mid each stay below 2**64."""
     m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
     b_hi, b_lo = b >> 32, b & _LO32
-    lo_lo, hi_lo, lo_hi = m_lo * b_lo, m_hi * b_lo, m_lo * b_hi
-    carry = ((lo_lo >> 32) + (hi_lo & _LO32) + (lo_hi & _LO32)) >> 32
-    return m_hi * b_hi + (hi_lo >> 32) + (lo_hi >> 32) + carry, \
-        b * np.uint64(m)
+    t = m_hi * b_lo + (m_lo * b_lo >> 32)
+    mid = m_lo * b_hi + (t & _LO32)
+    return m_hi * b_hi + (t >> 32) + (mid >> 32), b * np.uint64(m)
 
 
 def _philox_words(seed: int, shots: np.ndarray, points: np.ndarray, block=1):
@@ -455,13 +478,15 @@ def _simulate(grid, runs, config: SimConfig, nodes=None):
 
     Unit draws are sampled once for a block of whole points, at most
     _BLOCK_SHOT_POINTS shot-points (at least one point), and each run
-    takes the block in chunks of whole points, at most _CHUNK_SHOT_POINTS
-    shot-points (at least one point): point_at takes the chunk's grid
-    values.  Every shot-point has its own draws, so the Monte Carlo runs a
-    chunk through _run_batch.  The nodes serve every point, so the
-    quadrature reads each chunk out of a _pulse of the nodes, broadcast
-    against the chunk's points: a spectrum's frame moves with the point,
-    so it forms one per chunk, and a Ramsey run forms its pulse once.
+    takes the block in chunks of whole points, at most _CHUNK_ENTRIES
+    block entries (shot-points times the run's distinct 13C blocks; at
+    least one point): point_at takes the chunk's grid values.  Every
+    shot-point has its own draws, so the Monte Carlo runs a chunk through
+    _run_batch.  The nodes serve every point, so the quadrature reads each
+    chunk, sized with the nodes as its shots, out of a _pulse of the
+    nodes, the chunk's points on a leading axis (P, 1, 1): a spectrum's
+    frame moves with the point, so it forms one per chunk, and a Ramsey
+    run forms its pulse once.
     """
     if not runs:
         raise ValueError("drives needs at least one drive")
@@ -474,7 +499,6 @@ def _simulate(grid, runs, config: SimConfig, nodes=None):
         n = len(weights)
     mean, stderr = np.zeros((2, len(runs), len(grid)))
     block = max(1, _BLOCK_SHOT_POINTS // n) if nodes is None else len(grid)
-    chunk = max(1, _CHUNK_SHOT_POINTS // n)
     for first in range(0, len(grid), block):
         points = range(first, min(first + block, len(grid)))
         draws = _sample_block(config.seed, points, n) if nodes is None \
@@ -484,11 +508,12 @@ def _simulate(grid, runs, config: SimConfig, nodes=None):
                    draws[..., 1] * noise.sigma_omega(params.omega),
                    draws[..., 2] * noise.sigma_t)
             pulse = None
+            chunk = max(1, _CHUNK_ENTRIES // n // len(_blocks(params)))
             for start in range(0, len(points), chunk):
                 rows = slice(first + start, min(first + start + chunk,
                                                 points.stop))
                 if nodes is not None:
-                    *pulse_at, ramsey = point_at(grid[rows, None])
+                    *pulse_at, ramsey = point_at(grid[rows, None, None])
                     if pulse is None or ramsey is None:
                         pulse = _pulse(params, *pulse_at, *env)
                     mean[run, rows] = _readout(*pulse, ramsey) @ weights

@@ -17,6 +17,7 @@ own quadrature (the nodes argument) is held to that oracle.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 import functools
 import math
 from pathlib import Path
@@ -355,7 +356,7 @@ class TestRunBatch:
         blocks = np.array([params.delta + params.a_par,
                            params.delta - params.a_par])[:n_blocks]
         (e,) = seen
-        assert np.array_equal(e, GAMMA * env[0][:, None] + 0.5 * blocks)
+        assert np.array_equal(e, GAMMA * env[0] + 0.5 * blocks[:, None])
 
     @pytest.mark.parametrize("name", POINTS)
     def test_segment_positions_match_dense(self, rng, name):
@@ -377,7 +378,8 @@ class TestRunBatch:
     def test_one_pulse_build_per_point(self, monkeypatch, kind):
         # free evolution reads the pulse's own block entries, so a Ramsey
         # point forms one column, and a chunk of points forms theirs in
-        # one call: 3 points of 4 shots at 8 shot-points per chunk
+        # one call: 3 points of 4 shots in two 13C blocks at 16 block
+        # entries per chunk
         columns = []
         column = pulse_sim._newton_column
 
@@ -386,11 +388,11 @@ class TestRunBatch:
             return columns[-1]
 
         monkeypatch.setattr(pulse_sim, "_newton_column", spy)
-        monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", 8)
+        monkeypatch.setattr(pulse_sim, "_CHUNK_ENTRIES", 16)
         config = SimConfig(n_shots=4, seed=5)
         simulate_ramsey(kind, [0.0, 0.85, 3.1], [(make_params(), NOISE)],
                         config)
-        assert [u.shape for u in columns] == [(3, 8, 2), (3, 4, 2)]
+        assert [u.shape for u in columns] == [(3, 2, 8), (3, 2, 4)]
 
 
     @pytest.mark.parametrize("kind", RAMSEY_KINDS)
@@ -409,7 +411,7 @@ class TestRunBatch:
         drives = [(make_params(omega_khz=om), NOISE) for om in (470.0, 581.0)]
         traces = simulate_ramsey(kind, np.linspace(0.0, 20.0, 401), drives,
                                  SimConfig(n_shots=1), nodes=(7, 5, 3))
-        assert [u.shape for u in columns] == [(3, 105, 2)] * len(drives)
+        assert [u.shape for u in columns] == [(3, 2, 105)] * len(drives)
         assert all(not t.stderr.any() for t in traces)
 
 
@@ -633,10 +635,12 @@ class TestVectorisedSampler:
 
 def assert_chunks(batches, blocks, params, n_shots):
     """The recorded _run_batch calls of a spectrum run split each sampled
-    block into chunks of whole points, at most _CHUNK_SHOT_POINTS
-    shot-points (at least one point) each, and carry each point's own
-    environment draws: its unit draws times NOISE's sigmas at the drive."""
-    per_chunk = max(1, pulse_sim._CHUNK_SHOT_POINTS // n_shots)
+    block into chunks of whole points, at most _CHUNK_ENTRIES block entries
+    (shot-points times the run's distinct 13C blocks; at least one point)
+    each, and carry each point's own environment draws: its unit draws
+    times NOISE's sigmas at the drive."""
+    n_blocks = len({params.delta + params.a_par, params.delta - params.a_par})
+    per_chunk = max(1, pulse_sim._CHUNK_ENTRIES // (n_shots * n_blocks))
     chunks = [range(first, min(first + per_chunk, block.stop))
               for block in blocks
               for first in range(block.start, block.stop, per_chunk)]
@@ -653,10 +657,19 @@ def assert_chunks(batches, blocks, params, n_shots):
 GRID_POINTS = 60
 
 
-def simulated_files(tmp_path, kind, n_shots):
+def one_and_two_blocks(cases):
+    """pytest params of each case (a tuple of arguments) followed by
+    a_par_khz: 150 kHz (two 13C blocks) under the case's plain id, then 0
+    (one block) under that id and "one_block"."""
+    return [pytest.param(*case, a_par, id="-".join(map(str, case)) + tail)
+            for a_par, tail in zip(A_PAR_KHZ, ("", "-one_block"))
+            for case in cases]
+
+
+def simulated_files(tmp_path, kind, n_shots, a_par_khz):
     """The CSV and sidecar bytes of a GRID_POINTS-point trace of kind (a
-    Ramsey kind or "spectrum")."""
-    params = make_params(delta_khz=30.0)
+    Ramsey kind or "spectrum") at hyperfine coupling a_par_khz."""
+    params = make_params(delta_khz=30.0, a_par_khz=a_par_khz)
     config = SimConfig(n_shots=n_shots, seed=5)
     if kind == "spectrum":
         trace, = simulate_spectrum(
@@ -674,24 +687,27 @@ class TestChunks:
     """_simulate runs each sampled block through _run_batch in chunks of
     whole points; the chunk size changes no byte of a trace."""
 
-    @pytest.mark.parametrize("n_shots", [1, 37])
-    @pytest.mark.parametrize("kind", RAMSEY_KINDS + ("spectrum",))
+    @pytest.mark.parametrize("kind,n_shots,a_par_khz", one_and_two_blocks(
+        [(kind, n_shots) for n_shots in (1, 37)
+         for kind in RAMSEY_KINDS + ("spectrum",)]))
     def test_traces_do_not_depend_on_chunk_size(self, monkeypatch, tmp_path,
-                                                kind, n_shots):
-        want = simulated_files(tmp_path, kind, n_shots)
+                                                kind, n_shots, a_par_khz):
+        want = simulated_files(tmp_path, kind, n_shots, a_par_khz)
         # one point per call, chunks that 37 shots do not divide, and the
-        # whole grid (one sampled block) in one call
-        for cap in (1, 100, GRID_POINTS * n_shots):
-            monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", cap)
-            assert simulated_files(tmp_path, kind, n_shots) == want, cap
+        # whole grid (one sampled block) in one call at either block count
+        for cap in (1, 100, GRID_POINTS * n_shots * 2):
+            monkeypatch.setattr(pulse_sim, "_CHUNK_ENTRIES", cap)
+            assert simulated_files(tmp_path, kind, n_shots, a_par_khz) \
+                == want, cap
 
     @pytest.mark.parametrize("chunk_cap", [1, 60, 89, 1000])
     def test_chunks_hold_whole_points(self, monkeypatch, recorded_batches,
                                       chunk_cap):
-        # 30 shots, 3 points per sampled block: chunks of 1, 2, 2 and 3
-        # points, never across a block boundary
+        # 30 shots in two 13C blocks, 3 points per sampled block, at most
+        # chunk_cap shot-points per chunk: chunks of 1, 2, 2 and 3 points,
+        # never across a block boundary
         monkeypatch.setattr(pulse_sim, "_BLOCK_SHOT_POINTS", 100)
-        monkeypatch.setattr(pulse_sim, "_CHUNK_SHOT_POINTS", chunk_cap)
+        monkeypatch.setattr(pulse_sim, "_CHUNK_ENTRIES", 2 * chunk_cap)
         params = make_params(omega_khz=470.0)
         grid = 2.0 * math.pi * np.linspace(-0.3, 0.3, 7)
         simulate_spectrum(grid, [(params, NOISE)],
@@ -724,13 +740,16 @@ class TestSharedDraws:
         return [(params.with_omega(khz_to_angular(om)), noise)
                 for om in self.DRIVES_KHZ]
 
-    @pytest.mark.parametrize("kind", ["spectrum", *RAMSEY_KINDS])
-    def test_each_drive_equals_a_one_drive_call(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind,a_par_khz", one_and_two_blocks(
+        [(kind,) for kind in ("spectrum", *RAMSEY_KINDS)]))
+    def test_each_drive_equals_a_one_drive_call(self, monkeypatch, kind,
+                                                a_par_khz):
         # 7 points of 40 shots in blocks of 3 points, so a block boundary
         # falls inside the grid
         monkeypatch.setattr(pulse_sim, "_BLOCK_SHOT_POINTS", 120)
-        drive, config = nv2_run()
-        drives = self.drives(drive)
+        (params, noise), config = nv2_run()
+        drives = self.drives((replace(params, a_par=khz_to_angular(a_par_khz)),
+                              noise))
         if kind == "spectrum":
             grid = khz_to_angular(np.linspace(-600.0, 600.0, 7))
             simulate = lambda drives: simulate_spectrum(grid, drives, config)
@@ -785,6 +804,19 @@ class TestSlowPath:
     """The shots that miss the ziggurat fast path run numpy's wedge and
     tail steps inside the engine, on further Philox blocks of their own
     streams, and match numpy's generator bit for bit."""
+
+    @pytest.mark.parametrize("m", pulse_sim._PHILOX_M, ids=["m0", "m1"])
+    def test_mulhilo_is_the_exact_product(self, rng, m):
+        # both words of m * b against Python's integer product, at the
+        # edge words and at 10**5 random ones
+        edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+        b = np.concatenate([np.array(edges, dtype=np.uint64),
+                            rng.integers(2 ** 64, size=10 ** 5,
+                                         dtype=np.uint64)])
+        hi, lo = pulse_sim._mulhilo(m, b)
+        want = [m * word for word in b.tolist()]
+        assert hi.tolist() == [p >> 64 for p in want]
+        assert lo.tolist() == [p & (2 ** 64 - 1) for p in want]
 
     # the first three are one point's shots; the rest also run as
     # _sample_block passes them, a (P, 1) column of points against an (n,)
