@@ -713,7 +713,3 @@ def fit(read_cfg, **flags):
     if not outcome.converged:
         click.echo("fit did not converge", file=sys.stderr)
         sys.exit(EXIT_NUMERICAL)
-
-
-if __name__ == "__main__":
-    main()

@@ -181,7 +181,6 @@ def _seed_spectrum_joint(trace, undressed, params, noise, p0_ud):
     depth = float(trace.mean_p0.max() - trace.mean_p0.min())
     model = model_spectrum_joint(len(trace.abscissa)).with_initials(
         omega_khz=max(hi - lo, 10.0),
-        delta_khz=0.0,
         w01_khz=float(undressed.abscissa[np.argmin(undressed.mean_p0)]),
         c_d=float(trace.mean_p0.max()),
         c_ud=float(undressed.mean_p0.max()),

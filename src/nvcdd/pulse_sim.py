@@ -53,17 +53,22 @@ amplitude is one expression in u, e, w, z, tau and phi, with sin and cos
 taken of the same angle (_readout).  One norm check of u (_pulse), and
 a check that the readout is finite, see every loss.
 
-A kernel call takes whole grid points, at most _CHUNK_ENTRIES block
+A kernel call takes whole grid points, at most a budget of block
 entries: its shot-points, or its points times the nodes, times the run's
 distinct 13C blocks, so a one-block run takes twice the points per call.
+The Monte Carlo's budget is _MC_CHUNK_ENTRIES (4096) and the quadrature's
+_CHUNK_ENTRIES (2048): the exact mean's matrix-vector product rounds by
+the rows it holds, so the quadrature keeps the rows per call it has
+always taken.  Each run first frees an untouched 2 MiB block, so that
+glibc serves the sampler's and the kernel's temporaries from reused heap
+pages, not from fresh mmap pages (_simulate).
 The entries lie blocks first: e is (blocks, n) and z, w, tau and phi are
 rows (1, n); against n nodes a chunk's P points take a leading axis, (P,
 1, 1).  P0 sums the blocks over axis -2, so every ufunc runs over
-contiguous rows.  Rows,
-not 1-D arrays: numpy multiplies two complex arrays of different rank
-and one element each without fused multiply-adds, which would move the
-last bit of a one-shot-point call, so the operands of a Monte-Carlo
-call's complex products have one rank.
+contiguous rows.  Rows, not 1-D arrays: numpy multiplies two complex
+arrays of different rank and one element each without fused
+multiply-adds, which would move the last bit of a one-shot-point call, so
+the operands of a Monte-Carlo call's complex products have one rank.
 """
 
 from __future__ import annotations
@@ -339,15 +344,19 @@ _TAIL_INV_R = 0.27366123732975827203338247596
 # at 35.1 and 35.8 MB, 16384 10.6 and 21.4 ms at 35.4 and 36.7 MB.
 _BLOCK_SHOT_POINTS = 16384
 # Block entries (shot-points, or points times nodes, times the run's
-# distinct 13C blocks) per kernel call, in whole points.  nvbench sweep on
-# a shared 2-core x86-64 VM, 4 alternating 8-s rounds, medians of spectra
-# and ramsey_mp wall_s: 1024 shot-points per call 8.50 and 15.6 ms, 2048
-# entries 7.85 and 14.6 ms, 3072 7.32 and 14.8 ms, 4096 7.50 and 14.1 ms,
-# peak_rss_mb within 0.3 MB of 1024's.  At 2048 a two-block run takes the points per call it took at 1024
-# shot-points; more would give the quadrature's matrix-vector product more
-# rows, which moves the last bits of a two-block exact mean and with them
-# a fit that ends near a bound.
+# distinct 13C blocks) per kernel call, in whole points: _CHUNK_ENTRIES
+# for the quadrature, _MC_CHUNK_ENTRIES for the Monte Carlo.  At 2048 a
+# two-block quadrature takes the points per call it took at 1024
+# shot-points; more would give its matrix-vector product more rows, which
+# moves the last bits of a two-block exact mean and with them a fit that
+# ends near a bound.  nvbench sweep on a shared 2-core x86-64 VM, 4
+# alternating 8-s rounds, medians of ramsey_mp and spectra wall_s and
+# peak_rss_mb, with _simulate's freed 2 MiB block and without: 2048
+# entries without 19.1 and 9.2 ms at 36.3 and 35.1 MB; 4096 with 16.0 and
+# 8.4 ms at 36.3 and 35.7 MB, without 16.4 and 9.4 ms; 8192 with 15.5 and
+# 8.3 ms at 37.5 and 37.1 MB, without 18.6 and 10.0 ms.
 _CHUNK_ENTRIES = 2048
+_MC_CHUNK_ENTRIES = 4096
 
 
 def _mulhilo(m: int, b: np.ndarray):
@@ -478,18 +487,26 @@ def _simulate(grid, runs, config: SimConfig, nodes=None):
 
     Unit draws are sampled once for a block of whole points, at most
     _BLOCK_SHOT_POINTS shot-points (at least one point), and each run
-    takes the block in chunks of whole points, at most _CHUNK_ENTRIES
+    takes the block in chunks of whole points, at most _MC_CHUNK_ENTRIES
     block entries (shot-points times the run's distinct 13C blocks; at
     least one point): point_at takes the chunk's grid values.  Every
     shot-point has its own draws, so the Monte Carlo runs a chunk through
     _run_batch.  The nodes serve every point, so the quadrature reads each
-    chunk, sized with the nodes as its shots, out of a _pulse of the
-    nodes, the chunk's points on a leading axis (P, 1, 1): a spectrum's
-    frame moves with the point, so it forms one per chunk, and a Ramsey
-    run forms its pulse once.
+    chunk, sized with the nodes as its shots against _CHUNK_ENTRIES, out
+    of a _pulse of the nodes, the chunk's points on a leading axis (P, 1,
+    1): a spectrum's frame moves with the point, so it forms one per
+    chunk, and a Ramsey run forms its pulse once.
     """
     if not runs:
         raise ValueError("drives needs at least one drive")
+    # glibc's malloc serves a request of its mmap threshold (128 KiB until
+    # raised) or more with fresh mmap pages, which fault in on first touch
+    # and go back to the kernel on free; freeing such a block raises the
+    # threshold to its size and the trim threshold to twice that
+    # (mallopt(3), M_MMAP_THRESHOLD).  Freeing 2 MiB that np.empty never
+    # touched sets them to 2 and 4 MiB, so the sampler's and the kernel's
+    # temporaries (the sampler's words are 128 KiB) reuse heap pages.
+    np.empty(1 << 21, np.uint8)
     n = config.n_shots
     if nodes is not None:   # only fits load numpy.polynomial
         from numpy.polynomial.hermite_e import hermegauss
@@ -499,6 +516,7 @@ def _simulate(grid, runs, config: SimConfig, nodes=None):
         n = len(weights)
     mean, stderr = np.zeros((2, len(runs), len(grid)))
     block = max(1, _BLOCK_SHOT_POINTS // n) if nodes is None else len(grid)
+    budget = _MC_CHUNK_ENTRIES if nodes is None else _CHUNK_ENTRIES
     for first in range(0, len(grid), block):
         points = range(first, min(first + block, len(grid)))
         draws = _sample_block(config.seed, points, n) if nodes is None \
@@ -508,7 +526,7 @@ def _simulate(grid, runs, config: SimConfig, nodes=None):
                    draws[..., 1] * noise.sigma_omega(params.omega),
                    draws[..., 2] * noise.sigma_t)
             pulse = None
-            chunk = max(1, _CHUNK_ENTRIES // n // len(_blocks(params)))
+            chunk = max(1, budget // n // len(_blocks(params)))
             for start in range(0, len(points), chunk):
                 rows = slice(first + start, min(first + start + chunk,
                                                 points.stop))

@@ -388,7 +388,7 @@ class TestRunBatch:
             return columns[-1]
 
         monkeypatch.setattr(pulse_sim, "_newton_column", spy)
-        monkeypatch.setattr(pulse_sim, "_CHUNK_ENTRIES", 16)
+        monkeypatch.setattr(pulse_sim, "_MC_CHUNK_ENTRIES", 16)
         config = SimConfig(n_shots=4, seed=5)
         simulate_ramsey(kind, [0.0, 0.85, 3.1], [(make_params(), NOISE)],
                         config)
@@ -635,12 +635,12 @@ class TestVectorisedSampler:
 
 def assert_chunks(batches, blocks, params, n_shots):
     """The recorded _run_batch calls of a spectrum run split each sampled
-    block into chunks of whole points, at most _CHUNK_ENTRIES block entries
-    (shot-points times the run's distinct 13C blocks; at least one point)
-    each, and carry each point's own environment draws: its unit draws
-    times NOISE's sigmas at the drive."""
+    block into chunks of whole points, at most _MC_CHUNK_ENTRIES block
+    entries (shot-points times the run's distinct 13C blocks; at least one
+    point) each, and carry each point's own environment draws: its unit
+    draws times NOISE's sigmas at the drive."""
     n_blocks = len({params.delta + params.a_par, params.delta - params.a_par})
-    per_chunk = max(1, pulse_sim._CHUNK_ENTRIES // (n_shots * n_blocks))
+    per_chunk = max(1, pulse_sim._MC_CHUNK_ENTRIES // (n_shots * n_blocks))
     chunks = [range(first, min(first + per_chunk, block.stop))
               for block in blocks
               for first in range(block.start, block.stop, per_chunk)]
@@ -685,7 +685,8 @@ def simulated_files(tmp_path, kind, n_shots, a_par_khz):
 
 class TestChunks:
     """_simulate runs each sampled block through _run_batch in chunks of
-    whole points; the chunk size changes no byte of a trace."""
+    whole points; the chunk size changes no byte of a trace.  The
+    quadrature's chunks keep their own, smaller budget."""
 
     @pytest.mark.parametrize("kind,n_shots,a_par_khz", one_and_two_blocks(
         [(kind, n_shots) for n_shots in (1, 37)
@@ -696,7 +697,7 @@ class TestChunks:
         # one point per call, chunks that 37 shots do not divide, and the
         # whole grid (one sampled block) in one call at either block count
         for cap in (1, 100, GRID_POINTS * n_shots * 2):
-            monkeypatch.setattr(pulse_sim, "_CHUNK_ENTRIES", cap)
+            monkeypatch.setattr(pulse_sim, "_MC_CHUNK_ENTRIES", cap)
             assert simulated_files(tmp_path, kind, n_shots, a_par_khz) \
                 == want, cap
 
@@ -707,7 +708,7 @@ class TestChunks:
         # chunk_cap shot-points per chunk: chunks of 1, 2, 2 and 3 points,
         # never across a block boundary
         monkeypatch.setattr(pulse_sim, "_BLOCK_SHOT_POINTS", 100)
-        monkeypatch.setattr(pulse_sim, "_CHUNK_ENTRIES", 2 * chunk_cap)
+        monkeypatch.setattr(pulse_sim, "_MC_CHUNK_ENTRIES", 2 * chunk_cap)
         params = make_params(omega_khz=470.0)
         grid = 2.0 * math.pi * np.linspace(-0.3, 0.3, 7)
         simulate_spectrum(grid, [(params, NOISE)],
@@ -718,6 +719,33 @@ class TestChunks:
         frames = np.concatenate([args[0][0] for args, _ in recorded_batches])
         assert np.array_equal(frames,
                               np.repeat(grid, 30) - 0.5 * params.delta)
+
+    @pytest.mark.parametrize("kind", ["dressed_mp", "spectrum"])
+    @pytest.mark.parametrize("a_par_khz,n_blocks", [(150.0, 2), (0.0, 1)])
+    def test_quadrature_calls_keep_2048_entries(self, monkeypatch, kind,
+                                                a_par_khz, n_blocks):
+        # the exact mean's matrix-vector product rounds by the rows it
+        # holds, so the quadrature keeps 2048 block entries per call while
+        # the Monte Carlo takes more: 401 points of 105 nodes
+        points = []
+        readout = pulse_sim._readout
+
+        def spy(e, z, w, u, ramsey):
+            points.append(len(u[0]) if ramsey is None else len(ramsey[0]))
+            return readout(e, z, w, u, ramsey)
+
+        monkeypatch.setattr(pulse_sim, "_readout", spy)
+        drives = [(make_params(a_par_khz=a_par_khz), NOISE)]
+        grid, nodes = np.linspace(0.0, 2.0, 401), (7, 5, 3)
+        if kind == "spectrum":   # simulate_spectrum takes no nodes
+            monkeypatch.setattr(pulse_sim, "_simulate", functools.partial(
+                pulse_sim._simulate, nodes=nodes))
+            simulate_spectrum(grid, drives, SimConfig(n_shots=1))
+        else:
+            simulate_ramsey(kind, grid, drives, SimConfig(n_shots=1),
+                            nodes=nodes)
+        per_call = 2048 // math.prod(nodes) // n_blocks
+        assert points == [per_call] * (401 // per_call) + [401 % per_call]
 
 
 def nv2_run():
@@ -745,8 +773,10 @@ class TestSharedDraws:
     def test_each_drive_equals_a_one_drive_call(self, monkeypatch, kind,
                                                 a_par_khz):
         # 7 points of 40 shots in blocks of 3 points, so a block boundary
-        # falls inside the grid
+        # falls inside the grid, and kernel calls of one point (two 13C
+        # blocks) or two (one block), so chunk boundaries fall inside a block
         monkeypatch.setattr(pulse_sim, "_BLOCK_SHOT_POINTS", 120)
+        monkeypatch.setattr(pulse_sim, "_MC_CHUNK_ENTRIES", 80)
         (params, noise), config = nv2_run()
         drives = self.drives((replace(params, a_par=khz_to_angular(a_par_khz)),
                               noise))

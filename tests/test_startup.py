@@ -1,5 +1,6 @@
 """scipy stays off the CLI start-up path, jsonschema off every run, and
-each nvcdd module loads only what it imports.
+each nvcdd module loads only what it imports; a repeated Monte-Carlo run
+takes no fresh pages.
 
 The CLI checks configs itself; jsonschema, with the packages it pulls in,
 is only the test suite's oracle for that checker. Each check runs in a
@@ -8,6 +9,7 @@ test process.
 """
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -25,20 +27,25 @@ PACKAGE_MODULES = ("numpy", *(f"nvcdd.{path.stem}" for path
                               if path.stem != "__init__"))
 
 
-def _loaded_after(code: str, names=DEFERRED) -> set:
-    """The names in sys.modules after running code.
-
-    The names are printed on the last line, after anything code prints.
-    """
-    script = (f"{code}\nimport sys\nprint()\n"
-              f"print(' '.join(m for m in {names!r} if m in sys.modules))")
+def _last_line(script: str) -> str:
+    """The last line script prints in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return proc.stdout.splitlines()[-1]
+
+
+def _loaded_after(code: str, names=DEFERRED) -> set:
+    """The names in sys.modules after running code.
+
+    The names are printed on the last line, after anything code prints.
+    """
+    return set(_last_line(
+        f"{code}\nimport sys\nprint()\n"
+        f"print(' '.join(m for m in {names!r} if m in sys.modules))").split())
 
 
 def test_cli_import_loads_no_scipy_fitting_modules():
@@ -114,3 +121,20 @@ def test_monte_carlo_runs_load_no_numpy_random(tmp_path):
         "assert pulse_sim._sample_block(5, 3, 111)[110].any()"])
     assert _loaded_after(code, ("numpy.random",)) == set()
     assert (tmp_path / "ramsey_dressed_mp.csv").exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's mmap-served pages on Linux")
+def test_repeated_monte_carlo_run_takes_no_fresh_pages(tmp_path):
+    # a run frees a 2 MiB block first, which raises glibc's mmap threshold
+    # above the sampler's and the kernel's temporaries, so a second nv2
+    # dressed_mp run (51 tau x 400 shots) reuses the first one's heap
+    # pages; served by mmap, they cost hundreds of minor faults per run
+    run = _cli_run("--config", str(REPO / "configs" / "nv2.json"),
+                   "--out", str(tmp_path), "--shots", "400", "ramsey",
+                   "--kind", "dressed_mp", "--tau-stop-us", "2.5")
+    faults = "resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+    code = "\n".join(["import resource", run, f"before = {faults}", run,
+                      f"print({faults} - before)"])
+    assert int(_last_line(code)) < 50
